@@ -1,69 +1,35 @@
-//! WAL-boundedness soak: a churn workload over a dataset much larger
-//! than the buffer pool, with the background fuzzy checkpointer
+//! Kill -9 soak: a churn workload over a file-backed dataset much
+//! larger than the buffer pool, with the background fuzzy checkpointer
 //! recycling segments underneath it.
 //!
 //! ```text
-//! cargo run --release -p grt-bench --bin soak [-- --quick]
 //! cargo run --release -p grt-bench --bin soak -- --churn-dir DIR
 //! cargo run --release -p grt-bench --bin soak -- --recover-dir DIR
 //! ```
 //!
-//! The default (in-memory) mode emits `BENCH_soak.json` (with
-//! `--quick`: `BENCH_soak_quick.json`, fewer rounds) whose single
-//! `soak` section carries both the figures and the limits the run was
-//! sized for, so `bench_gate --wal-bound` can gate absolutely:
-//!
-//! * `wal_live_bytes_max` / `wal_live_bytes_limit`: the live log,
-//!   sampled after every churn round, must stay bounded by a constant
-//!   number of segments no matter how many rounds ran;
-//! * `recovery_ms` / `recovery_ms_limit`: time to reopen the space
-//!   over the surviving log — only the segments above the last
-//!   checkpoint's low-water mark replay;
-//! * `throughput_ratio`: churn ops/s with checkpointing on (the
-//!   background thread plus a deterministic checkpoint every
-//!   `CKPT_ROUNDS` rounds, paid inside the timed loop) versus the same
-//!   workload with checkpointing off. Fuzzy checkpoints flush shard by
-//!   shard without stalling writers, so the ratio must stay near 1;
-//! * `checkpoints` / `segments_recycled`: the machinery must actually
-//!   have run — a bounded log with zero recycles would mean the
-//!   workload was too small to prove anything.
-//!
-//! `--churn-dir` runs the same churn against a file-backed space in
-//! `DIR` until killed — CI's `soak-smoke` job SIGKILLs it mid-churn —
-//! and `--recover-dir` then reopens `DIR`, timing recovery and
-//! verifying every seeded object is readable. Repeated kill/recover
-//! cycles must keep succeeding: replay is idempotent.
+//! `--churn-dir` churns a space in `DIR` until killed — CI's
+//! `soak-smoke` job SIGKILLs it mid-churn — and `--recover-dir` then
+//! reopens `DIR`, timing recovery and verifying every seeded object is
+//! readable. Repeated kill/recover cycles must keep succeeding: replay
+//! is idempotent. A separate process killed by the kernel is the one
+//! crash the `spine` benchmark (which drops its database in-process)
+//! does not stage; WAL boundedness under churn is measured there
+//! (`dml_durable`: `sbspace.wal_live_mb_max`,
+//! `sbspace.segments_recycled`, `recovery_s`).
 
-use grt_sbspace::wal::MemWal;
-use grt_sbspace::{IsolationLevel, LoId, LockMode, MemBackend, Sbspace, SbspaceOptions, PAGE_SIZE};
-use std::fmt::Write as _;
-use std::sync::Arc;
+use grt_sbspace::{IsolationLevel, LoId, LockMode, Sbspace, SbspaceOptions, PAGE_SIZE};
 use std::time::{Duration, Instant};
 
 /// Objects in the working set. A [`LoId`] is the physical page number
 /// of the object's inode, so ids depend on allocation order — the seed
-/// phase records them (in a `los.txt` manifest for the file-backed
-/// modes) rather than assuming a numbering.
+/// phase records them (in a `los.txt` manifest) rather than assuming a
+/// numbering.
 const LOS: u32 = 8;
 /// Pages per object — 8 × 96 = 768 data pages against a 128-page pool,
 /// so the working set never fits and eviction churns continuously.
 const PAGES_PER_LO: u32 = 96;
 const POOL_PAGES: usize = 128;
 const SEG_BYTES: usize = 64 * 1024;
-/// Rounds between the deterministic checkpoints of the active pass.
-/// The background checkpointer also runs on its timer, but churn is so
-/// much faster than wall-clock intervals that the boundedness claim
-/// must not depend on machine speed: a checkpoint every CKPT_ROUNDS
-/// rounds caps the log at CKPT_ROUNDS rounds' worth of images no
-/// matter how fast the loop spins.
-const CKPT_ROUNDS: u64 = 8;
-/// The gate bound: the live log may never exceed this many segments.
-/// A churn round logs roughly 70 KiB (four copy-on-write page images
-/// plus their allocation and inode metadata; truncate rounds more), so
-/// CKPT_ROUNDS rounds come to ~0.6 MiB; 16 segments of 64 KiB give
-/// headroom for a checkpoint landing mid-burst and for the segment
-/// holding the anchor transaction.
-const SEG_BOUND: usize = 16;
 
 /// Deterministic xorshift64* — identical churn on every run.
 struct Rng(u64);
@@ -133,133 +99,6 @@ fn churn_round(sb: &Sbspace, los: &[LoId], rng: &mut Rng, round: u64) {
     }
     h.close().unwrap();
     txn.commit().unwrap();
-}
-
-struct SoakRun {
-    ops_per_sec: f64,
-    wal_live_bytes_max: u64,
-    segments_max: usize,
-}
-
-/// Runs `rounds` of churn over a fresh in-memory space, sampling the
-/// live-log size after every round. Returns the run plus the pieces a
-/// recovery measurement needs (backend, wal).
-fn run_churn(
-    rounds: u64,
-    checkpoint: bool,
-) -> (SoakRun, Arc<MemBackend>, Arc<MemWal>, Sbspace, Vec<LoId>) {
-    let backend = Arc::new(MemBackend::new());
-    let wal = Arc::new(MemWal::with_segment_bytes(SEG_BYTES));
-    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(checkpoint)).unwrap();
-    let los = seed(&sb);
-    if checkpoint {
-        // Clear the seed backlog so the sampled steady state starts
-        // bounded; from here every sample sits at most CKPT_ROUNDS
-        // rounds past a checkpoint.
-        sb.checkpoint().unwrap();
-    }
-    let mut rng = Rng(0xdead_beef);
-    let mut live_max = 0u64;
-    let mut segs_max = 0usize;
-    let start = Instant::now();
-    for round in 0..rounds {
-        churn_round(&sb, &los, &mut rng, round);
-        if checkpoint {
-            if round % CKPT_ROUNDS == CKPT_ROUNDS - 1 {
-                sb.checkpoint().unwrap();
-            }
-            live_max = live_max.max(sb.wal_live_bytes().unwrap());
-            segs_max = segs_max.max(sb.wal_segment_count().unwrap());
-        }
-    }
-    let ops_per_sec = rounds as f64 / start.elapsed().as_secs_f64();
-    (
-        SoakRun {
-            ops_per_sec,
-            wal_live_bytes_max: live_max,
-            segments_max: segs_max,
-        },
-        backend,
-        wal,
-        sb,
-        los,
-    )
-}
-
-fn in_memory_soak(quick: bool) {
-    let rounds: u64 = if quick { 400 } else { 2_000 };
-
-    // Idle baseline: same churn, checkpointing off. Its WAL grows
-    // without bound — which is the point of the comparison.
-    let (idle, _, _, _, _) = run_churn(rounds, false);
-
-    // Checkpointing on — the background thread on its timer plus a
-    // deterministic checkpoint every CKPT_ROUNDS rounds *inside* the
-    // timed loop. The log must stay bounded while throughput holds
-    // near the idle rate even though the active pass is also paying
-    // for its checkpoints.
-    let (active, backend, wal, sb, los) = run_churn(rounds, true);
-    let snap = sb.metrics().snapshot();
-    let checkpoints = snap.get("sbspace.checkpoints");
-    let recycled = snap.get("wal.segments_recycled");
-
-    // Crash and reopen over the surviving log: recovery replays only
-    // the segments above the last checkpoint's low-water mark.
-    drop(sb);
-    let t0 = Instant::now();
-    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(false)).unwrap();
-    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // Spot-check the recovered state: every object fully readable.
-    let txn = sb2.begin(IsolationLevel::ReadCommitted);
-    for &id in &los {
-        let h = sb2.open_lo(&txn, id, LockMode::Shared).unwrap();
-        assert!(h.page_count() >= PAGES_PER_LO - 8, "{id} lost pages");
-        h.read_page(0).unwrap();
-    }
-    drop(txn);
-
-    let ratio = active.ops_per_sec / idle.ops_per_sec;
-    let recovery_ms_limit = 2_000.0;
-    let mut out = String::new();
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"soak\": {{").unwrap();
-    writeln!(out, "    \"rounds\": {rounds},").unwrap();
-    writeln!(
-        out,
-        "    \"wal_live_bytes_max\": {},",
-        active.wal_live_bytes_max
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"wal_live_bytes_limit\": {},",
-        (SEG_BOUND * SEG_BYTES) as u64
-    )
-    .unwrap();
-    writeln!(out, "    \"segments_max\": {},", active.segments_max).unwrap();
-    writeln!(out, "    \"segment_bound\": {SEG_BOUND},").unwrap();
-    writeln!(out, "    \"recovery_ms\": {recovery_ms:.2},").unwrap();
-    writeln!(out, "    \"recovery_ms_limit\": {recovery_ms_limit:.1},").unwrap();
-    writeln!(out, "    \"checkpoints\": {checkpoints},").unwrap();
-    writeln!(out, "    \"segments_recycled\": {recycled},").unwrap();
-    writeln!(out, "    \"idle_ops_per_sec\": {:.1},", idle.ops_per_sec).unwrap();
-    writeln!(
-        out,
-        "    \"active_ops_per_sec\": {:.1},",
-        active.ops_per_sec
-    )
-    .unwrap();
-    writeln!(out, "    \"throughput_ratio\": {ratio:.3}").unwrap();
-    writeln!(out, "  }}").unwrap();
-    writeln!(out, "}}").unwrap();
-    print!("{out}");
-    let path = if quick {
-        "BENCH_soak_quick.json"
-    } else {
-        "BENCH_soak.json"
-    };
-    std::fs::write(path, out).unwrap();
-    println!("soak: wrote {path}");
 }
 
 /// A [`LoId`] is a physical page number, so the ids the seed phase got
@@ -336,27 +175,13 @@ fn recover_dir(dir: &str) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--churn-dir" => {
-                let dir = it.next().expect("--churn-dir needs a directory");
-                churn_dir(dir);
-                return;
-            }
-            "--recover-dir" => {
-                let dir = it.next().expect("--recover-dir needs a directory");
-                recover_dir(dir);
-                return;
-            }
-            other => {
-                eprintln!("soak: unknown argument {other}");
-                std::process::exit(2);
-            }
+    let mut args = std::env::args().skip(1);
+    match (args.next().as_deref(), args.next(), args.next()) {
+        (Some("--churn-dir"), Some(dir), None) => churn_dir(&dir),
+        (Some("--recover-dir"), Some(dir), None) => recover_dir(&dir),
+        _ => {
+            eprintln!("usage: soak --churn-dir DIR | --recover-dir DIR");
+            std::process::exit(2);
         }
     }
-    in_memory_soak(quick);
 }

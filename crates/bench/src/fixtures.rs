@@ -11,7 +11,7 @@ use std::collections::HashMap;
 /// Creates an in-memory space (with the given buffer-pool size) and an
 /// exclusively opened empty large object inside it. The transaction is
 /// leaked: benchmark fixtures live for the process.
-pub fn fresh_lo(pool_pages: usize) -> (Sbspace, LoHandle) {
+fn fresh_lo(pool_pages: usize) -> (Sbspace, LoHandle) {
     let sb = Sbspace::mem(SbspaceOptions {
         pool_pages,
         ..Default::default()

@@ -2,13 +2,10 @@
 //! reproduction binary.
 
 pub mod fixtures;
-pub mod gate;
 pub mod report;
-pub mod trailer;
 
 pub use fixtures::{
-    apply_history_gr, apply_history_gr_opts, apply_history_rstar, fresh_gr_tree, fresh_lo,
-    fresh_rstar_tree, run_queries_gr, run_queries_rstar, GrFixture, QueryStats, RStarFixture,
+    apply_history_gr, apply_history_gr_opts, apply_history_rstar, fresh_gr_tree, fresh_rstar_tree,
+    run_queries_gr, run_queries_rstar, GrFixture, QueryStats, RStarFixture,
 };
 pub use report::Table;
-pub use trailer::CostTrailer;

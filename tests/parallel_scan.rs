@@ -9,9 +9,13 @@
 use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
 use grtree_datablade::grtree::GrTreeOptions;
 use grtree_datablade::ids::{Connection, Database, DatabaseOptions, Value};
-use grtree_datablade::sbspace::SbspaceOptions;
+use grtree_datablade::sbspace::{
+    self, Backend, MemBackend, MemWal, PageBuf, PageId, Sbspace, SbspaceOptions, PAGE_SIZE,
+};
 use grtree_datablade::temporal::{Day, MockClock};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 fn render(day: i32) -> String {
     let (y, m, d) = Day(day).to_ymd();
@@ -239,6 +243,47 @@ fn parallel_delete_mid_scan_condenses_and_restarts() {
     assert_eq!(ids_of(&conn, &probe), serial);
 }
 
+/// A memory backend on which, once armed, a demand read first gives
+/// the prefetch workers their turn: it waits, for a bounded time, until
+/// a vectored read has landed. The test's tree is so small that an
+/// unhindered scan can finish before a parked worker wakes, and a
+/// correct engine would then show no hit.
+struct PrefetchFirst {
+    inner: MemBackend,
+    armed: AtomicBool,
+    landed_tx: mpsc::Sender<()>,
+    landed_rx: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Backend for PrefetchFirst {
+    fn read_page(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> sbspace::Result<()> {
+        if self.armed.load(Ordering::SeqCst) {
+            let _ = self
+                .landed_rx
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_millis(100));
+        }
+        self.inner.read_page(pid, out)
+    }
+    fn read_pages(&self, pids: &[PageId], out: &mut [PageBuf]) -> sbspace::Result<()> {
+        self.inner.read_pages(pids, out)?;
+        if self.armed.load(Ordering::SeqCst) {
+            self.landed_tx.send(()).ok();
+        }
+        Ok(())
+    }
+    fn write_page(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> sbspace::Result<()> {
+        self.inner.write_page(pid, data)
+    }
+    fn page_count(&self) -> u32 {
+        self.inner.page_count()
+    }
+    fn sync(&self) -> sbspace::Result<()> {
+        self.inner.sync()
+    }
+}
+
 #[test]
 fn prefetched_scans_match_serial_and_parallel() {
     // Prefetch must change only I/O timing, never answers: the same
@@ -251,14 +296,23 @@ fn prefetched_scans_match_serial_and_parallel() {
     clock.set(Day(10_400));
 
     let clock_pf = MockClock::new(Day(10_000));
-    let db_pf = Database::new(DatabaseOptions {
-        clock: Arc::new(clock_pf.clone()),
-        space: SbspaceOptions {
+    let (landed_tx, landed_rx) = mpsc::channel();
+    let backend = Arc::new(PrefetchFirst {
+        inner: MemBackend::new(),
+        armed: AtomicBool::new(false),
+        landed_tx,
+        landed_rx: Mutex::new(landed_rx),
+    });
+    let space = Sbspace::open_with(
+        Arc::clone(&backend),
+        MemWal::new(),
+        SbspaceOptions {
             prefetch_workers: 2,
             ..Default::default()
         },
-        ..Default::default()
-    });
+    )
+    .unwrap();
+    let db_pf = Database::with_space(space.clone(), Arc::new(clock_pf.clone()));
     install_grtree_blade(
         &db_pf,
         GrTreeAmOptions {
@@ -297,6 +351,22 @@ fn prefetched_scans_match_serial_and_parallel() {
             "degree {degree} with prefetch drifted"
         );
     }
+
+    // Equal answers cannot tell a working prefetcher from an idle one.
+    // From a dropped cache the probe must be served pages a worker
+    // installed, and the pass must read more pages than the workers
+    // issued runs.
+    backend.armed.store(true, Ordering::SeqCst);
+    space.drop_page_cache();
+    let before = space.stats().snapshot();
+    assert_eq!(ids_of(&conn_pf, &probe), serial);
+    space.prefetch_quiesce();
+    let io = space.stats().snapshot().since(&before);
+    assert!(io.prefetch_hits > 0, "no prefetched page was hit: {io:?}");
+    assert!(
+        io.read_runs > 0 && io.physical_reads > io.read_runs,
+        "prefetch reads never coalesced: {io:?}"
+    );
 }
 
 /// A database like [`db_small_fanout`] but with an explicit executor

@@ -350,10 +350,9 @@ fn rolled_back_ddl_restores_the_plan() {
 
 #[test]
 fn zero_capacity_disables_the_transparent_cache_but_not_prepare() {
-    // `plan_cache_size: 0` is the compile-every-time ablation the
-    // `sessions` bench measures prepared statements against: ad-hoc
-    // statements never share a compiled plan, while a PREPAREd handle
-    // still memoizes on its own.
+    // `plan_cache_size: 0` is the compile-every-time ablation (`spine
+    // --set plan_cache_size=0`): ad-hoc statements never share a
+    // compiled plan, while a PREPAREd handle still memoizes on its own.
     let clock = MockClock::new(Day(10_000));
     let db = Database::new(DatabaseOptions {
         clock: Arc::new(clock.clone()),
