@@ -586,8 +586,10 @@ impl Database {
             for (k, &v) in &snap.gauges {
                 rows.push(vec![Value::Text(k.clone()), Value::Int(v as i64)]);
             }
-            // Histograms surface as count/mean pseudo-counters so the
-            // whole registry fits one two-column relation.
+            // Histograms surface as count/mean/p50/p99 pseudo-counters
+            // so the whole registry fits one two-column relation. The
+            // percentiles are bucket upper bounds, in the histogram's
+            // own unit (its name says which: `_ns`, `_bytes`, rows).
             for (k, h) in &snap.histograms {
                 rows.push(vec![
                     Value::Text(format!("{k}.count")),
@@ -597,6 +599,14 @@ impl Database {
                     Value::Text(format!("{k}.mean_ns")),
                     Value::Int(h.mean_ns() as i64),
                 ]);
+                for (suffix, q) in [("p50", 0.5), ("p99", 0.99)] {
+                    // The overflow bucket's bound is `u64::MAX`.
+                    let bound = h.quantile_bound_ns(q).min(i64::MAX as u64);
+                    rows.push(vec![
+                        Value::Text(format!("{k}.{suffix}")),
+                        Value::Int(bound as i64),
+                    ]);
+                }
             }
             return Ok((vec!["name".into(), "value".into()], rows));
         }

@@ -689,8 +689,8 @@ impl BufferPool {
     }
 
     /// Buffers a transactional write of page `pid` by `txn` (no-steal:
-    /// nothing reaches the backend until commit).
-    pub fn write_txn(&self, txn: TxnId, pid: PageId, data: &[u8; PAGE_SIZE]) {
+    /// nothing of `txn`'s reaches the backend until commit).
+    pub fn write_txn(&self, txn: TxnId, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
         IoStats::bump(&self.inner.stats.logical_writes);
         let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
         let inserted = !shard.frames.contains_key(&pid.0);
@@ -698,14 +698,23 @@ impl BufferPool {
             .frames
             .entry(pid.0)
             .or_insert_with(|| Frame::clean(Arc::new([0u8; PAGE_SIZE])));
+        if frame.committed_dirty {
+            // An in-place rewrite of a live page (an inode or indirect
+            // page: data pages are shadow-paged, and a freed page's flag
+            // is dropped by `forget_committed`). The frame holds the
+            // only copy of committed bytes the backend has not seen
+            // (no-force), and an abort discards the frame — so they go
+            // to the backend first, which is allowed at any time since
+            // their redo image is durable. A discard-and-refetch, or a
+            // checkpoint's sync before it recycles that image, then
+            // finds them there.
+            self.inner.backend.write_page(pid, &frame.data)?;
+            IoStats::bump(&self.inner.stats.physical_writes);
+            frame.committed_dirty = false;
+        }
         // Copy-on-write: pinned guards keep their snapshot.
         Arc::make_mut(&mut frame.data).copy_from_slice(data);
         frame.dirty_owner = Some(txn);
-        // A transaction only writes pages it allocated (shadow paging
-        // redirects everything else), and allocation always passes
-        // through a write-through of the free-list image — so a frame
-        // can never be committed-dirty when it becomes txn-dirty.
-        frame.committed_dirty = false;
         frame.referenced = true;
         // A write is a touch too, but not a prefetch *hit*.
         frame.prefetched_untouched = false;
@@ -713,10 +722,23 @@ impl BufferPool {
             shard.clock.push(pid.0);
             self.inner.evict_to_capacity(&mut shard);
         }
+        Ok(())
     }
 
-    /// Writes a metadata page through to the backend immediately (its
-    /// redo image must already be in the log) and refreshes the cache.
+    /// Declares page `pid`'s committed bytes dead (the page was freed):
+    /// if its frame is committed-dirty there is nothing left worth
+    /// flushing, and the next owner's [`BufferPool::write_txn`] need not
+    /// preserve them.
+    pub fn forget_committed(&self, pid: PageId) {
+        let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
+        if let Some(frame) = shard.frames.get_mut(&pid.0) {
+            frame.committed_dirty = false;
+        }
+    }
+
+    /// Writes a metadata page through to the backend immediately and
+    /// refreshes the cache. WAL-before-data is the caller's to keep: the
+    /// page's redo image must already be **durable** in the log.
     pub fn write_through(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
         IoStats::bump(&self.inner.stats.logical_writes);
         IoStats::bump(&self.inner.stats.physical_writes);
@@ -963,7 +985,7 @@ mod tests {
     fn txn_writes_invisible_to_backend_until_flush() {
         let p = pool(8, 2);
         let data = page_from_slice(b"uncommitted");
-        p.write_txn(TxnId(1), PageId(3), &data);
+        p.write_txn(TxnId(1), PageId(3), &data).unwrap();
         // The cache serves the new data...
         let mut out = zeroed_page();
         p.read(PageId(3), &mut out).unwrap();
@@ -978,7 +1000,7 @@ mod tests {
     fn flush_persists_and_cleans() {
         let p = pool(8, 2);
         let data = page_from_slice(b"committed");
-        p.write_txn(TxnId(1), PageId(3), &data);
+        p.write_txn(TxnId(1), PageId(3), &data).unwrap();
         assert_eq!(p.dirty_of(TxnId(1)).len(), 1);
         p.flush_txn(TxnId(1), true).unwrap();
         assert!(p.dirty_of(TxnId(1)).is_empty());
@@ -994,7 +1016,7 @@ mod tests {
         // One shard so all four pages compete for two frames.
         let p = pool(2, 1);
         let d = page_from_slice(b"d");
-        p.write_txn(TxnId(1), PageId(0), &d);
+        p.write_txn(TxnId(1), PageId(0), &d).unwrap();
         let mut out = zeroed_page();
         p.read(PageId(1), &mut out).unwrap();
         p.read(PageId(2), &mut out).unwrap();
@@ -1040,7 +1062,8 @@ mod tests {
         assert_eq!(p.outstanding_pins(), 1);
         // A writer replaces the frame's bytes; the guard's snapshot
         // survives (copy-on-write).
-        p.write_txn(TxnId(1), PageId(4), &page_from_slice(b"after!"));
+        p.write_txn(TxnId(1), PageId(4), &page_from_slice(b"after!"))
+            .unwrap();
         assert_eq!(&g[..6], b"before");
         let g2 = p.read_pinned(PageId(4)).unwrap();
         assert_eq!(&g2[..6], b"after!");
@@ -1093,7 +1116,8 @@ mod tests {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats));
         for pid in 0..5 {
-            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(b"dirty"));
+            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(b"dirty"))
+                .unwrap();
         }
         // No-steal: every frame is dirty, so the pool grows past its
         // two-frame budget instead of evicting.
@@ -1108,7 +1132,8 @@ mod tests {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats));
         for pid in 0..5u32 {
-            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[b'a' + pid as u8]));
+            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[b'a' + pid as u8]))
+                .unwrap();
         }
         p.mark_committed(TxnId(1));
         assert!(!p.any_dirty());
@@ -1138,7 +1163,8 @@ mod tests {
         let p = BufferPool::new(Box::new(MemBackend::new()), 64, 1, Arc::clone(&stats));
         // Two contiguous runs: [0,1,2] and [10,11].
         for pid in [0u32, 1, 2, 10, 11] {
-            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[pid as u8]));
+            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[pid as u8]))
+                .unwrap();
         }
         p.flush_txn(TxnId(1), false).unwrap();
         let s = stats.snapshot();

@@ -1,132 +1,210 @@
-//! WAL group commit: one log append + sync per group of committers.
+//! The log writer: the one path by which bytes reach the WAL.
 //!
-//! Committing transactions encode their log records (page images plus
-//! the commit record) into one contiguous byte batch and enqueue it
-//! here. The first committer to find no leader becomes the leader: it
-//! drains the queue (up to `max_batch` batches), appends everything in
-//! one `WalStore::append`, issues a single `sync`, and wakes the
-//! followers whose batches rode along. Under a commit burst of `k`
-//! transactions this collapses `k` WAL syncs into a handful.
+//! Every record — commit batches, allocator and free-list metadata,
+//! `Abort`, `Checkpoint` — enters the log through this queue, in one of
+//! two ways:
+//!
+//! * [`LogWriter::append`] queues the bytes and returns at once. The
+//!   record has a place in the log order (its sequence number) but is
+//!   not durable: it is written and synced by the **next force that
+//!   follows it**. Metadata records take this path, so allocating or
+//!   freeing a page costs no log I/O of its own.
+//! * [`LogWriter::force`] queues the bytes and returns once they — and
+//!   therefore everything queued before them — are durable. Commit,
+//!   abort and checkpoint records take this path.
+//!
+//! The first forcer to find no leader becomes the leader: it takes the
+//! queue's prefix up to the `max_batch`-th forced entry, writes it with
+//! one `WalStore::append`, issues a single `sync`, advances
+//! `durable_seq`, and wakes the forcers whose entries rode along. Under
+//! a burst of `k` commits this collapses `k` WAL syncs into a handful,
+//! and an auto-commit statement with nobody to share with performs
+//! exactly one.
 //!
 //! Ordering is sound without extra coordination because sbspace holds
 //! LO-level two-phase locks until after commit: two conflicting
 //! transactions can never be in the queue at once, so any queue order
-//! of the non-conflicting residents is serialisable. Within the queue,
-//! batches retain enqueue order (sequence numbers are handed out under
-//! the same lock), so the log stream stays a valid history.
+//! of the non-conflicting residents is serialisable. Entries keep
+//! enqueue order (sequence numbers are handed out under the queue
+//! lock), so the log stream stays a valid history and the durable part
+//! of it is always a prefix.
 //!
-//! If the leader's append or sync fails, every batch in that group
-//! failed: the error is recorded against the group's sequence range and
-//! returned to each affected committer. The committer also *poisons*
-//! itself — a partial append may have left garbage at the log tail, and
-//! appending more records past it would strand them beyond the torn
-//! region where recovery cannot decode them — so every later commit
-//! fails too, until the space is reopened (which replays and resets the
-//! log).
+//! If a flush fails, the log is *poisoned*: a partial append may have
+//! left garbage at the tail, and records written past it would be
+//! stranded beyond the torn region where recovery's stream decoder
+//! cannot reach them. Every entry not yet durable fails, and so does
+//! every later `append` and `force`, until the space is reopened
+//! (which replays and resets the log).
 
 use crate::stats::IoStats;
 use crate::wal::WalStore;
 use crate::{Result, SbError};
+use grt_metrics::{Counter, Histogram, Metrics};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Instant;
+
+struct Entry {
+    seq: u64,
+    bytes: Vec<u8>,
+    /// Someone is waiting in [`LogWriter::force`] for this entry.
+    forced: bool,
+}
 
 struct State {
-    /// Pending batches in enqueue order: `(seq, encoded records)`.
-    queue: Vec<(u64, Vec<u8>)>,
+    /// Entries not yet handed to a leader, in enqueue order.
+    queue: VecDeque<Entry>,
     next_seq: u64,
-    /// Every batch with `seq <= durable_seq` has been appended and
-    /// synced (or failed — see `failed`).
+    /// Every entry with `seq <= durable_seq` is appended and synced.
+    /// Advances only on a successful flush.
     durable_seq: u64,
     /// A leader is currently appending and syncing.
     leader: bool,
-    /// Sequence ranges whose group flush failed, with the error.
-    failed: Vec<(u64, u64, String)>,
-    /// Set once any group flush fails: a partial append may have left
-    /// garbage at the log tail, and appending past it would strand
-    /// later records beyond the torn region where recovery's stream
-    /// decoder cannot reach them. Every commit fails from then on.
+    /// Set by the first failed flush; never cleared.
     poisoned: Option<String>,
 }
 
-/// The group-commit coordinator (one per space).
-pub(crate) struct GroupCommitter {
+/// The log writer (one per space). Owns the [`WalStore`]: nothing else
+/// appends to it or syncs it.
+pub(crate) struct LogWriter {
+    wal: Box<dyn WalStore>,
+    stats: Arc<IoStats>,
     state: Mutex<State>,
     cond: Condvar,
     max_batch: usize,
+    /// Wall time of each `WalStore::sync` (`wal.sync_ns`).
+    sync_ns: Histogram,
+    /// Bytes written per force (`wal.force_bytes`).
+    force_bytes: Histogram,
+    /// Unforced entries that rode a later force (`sbspace.meta_deferred`).
+    meta_deferred: Counter,
 }
 
-impl GroupCommitter {
-    /// A coordinator flushing at most `max_batch` batches per group.
-    pub fn new(max_batch: usize) -> GroupCommitter {
-        GroupCommitter {
+impl LogWriter {
+    /// A writer over `wal` whose leaders flush at most `max_batch`
+    /// forced entries per sync.
+    pub fn new(
+        wal: Box<dyn WalStore>,
+        stats: Arc<IoStats>,
+        metrics: &Metrics,
+        max_batch: usize,
+    ) -> LogWriter {
+        LogWriter {
+            wal,
+            stats,
             state: Mutex::new(State {
-                queue: Vec::new(),
+                queue: VecDeque::new(),
                 next_seq: 1,
                 durable_seq: 0,
                 leader: false,
-                failed: Vec::new(),
                 poisoned: None,
             }),
             cond: Condvar::new(),
             max_batch: max_batch.max(1),
+            sync_ns: metrics.histogram("wal.sync_ns"),
+            force_bytes: metrics.histogram("wal.force_bytes"),
+            meta_deferred: metrics.counter("sbspace.meta_deferred"),
         }
     }
 
-    fn outcome(state: &State, seq: u64) -> Result<()> {
-        for (lo, hi, msg) in &state.failed {
-            if (*lo..=*hi).contains(&seq) {
-                return Err(SbError::Io(format!("group commit failed: {msg}")));
-            }
-        }
-        Ok(())
+    /// The store, for everything but appending and syncing (segment
+    /// queries, recycling, reading).
+    pub fn store(&self) -> &dyn WalStore {
+        self.wal.as_ref()
     }
 
-    /// Makes `batch` durable in the WAL, riding or leading a group.
-    /// Returns once the batch is synced (or its group's flush failed).
-    pub fn commit(&self, wal: &dyn WalStore, stats: &IoStats, batch: Vec<u8>) -> Result<()> {
-        let mut state = self.state.lock();
+    /// The highest sequence number known durable.
+    pub fn durable_seq(&self) -> u64 {
+        self.state.lock().durable_seq
+    }
+
+    fn unavailable(msg: &str) -> SbError {
+        SbError::Io(format!("wal unavailable: {msg}"))
+    }
+
+    fn enqueue(state: &mut State, bytes: Vec<u8>, forced: bool) -> Result<u64> {
         if let Some(msg) = &state.poisoned {
-            return Err(SbError::Io(format!("wal unavailable: {msg}")));
+            return Err(Self::unavailable(msg));
         }
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.queue.push((seq, batch));
+        state.queue.push_back(Entry { seq, bytes, forced });
+        Ok(seq)
+    }
+
+    /// Gives `bytes` their place in the log without making them
+    /// durable; the next force that follows carries them. Returns the
+    /// entry's sequence number — compare with [`LogWriter::durable_seq`]
+    /// to learn when it has reached the disk.
+    pub fn append(&self, bytes: Vec<u8>) -> Result<u64> {
+        Self::enqueue(&mut self.state.lock(), bytes, false)
+    }
+
+    /// Makes `bytes`, and everything queued before them, durable,
+    /// riding or leading a group. Returns once synced, or with an error
+    /// once the log is poisoned.
+    pub fn force(&self, bytes: Vec<u8>) -> Result<()> {
+        let mut state = self.state.lock();
+        let seq = Self::enqueue(&mut state, bytes, true)?;
         loop {
             if state.durable_seq >= seq {
-                return Self::outcome(&state, seq);
+                return Ok(());
             }
             if let Some(msg) = &state.poisoned {
-                // A flush failed while this batch waited: the tail is
-                // suspect and the batch will never be written.
-                return Err(SbError::Io(format!("wal unavailable: {msg}")));
+                // A flush failed at or before this entry: the tail is
+                // suspect and the entry will never be written.
+                return Err(Self::unavailable(msg));
             }
-            if state.leader || state.queue.is_empty() {
+            if state.leader {
                 self.cond.wait(&mut state);
                 continue;
             }
-            // Lead: drain a group and flush it outside the lock.
+            // Lead: take a group and flush it outside the lock. Our own
+            // entry is forced and still queued, so the group is never
+            // empty.
             state.leader = true;
-            let take = state.queue.len().min(self.max_batch);
-            let group: Vec<(u64, Vec<u8>)> = state.queue.drain(..take).collect();
-            let (lo, hi) = (group[0].0, group[take - 1].0);
+            let end = state
+                .queue
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.forced)
+                .nth(self.max_batch - 1)
+                .map_or(state.queue.len(), |(i, _)| i + 1);
+            let group: Vec<Entry> = state.queue.drain(..end).collect();
+            let hi = group[end - 1].seq;
             drop(state);
 
-            let flat: Vec<u8> = group.into_iter().flat_map(|(_, b)| b).collect();
-            let res = wal.append(&flat).and_then(|()| wal.sync());
-            IoStats::bump(&stats.wal_syncs);
-            IoStats::bump(&stats.group_commits);
+            let res = self.flush(&group);
 
             state = self.state.lock();
             state.leader = false;
-            state.durable_seq = state.durable_seq.max(hi);
-            if let Err(e) = &res {
-                // Kept forever: a follower may observe its range long
-                // after later groups succeed, and failed flushes are
-                // rare enough that the list stays tiny.
-                state.failed.push((lo, hi, e.to_string()));
-                state.poisoned = Some(e.to_string());
+            match res {
+                Ok(()) => state.durable_seq = hi,
+                Err(e) => state.poisoned = Some(e.to_string()),
             }
             self.cond.notify_all();
         }
+    }
+
+    /// Writes one group and syncs it. The only caller of
+    /// [`WalStore::append`] and [`WalStore::sync`].
+    fn flush(&self, group: &[Entry]) -> Result<()> {
+        let len = group.iter().map(|e| e.bytes.len()).sum();
+        let mut flat: Vec<u8> = Vec::with_capacity(len);
+        for e in group {
+            flat.extend_from_slice(&e.bytes);
+        }
+        self.wal.append(&flat)?;
+        IoStats::bump(&self.stats.wal_syncs);
+        IoStats::bump(&self.stats.group_commits);
+        let started = Instant::now();
+        self.wal.sync()?;
+        self.sync_ns.observe(started.elapsed());
+        self.force_bytes.observe_ns(len as u64);
+        self.meta_deferred
+            .add(group.iter().filter(|e| !e.forced).count() as u64);
+        Ok(())
     }
 }
 
@@ -135,26 +213,35 @@ mod tests {
     use super::*;
     use crate::wal::{MemWal, WalRecord};
     use crate::TxnId;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    fn writer(wal: impl WalStore + 'static, max_batch: usize) -> (LogWriter, Arc<IoStats>) {
+        let stats = IoStats::new_shared();
+        let w = LogWriter::new(
+            Box::new(wal),
+            Arc::clone(&stats),
+            &Metrics::new(),
+            max_batch,
+        );
+        (w, stats)
+    }
+
+    fn commit(i: u64) -> Vec<u8> {
+        WalRecord::Commit { txn: TxnId(i) }.encode()
+    }
 
     #[test]
     fn burst_of_commits_shares_syncs() {
-        let gc = Arc::new(GroupCommitter::new(32));
         let wal = Arc::new(MemWal::new());
-        let stats = IoStats::new_shared();
+        let (w, stats) = writer(Arc::clone(&wal), 32);
+        let w = Arc::new(w);
         let barrier = Arc::new(std::sync::Barrier::new(16));
         let handles: Vec<_> = (0..16u64)
             .map(|i| {
-                let (gc, wal, stats, barrier) = (
-                    Arc::clone(&gc),
-                    Arc::clone(&wal),
-                    Arc::clone(&stats),
-                    Arc::clone(&barrier),
-                );
+                let (w, barrier) = (Arc::clone(&w), Arc::clone(&barrier));
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let batch = WalRecord::Commit { txn: TxnId(i) }.encode();
-                    gc.commit(wal.as_ref(), &stats, batch).unwrap();
+                    w.force(commit(i)).unwrap();
                 })
             })
             .collect();
@@ -164,74 +251,115 @@ mod tests {
         // All 16 commit records are durable...
         let records = WalRecord::decode_stream(&wal.read_all().unwrap());
         assert_eq!(records.len(), 16);
-        // ...in strictly fewer syncs than committers (groups formed).
+        // ...in no more syncs than committers.
         let syncs = stats.snapshot().wal_syncs;
         assert!(syncs <= 16, "at most one sync per committer, got {syncs}");
         assert_eq!(stats.snapshot().group_commits, syncs);
     }
 
     #[test]
-    fn single_commit_still_works() {
-        let gc = GroupCommitter::new(8);
-        let wal = MemWal::new();
-        let stats = IoStats::new_shared();
-        gc.commit(&wal, &stats, WalRecord::Commit { txn: TxnId(1) }.encode())
-            .unwrap();
+    fn appends_ride_the_next_force_in_order() {
+        let wal = Arc::new(MemWal::new());
+        let (w, stats) = writer(Arc::clone(&wal), 8);
+        let a = w.append(commit(1)).unwrap();
+        let b = w.append(commit(2)).unwrap();
+        assert!(a < b);
+        // Queued, not written: no I/O yet and nothing durable.
+        assert!(wal.read_all().unwrap().is_empty());
+        assert_eq!(w.durable_seq(), 0);
+        assert_eq!(stats.snapshot().wal_syncs, 0);
+        w.force(commit(3)).unwrap();
         let records = WalRecord::decode_stream(&wal.read_all().unwrap());
-        assert_eq!(records, vec![WalRecord::Commit { txn: TxnId(1) }]);
+        assert_eq!(
+            records,
+            (1..=3)
+                .map(|i| WalRecord::Commit { txn: TxnId(i) })
+                .collect::<Vec<_>>()
+        );
+        assert!(w.durable_seq() > b);
         assert_eq!(stats.snapshot().wal_syncs, 1);
+        assert_eq!(w.meta_deferred.get(), 2);
     }
 
-    struct FailingWal;
-    impl WalStore for FailingWal {
-        fn append(&self, _bytes: &[u8]) -> Result<()> {
-            Err(SbError::Io("disk full".into()))
+    #[test]
+    fn max_batch_bounds_forced_entries_per_flush() {
+        // One forced entry per flush: the appends before it ride along,
+        // the ones after it wait for the next force.
+        let wal = Arc::new(MemWal::new());
+        let (w, stats) = writer(Arc::clone(&wal), 1);
+        w.append(commit(1)).unwrap();
+        w.force(commit(2)).unwrap();
+        w.append(commit(3)).unwrap();
+        assert_eq!(WalRecord::decode_stream(&wal.read_all().unwrap()).len(), 2);
+        w.force(commit(4)).unwrap();
+        assert_eq!(WalRecord::decode_stream(&wal.read_all().unwrap()).len(), 4);
+        assert_eq!(stats.snapshot().wal_syncs, 2);
+    }
+
+    /// Fails appends while `broken` is set.
+    struct FlakyWal {
+        inner: MemWal,
+        broken: Arc<AtomicBool>,
+    }
+    impl WalStore for FlakyWal {
+        fn append(&self, bytes: &[u8]) -> Result<()> {
+            if self.broken.load(Ordering::SeqCst) {
+                return Err(SbError::Io("disk full".into()));
+            }
+            self.inner.append(bytes)
         }
         fn sync(&self) -> Result<()> {
             Ok(())
         }
-        fn read_segment(&self, _seg: u64) -> Result<Vec<u8>> {
-            Ok(Vec::new())
+        fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
+            self.inner.read_segment(seg)
         }
         fn truncate(&self) -> Result<()> {
             Ok(())
         }
     }
 
+    fn flaky() -> (FlakyWal, Arc<AtomicBool>) {
+        let broken = Arc::new(AtomicBool::new(true));
+        let wal = FlakyWal {
+            inner: MemWal::new(),
+            broken: Arc::clone(&broken),
+        };
+        (wal, broken)
+    }
+
     #[test]
-    fn failure_poisons_later_commits() {
-        let gc = GroupCommitter::new(8);
-        let stats = IoStats::new_shared();
-        let first = gc.commit(
-            &FailingWal,
-            &stats,
-            WalRecord::Commit { txn: TxnId(1) }.encode(),
-        );
+    fn failure_poisons_later_appends_and_forces() {
+        let (wal, broken) = flaky();
+        let (w, _) = writer(wal, 8);
+        let queued = w.append(commit(0)).unwrap();
+        let first = w.force(commit(1));
         assert!(matches!(first, Err(SbError::Io(_))));
-        // The log tail is suspect: a later commit over a healthy WAL
-        // must still fail rather than append past possible garbage.
-        let wal = MemWal::new();
-        let later = gc.commit(&wal, &stats, WalRecord::Commit { txn: TxnId(2) }.encode());
-        assert!(matches!(later, Err(SbError::Io(_))), "{later:?}");
-        assert!(wal.read_all().unwrap().is_empty());
+        // The log tail is suspect: even over a healed store nothing may
+        // be written past possible garbage, forced or not.
+        broken.store(false, Ordering::SeqCst);
+        let later = w.force(commit(2));
+        assert!(matches!(later, Err(SbError::Io(m)) if m.contains("wal unavailable")));
+        let unforced = w.append(commit(3));
+        assert!(matches!(unforced, Err(SbError::Io(m)) if m.contains("wal unavailable")));
+        assert!(w.store().read_segment(0).unwrap().is_empty());
+        assert!(
+            w.durable_seq() < queued,
+            "a failed flush makes nothing durable"
+        );
     }
 
     #[test]
     fn leader_failure_reaches_every_rider() {
-        let gc = Arc::new(GroupCommitter::new(32));
-        let stats = IoStats::new_shared();
+        let (wal, _) = flaky();
+        let w = Arc::new(writer(wal, 32).0);
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4u64)
             .map(|i| {
-                let (gc, stats, barrier) =
-                    (Arc::clone(&gc), Arc::clone(&stats), Arc::clone(&barrier));
+                let (w, barrier) = (Arc::clone(&w), Arc::clone(&barrier));
                 std::thread::spawn(move || {
                     barrier.wait();
-                    gc.commit(
-                        &FailingWal,
-                        &stats,
-                        WalRecord::Commit { txn: TxnId(i) }.encode(),
-                    )
+                    w.force(commit(i))
                 })
             })
             .collect();

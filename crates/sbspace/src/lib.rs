@@ -18,7 +18,10 @@
 //!   buffered (no-steal) and forced at commit after their redo images
 //!   reach the log; space-allocation metadata is logged separately with
 //!   per-transaction compensation so an abort or crash frees what an
-//!   unfinished transaction allocated.
+//!   unfinished transaction allocated. Metadata records are queued in
+//!   the log and made durable by the committing transaction's one
+//!   force, and metadata pages follow the log to the backend, never
+//!   lead it.
 //!
 //! The store runs over an in-memory backend (for tests and benchmarks)
 //! or a file backend (for recovery tests), with optional fault

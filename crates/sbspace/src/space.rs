@@ -12,7 +12,7 @@
 
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::buffer::{BufferPool, PageGuard};
-use crate::group::GroupCommitter;
+use crate::group::LogWriter;
 use crate::lo::{decode_free_next, encode_free_page, Header, Inode, LoId};
 use crate::lock::{IsolationLevel, LockManager, LockMode};
 use crate::page::{PageBuf, PageId, NO_PAGE, PAGE_SIZE};
@@ -39,14 +39,15 @@ pub struct SbspaceOptions {
     pub pool_shards: usize,
     /// Lock-wait timeout.
     pub lock_timeout: Duration,
-    /// When true, committing transactions share WAL appends and syncs
-    /// through a group-commit leader, and the data-page writes are
-    /// deferred entirely (no-force — the WAL's redo images carry
-    /// durability): the checkpointer, or eviction pressure, writes them
-    /// later. When false (the default), every commit forces the log and
-    /// the data pages itself.
+    /// When true, data pages are no-force: a commit only relabels its
+    /// frames committed-dirty — the WAL's redo images carry durability —
+    /// and the checkpointer, or eviction pressure, writes them later.
+    /// When false (the default), every commit also writes and syncs its
+    /// data pages. The log is forced the same way in both settings: once
+    /// per commit, through the one log writer, shared with whoever else
+    /// is committing at that moment.
     pub group_commit: bool,
-    /// Maximum commit batches a group-commit leader flushes per sync.
+    /// Maximum commit batches a log-writer leader flushes per sync.
     pub commit_batch_size: usize,
     /// Size at which a WAL segment rolls. Together with the checkpoint
     /// cadence this bounds both the log's footprint and how much of it
@@ -123,11 +124,29 @@ struct PublishedState {
     retired: VecDeque<(u64, Vec<u32>)>,
 }
 
+/// The allocator's state, guarded by [`SpaceInner::meta`].
+struct MetaState {
+    /// The decoded header (page 0). Authoritative while the space is
+    /// open: the backend copy trails it by design.
+    header: Header,
+    /// `header` has changed since its image was last logged.
+    header_dirty: bool,
+    /// Metadata page images that are in the log but not yet on the
+    /// backend, keyed by page, each tagged with its log sequence
+    /// number. WAL-before-data: an image may be written to the backend
+    /// only once the log is durable past its record
+    /// ([`SpaceInner::drain_meta`]). Until then — and for a free page
+    /// that is reallocated first, for good — this map is the only
+    /// current copy, so free-list reads consult it before the pool.
+    staged: HashMap<u32, (u64, PageBuf)>,
+}
+
 pub(crate) struct SpaceInner {
     /// Sharded and internally synchronised — no outer lock.
     pool: BufferPool,
-    wal: Box<dyn WalStore>,
-    group: GroupCommitter,
+    /// The one path into the WAL (owns the store).
+    log: LogWriter,
+    /// No-force data pages at commit (see [`SbspaceOptions::group_commit`]).
     group_commit: bool,
     pub(crate) lm: LockManager,
     stats: Arc<IoStats>,
@@ -135,8 +154,9 @@ pub(crate) struct SpaceInner {
     /// `sbspace.*` names and is shared upward so higher layers (ids,
     /// the tree access methods) register their counters alongside.
     metrics: Arc<Metrics>,
-    /// Serialises header/free-list operations.
-    meta: Mutex<()>,
+    /// Serialises header/free-list operations. Lock order: `meta`
+    /// before the log writer's queue.
+    meta: Mutex<MetaState>,
     txns: Mutex<HashMap<u64, TxnState>>,
     next_txn: AtomicU64,
     callbacks: Mutex<Vec<EndCallback>>,
@@ -235,12 +255,13 @@ impl Sbspace {
         // Initialise the header if the space is brand new.
         let mut page0 = crate::page::zeroed_page();
         pool.recovery_read(PageId(0), &mut page0)?;
-        if Header::is_blank(&page0) {
+        let header = if Header::is_blank(&page0) {
             pool.recovery_write(PageId(0), &Header::fresh().encode())?;
             pool.sync_backend()?;
+            Header::fresh()
         } else {
-            Header::decode(&page0)?;
-        }
+            Header::decode(&page0)?
+        };
         pool.invalidate();
         let snapshot_reads = metrics.counter("sbspace.snapshot_reads");
         let snapshots_open = metrics.gauge("sbspace.snapshots_open");
@@ -252,13 +273,21 @@ impl Sbspace {
         let space = Sbspace {
             inner: Arc::new(SpaceInner {
                 pool,
-                wal: Box::new(wal),
-                group: GroupCommitter::new(opts.commit_batch_size),
+                log: LogWriter::new(
+                    Box::new(wal),
+                    Arc::clone(&stats),
+                    &metrics,
+                    opts.commit_batch_size,
+                ),
                 group_commit: opts.group_commit,
                 lm: LockManager::new(opts.lock_timeout, Arc::clone(&stats)),
                 stats,
                 metrics,
-                meta: Mutex::new(()),
+                meta: Mutex::new(MetaState {
+                    header,
+                    header_dirty: false,
+                    staged: HashMap::new(),
+                }),
                 txns: Mutex::new(HashMap::new()),
                 next_txn: AtomicU64::new(1),
                 callbacks: Mutex::new(Vec::new()),
@@ -325,7 +354,7 @@ impl Sbspace {
                         }
                     }
                     let Some(inner) = weak.upgrade() else { return };
-                    let appended = inner.wal.appended_total();
+                    let appended = inner.log.store().appended_total();
                     let retire_pending = !inner.published.lock().retired.is_empty();
                     if appended != last_appended || retire_pending {
                         last_appended = appended;
@@ -466,7 +495,7 @@ impl Sbspace {
         // Read the active segment *before* publishing the transaction:
         // segment ids only grow, so this is a valid lower bound on
         // where any of the transaction's records can land.
-        let start_seg = self.inner.wal.active_segment();
+        let start_seg = self.inner.log.store().active_segment();
         self.inner
             .txns
             .lock()
@@ -553,7 +582,7 @@ impl Sbspace {
         // The inode itself is transactional data: invisible until commit.
         let images = Inode::empty().encode(id);
         for (p, data) in images {
-            self.inner.pool.write_txn(txn.id, PageId(p), &data);
+            self.inner.pool.write_txn(txn.id, PageId(p), &data)?;
         }
         Ok(id)
     }
@@ -595,7 +624,7 @@ impl Sbspace {
         txn.check_live()?;
         self.inner.lock_for(txn.id, lo, LockMode::Shared)?;
         let inode = self.inner.load_inode(lo)?;
-        let header = self.inner.read_header()?;
+        let header = self.inner.meta.lock().header;
         let mut seen = HashSet::new();
         for pid in inode.all_pages(lo) {
             if pid >= header.total_pages {
@@ -610,8 +639,8 @@ impl Sbspace {
 
     /// Space occupancy: allocation watermark, free pages, live objects.
     pub fn space_info(&self) -> Result<SpaceInfo> {
-        let _g = self.inner.meta.lock();
-        let header = self.inner.read_header()?;
+        let meta = self.inner.meta.lock();
+        let header = meta.header;
         let mut free = 0u32;
         let mut cursor = header.free_head;
         let mut seen = HashSet::new();
@@ -620,9 +649,7 @@ impl Sbspace {
                 return Err(SbError::Corrupt("free-list cycle".into()));
             }
             free += 1;
-            let mut p = crate::page::zeroed_page();
-            self.inner.pool.read(PageId(cursor), &mut p)?;
-            cursor = decode_free_next(&p)?;
+            cursor = self.inner.free_next(&meta, cursor)?;
         }
         Ok(SpaceInfo {
             total_pages: header.total_pages,
@@ -645,12 +672,12 @@ impl Sbspace {
 
     /// Bytes across all live WAL segments.
     pub fn wal_live_bytes(&self) -> Result<u64> {
-        self.inner.wal.live_bytes()
+        self.inner.log.store().live_bytes()
     }
 
     /// Number of live WAL segments.
     pub fn wal_segment_count(&self) -> Result<usize> {
-        Ok(self.inner.wal.segments()?.len())
+        Ok(self.inner.log.store().segments()?.len())
     }
 
     /// Retired page batches still gated behind open snapshots
@@ -775,12 +802,6 @@ impl Drop for SpaceSnapshot {
 }
 
 impl SpaceInner {
-    fn read_header(&self) -> Result<Header> {
-        let mut buf = crate::page::zeroed_page();
-        self.pool.read(PageId(0), &mut buf)?;
-        Header::decode(&buf)
-    }
-
     fn lock_for(&self, txn: TxnId, lo: LoId, mode: LockMode) -> Result<()> {
         self.lm.acquire(txn, lo.0, mode)?;
         if let Some(st) = self.txns.lock().get_mut(&txn.0) {
@@ -790,6 +811,12 @@ impl SpaceInner {
     }
 
     fn load_inode(&self, lo: LoId) -> Result<Inode> {
+        // A dropped object's inode page is a free page, but while its
+        // free-list image is only staged the pool still shows the old
+        // inode. Answer as the drained image would.
+        if self.meta.lock().staged.contains_key(&lo.0) {
+            return Err(SbError::Corrupt(format!("{lo}: bad inode magic")));
+        }
         // Pinned reads: the inode and indirect pages are decoded in
         // place, no page copies.
         Inode::decode(lo, |pid| self.pool.read_pinned(PageId(pid)))
@@ -843,39 +870,30 @@ impl SpaceInner {
         out
     }
 
-    /// Durably applies metadata page images: log first, then write
-    /// through.
-    fn meta_apply(&self, images: Vec<(u32, PageBuf)>) -> Result<()> {
-        for (pid, data) in &images {
-            self.wal.append(
-                &WalRecord::MetaImage {
-                    pid: *pid,
-                    data: data.clone(),
-                }
-                .encode(),
-            )?;
+    /// The `next` pointer of free-list page `pid`: from its staged image
+    /// when the backend does not have it yet, else through the pool.
+    fn free_next(&self, meta: &MetaState, pid: u32) -> Result<u32> {
+        if let Some((_, image)) = meta.staged.get(&pid) {
+            return decode_free_next(image);
         }
-        IoStats::bump(&self.stats.wal_syncs);
-        self.wal.sync()?;
-        for (pid, data) in &images {
-            self.pool.write_through(PageId(*pid), data)?;
-        }
-        Ok(())
+        let mut buf = crate::page::zeroed_page();
+        self.pool.read(PageId(pid), &mut buf)?;
+        decode_free_next(&buf)
     }
 
     /// Allocates `n` pages for `txn`, noting them for crash/abort
-    /// compensation.
+    /// compensation. The note is queued, not forced: the pages hold
+    /// nothing durable until `txn` commits, and that commit's force
+    /// carries the note (and the header image) ahead of its own
+    /// records.
     pub(crate) fn alloc_pages(&self, txn: TxnId, n: usize) -> Result<Vec<u32>> {
-        let _g = self.meta.lock();
-        let mut header = self.read_header()?;
+        let mut meta = self.meta.lock();
+        let mut header = meta.header;
         let mut got = Vec::with_capacity(n);
-        let mut images: Vec<(u32, PageBuf)> = Vec::new();
         for _ in 0..n {
             if header.free_head != NO_PAGE {
                 let pid = header.free_head;
-                let mut buf = crate::page::zeroed_page();
-                self.pool.read(PageId(pid), &mut buf)?;
-                header.free_head = decode_free_next(&buf)?;
+                header.free_head = self.free_next(&meta, pid)?;
                 got.push(pid);
             } else {
                 let pid = header.total_pages;
@@ -883,15 +901,21 @@ impl SpaceInner {
                 got.push(pid);
             }
         }
-        self.wal.append(
-            &WalRecord::AllocNote {
+        self.log.append(
+            WalRecord::AllocNote {
                 txn,
                 pages: got.clone(),
             }
             .encode(),
         )?;
-        images.push((0, header.encode()));
-        self.meta_apply(images)?;
+        // A staged free-list image of a page handed out again is dead:
+        // writing it later would clobber the new owner's data.
+        for pid in &got {
+            meta.staged.remove(pid);
+        }
+        meta.header = header;
+        meta.header_dirty = true;
+        drop(meta);
         if let Some(st) = self.txns.lock().get_mut(&txn.0) {
             st.alloc_pages.extend_from_slice(&got);
             st.owned.extend(got.iter().copied());
@@ -899,28 +923,96 @@ impl SpaceInner {
         Ok(got)
     }
 
-    /// Returns pages to the free list (system transaction).
+    /// Returns pages to the free list (system transaction). The
+    /// free-list images are queued in the log and staged; the next
+    /// force makes them durable and lets them reach the backend.
     fn free_pages(&self, pages: &[u32]) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
         }
-        let _g = self.meta.lock();
-        let mut header = self.read_header()?;
-        let mut images: Vec<(u32, PageBuf)> = Vec::with_capacity(pages.len() + 1);
+        let mut meta = self.meta.lock();
+        let mut header = meta.header;
+        let mut records = Vec::new();
+        let mut images: Vec<(u32, PageBuf)> = Vec::with_capacity(pages.len());
         for &pid in pages {
             debug_assert!(pid != 0, "cannot free the header page");
-            images.push((pid, encode_free_page(header.free_head)));
+            self.pool.forget_committed(PageId(pid));
+            let data = encode_free_page(header.free_head);
             header.free_head = pid;
+            records.extend_from_slice(
+                &WalRecord::MetaImage {
+                    pid,
+                    data: data.clone(),
+                }
+                .encode(),
+            );
+            images.push((pid, data));
         }
-        images.push((0, header.encode()));
-        self.meta_apply(images)
+        let seq = self.log.append(records)?;
+        meta.staged
+            .extend(images.into_iter().map(|(pid, data)| (pid, (seq, data))));
+        meta.header = header;
+        meta.header_dirty = true;
+        Ok(())
     }
 
-    fn adjust_lo_count(&self, delta: i64) -> Result<()> {
-        let _g = self.meta.lock();
-        let mut header = self.read_header()?;
-        header.lo_count = (header.lo_count as i64 + delta).max(0) as u32;
-        self.meta_apply(vec![(0, header.encode())])
+    fn adjust_lo_count(&self, delta: i64) {
+        let mut meta = self.meta.lock();
+        meta.header.lo_count = (meta.header.lo_count as i64 + delta).max(0) as u32;
+        meta.header_dirty = true;
+    }
+
+    /// Queues one image of the header if it changed since the last one.
+    /// Every force calls this first, so a durable commit, abort or
+    /// checkpoint record is always preceded in the log by a header that
+    /// reflects every allocation and free queued before it — and the
+    /// header costs one image per force, not one per allocation.
+    fn log_header(&self) -> Result<()> {
+        let mut meta = self.meta.lock();
+        if !meta.header_dirty {
+            return Ok(());
+        }
+        let data = meta.header.encode();
+        let seq = self.log.append(
+            WalRecord::MetaImage {
+                pid: 0,
+                data: data.clone(),
+            }
+            .encode(),
+        )?;
+        meta.staged.insert(0, (seq, data));
+        meta.header_dirty = false;
+        Ok(())
+    }
+
+    /// Queues the header image, then forces `records`.
+    fn force(&self, records: Vec<u8>) -> Result<()> {
+        self.log_header()?;
+        self.log.force(records)
+    }
+
+    /// Writes every staged metadata image the log is durable past
+    /// through to the backend (WAL-before-data). Called after each
+    /// force; an image that fails to write stays staged and the next
+    /// drain retries it.
+    fn drain_meta(&self) -> Result<()> {
+        let durable = self.log.durable_seq();
+        let mut meta = self.meta.lock();
+        let mut ready: Vec<u32> = meta
+            .staged
+            .iter()
+            .filter(|(_, (seq, _))| *seq <= durable)
+            .map(|(&pid, _)| pid)
+            .collect();
+        // Map order is arbitrary; a fixed write order keeps runs (and
+        // the crash sweep's cut points) reproducible.
+        ready.sort_unstable();
+        for pid in ready {
+            let (_, image) = &meta.staged[&pid];
+            self.pool.write_through(PageId(pid), image)?;
+            meta.staged.remove(&pid);
+        }
+        Ok(())
     }
 
     fn run_callbacks(&self, txn: TxnId, end: TxnEnd) {
@@ -975,18 +1067,19 @@ impl SpaceInner {
         }
         // 1. Log redo images of every page this transaction dirtied,
         //    a retire note for the pages it superseded, then the commit
-        //    record, then force the log. A read-only transaction (no
-        //    dirty pages, no logged allocations, nothing retired) has
-        //    nothing to redo or compensate and skips the WAL entirely.
+        //    record, as one batch behind the header image, and force the
+        //    log — the only force of the transaction: its allocation
+        //    notes were queued as they happened and ride this one. A
+        //    read-only transaction (no dirty pages, no logged
+        //    allocations, nothing retired) has nothing to redo or
+        //    compensate and skips the WAL entirely. Held 2PL locks
+        //    serialise conflicting transactions, so queue order is a
+        //    valid history.
         let dirty = self.pool.dirty_of(txn);
         let read_only = dirty.is_empty() && state.alloc_pages.is_empty() && all_retired.is_empty();
         let logged = if read_only {
-            // No WAL traffic, no sync.
             Ok(())
-        } else if self.group_commit {
-            // Group commit: encode everything into one batch and ride a
-            // shared append + sync. Held 2PL locks serialise conflicting
-            // transactions, so queue order is a valid history.
+        } else {
             let mut batch = Vec::new();
             for (pid, data) in &dirty {
                 batch.extend_from_slice(
@@ -1008,32 +1101,7 @@ impl SpaceInner {
                 );
             }
             batch.extend_from_slice(&WalRecord::Commit { txn }.encode());
-            self.group.commit(self.wal.as_ref(), &self.stats, batch)
-        } else {
-            (|| {
-                for (pid, data) in &dirty {
-                    self.wal.append(
-                        &WalRecord::PageImage {
-                            txn,
-                            pid: pid.0,
-                            data: crate::page::page_from_slice(&data[..]),
-                        }
-                        .encode(),
-                    )?;
-                }
-                if !all_retired.is_empty() {
-                    self.wal.append(
-                        &WalRecord::RetireNote {
-                            txn,
-                            pages: all_retired.clone(),
-                        }
-                        .encode(),
-                    )?;
-                }
-                self.wal.append(&WalRecord::Commit { txn }.encode())?;
-                IoStats::bump(&self.stats.wal_syncs);
-                self.wal.sync()
-            })()
+            self.force(batch)
         };
         if let Err(e) = logged {
             // The commit record never became durable, so this is an
@@ -1054,16 +1122,23 @@ impl SpaceInner {
         // on the next recovery), and leaked locks would wedge every
         // later transaction touching the same objects.
         IoStats::bump(&self.stats.txn_commits);
-        // 2. The data pages. Group commit is no-force: the frames are
+        // 2. The data pages. `group_commit` is no-force: the frames are
         //    merely relabelled committed-dirty — the checkpointer (or
         //    eviction pressure) writes them later, since the durable
-        //    redo images above repair any crash from here. Without
-        //    group commit the pages are forced immediately.
-        let flush_result = if self.group_commit {
-            self.pool.mark_committed(txn);
+        //    redo images above repair any crash from here. Otherwise
+        //    the pages are forced immediately. Either way the metadata
+        //    images the force just covered may now reach the backend.
+        let flush_result = if read_only {
             Ok(())
         } else {
-            self.pool.flush_txn(txn, true)
+            let drained = self.drain_meta();
+            let data = if self.group_commit {
+                self.pool.mark_committed(txn);
+                Ok(())
+            } else {
+                self.pool.flush_txn(txn, true)
+            };
+            drained.and(data)
         };
         // 3. Publish the new page tables atomically (one map swap =
         //    one consistent cut for future snapshots) and queue the
@@ -1119,15 +1194,13 @@ impl SpaceInner {
         // Released before callbacks run: a callback may drop a snapshot,
         // whose destructor takes the guard itself.
         drop(_retire);
-        let count_result = if state.pending_drops.is_empty() {
-            Ok(())
-        } else {
-            self.adjust_lo_count(-(state.pending_drops.len() as i64))
-        };
+        if !state.pending_drops.is_empty() {
+            self.adjust_lo_count(-(state.pending_drops.len() as i64));
+        }
         // 4. Release locks and notify.
         self.lm.release_all(txn);
         self.run_callbacks(txn, TxnEnd::Commit);
-        flush_result.and(reclaim_result).and(count_result)
+        flush_result.and(reclaim_result)
     }
 
     pub(crate) fn abort_txn(&self, txn: TxnId) -> Result<()> {
@@ -1152,9 +1225,8 @@ impl SpaceInner {
         //    wedges every later transaction on the same objects.
         let compensated = (|| {
             self.free_pages(&state.alloc_pages)?;
-            self.wal.append(&WalRecord::Abort { txn }.encode())?;
-            IoStats::bump(&self.stats.wal_syncs);
-            self.wal.sync()
+            self.force(WalRecord::Abort { txn }.encode())?;
+            self.drain_meta()
         })();
         self.committing.lock().remove(&txn.0);
         // 4. Release locks and notify.
@@ -1190,8 +1262,13 @@ impl SpaceInner {
                 .map(|st| st.start_seg)
                 .chain(committing.values().copied())
                 .min()
-                .unwrap_or_else(|| self.wal.active_segment())
+                .unwrap_or_else(|| self.log.store().active_segment())
         };
+        // Staged metadata images count as committed-dirty state: every
+        // record below the mark was written by a flush that has
+        // completed (flushes are serialised, and a later one created
+        // the segment the mark names), so its image is drainable now.
+        self.drain_meta()?;
         self.pool.flush_committed()?;
         self.pool.sync_backend()?;
         // From here to the end of the sweep: no snapshot drop or commit
@@ -1211,18 +1288,8 @@ impl SpaceInner {
                 .flat_map(|(_, pages)| pages.iter().copied())
                 .collect()
         };
-        let record = WalRecord::Checkpoint { pending_retire }.encode();
-        if self.group_commit {
-            // Ride the group committer: honours its poisoning (never
-            // append past a possibly-torn tail) and serialises with
-            // concurrent commit batches.
-            self.group.commit(self.wal.as_ref(), &self.stats, record)?;
-        } else {
-            self.wal.append(&record)?;
-            IoStats::bump(&self.stats.wal_syncs);
-            self.wal.sync()?;
-        }
-        let recycled = self.wal.recycle_below(lwm)?;
+        self.force(WalRecord::Checkpoint { pending_retire }.encode())?;
+        let recycled = self.log.store().recycle_below(lwm)?;
         self.segments_recycled.add(recycled as u64);
         // Sweep drained retire batches online — previously they were
         // only freed when a snapshot dropped or a commit ran, so a
@@ -1233,7 +1300,7 @@ impl SpaceInner {
             Self::reclaimable(&mut published)
         };
         self.free_pages(&to_reclaim)?;
-        self.wal_live_bytes.set(self.wal.live_bytes()?);
+        self.wal_live_bytes.set(self.log.store().live_bytes()?);
         Ok(())
     }
 
@@ -1432,7 +1499,7 @@ impl LoHandle {
     pub fn write_page(&mut self, logical: u32, data: &[u8; PAGE_SIZE]) -> Result<()> {
         self.check_writable()?;
         let pid = self.redirect(logical)?;
-        self.inner.pool.write_txn(self.txn, PageId(pid), data);
+        self.inner.pool.write_txn(self.txn, PageId(pid), data)?;
         Ok(())
     }
 
@@ -1443,7 +1510,7 @@ impl LoHandle {
         self.inode.data_pages.push(pid);
         let logical = self.inode.data_pages.len() as u32 - 1;
         self.inode_dirty = true;
-        self.inner.pool.write_txn(self.txn, PageId(pid), data);
+        self.inner.pool.write_txn(self.txn, PageId(pid), data)?;
         Ok(logical)
     }
 
@@ -1489,9 +1556,16 @@ impl LoHandle {
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> Result<()> {
         self.check_writable()?;
         let end = offset + data.len() as u64;
-        let pages_needed = end.div_ceil(PAGE_SIZE as u64) as u32;
-        while self.page_count() < pages_needed {
-            self.append_page(&crate::page::zeroed_page())?;
+        let pages_needed = end.div_ceil(PAGE_SIZE as u64) as usize;
+        if pages_needed > self.inode.data_pages.len() {
+            // One allocation (one note in the log) for the whole extension.
+            let grow = pages_needed - self.inode.data_pages.len();
+            let zero = crate::page::zeroed_page();
+            for pid in self.inner.alloc_pages(self.txn, grow)? {
+                self.inode.data_pages.push(pid);
+                self.inner.pool.write_txn(self.txn, PageId(pid), &zero)?;
+            }
+            self.inode_dirty = true;
         }
         let mut done = 0usize;
         while done < data.len() {
@@ -1519,9 +1593,10 @@ impl LoHandle {
         }
         // Size the indirect chain to the page table.
         let needed = Inode::indirect_needed(self.inode.data_pages.len());
-        while self.inode.indirect_pids.len() < needed {
-            let pid = self.inner.alloc_pages(self.txn, 1)?[0];
-            self.inode.indirect_pids.push(pid);
+        if self.inode.indirect_pids.len() < needed {
+            let grow = needed - self.inode.indirect_pids.len();
+            let fresh = self.inner.alloc_pages(self.txn, grow)?;
+            self.inode.indirect_pids.extend(fresh);
         }
         if self.inode.indirect_pids.len() > needed {
             let extra = self.inode.indirect_pids.split_off(needed);
@@ -1529,7 +1604,7 @@ impl LoHandle {
         }
         let images = self.inode.encode(self.lo);
         for (pid, data) in images {
-            self.inner.pool.write_txn(self.txn, PageId(pid), &data);
+            self.inner.pool.write_txn(self.txn, PageId(pid), &data)?;
         }
         self.inode_dirty = false;
         Ok(())

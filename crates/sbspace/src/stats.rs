@@ -39,7 +39,8 @@ pub struct IoStats {
     /// Times a shard overflowed its capacity because every frame was
     /// dirty or pinned (no-steal forbids eviction).
     pub dirty_overflows: Counter,
-    /// WAL flush groups written by a group-commit leader.
+    /// WAL flush groups written by a log-writer leader (one per sync,
+    /// in both `group_commit` settings).
     pub group_commits: Counter,
     /// Zero-copy pinned page reads ([`crate::buffer::BufferPool::read_pinned`]).
     /// `logical_reads - pinned_reads` is the number of copying reads.

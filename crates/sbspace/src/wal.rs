@@ -266,7 +266,9 @@ impl WalRecord {
 ///
 /// One append call never spans segments — [`WalStore::append`] rolls
 /// *before* writing when the batch would overflow the active segment —
-/// so every sealed segment is a self-contained record stream. Simple
+/// so every sealed segment is a self-contained record stream. Inside
+/// this crate only the log writer (`group.rs`) appends and syncs; the
+/// space reads, rolls and recycles. Simple
 /// test doubles can ignore segmentation entirely: the provided
 /// defaults model a single never-rolling segment `0`.
 pub trait WalStore: Send + Sync {

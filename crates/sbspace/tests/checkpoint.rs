@@ -255,46 +255,50 @@ impl WalStore for FlakyWal {
 
 #[test]
 fn failed_checkpoint_record_leaves_previous_checkpoint_authoritative() {
-    // Per-commit forcing only: under group commit an injected append
-    // failure deliberately poisons the group committer for every later
-    // writer, which is its own (already tested) contract.
-    let backend = Arc::new(MemBackend::new());
-    let wal = Arc::new(FlakyWal {
-        inner: MemWal::with_segment_bytes(SEG_BYTES),
-        fail_appends: AtomicBool::new(false),
-    });
-    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(false)).unwrap();
-    let lo = seed(&sb, 3);
-    for round in 0..10u32 {
-        churn(&sb, lo, 3, round as u8);
+    // Both modes write the record through the one log writer, so the
+    // failed append poisons the log either way: this space can log
+    // nothing more, and the only way on is a reopen.
+    for gc in [false, true] {
+        let backend = Arc::new(MemBackend::new());
+        let wal = Arc::new(FlakyWal {
+            inner: MemWal::with_segment_bytes(SEG_BYTES),
+            fail_appends: AtomicBool::new(false),
+        });
+        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
+        let lo = seed(&sb, 3);
+        for round in 0..10u32 {
+            churn(&sb, lo, 3, round as u8);
+        }
+        let segs_before = sb.wal_segment_count().unwrap();
+
+        wal.fail_appends.store(true, Ordering::SeqCst);
+        let err = sb.checkpoint();
+        assert!(matches!(err, Err(SbError::Io(_))), "got {err:?}");
+        let snap = sb.metrics().snapshot();
+        assert_eq!(snap.get("sbspace.checkpoint_failures"), 1);
+        assert_eq!(
+            snap.get("wal.segments_recycled"),
+            0,
+            "a failed checkpoint must never recycle"
+        );
+        assert_eq!(sb.wal_segment_count().unwrap(), segs_before);
+
+        // Crash with the failed checkpoint in place: the full log is
+        // still there, so recovery reproduces every committed write.
+        drop(sb);
+        wal.fail_appends.store(false, Ordering::SeqCst);
+        let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
+        let t = sb2.begin(IsolationLevel::ReadCommitted);
+        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.read_page(0).unwrap()[0], 9, "group_commit={gc}");
+        drop(h);
+        drop(t);
+
+        // Over the healed store the next checkpoint succeeds and
+        // recycling resumes.
+        sb2.checkpoint().unwrap();
+        assert!(sb2.wal_segment_count().unwrap() < segs_before);
     }
-    let segs_before = sb.wal_segment_count().unwrap();
-
-    wal.fail_appends.store(true, Ordering::SeqCst);
-    let err = sb.checkpoint();
-    assert!(matches!(err, Err(SbError::Io(_))), "got {err:?}");
-    let snap = sb.metrics().snapshot();
-    assert_eq!(snap.get("sbspace.checkpoint_failures"), 1);
-    assert_eq!(
-        snap.get("wal.segments_recycled"),
-        0,
-        "a failed checkpoint must never recycle"
-    );
-    assert_eq!(sb.wal_segment_count().unwrap(), segs_before);
-
-    // Crash with the failed checkpoint in place: the full log is still
-    // there, so recovery reproduces every committed write.
-    drop(sb);
-    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(false)).unwrap();
-    let t = sb2.begin(IsolationLevel::ReadCommitted);
-    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-    assert_eq!(h.read_page(0).unwrap()[0], 9);
-    drop(t);
-
-    // Healed, the next checkpoint succeeds and recycling resumes.
-    wal.fail_appends.store(false, Ordering::SeqCst);
-    sb2.checkpoint().unwrap();
-    assert!(sb2.wal_segment_count().unwrap() < segs_before);
 }
 
 #[test]
@@ -396,4 +400,107 @@ fn background_checkpointer_runs_and_shuts_down() {
         let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
         assert_eq!(h.read_page(0).unwrap()[0], 9, "group_commit={gc}");
     });
+}
+
+/// Found by the crash-point sweep (`prop_crash.rs`) on its first
+/// uncut run. An inode page is rewritten in place, so under no-force
+/// commits a writer can take over a frame holding committed bytes the
+/// backend has never seen. Aborting used to discard that frame — and
+/// the committed inode with it.
+#[test]
+fn abort_after_in_place_inode_rewrite_keeps_the_committed_inode() {
+    both_modes(|gc| {
+        let (backend, wal) = shared();
+        let sb = reopen(&backend, &wal, gc);
+        let lo = seed(&sb, 1);
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.append_page(&[2u8; PAGE_SIZE]).unwrap();
+        h.close().unwrap(); // rewrites the inode page in the pool
+        t.abort().unwrap();
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.page_count(), 1, "group_commit={gc}");
+    });
+}
+
+/// The same takeover, seen by a checkpoint: while the writer owns the
+/// frame the checkpoint cannot flush it, yet it may recycle the segment
+/// holding the committed inode's redo image. The committed bytes must
+/// be on the backend by then, or a crash loses them.
+#[test]
+fn committed_inode_survives_a_checkpoint_taken_while_a_writer_owns_its_frame() {
+    both_modes(|gc| {
+        let (backend, wal) = shared();
+        let sb = reopen(&backend, &wal, gc);
+        let lo = seed(&sb, 1);
+        wal.roll().unwrap(); // the writer begins in a later segment
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.append_page(&[2u8; PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        sb.checkpoint().unwrap();
+        assert!(
+            !wal.segments().unwrap().contains(&0),
+            "the seed's segment should have been recycled"
+        );
+        std::mem::forget(t); // crash mid-transaction
+        drop(sb);
+        let sb2 = reopen(&backend, &wal, gc);
+        let t = sb2.begin(IsolationLevel::ReadCommitted);
+        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.page_count(), 1, "group_commit={gc}");
+    });
+}
+
+/// After a failed flush the log tail is suspect in **both** modes: no
+/// later record may be written past it, forced or not. An allocation
+/// therefore fails up front — before it can touch the allocator or
+/// page 0 — instead of stranding an `AllocNote` beyond a torn region.
+#[test]
+fn allocation_after_a_failed_flush_is_refused_and_writes_nothing() {
+    for gc in [false, true] {
+        let backend = Arc::new(grt_sbspace::FaultInjector::new(MemBackend::new()));
+        let wal = Arc::new(FlakyWal {
+            inner: MemWal::with_segment_bytes(SEG_BYTES),
+            fail_appends: AtomicBool::new(false),
+        });
+        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
+        let lo = seed(&sb, 2);
+
+        wal.fail_appends.store(true, Ordering::SeqCst);
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.write_page(0, &[7u8; PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        assert!(matches!(t.commit(), Err(SbError::Io(_))), "gc={gc}");
+        wal.fail_appends.store(false, Ordering::SeqCst);
+
+        // The store is healthy again, the log is not: from here every
+        // backend write would be a write the log cannot vouch for.
+        backend.fail_after(0);
+        let log_before = wal.read_all().unwrap();
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let err = sb.create_lo(&t).unwrap_err();
+        assert!(
+            matches!(&err, SbError::Io(m) if m.contains("wal unavailable")),
+            "gc={gc}: {err}"
+        );
+        drop(t);
+        assert_eq!(backend.injected(), 0, "gc={gc}: a page was written");
+        assert_eq!(wal.read_all().unwrap(), log_before, "gc={gc}");
+        assert!(sb.locks_quiescent(), "gc={gc}");
+        backend.heal();
+
+        // A reopen replays the sound prefix and resets the log.
+        drop(sb);
+        let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
+        let t = sb2.begin(IsolationLevel::ReadCommitted);
+        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.read_page(0).unwrap()[0], 0, "gc={gc}");
+        drop(h);
+        drop(t);
+        seed(&sb2, 1);
+        sb2.space_info().unwrap();
+    }
 }

@@ -142,3 +142,537 @@ proptest! {
         t2.commit().unwrap();
     }
 }
+
+// ---------------------------------------------------------------------
+// Crash-point sweep.
+//
+// The property test above crashes between operations and keeps every
+// byte the process ever wrote. The sweep below is stricter on both
+// counts: it cuts the power after *every* WAL append, WAL sync, backend
+// page write and backend sync of a seeded script, and its stores model
+// what a cut leaves behind — WAL bytes past the last sync and backend
+// writes past the last sync may or may not have reached the disk.
+// ---------------------------------------------------------------------
+
+mod sweep {
+    use grt_sbspace::lo::{decode_free_next, Header, Inode};
+    use grt_sbspace::page::{page_from_slice, zeroed_page, NO_PAGE};
+    use grt_sbspace::wal::WalStore;
+    use grt_sbspace::{
+        Backend, IsolationLevel, LoId, LockMode, PageBuf, PageId, Result, SbError, Sbspace,
+        SbspaceOptions, SpaceSnapshot, PAGE_SIZE,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    /// Counts I/O events across both stores; once armed, event `cut + 1`
+    /// and everything after it fails — the machine lost power right
+    /// after event `cut` completed.
+    struct Clock {
+        events: AtomicU64,
+        cut: AtomicU64,
+    }
+
+    impl Clock {
+        fn disarmed() -> Arc<Clock> {
+            Arc::new(Clock {
+                events: AtomicU64::new(0),
+                cut: AtomicU64::new(u64::MAX),
+            })
+        }
+        fn tick(&self) -> Result<()> {
+            let n = self.events.fetch_add(1, Ordering::SeqCst) + 1;
+            if n > self.cut.load(Ordering::SeqCst) {
+                return Err(SbError::Io("power cut".into()));
+            }
+            Ok(())
+        }
+        /// Starts counting from zero and cuts after `cut` events.
+        fn arm(&self, cut: u64) {
+            self.events.store(0, Ordering::SeqCst);
+            self.cut.store(cut, Ordering::SeqCst);
+        }
+        fn events(&self) -> u64 {
+            self.events.load(Ordering::SeqCst)
+        }
+        fn is_cut(&self) -> bool {
+            self.events() > self.cut.load(Ordering::SeqCst)
+        }
+    }
+
+    /// How much of the WAL's unsynced tail survives the cut.
+    #[derive(Debug, Clone, Copy)]
+    enum Tail {
+        Lost,
+        /// Half of it — usually ending mid-record (a torn append).
+        Torn,
+        Kept,
+    }
+
+    #[derive(Default)]
+    struct WalState {
+        segs: BTreeMap<u64, Vec<u8>>,
+        /// Durable length per segment (absent = 0).
+        synced: BTreeMap<u64, usize>,
+        active: u64,
+    }
+
+    /// A segmented in-memory log that knows which bytes were synced.
+    struct SimWal {
+        st: Mutex<WalState>,
+        segment_bytes: usize,
+        clock: Arc<Clock>,
+    }
+
+    impl SimWal {
+        fn new(segment_bytes: usize, clock: Arc<Clock>) -> SimWal {
+            let mut st = WalState::default();
+            st.segs.insert(0, Vec::new());
+            SimWal {
+                st: Mutex::new(st),
+                segment_bytes,
+                clock,
+            }
+        }
+
+        /// The log as a reboot would find it.
+        fn after_cut(&self, tail: Tail) -> SimWal {
+            let st = self.st.lock().unwrap();
+            let mut out = WalState {
+                active: st.active,
+                ..Default::default()
+            };
+            for (&id, bytes) in &st.segs {
+                let synced = st.synced.get(&id).copied().unwrap_or(0);
+                let keep = match tail {
+                    Tail::Lost => synced,
+                    Tail::Torn => synced + (bytes.len() - synced) / 2,
+                    Tail::Kept => bytes.len(),
+                };
+                out.segs.insert(id, bytes[..keep].to_vec());
+                out.synced.insert(id, keep);
+            }
+            SimWal {
+                st: Mutex::new(out),
+                segment_bytes: self.segment_bytes,
+                clock: Clock::disarmed(),
+            }
+        }
+    }
+
+    impl WalStore for SimWal {
+        fn append(&self, bytes: &[u8]) -> Result<()> {
+            self.clock.tick()?;
+            let mut st = self.st.lock().unwrap();
+            let active = st.active;
+            let len = st.segs[&active].len();
+            if len > 0 && len + bytes.len() > self.segment_bytes {
+                // A roll seals (syncs) the old segment.
+                st.synced.insert(active, len);
+                st.active = active + 1;
+                st.segs.insert(active + 1, Vec::new());
+            }
+            let active = st.active;
+            st.segs.get_mut(&active).unwrap().extend_from_slice(bytes);
+            Ok(())
+        }
+        fn sync(&self) -> Result<()> {
+            self.clock.tick()?;
+            let mut st = self.st.lock().unwrap();
+            let active = st.active;
+            let len = st.segs[&active].len();
+            st.synced.insert(active, len);
+            Ok(())
+        }
+        fn truncate(&self) -> Result<()> {
+            let mut st = self.st.lock().unwrap();
+            let active = st.active;
+            st.segs = BTreeMap::from([(active, Vec::new())]);
+            st.synced.clear();
+            Ok(())
+        }
+        fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
+            let st = self.st.lock().unwrap();
+            st.segs
+                .get(&seg)
+                .cloned()
+                .ok_or_else(|| SbError::NotFound(format!("wal segment {seg}")))
+        }
+        fn segments(&self) -> Result<Vec<u64>> {
+            Ok(self.st.lock().unwrap().segs.keys().copied().collect())
+        }
+        fn active_segment(&self) -> u64 {
+            self.st.lock().unwrap().active
+        }
+        fn recycle_below(&self, seg: u64) -> Result<usize> {
+            let mut st = self.st.lock().unwrap();
+            let before = st.segs.len();
+            st.segs.retain(|&id, _| id >= seg);
+            st.synced.retain(|&id, _| id >= seg);
+            Ok(before - st.segs.len())
+        }
+    }
+
+    /// A page store that knows which writes were synced.
+    struct SimBackend {
+        cur: Mutex<HashMap<u32, PageBuf>>,
+        durable: Mutex<HashMap<u32, PageBuf>>,
+        clock: Arc<Clock>,
+    }
+
+    impl SimBackend {
+        fn new(clock: Arc<Clock>) -> SimBackend {
+            SimBackend {
+                cur: Mutex::new(HashMap::new()),
+                durable: Mutex::new(HashMap::new()),
+                clock,
+            }
+        }
+        /// The store as a reboot would find it.
+        fn after_cut(&self, keep_unsynced: bool) -> SimBackend {
+            let pages = if keep_unsynced {
+                self.cur.lock().unwrap().clone()
+            } else {
+                self.durable.lock().unwrap().clone()
+            };
+            SimBackend {
+                cur: Mutex::new(pages.clone()),
+                durable: Mutex::new(pages),
+                clock: Clock::disarmed(),
+            }
+        }
+        fn page(&self, pid: u32) -> PageBuf {
+            let mut out = zeroed_page();
+            self.read_page(PageId(pid), &mut out).unwrap();
+            out
+        }
+    }
+
+    impl Backend for SimBackend {
+        fn read_page(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
+            match self.cur.lock().unwrap().get(&pid.0) {
+                Some(p) => out.copy_from_slice(&p[..]),
+                None => out.fill(0),
+            }
+            Ok(())
+        }
+        fn write_page(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
+            self.clock.tick()?;
+            self.cur
+                .lock()
+                .unwrap()
+                .insert(pid.0, page_from_slice(data));
+            Ok(())
+        }
+        fn page_count(&self) -> u32 {
+            self.cur.lock().unwrap().keys().max().map_or(0, |&p| p + 1)
+        }
+        fn sync(&self) -> Result<()> {
+            self.clock.tick()?;
+            let cur = self.cur.lock().unwrap().clone();
+            *self.durable.lock().unwrap() = cur;
+            Ok(())
+        }
+    }
+
+    fn below(rng: &mut StdRng, n: usize) -> usize {
+        rng.gen_range(0..n)
+    }
+
+    /// Committed state: object → the stamp of each of its pages.
+    type Model = BTreeMap<u32, Vec<u64>>;
+
+    fn stamp_page(stamp: u64) -> PageBuf {
+        page_from_slice(&stamp.to_le_bytes())
+    }
+
+    fn opts(group_commit: bool) -> SbspaceOptions {
+        SbspaceOptions {
+            pool_pages: 32,
+            group_commit,
+            // Small segments: the script rolls and recycles several.
+            wal_segment_bytes: 24 * 1024,
+            ..Default::default()
+        }
+    }
+
+    /// One step of the script. Returns the model the step commits to,
+    /// or `None` for steps that change no committed state.
+    fn step(
+        sb: &Sbspace,
+        rng: &mut StdRng,
+        model: &Model,
+        held: &mut Option<SpaceSnapshot>,
+        stamp: u64,
+    ) -> (Option<Model>, Result<()>) {
+        let live: Vec<u32> = model.keys().copied().collect();
+        let pick = |rng: &mut StdRng| LoId(live[below(rng, live.len())]);
+        let kind = if live.is_empty() { 0 } else { below(rng, 16) };
+        match kind {
+            // INSERT: a new object of 1–3 pages.
+            0..=2 => {
+                let n = 1 + below(rng, 3);
+                let mut next = model.clone();
+                let res = (|| {
+                    let t = sb.begin(IsolationLevel::ReadCommitted);
+                    let lo = sb.create_lo(&t)?;
+                    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive)?;
+                    for _ in 0..n {
+                        h.append_page(&stamp_page(stamp))?;
+                    }
+                    h.close()?;
+                    next.insert(lo.0, vec![stamp; n]);
+                    t.commit()
+                })();
+                (Some(next), res)
+            }
+            // UPDATE: rewrite some pages (copy-on-write: allocates,
+            // retires, frees after commit), sometimes grow or shrink.
+            3..=7 => {
+                let lo = pick(rng);
+                let mut pages = model[&lo.0].clone();
+                let reshape = below(rng, 4);
+                let mask = rand::RngCore::next_u64(rng);
+                let res = (|| {
+                    let t = sb.begin(IsolationLevel::ReadCommitted);
+                    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive)?;
+                    for (i, slot) in pages.iter_mut().enumerate() {
+                        if mask >> i & 1 == 1 {
+                            h.write_page(i as u32, &stamp_page(stamp))?;
+                            *slot = stamp;
+                        }
+                    }
+                    if reshape == 0 {
+                        h.append_page(&stamp_page(stamp))?;
+                        pages.push(stamp);
+                    } else if reshape == 1 && pages.len() > 1 {
+                        h.truncate_pages(pages.len() as u32 - 1)?;
+                        pages.pop();
+                    }
+                    h.close()?;
+                    t.commit()
+                })();
+                let mut next = model.clone();
+                next.insert(lo.0, pages);
+                (Some(next), res)
+            }
+            // DELETE: drop an object.
+            8..=9 => {
+                let lo = pick(rng);
+                let res = (|| {
+                    let t = sb.begin(IsolationLevel::ReadCommitted);
+                    sb.drop_lo(&t, lo)?;
+                    t.commit()
+                })();
+                let mut next = model.clone();
+                next.remove(&lo.0);
+                (Some(next), res)
+            }
+            // ABORT: allocate and write, then roll back.
+            10..=11 => {
+                let lo = pick(rng);
+                let res = (|| {
+                    let t = sb.begin(IsolationLevel::ReadCommitted);
+                    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive)?;
+                    h.write_page(0, &stamp_page(stamp))?;
+                    h.append_page(&stamp_page(stamp))?;
+                    h.close()?;
+                    let doomed = sb.create_lo(&t)?;
+                    let mut h = sb.open_lo(&t, doomed, LockMode::Exclusive)?;
+                    h.append_page(&stamp_page(stamp))?;
+                    h.close()?;
+                    t.abort()
+                })();
+                (None, res)
+            }
+            // SNAPSHOT: pin the current epoch, or drop the pin (which
+            // reclaims whatever it was holding back).
+            12..=13 => {
+                let res = match held.take() {
+                    Some(snap) => {
+                        drop(snap);
+                        Ok(())
+                    }
+                    None => sb
+                        .snapshot_for(&live.iter().map(|&l| LoId(l)).collect::<Vec<_>>())
+                        .map(|snap| *held = Some(snap)),
+                };
+                (None, res)
+            }
+            // CHECKPOINT: flush, sync, recycle.
+            _ => (None, sb.checkpoint()),
+        }
+    }
+
+    /// Checks one rebooted store against one candidate model, from the
+    /// raw pages recovery left behind and then through the API.
+    fn check(
+        backend: &Arc<SimBackend>,
+        sb: &Sbspace,
+        model: &Model,
+    ) -> std::result::Result<(), String> {
+        let header = Header::decode(&backend.page(0)).map_err(|e| e.to_string())?;
+        let mut free: HashSet<u32> = HashSet::new();
+        let mut cursor = header.free_head;
+        while cursor != NO_PAGE {
+            if !free.insert(cursor) {
+                return Err(format!("free list cycles at page {cursor}"));
+            }
+            cursor = decode_free_next(&backend.page(cursor))
+                .map_err(|e| format!("free page {cursor}: {e}"))?;
+        }
+        let mut live: HashSet<u32> = HashSet::new();
+        for (&lo, stamps) in model {
+            let inode = Inode::decode(LoId(lo), |pid| Ok(backend.page(pid)))
+                .map_err(|e| format!("lo{lo}: {e}"))?;
+            if inode.data_pages.len() != stamps.len() {
+                return Err(format!(
+                    "lo{lo}: {} pages, model has {}",
+                    inode.data_pages.len(),
+                    stamps.len()
+                ));
+            }
+            for (i, (&pid, &want)) in inode.data_pages.iter().zip(stamps).enumerate() {
+                let got = u64::from_le_bytes(backend.page(pid)[..8].try_into().unwrap());
+                if got != want {
+                    return Err(format!("lo{lo} page {i}: stamp {got}, model has {want}"));
+                }
+            }
+            for pid in inode.all_pages(LoId(lo)) {
+                if !live.insert(pid) {
+                    return Err(format!("page {pid} belongs to two objects"));
+                }
+                if free.contains(&pid) {
+                    return Err(format!("page {pid} of lo{lo} is on the free list"));
+                }
+                if pid >= header.total_pages {
+                    return Err(format!("page {pid} of lo{lo} is past the watermark"));
+                }
+            }
+        }
+        let accounted = 1 + live.len() + free.len();
+        if accounted != header.total_pages as usize {
+            return Err(format!(
+                "pages leaked or double-counted: watermark {}, header + {} live + {} free",
+                header.total_pages,
+                live.len(),
+                free.len()
+            ));
+        }
+        // The same through the front door.
+        let info = sb.space_info().map_err(|e| e.to_string())?;
+        if info.free_pages as usize != free.len() {
+            return Err(format!("space_info counts {} free pages", info.free_pages));
+        }
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        for (&lo, stamps) in model {
+            let h = sb
+                .open_lo(&t, LoId(lo), LockMode::Shared)
+                .map_err(|e| format!("open lo{lo}: {e}"))?;
+            let page = h.read_page(0).map_err(|e| e.to_string())?;
+            if u64::from_le_bytes(page[..8].try_into().unwrap()) != stamps[0] {
+                return Err(format!("lo{lo}: wrong first page through the API"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the script for `seed`, cutting after `cut` events (`None`:
+    /// never). Returns the events the armed part of the run consumed.
+    fn run(seed: u64, group_commit: bool, cut: Option<u64>) -> u64 {
+        let clock = Clock::disarmed();
+        let backend = Arc::new(SimBackend::new(Arc::clone(&clock)));
+        let wal = Arc::new(SimWal::new(
+            opts(group_commit).wal_segment_bytes,
+            Arc::clone(&clock),
+        ));
+        let sb =
+            Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(group_commit)).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = Model::new();
+        let mut held = None;
+        // The model the store may also legitimately hold: the step the
+        // cut interrupted can have reached its commit point without the
+        // caller ever hearing of it.
+        let mut maybe: Option<Model> = None;
+        clock.arm(cut.unwrap_or(u64::MAX));
+        for stamp in 1..=40u64 {
+            let (next, res) = step(&sb, &mut rng, &model, &mut held, stamp);
+            match res {
+                Ok(()) => model = next.unwrap_or(model),
+                Err(e) => {
+                    assert!(
+                        clock.is_cut(),
+                        "seed {seed}: step {stamp} failed uncut: {e}"
+                    );
+                    maybe = next;
+                    break;
+                }
+            }
+        }
+        let events = clock.events();
+        drop(held);
+        drop(sb);
+        if cut.is_none() {
+            return events;
+        }
+        for tail in [Tail::Lost, Tail::Torn, Tail::Kept] {
+            for keep_unsynced in [false, true] {
+                let backend2 = Arc::new(backend.after_cut(keep_unsynced));
+                let wal2 = Arc::new(wal.after_cut(tail));
+                let what = format!(
+                    "seed {seed} group_commit {group_commit} cut {cut:?} \
+                     tail {tail:?} keep_unsynced {keep_unsynced}"
+                );
+                let sb2 = Sbspace::open_with(
+                    Arc::clone(&backend2),
+                    Arc::clone(&wal2),
+                    opts(group_commit),
+                )
+                .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+                let acked = check(&backend2, &sb2, &model);
+                let verdict = match (&acked, &maybe) {
+                    (Err(_), Some(m)) => check(&backend2, &sb2, m),
+                    _ => acked.clone(),
+                };
+                if let Err(e) = verdict {
+                    panic!("{what}: {e} (acknowledged state: {acked:?})");
+                }
+                // And the survivor still works.
+                let t = sb2.begin(IsolationLevel::ReadCommitted);
+                let lo = sb2.create_lo(&t).unwrap();
+                let mut h = sb2.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+                h.append_page(&stamp_page(0)).unwrap();
+                h.close().unwrap();
+                t.commit().unwrap();
+                sb2.checkpoint().unwrap();
+            }
+        }
+        events
+    }
+
+    fn sweep(seed: u64, group_commit: bool) {
+        let total = run(seed, group_commit, None);
+        assert!(total > 100, "seed {seed}: the script did only {total} I/Os");
+        for cut in 0..total {
+            run(seed, group_commit, Some(cut));
+        }
+    }
+
+    /// Seeds `1..=CRASH_SWEEP_SEEDS` (default 3), both commit modes.
+    #[test]
+    fn every_cut_point_recovers_to_an_acknowledged_state() {
+        let seeds: u64 = std::env::var("CRASH_SWEEP_SEEDS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(3);
+        for seed in 1..=seeds {
+            for group_commit in [false, true] {
+                sweep(seed, group_commit);
+            }
+        }
+    }
+}

@@ -265,3 +265,57 @@ fn checkpoint_flush_fault_keeps_previous_checkpoint_authoritative() {
     );
     assert_eq!(conn.exec("SELECT id FROM t").unwrap().rows.len(), 40);
 }
+
+/// Allocator metadata reaches the backend only after the force that
+/// covers it, so under no-force commits the first backend write of a
+/// commit is that drain — past the commit point. A fault there must
+/// come back as an error, leave no lock behind and lose nothing: the
+/// image stays staged for the next drain, and the log can replay it.
+#[test]
+fn metadata_drain_fault_is_an_error_not_a_leaked_lock() {
+    let backend = Arc::new(FaultInjector::new(MemBackend::new()));
+    let wal = Arc::new(MemWal::new());
+    let opts = SbspaceOptions {
+        group_commit: true,
+        ..Default::default()
+    };
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts.clone()).unwrap();
+    let write = |sb: &Sbspace, lo, fill: u8, fail: bool| {
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.write_page(0, &[fill; PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        if fail {
+            backend.fail_after(0);
+        }
+        let res = t.commit();
+        backend.heal();
+        res
+    };
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.append_page(&[1u8; PAGE_SIZE]).unwrap();
+    h.close().unwrap();
+    t.commit().unwrap();
+
+    let injected = backend.injected();
+    let err = write(&sb, lo, 2, true);
+    assert!(
+        matches!(err, Err(grt_sbspace::SbError::Io(_))),
+        "the drain fault must surface: {err:?}"
+    );
+    assert_eq!(backend.injected(), injected + 1);
+    assert!(sb.locks_quiescent(), "a failed drain leaked a lock");
+
+    // Committed all the same, and the next commit drains what is owed.
+    write(&sb, lo, 3, false).unwrap();
+    let info = sb.space_info().unwrap();
+
+    drop(sb);
+    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts).unwrap();
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 3);
+    assert_eq!(sb2.space_info().unwrap().total_pages, info.total_pages);
+}

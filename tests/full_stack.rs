@@ -279,3 +279,74 @@ fn load_command_imports_time_extents() {
     assert_eq!(after.rows.len(), 4, "failed load must not leave rows");
     std::fs::remove_file(&path).ok();
 }
+
+/// The durability contract's price, asserted: an auto-commit DML
+/// statement on a file-backed space forces the log exactly once — the
+/// allocator and free-list records it generates ride that force — and
+/// forces the data file at most once (never, with no-force commits).
+/// A read-only statement forces nothing.
+#[test]
+fn auto_commit_dml_forces_the_log_exactly_once() {
+    for group_commit in [false, true] {
+        let dir = std::env::temp_dir().join(format!(
+            "grt-one-force-{}-{group_commit}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let space = Sbspace::file(
+            &dir,
+            SbspaceOptions {
+                group_commit,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let clock = MockClock::new(Day(10_000));
+        let db = Database::with_space(space.clone(), Arc::new(clock.clone()));
+        install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
+        let conn = db.connect();
+        conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
+            .unwrap();
+        conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
+            .unwrap();
+        let row = |i: i32| {
+            format!(
+                "{}, UC, {}, NOW",
+                date(Day(10_000 + i)),
+                date(Day(10_000 + i))
+            )
+        };
+        // Enough rows that a statement touches heap, tree and inodes.
+        for i in 0..200 {
+            clock.set(Day(10_000 + i));
+            conn.exec(&format!("INSERT INTO t VALUES ({i}, '{}')", row(i)))
+                .unwrap();
+        }
+        let stats = space.stats();
+        let cost = |sql: String| {
+            let before = stats.snapshot();
+            conn.exec(&sql).unwrap();
+            let d = stats.snapshot().since(&before);
+            (d.wal_syncs, d.data_syncs)
+        };
+        let dml = [
+            format!("INSERT INTO t VALUES (1000, '{}')", row(199)),
+            format!("UPDATE t SET Time_Extent = '{}' WHERE id = 1000", row(198)),
+            "DELETE FROM t WHERE id = 1000".to_string(),
+        ];
+        for sql in dml {
+            let (wal, data) = cost(sql.clone());
+            assert_eq!(wal, 1, "group_commit={group_commit}: {sql}");
+            assert!(
+                data <= u64::from(!group_commit),
+                "group_commit={group_commit}: {data} data syncs for {sql}"
+            );
+        }
+        let read = cost("SELECT id FROM t WHERE id = 5".to_string());
+        assert_eq!(read, (0, 0), "group_commit={group_commit}: read-only");
+        drop(conn);
+        drop(db);
+        drop(space);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

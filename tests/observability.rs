@@ -94,6 +94,18 @@ fn sysmetrics_reports_live_counters_from_every_layer() {
     // Storage layer.
     assert!(m["sbspace.logical_writes"] > 0);
     assert!(m["sbspace.txn_commits"] > 180);
+    // The log writer: one sync per force, sized and timed, with the
+    // percentiles next to the count; every allocation note and
+    // free-list image rode some commit's force instead of its own.
+    assert!(m["wal.sync_ns.count"] > 180);
+    assert_eq!(m["wal.sync_ns.count"], m["sbspace.wal_syncs"]);
+    assert_eq!(m["wal.force_bytes.count"], m["wal.sync_ns.count"]);
+    assert!(m["wal.sync_ns.p50"] > 0 && m["wal.sync_ns.p50"] <= m["wal.sync_ns.p99"]);
+    assert!(
+        m["wal.force_bytes.p50"] > 4096,
+        "a force carries at least one page image"
+    );
+    assert!(m["sbspace.meta_deferred"] > 180);
     // Trace ring adoption.
     assert_eq!(m["trace.dropped"], db.trace().dropped() as i64);
 
@@ -180,6 +192,11 @@ fn snapshot_diff_isolates_one_statement() {
     assert!(d.get("sbspace.logical_writes") > 0);
     assert_eq!(d.get("ids.statement_errors"), 0);
     assert_eq!(d.histogram("ids.exec_ns").count, 1);
+    // One statement, one log force; its metadata records rode it.
+    assert_eq!(d.get("sbspace.wal_syncs"), 1);
+    assert_eq!(d.histogram("wal.sync_ns").count, 1);
+    assert_eq!(d.histogram("wal.force_bytes").count, 1);
+    assert!(d.get("sbspace.meta_deferred") > 0);
     // The diff keeps untouched counters at zero rather than dropping
     // them, so trailers can always subtract.
     assert_eq!(d.get("grtree.condenses"), 0);
