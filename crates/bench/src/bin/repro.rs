@@ -589,7 +589,9 @@ fn table4() {
             "Access method purpose functions",
             "high",
             "1020",
-            loc(include_str!("../../../blade/src/grtree_am.rs")),
+            loc(include_str!("../../../blade/src/tree_am.rs"))
+                + loc(include_str!("../../../blade/src/purpose.rs"))
+                + loc(include_str!("../../../blade/src/grtree_am.rs")),
         ),
         (
             "BLOB manipulation functions",
@@ -607,9 +609,10 @@ fn table4() {
             "The GR-tree core itself (pre-existing C++ in the paper)",
             "high",
             "n/a",
-            loc(include_str!("../../../grtree/src/tree.rs"))
+            loc(include_str!("../../../grtree/src/key.rs"))
                 + loc(include_str!("../../../grtree/src/entry.rs"))
-                + loc(include_str!("../../../grtree/src/cursor.rs")),
+                + loc(include_str!("../../../treekit/src/tree.rs"))
+                + loc(include_str!("../../../treekit/src/cursor.rs")),
         ),
     ];
     let mut t = Table::new(&["Task", "Paper complexity", "Paper LOC", "This repo LOC"]);

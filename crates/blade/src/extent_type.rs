@@ -42,6 +42,14 @@ pub fn extent_from_value(v: &Value) -> Result<TimeExtent, IdsError> {
     }
 }
 
+/// The extent an indexed row carries in its (first) key column.
+pub(crate) fn extent_of_row(row: &[Value]) -> Result<TimeExtent, IdsError> {
+    extent_from_value(
+        row.first()
+            .ok_or_else(|| IdsError::AccessMethod("indexed row has no key column".into()))?,
+    )
+}
+
 /// Encodes a [`TimeExtent`] as a `GRT_TimeExtent_t` value.
 pub fn extent_to_value(e: &TimeExtent) -> Value {
     Value::Opaque {

@@ -1,56 +1,23 @@
-//! The `grt_*` access-method purpose functions (the paper's Table 5).
+//! `grtree_am`: the GR-tree behind the `grt_*` purpose functions.
 //!
-//! The DataBlade keeps its private state in the index descriptor, as
-//! the paper does: the `Tree` object (here a [`GrTree`] owning the open
-//! BLOB handle) and the scan `Cursor` both live in "td", which is what
-//! lets `grt_delete` reset an open cursor when a deletion condenses the
-//! tree — the Section 5.5 compromise: "we decided to restart scanning
-//! of the index only when the tree is actually condensed".
-//!
-//! Every purpose function emits its step list in trace class `"GRT"`
-//! (level 2), which is how the Table 5 reproduction prints the observed
-//! steps of a live index.
+//! The bodies are the shared ones in `tree_am` and `purpose`; this access
+//! method contributes the `GRT_TimeExtent_t` ↔ leaf-key conversion, the
+//! qualification decomposition of [`crate::qual`], hits that are exact
+//! (the index stores the extents themselves, so no refinement), and
+//! the step list of every purpose function in trace class `"GRT"`
+//! (level 2), which is how the Table 5 reproduction prints the
+//! observed steps of a live index.
 
-use crate::curtime::{resolve_current_time, CurrentTimePolicy};
-use crate::extent_type::{extent_from_value, extent_to_value, TYPE_NAME};
+use crate::curtime::CurrentTimePolicy;
+use crate::extent_type::{extent_of_row, extent_to_value, TYPE_NAME};
+use crate::purpose::purpose_functions;
 use crate::qual::{decompose, eval_full, Probe};
-use grt_grtree::{GrCursor, GrTree, GrTreeOptions, GrTreeReader};
-use grt_ids::{
-    AccessMethod, AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId,
-    ScanDescriptor, Value,
-};
-use grt_metrics::TreeMetrics;
-use grt_sbspace::{LoId, LockMode};
-use grt_temporal::{Day, TimeExtent};
-use std::collections::HashSet;
-
-/// Index scans on trees at least this many pages go parallel when the
-/// effective degree exceeds one; smaller probes stay on the serial
-/// cursor, whose setup cost they cannot amortise.
-const PARALLEL_PAGE_THRESHOLD: u32 = 32;
-
-/// Effective parallel degree for a scan: the session's `SET PARALLEL`
-/// override when present, else the engine-wide default carried in the
-/// index descriptor's parameters.
-pub(crate) fn scan_degree(idx: &IndexDescriptor, ctx: &AmContext) -> usize {
-    ctx.session
-        .get_named::<usize>("parallel_workers")
-        .or_else(|| idx.params.get("scan_workers").and_then(|s| s.parse().ok()))
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Scan-restart policy after deletions (the Section 5.5 design space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeletePolicy {
-    /// Restart open scans after **every** deletion (the conservative
-    /// baseline the paper rejects as time-consuming).
-    RestartAlways,
-    /// Restart open scans only when the deletion actually condensed the
-    /// tree (the paper's compromise).
-    #[default]
-    RestartOnCondense,
-}
+use crate::tree_am::{DeletePolicy, Event, TreeAm};
+use grt_grtree::entry::extent_of;
+use grt_grtree::{GrKey, GrQuality, GrQuery, GrTreeOptions};
+use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, Value};
+use grt_temporal::{Day, RegionSpec};
+use grt_treekit::{Meta, Tree, TreeError};
 
 /// Blade configuration.
 #[derive(Debug, Clone, Copy)]
@@ -74,6 +41,7 @@ impl Default for GrTreeAmOptions {
 }
 
 /// The GR-tree secondary access method.
+#[derive(Default)]
 pub struct GrTreeAm {
     opts: GrTreeAmOptions,
 }
@@ -85,713 +53,99 @@ impl GrTreeAm {
     }
 }
 
-impl Default for GrTreeAm {
-    fn default() -> Self {
-        GrTreeAm::new(GrTreeAmOptions::default())
-    }
-}
+impl TreeAm for GrTreeAm {
+    type Key = GrKey;
+    type Probe = Probe;
+    type Scan = ();
+    type Seen = (u64, [u8; 16]);
 
-/// Scan state: the probes derived from the qualification, the live
-/// cursor, and the dedup set across OR branches / restarts.
-struct ScanState {
-    probes: Vec<Probe>,
-    current: usize,
-    cursor: Option<GrCursor>,
-    /// Merged parallel results for the current probe, handed out from
-    /// the back. `None` while the probe runs on the serial cursor.
-    buffer: Option<Vec<(TimeExtent, u64)>>,
-    /// Requested parallel degree (resolved at `am_beginscan`).
-    workers: usize,
-    qual: QualDescriptor,
-    seen: HashSet<(u64, [u8; 16])>,
-    /// Frozen-view reader when the statement runs on a space snapshot
-    /// (no BLOB lock, no condense restarts). Lives in the scan — not in
-    /// "td" — so it is released with the statement, never pinning
-    /// retired pages past `am_endscan`.
-    reader: Option<GrTreeReader>,
-}
+    const NAME: &'static str = "grtree_am";
+    const COLUMN_TYPE: &'static str = TYPE_NAME;
+    const PREFIX: &'static str = "grtree";
 
-/// The DataBlade's private index state ("td").
-struct TdState {
-    lo: LoId,
-    mode: LockMode,
-    tree: Option<GrTree>,
-    ct: Day,
-    scan: Option<ScanState>,
-}
-
-fn gr_err(e: grt_grtree::GrError) -> IdsError {
-    IdsError::AccessMethod(e.to_string())
-}
-
-impl GrTreeAm {
-    fn trace_step(&self, ctx: &AmContext, func: &str, step: &str) {
-        ctx.trace.emit_with("GRT", 2, || format!("{func}: {step}"));
+    fn curtime(&self) -> CurrentTimePolicy {
+        self.opts.curtime
     }
 
-    /// Runs `f` with the descriptor's `TdState`, creating it on demand
-    /// from the fragment catalog.
-    fn with_td<R>(
-        &self,
-        idx: &IndexDescriptor,
-        ctx: &AmContext,
-        f: impl FnOnce(&mut TdState) -> Result<R, IdsError>,
-    ) -> Result<R, IdsError> {
-        let mut guard = idx.user_data.lock();
-        if guard.is_none() {
-            let lo = {
-                let frags = ctx.fragments.lock();
-                LoId(*frags.get(&idx.index_name).ok_or_else(|| {
-                    IdsError::AccessMethod(format!(
-                        "index {} has no fragment (was am_create run?)",
-                        idx.index_name
-                    ))
-                })?)
-            };
-            *guard = Some(Box::new(TdState {
-                lo,
-                mode: LockMode::Shared,
-                tree: None,
-                ct: ctx.clock.today(),
-                scan: None,
-            }));
-        }
-        let td = guard
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<TdState>())
-            .ok_or_else(|| IdsError::AccessMethod("foreign index state".into()))?;
-        f(td)
+    fn delete_policy(&self) -> DeletePolicy {
+        self.opts.delete_policy
     }
 
-    /// Ensures the tree is open with at least the needed lock mode.
-    fn ensure_tree(&self, td: &mut TdState, ctx: &AmContext, write: bool) -> Result<(), IdsError> {
-        let need = if write {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        if td.tree.is_some() && (td.mode == LockMode::Exclusive || need == LockMode::Shared) {
-            return Ok(());
-        }
-        // (Re)open the BLOB in the required mode; the automatic LO-level
-        // locking of the sbspace applies (Section 5.3).
-        if let Some(tree) = td.tree.take() {
-            let handle = tree.into_lo().map_err(gr_err)?;
-            handle.close()?;
-        }
-        let handle = ctx.space.open_lo(ctx.txn, td.lo, need)?;
-        let mut tree = GrTree::open(handle).map_err(gr_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "grtree"));
-        td.tree = Some(tree);
-        td.mode = need;
+    fn header(&self) -> Meta<GrKey> {
+        self.opts.tree.header()
+    }
+
+    fn ctx(ct: Day) -> Day {
+        ct
+    }
+
+    fn key_of(&self, row: &[Value], _ct: Day) -> Result<RegionSpec, IdsError> {
+        Ok(extent_of_row(row)?.spec())
+    }
+
+    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
+        decompose(qual)
+    }
+
+    fn query(&self, probe: &Probe, ct: Day) -> GrQuery {
+        GrQuery::new(probe.pred, &probe.query, ct)
+    }
+
+    fn begin(&self, _idx: &IndexDescriptor, _ctx: &AmContext) -> Result<(), IdsError> {
         Ok(())
     }
 
-    /// Mounts the statement's frozen view of this index, if the engine
-    /// routed the statement onto a space snapshot.
-    fn snapshot_reader(
-        &self,
-        td: &TdState,
-        ctx: &AmContext,
-    ) -> Result<Option<GrTreeReader>, IdsError> {
-        let Some(snap) = ctx.snapshot.as_deref() else {
-            return Ok(None);
-        };
-        let reader = GrTreeReader::open(
-            snap.reader(td.lo)?,
-            TreeMetrics::registered(&ctx.space.metrics(), "grtree"),
-        )
-        .map_err(gr_err)?;
-        Ok(Some(reader))
+    fn seen(leaf: &RegionSpec, rowid: u64) -> Self::Seen {
+        (rowid, extent_of(leaf).encode_array())
     }
 
-    /// The Section 6 cost formula shared by the locked and snapshot
-    /// scan-cost paths: tree height plus the page count scaled by the
-    /// fraction of the root bound the probes cover.
-    fn cost_estimate(
-        height: f64,
-        pages: f64,
-        bound: Option<grt_temporal::Region>,
+    fn row(
+        &self,
+        _scan: &mut (),
         qual: &QualDescriptor,
+        leaf: &RegionSpec,
+        _rowid: u64,
         ct: Day,
-    ) -> f64 {
-        let fraction = match bound {
-            None => 0.0,
-            Some(bound) => {
-                let total = bound.area();
-                let probes = decompose(qual).unwrap_or_default();
-                if probes.is_empty() || total <= 0 {
-                    1.0
-                } else {
-                    let overlap: i128 = probes
-                        .iter()
-                        .map(|p| bound.intersection_area(&p.query.region(ct)))
-                        .sum();
-                    (overlap as f64 / total as f64).clamp(0.02, 1.0)
-                }
-            }
-        };
-        height + pages * fraction
+    ) -> Result<Option<Vec<Value>>, IdsError> {
+        let extent = extent_of(leaf);
+        Ok(eval_full(qual, &extent, ct)?.then(|| vec![extent_to_value(&extent)]))
     }
 
-    fn extent_of(row: &[Value]) -> Result<grt_temporal::TimeExtent, IdsError> {
-        extent_from_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("indexed row has no key column".into()))?,
-        )
+    fn area(&self, bound: &RegionSpec, ct: Day) -> i128 {
+        bound.resolve(ct).area()
     }
 
-    fn restart_scan(td: &mut TdState) {
-        if let Some(scan) = td.scan.as_mut() {
-            // Drop the live cursor — and any buffered parallel results,
-            // which the restarted traversal re-derives from the new
-            // root — and rewind to the first probe; the dedup set keeps
-            // already-returned entries from reappearing.
-            scan.cursor = None;
-            scan.buffer = None;
-            scan.current = 0;
-        }
+    fn overlap(&self, bound: &RegionSpec, probe: &Probe, ct: Day) -> i128 {
+        bound.resolve(ct).intersection_area(&probe.query.region(ct))
     }
 
-    /// One qualifying row off the scan, shared by `grt_getnext` and
-    /// `grt_getnext_batch`; the caller already holds the descriptor
-    /// lock via [`Self::with_td`].
-    fn scan_step(
-        &self,
-        idx: &IndexDescriptor,
-        td: &mut TdState,
-        ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        // A snapshot scan never touches the locked tree; everything it
-        // needs lives in the scan state's frozen reader.
-        let on_snapshot = td.scan.as_ref().is_some_and(|s| s.reader.is_some());
-        if !on_snapshot {
-            self.ensure_tree(td, ctx, false)?;
-        }
-        let ct = td.ct;
-        let tree = td.tree.as_ref();
-        let scan = td
-            .scan
-            .as_mut()
-            .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
-        loop {
-            if scan.cursor.is_none() && scan.buffer.is_none() {
-                let Some(probe) = scan.probes.get(scan.current) else {
-                    return Ok(None);
-                };
-                let (pred, query) = (probe.pred, probe.query);
-                let pages = match &scan.reader {
-                    Some(r) => r.pages(),
-                    None => tree.expect("ensured").pages(),
-                };
-                if scan.workers > 1 && pages >= PARALLEL_PAGE_THRESHOLD {
-                    // The probe clears the page threshold: run it
-                    // through the work-stealing traversal over the
-                    // pinned read path and buffer the merged rows.
-                    let locked_view;
-                    let reader = match &scan.reader {
-                        Some(r) => r,
-                        None => {
-                            locked_view = tree.expect("ensured").reader();
-                            &locked_view
-                        }
-                    };
-                    let result = grt_grtree::parallel_scan(reader, pred, query, ct, scan.workers)
-                        .map_err(gr_err)?;
-                    let metrics = ctx.space.metrics();
-                    metrics.counter("scan.parallel_scans").inc();
-                    let worker_ns = metrics.histogram("scan.parallel_worker_ns");
-                    for &ns in &result.stats.worker_ns {
-                        worker_ns.observe_ns(ns);
-                    }
-                    ctx.trace.emit_with("GRT", 2, || {
-                        format!(
-                            "grt_getnext: parallel scan: degree {}, {} frontier subtrees, {} rows",
-                            result.stats.workers,
-                            result.stats.frontier,
-                            result.rows.len()
-                        )
-                    });
-                    ctx.trace.emit_with("EXPLAIN", 1, || {
-                        format!(
-                            "parallel index scan on {}: degree {} (requested {})",
-                            idx.index_name, result.stats.workers, scan.workers
-                        )
-                    });
-                    let mut rows = result.rows;
-                    rows.reverse();
-                    scan.buffer = Some(rows);
-                } else {
-                    if scan.workers > 1 {
-                        ctx.space.metrics().counter("scan.parallel_fallbacks").inc();
-                    }
-                    scan.cursor = Some(match &scan.reader {
-                        Some(r) => r.cursor(pred, query, ct),
-                        None => tree.expect("ensured").cursor(pred, query, ct),
-                    });
-                }
+    fn quality(&self, tree: &Tree<GrKey>, ct: Day) -> Result<String, TreeError> {
+        let q = GrQuality::compute(tree, ct)?;
+        Ok(format!(
+            ", dead space {}, overlap {}, {} stair / {} hidden / {} growing-rect bounds",
+            q.total_dead_space(),
+            q.total_overlap(),
+            q.stair_bounds,
+            q.hidden_bounds,
+            q.growing_rect_bounds,
+        ))
+    }
+
+    fn trace(&self, ctx: &AmContext, event: Event<'_>) {
+        ctx.trace.emit_with("GRT", 2, || match event {
+            Event::Step(func, step) => format!("grt_{func}: {step}"),
+            Event::Batch { asked, got } => {
+                format!("grt_getnext_batch: (1-2) Advance Cursor up to {asked} rows: {got} row(s)")
             }
-            if let Some(buf) = scan.buffer.as_mut() {
-                match buf.pop() {
-                    None => {
-                        scan.buffer = None;
-                        scan.current += 1;
-                    }
-                    Some((extent, rowid)) => {
-                        if !scan.seen.insert((rowid, extent.encode_array())) {
-                            continue;
-                        }
-                        if eval_full(&scan.qual, &extent, ct)? {
-                            return Ok(Some((RowId(rowid), vec![extent_to_value(&extent)])));
-                        }
-                    }
-                }
-                continue;
+            Event::Parallel { stats, rows } => format!(
+                "grt_getnext: parallel scan: degree {}, {} frontier subtrees, {rows} rows",
+                stats.workers, stats.frontier
+            ),
+            Event::Built(count) => {
+                format!("grt_build: (2) Bulk-load {count} entries via STR packing")
             }
-            let cursor = scan.cursor.as_mut().expect("just set");
-            let step = match &scan.reader {
-                Some(r) => r.cursor_next(cursor),
-                None => tree.expect("ensured").cursor_next(cursor),
-            };
-            match step.map_err(gr_err)? {
-                None => {
-                    scan.cursor = None;
-                    scan.current += 1;
-                }
-                Some((extent, rowid)) => {
-                    if !scan.seen.insert((rowid, extent.encode_array())) {
-                        continue;
-                    }
-                    if eval_full(&scan.qual, &extent, ct)? {
-                        return Ok(Some((RowId(rowid), vec![extent_to_value(&extent)])));
-                    }
-                }
-            }
-        }
+        });
     }
 }
 
-impl AccessMethod for GrTreeAm {
-    fn am_create(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.trace_step(
-            ctx,
-            "grt_create",
-            "(1) Create object Tree and save its pointer in td",
-        );
-        // (2) The access method handles only GRT_TimeExtent_t columns.
-        match idx.column_types.first() {
-            Some(DataType::Opaque(t)) if t.eq_ignore_ascii_case(TYPE_NAME) => {}
-            other => {
-                self.trace_step(ctx, "grt_create", "(2) column type check failed");
-                return Err(IdsError::AccessMethod(format!(
-                    "grtree_am indexes {TYPE_NAME} columns, got {other:?}"
-                )));
-            }
-        }
-        self.trace_step(ctx, "grt_create", "(2) column types accepted");
-        self.trace_step(ctx, "grt_create", "(3) operator class accepted");
-        // (4) Duplicate indices on the same column are rejected by the
-        // engine's catalog; (5) create the BLOB.
-        let lo = ctx.space.create_lo(ctx.txn)?;
-        self.trace_step(
-            ctx,
-            "grt_create",
-            "(5) Create a BLOB where the index will be stored",
-        );
-        // (6) Record the BLOB handle in the table associated with the
-        // access method (SYSFRAGMENTS).
-        ctx.fragments.lock().insert(idx.index_name.clone(), lo.0);
-        self.trace_step(
-            ctx,
-            "grt_create",
-            "(6) Insert index id and BLOB handle into the access-method table",
-        );
-        // (7) Open the BLOB and initialise the tree.
-        let handle = ctx.space.open_lo(ctx.txn, lo, LockMode::Exclusive)?;
-        let mut tree = GrTree::create(handle, self.opts.tree).map_err(gr_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "grtree"));
-        self.trace_step(ctx, "grt_create", "(7) Open the BLOB");
-        *idx.user_data.lock() = Some(Box::new(TdState {
-            lo,
-            mode: LockMode::Exclusive,
-            tree: Some(tree),
-            ct: resolve_current_time(self.opts.curtime, ctx),
-            scan: None,
-        }));
-        Ok(())
-    }
-
-    fn am_drop(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.trace_step(ctx, "grt_drop", "(1) Get a pointer to Tree object from td");
-        // Close any open tree first.
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(gr_err)?.close()?;
-                }
-            }
-        }
-        let lo = ctx.fragments.lock().remove(&idx.index_name);
-        if let Some(lo) = lo {
-            ctx.space.drop_lo(ctx.txn, LoId(lo))?;
-            self.trace_step(ctx, "grt_drop", "(2) Drop the BLOB");
-        }
-        self.trace_step(ctx, "grt_drop", "(3) Delete Tree object");
-        self.trace_step(
-            ctx,
-            "grt_drop",
-            "(4) Delete the record from the access-method table",
-        );
-        Ok(())
-    }
-
-    fn am_open(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        let ct = resolve_current_time(self.opts.curtime, ctx);
-        self.with_td(idx, ctx, |td| {
-            td.ct = ct;
-            if td.tree.is_some() {
-                self.trace_step(ctx, "grt_open", "(1) invoked right after grt_create: exit");
-                return Ok(());
-            }
-            if ctx.snapshot.is_some() {
-                // The statement runs on a frozen space snapshot: no BLOB
-                // is opened and no LO-level lock is taken — the scan
-                // mounts the view at grt_beginscan.
-                self.trace_step(ctx, "grt_open", "(2) snapshot scan: defer to frozen view");
-                return Ok(());
-            }
-            self.trace_step(
-                ctx,
-                "grt_open",
-                "(2) Create object Tree and save its pointer in td",
-            );
-            self.trace_step(
-                ctx,
-                "grt_open",
-                "(3) Get the BLOB handle from the access-method table",
-            );
-            self.ensure_tree(td, ctx, false)?;
-            self.trace_step(ctx, "grt_open", "(4) Open the BLOB");
-            Ok(())
-        })
-    }
-
-    fn am_close(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.trace_step(ctx, "grt_close", "(1) Get a pointer to Tree object from td");
-        let mut guard = idx.user_data.lock();
-        if let Some(boxed) = guard.take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(gr_err)?.close()?;
-                    self.trace_step(ctx, "grt_close", "(2) Close the BLOB");
-                }
-            }
-        }
-        self.trace_step(ctx, "grt_close", "(3) Delete Tree object");
-        Ok(())
-    }
-
-    fn am_beginscan(
-        &self,
-        idx: &IndexDescriptor,
-        scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        self.trace_step(
-            ctx,
-            "grt_beginscan",
-            "(1) Get qualification descriptor qd from sd",
-        );
-        self.trace_step(ctx, "grt_beginscan", "(2) Get index descriptor td from sd");
-        let probes = decompose(&scan.qual)?;
-        let qual = scan.qual.clone();
-        let workers = scan_degree(idx, ctx);
-        self.with_td(idx, ctx, |td| {
-            let reader = self.snapshot_reader(td, ctx)?;
-            if reader.is_some() {
-                self.trace_step(
-                    ctx,
-                    "grt_beginscan",
-                    "(2a) snapshot scan: mount frozen view, no BLOB lock",
-                );
-            } else {
-                self.ensure_tree(td, ctx, false)?;
-            }
-            td.scan = Some(ScanState {
-                probes,
-                current: 0,
-                cursor: None,
-                buffer: None,
-                workers,
-                qual,
-                seen: HashSet::new(),
-                reader,
-            });
-            self.trace_step(
-                ctx,
-                "grt_beginscan",
-                "(3) Create Cursor object by calling Tree's search() method",
-            );
-            self.trace_step(ctx, "grt_beginscan", "(4) Save a pointer to Cursor in td");
-            Ok(())
-        })
-    }
-
-    fn am_rescan(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        self.trace_step(ctx, "grt_rescan", "(1-2) Get Cursor from td");
-        self.with_td(idx, ctx, |td| {
-            if let Some(scan) = td.scan.as_mut() {
-                scan.cursor = None;
-                scan.buffer = None;
-                scan.current = 0;
-                scan.seen.clear();
-            }
-            self.trace_step(ctx, "grt_rescan", "(3) Reset Cursor");
-            Ok(())
-        })
-    }
-
-    fn am_getnext(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        self.with_td(idx, ctx, |td| self.scan_step(idx, td, ctx))
-    }
-
-    fn am_getnext_batch(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        max_rows: usize,
-        ctx: &AmContext,
-    ) -> Result<Vec<(RowId, Vec<Value>)>, IdsError> {
-        // One descriptor-lock acquisition for the whole batch; a short
-        // batch tells the executor the scan is exhausted.
-        self.with_td(idx, ctx, |td| {
-            let mut out = Vec::with_capacity(max_rows.min(64));
-            while out.len() < max_rows {
-                match self.scan_step(idx, td, ctx)? {
-                    Some(hit) => out.push(hit),
-                    None => break,
-                }
-            }
-            self.trace_step(
-                ctx,
-                "grt_getnext_batch",
-                &format!(
-                    "(1-2) Advance Cursor up to {max_rows} rows: {} row(s)",
-                    out.len()
-                ),
-            );
-            Ok(out)
-        })
-    }
-
-    fn am_endscan(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        self.trace_step(ctx, "grt_endscan", "(1-2) Get Cursor from td");
-        self.with_td(idx, ctx, |td| {
-            td.scan = None;
-            self.trace_step(ctx, "grt_endscan", "(3) Delete Cursor");
-            Ok(())
-        })
-    }
-
-    fn am_insert(
-        &self,
-        idx: &IndexDescriptor,
-        row: &[Value],
-        rowid: RowId,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        let extent = Self::extent_of(row)?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            self.trace_step(
-                ctx,
-                "grt_insert",
-                "(1) Get a pointer to Tree object from td",
-            );
-            self.trace_step(
-                ctx,
-                "grt_insert",
-                "(2) Form the entry from the newrow and the newrowid",
-            );
-            let ct = td.ct;
-            td.tree
-                .as_mut()
-                .expect("ensured")
-                .insert(extent, rowid.0, ct)
-                .map_err(gr_err)?;
-            self.trace_step(
-                ctx,
-                "grt_insert",
-                "(3) Insert the entry via Tree's insert()",
-            );
-            Ok(())
-        })
-    }
-
-    fn am_build(
-        &self,
-        idx: &IndexDescriptor,
-        rows: &[(RowId, Vec<Value>)],
-        ctx: &AmContext,
-    ) -> Result<bool, IdsError> {
-        let mut entries = Vec::with_capacity(rows.len());
-        for (rid, keys) in rows {
-            entries.push(grt_grtree::LeafEntry {
-                extent: Self::extent_of(keys)?,
-                rowid: rid.0,
-            });
-        }
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            self.trace_step(ctx, "grt_build", "(1) Get a pointer to Tree object from td");
-            let ct = td.ct;
-            let tree = td.tree.take().expect("ensured");
-            let mut handle = tree.into_lo().map_err(gr_err)?;
-            // grt_create already initialised an empty tree in the BLOB;
-            // the packed build replaces it wholesale.
-            handle.truncate_pages(0)?;
-            let count = entries.len();
-            let mut tree =
-                grt_grtree::bulk::bulk_load(handle, entries, ct, self.opts.tree).map_err(gr_err)?;
-            tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "grtree"));
-            td.tree = Some(tree);
-            td.mode = LockMode::Exclusive;
-            self.trace_step(
-                ctx,
-                "grt_build",
-                &format!("(2) Bulk-load {count} entries via STR packing"),
-            );
-            Ok(true)
-        })
-    }
-
-    fn am_delete(
-        &self,
-        idx: &IndexDescriptor,
-        row: &[Value],
-        rowid: RowId,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        let extent = Self::extent_of(row)?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            self.trace_step(
-                ctx,
-                "grt_delete",
-                "(1) Get a pointer to Tree object from td",
-            );
-            self.trace_step(ctx, "grt_delete", "(2-3) Locate the entry for oldrowid");
-            let ct = td.ct;
-            let outcome = td
-                .tree
-                .as_mut()
-                .expect("ensured")
-                .delete(&extent, rowid.0, ct)
-                .map_err(gr_err)?;
-            if !outcome.found {
-                return Err(IdsError::AccessMethod(format!(
-                    "entry for {rowid} not found in {}",
-                    idx.index_name
-                )));
-            }
-            self.trace_step(
-                ctx,
-                "grt_delete",
-                "(4) Delete the entry via Tree's delete()",
-            );
-            let restart = match self.opts.delete_policy {
-                DeletePolicy::RestartAlways => true,
-                DeletePolicy::RestartOnCondense => outcome.condensed,
-            };
-            if restart {
-                Self::restart_scan(td);
-                self.trace_step(ctx, "grt_delete", "(5) Tree condensed: reset Cursor");
-            }
-            Ok(())
-        })
-    }
-
-    fn am_scancost(
-        &self,
-        idx: &IndexDescriptor,
-        qual: &QualDescriptor,
-        ctx: &AmContext,
-    ) -> Result<f64, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            let ct = td.ct;
-            // Snapshot statements cost the plan from a transient frozen
-            // reader — the planner must not take the LO-level S lock the
-            // snapshot path exists to avoid.
-            if let Some(reader) = self.snapshot_reader(td, ctx)? {
-                return Ok(Self::cost_estimate(
-                    reader.height() as f64,
-                    reader.pages() as f64,
-                    reader.root_bound(ct).map_err(gr_err)?,
-                    qual,
-                    ct,
-                ));
-            }
-            self.ensure_tree(td, ctx, false)?;
-            let tree = td.tree.as_ref().expect("ensured");
-            // Selectivity from the qualification: the fraction of the
-            // root bound (resolved at ct) the probes' query extents
-            // cover, floored so the estimate stays monotone in size.
-            Ok(Self::cost_estimate(
-                tree.height() as f64,
-                tree.pages() as f64,
-                tree.root_bound(ct).map_err(gr_err)?,
-                qual,
-                ct,
-            ))
-        })
-    }
-
-    fn am_supports_snapshot(&self) -> bool {
-        true
-    }
-
-    fn am_stats(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<String, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let ct = td.ct;
-            let tree = td.tree.as_ref().expect("ensured");
-            let q = tree.quality(ct).map_err(gr_err)?;
-            Ok(format!(
-                "grtree {}: {} entries, height {}, {} pages, dead space {}, overlap {}, \
-                 {} stair / {} hidden / {} growing-rect bounds",
-                idx.index_name,
-                tree.len(),
-                tree.height(),
-                tree.pages(),
-                q.total_dead_space(),
-                q.total_overlap(),
-                q.stair_bounds,
-                q.hidden_bounds,
-                q.growing_rect_bounds,
-            ))
-        })
-    }
-
-    fn am_check(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let ct = td.ct;
-            td.tree.as_ref().expect("ensured").check(ct).map_err(gr_err)
-        })
-    }
-}
+purpose_functions!(GrTreeAm);

@@ -7,16 +7,22 @@
 //!   constraint checks) — [`extent_type`];
 //! * the strategy-function UDRs `Overlaps`, `Equal`, `Contains`,
 //!   `ContainedIn` over two time extents — [`register`];
-//! * the `grt_*` access-method purpose functions of the
-//!   paper's Table 5, bridging the engine's Virtual-Index Interface to
-//!   the GR-tree core, including qualification decomposition
-//!   ([`qual`]), cursor management with the Section 5.5
-//!   restart-on-condense rule, and the Section 5.4 per-statement /
-//!   per-transaction current-time caching ([`curtime`]) — [`grtree_am`];
-//! * a baseline access method over the same opaque type backed by a
+//! * the access-method purpose functions of the paper's Table 5,
+//!   bridging the engine's Virtual-Index Interface to the paged-tree
+//!   kernel, written once for every tree — `tree_am` and `purpose`: cursor
+//!   management with the Section 5.5 restart-on-condense rule, the
+//!   Section 5.4 per-statement / per-transaction current-time caching
+//!   ([`curtime`]), parallel scans, snapshot reads, packed builds and
+//!   the Section 6 cost formula;
+//! * `grtree_am`, the GR-tree instantiation with its qualification
+//!   decomposition ([`qual`]) and the `grt_*` step trace —
+//!   [`grtree_am`];
+//! * `rstar_am`, a baseline over the same opaque type backed by a
 //!   plain R\*-tree with `UC`/`NOW` substitution and refinement —
 //!   [`rstar_am`] — playing the role of "Informix's own predefined
 //!   R-tree access method";
+//! * `gist_am`, the paper's Section 7 generic access method as a
+//!   DataBlade over an integer-range opaque type — [`gist_am`];
 //! * the registration script (the artifact BladeSmith would generate)
 //!   and a one-call installer — [`register`].
 
@@ -38,16 +44,20 @@
 
 pub mod curtime;
 pub mod extent_type;
+pub mod gist_am;
 pub mod grtree_am;
+pub(crate) mod purpose;
 pub mod qual;
 pub mod register;
 pub mod rstar_am;
+pub(crate) mod tree_am;
 
 pub use curtime::CurrentTimePolicy;
 pub use extent_type::{extent_from_value, extent_to_value, grt_time_extent_type, TYPE_NAME};
-pub use grtree_am::{DeletePolicy, GrTreeAm, GrTreeAmOptions};
+pub use grtree_am::{GrTreeAm, GrTreeAmOptions};
 pub use register::{
     install_grtree_blade, install_rstar_blade, registration_script, uninstall_grtree_blade,
     unregistration_script,
 };
 pub use rstar_am::RStarBitemporalAm;
+pub use tree_am::DeletePolicy;

@@ -1,28 +1,27 @@
-//! A baseline access method over `GRT_TimeExtent_t` backed by a plain
-//! R\*-tree — the stand-in for "Informix's own predefined R-tree access
-//! method" and the comparison point of the GR-tree evaluation.
+//! `rstar_am`: a baseline access method over `GRT_TimeExtent_t` backed
+//! by a plain R\*-tree — the stand-in for "Informix's own predefined
+//! R-tree access method" and the comparison point of the GR-tree
+//! evaluation.
 //!
 //! `UC`/`NOW` are grounded with a [`NowStrategy`] at insertion; index
 //! probes test bounding rectangles only, so every candidate must be
 //! **refined**: the base row is fetched and the exact bitemporal
 //! predicate evaluated. The extra base-table fetches per false positive
-//! are precisely the overhead the GR-tree eliminates.
+//! are precisely the overhead the GR-tree eliminates. Everything else
+//! is the shared purpose-function bodies of `tree_am` and `purpose`.
 
-use crate::curtime::{resolve_current_time, CurrentTimePolicy};
-use crate::extent_type::{extent_from_value, extent_to_value, TYPE_NAME};
-use crate::grtree_am::scan_degree;
+use crate::curtime::CurrentTimePolicy;
+use crate::extent_type::{extent_from_value, extent_of_row, extent_to_value, TYPE_NAME};
+use crate::purpose::purpose_functions;
 use crate::qual::{decompose, eval_full, Probe};
+use crate::tree_am::{Event, TreeAm};
 use grt_ids::heap;
-use grt_ids::{
-    AccessMethod, AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId,
-    ScanDescriptor, Value,
-};
-use grt_metrics::TreeMetrics;
+use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, RowId, Value};
 use grt_rstar::bitemporal::NowStrategy;
-use grt_rstar::{RStarCursor, RStarOptions, RStarTree, RStarTreeReader, SpatialPredicate};
+use grt_rstar::{RStarOptions, Rect2, RectKey, SpatialPredicate};
 use grt_sbspace::{LoId, LockMode, PageSource};
 use grt_temporal::{Day, Predicate};
-use std::collections::HashSet;
+use grt_treekit::{Meta, Tree, TreeError};
 
 /// The baseline access method.
 pub struct RStarBitemporalAm {
@@ -45,21 +44,8 @@ impl RStarBitemporalAm {
     }
 }
 
-/// Index scans on trees at least this many pages go parallel when the
-/// effective degree exceeds one (same gate as the GR-tree blade).
-const PARALLEL_PAGE_THRESHOLD: u32 = 32;
-
-struct ScanState {
-    probes: Vec<Probe>,
-    current: usize,
-    cursor: Option<RStarCursor>,
-    /// Merged parallel candidates for the current probe, handed out
-    /// from the back (refinement still happens per candidate below).
-    buffer: Option<Vec<(grt_rstar::Rect2, u64)>>,
-    /// Requested parallel degree (resolved at `am_beginscan`).
-    workers: usize,
-    qual: QualDescriptor,
-    seen: HashSet<u64>,
+/// What a refining scan carries beside the cursor.
+pub(crate) struct Refinement {
     /// The base table for refinement fetches: an S-locked handle on the
     /// locked path, a frozen page-table view on the snapshot path.
     heap: Box<dyn PageSource + Send>,
@@ -68,562 +54,134 @@ struct ScanState {
     /// metric the benchmarks report.
     candidates: u64,
     matches: u64,
-    /// Frozen-view reader when the statement runs on a space snapshot
-    /// (no BLOB lock). Lives in the scan — not in "td" — so it is
-    /// released with the statement, never pinning retired pages past
-    /// `am_endscan`.
-    reader: Option<RStarTreeReader>,
 }
 
-struct TdState {
-    lo: LoId,
-    mode: LockMode,
-    tree: Option<RStarTree>,
-    ct: Day,
-    scan: Option<ScanState>,
-}
+impl TreeAm for RStarBitemporalAm {
+    type Key = RectKey;
+    type Probe = Probe;
+    type Scan = Refinement;
+    /// Refinement reads the row itself, so the rowid identifies a hit.
+    type Seen = u64;
 
-fn rs_err(e: grt_rstar::RStarError) -> IdsError {
-    IdsError::AccessMethod(e.to_string())
-}
+    const NAME: &'static str = "rstar_am";
+    const COLUMN_TYPE: &'static str = TYPE_NAME;
+    const PREFIX: &'static str = "rstar";
 
-impl RStarBitemporalAm {
-    fn with_td<R>(
-        &self,
-        idx: &IndexDescriptor,
-        ctx: &AmContext,
-        f: impl FnOnce(&mut TdState) -> Result<R, IdsError>,
-    ) -> Result<R, IdsError> {
-        let mut guard = idx.user_data.lock();
-        if guard.is_none() {
-            let lo = {
-                let frags = ctx.fragments.lock();
-                LoId(*frags.get(&idx.index_name).ok_or_else(|| {
-                    IdsError::AccessMethod(format!("index {} has no fragment", idx.index_name))
-                })?)
-            };
-            *guard = Some(Box::new(TdState {
-                lo,
-                mode: LockMode::Shared,
-                tree: None,
-                ct: ctx.clock.today(),
-                scan: None,
-            }));
-        }
-        let td = guard
-            .as_mut()
-            .and_then(|b| b.downcast_mut::<TdState>())
-            .ok_or_else(|| IdsError::AccessMethod("foreign index state".into()))?;
-        f(td)
+    fn curtime(&self) -> CurrentTimePolicy {
+        self.curtime
     }
 
-    fn ensure_tree(&self, td: &mut TdState, ctx: &AmContext, write: bool) -> Result<(), IdsError> {
-        let need = if write {
-            LockMode::Exclusive
-        } else {
-            LockMode::Shared
-        };
-        if td.tree.is_some() && (td.mode == LockMode::Exclusive || need == LockMode::Shared) {
-            return Ok(());
-        }
-        if let Some(tree) = td.tree.take() {
-            tree.into_lo().map_err(rs_err)?.close()?;
-        }
-        let handle = ctx.space.open_lo(ctx.txn, td.lo, need)?;
-        let mut tree = RStarTree::open(handle).map_err(rs_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-        td.tree = Some(tree);
-        td.mode = need;
-        Ok(())
+    fn header(&self) -> Meta<RectKey> {
+        self.tree_opts.header()
     }
 
-    /// The rectangle-level probe for a bitemporal probe.
-    fn spatial_probe(&self, probe: &Probe, ct: Day) -> (SpatialPredicate, grt_rstar::Rect2) {
-        let rect = self.strategy.query_rect(&probe.query, ct);
-        // Only Contains (uncommuted) can use a stronger rectangle test;
-        // everything else must fall back to overlap to avoid false
-        // negatives.
+    fn ctx(_: Day) {}
+
+    fn key_of(&self, row: &[Value], ct: Day) -> Result<Rect2, IdsError> {
+        Ok(self.strategy.to_rect(&extent_of_row(row)?, ct))
+    }
+
+    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
+        decompose(qual)
+    }
+
+    /// The rectangle-level probe for a bitemporal probe. Only Contains
+    /// (uncommuted) can use a stronger rectangle test; everything else
+    /// must fall back to overlap to avoid false negatives.
+    fn query(&self, probe: &Probe, ct: Day) -> (SpatialPredicate, Rect2) {
         let pred = match probe.pred {
             Predicate::Contains => SpatialPredicate::Contains,
             _ => SpatialPredicate::Overlap,
         };
-        (pred, rect)
+        (pred, self.strategy.query_rect(&probe.query, ct))
     }
 
-    fn table_info(idx: &IndexDescriptor) -> Result<(LoId, usize), IdsError> {
-        let lo = idx
-            .params
-            .get("table_lo")
-            .and_then(|s| s.parse::<u32>().ok())
-            .ok_or_else(|| IdsError::AccessMethod("missing table_lo parameter".into()))?;
-        let pos = idx
-            .params
-            .get("column_pos")
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(0);
-        Ok((LoId(lo), pos))
-    }
-
-    /// One refined row off the scan, shared by `rst_getnext` and
-    /// `rst_getnext_batch`; the caller already holds the descriptor
-    /// lock via [`Self::with_td`].
-    fn scan_step(
-        &self,
-        idx: &IndexDescriptor,
-        td: &mut TdState,
-        ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        // A snapshot scan never touches the locked tree; everything it
-        // needs lives in the scan state's frozen reader.
-        let on_snapshot = td.scan.as_ref().is_some_and(|s| s.reader.is_some());
-        if !on_snapshot {
-            self.ensure_tree(td, ctx, false)?;
-        }
-        let ct = td.ct;
-        let tree = td.tree.as_ref();
-        let scan = td
-            .scan
-            .as_mut()
-            .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
-        loop {
-            if scan.cursor.is_none() && scan.buffer.is_none() {
-                let Some(probe) = scan.probes.get(scan.current) else {
-                    return Ok(None);
-                };
-                let (pred, rect) = self.spatial_probe(probe, ct);
-                let pages = match &scan.reader {
-                    Some(r) => r.pages(),
-                    None => tree.expect("ensured").pages(),
-                };
-                if scan.workers > 1 && pages >= PARALLEL_PAGE_THRESHOLD {
-                    let locked_view;
-                    let reader = match &scan.reader {
-                        Some(r) => r,
-                        None => {
-                            locked_view = tree.expect("ensured").reader();
-                            &locked_view
-                        }
-                    };
-                    let result = grt_rstar::parallel_scan(reader, pred, rect, scan.workers)
-                        .map_err(rs_err)?;
-                    let metrics = ctx.space.metrics();
-                    metrics.counter("scan.parallel_scans").inc();
-                    let worker_ns = metrics.histogram("scan.parallel_worker_ns");
-                    for &ns in &result.stats.worker_ns {
-                        worker_ns.observe_ns(ns);
-                    }
-                    ctx.trace.emit_with("RSTAR", 2, || {
-                        format!(
-                            "parallel scan: degree {}, {} frontier subtrees, {} candidates",
-                            result.stats.workers,
-                            result.stats.frontier,
-                            result.rows.len()
-                        )
-                    });
-                    ctx.trace.emit_with("EXPLAIN", 1, || {
-                        format!(
-                            "parallel index scan on {}: degree {} (requested {})",
-                            idx.index_name, result.stats.workers, scan.workers
-                        )
-                    });
-                    let mut rows = result.rows;
-                    rows.reverse();
-                    scan.buffer = Some(rows);
-                } else {
-                    if scan.workers > 1 {
-                        ctx.space.metrics().counter("scan.parallel_fallbacks").inc();
-                    }
-                    scan.cursor = Some(match &scan.reader {
-                        Some(r) => r.cursor(pred, rect),
-                        None => tree.expect("ensured").cursor(pred, rect),
-                    });
-                }
-            }
-            let next = if let Some(buf) = scan.buffer.as_mut() {
-                let popped = buf.pop();
-                if popped.is_none() {
-                    scan.buffer = None;
-                }
-                popped
-            } else {
-                let cursor = scan.cursor.as_mut().expect("just set");
-                let stepped = match &scan.reader {
-                    Some(r) => r.cursor_next(cursor),
-                    None => tree.expect("ensured").cursor_next(cursor),
-                }
-                .map_err(rs_err)?;
-                if stepped.is_none() {
-                    scan.cursor = None;
-                }
-                stepped
-            };
-            match next {
-                None => {
-                    scan.current += 1;
-                }
-                Some((_rect, rowid)) => {
-                    if !scan.seen.insert(rowid) {
-                        continue;
-                    }
-                    // Refinement: fetch the base row and apply the
-                    // exact bitemporal predicate.
-                    scan.candidates += 1;
-                    let heap_src: &(dyn PageSource + Send) = scan.heap.as_ref();
-                    let Some(row) = heap::fetch(&heap_src, RowId(rowid))? else {
-                        continue;
-                    };
-                    let stored = extent_from_value(&row[scan.column_pos])?;
-                    if eval_full(&scan.qual, &stored, ct)? {
-                        scan.matches += 1;
-                        return Ok(Some((RowId(rowid), vec![extent_to_value(&stored)])));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl AccessMethod for RStarBitemporalAm {
-    fn am_create(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        match idx.column_types.first() {
-            Some(DataType::Opaque(t)) if t.eq_ignore_ascii_case(TYPE_NAME) => {}
-            other => {
-                return Err(IdsError::AccessMethod(format!(
-                    "rstar_am indexes {TYPE_NAME} columns, got {other:?}"
-                )))
-            }
-        }
-        let lo = ctx.space.create_lo(ctx.txn)?;
-        ctx.fragments.lock().insert(idx.index_name.clone(), lo.0);
-        let handle = ctx.space.open_lo(ctx.txn, lo, LockMode::Exclusive)?;
-        let mut tree = RStarTree::create(handle, self.tree_opts).map_err(rs_err)?;
-        tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-        *idx.user_data.lock() = Some(Box::new(TdState {
-            lo,
-            mode: LockMode::Exclusive,
-            tree: Some(tree),
-            ct: resolve_current_time(self.curtime, ctx),
-            scan: None,
-        }));
-        Ok(())
-    }
-
-    fn am_drop(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(rs_err)?.close()?;
-                }
-            }
-        }
-        if let Some(lo) = ctx.fragments.lock().remove(&idx.index_name) {
-            ctx.space.drop_lo(ctx.txn, LoId(lo))?;
-        }
-        Ok(())
-    }
-
-    fn am_open(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        let ct = resolve_current_time(self.curtime, ctx);
-        self.with_td(idx, ctx, |td| {
-            td.ct = ct;
-            // Snapshot statements never open the BLOB here — the scan
-            // mounts the frozen view at rst_beginscan, lock-free.
-            if td.tree.is_none() && ctx.snapshot.is_none() {
-                self.ensure_tree(td, ctx, false)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn am_close(&self, idx: &IndexDescriptor, _ctx: &AmContext) -> Result<(), IdsError> {
-        if let Some(boxed) = idx.user_data.lock().take() {
-            if let Ok(td) = boxed.downcast::<TdState>() {
-                if let Some(tree) = td.tree {
-                    tree.into_lo().map_err(rs_err)?.close()?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn am_beginscan(
-        &self,
-        idx: &IndexDescriptor,
-        scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        let probes = decompose(&scan.qual)?;
-        let qual = scan.qual.clone();
-        let workers = scan_degree(idx, ctx);
-        let (table_lo, column_pos) = Self::table_info(idx)?;
+    fn begin(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<Refinement, IdsError> {
+        let param = |name: &str| idx.params.get(name).and_then(|s| s.parse::<u32>().ok());
+        let table_lo = LoId(
+            param("table_lo")
+                .ok_or_else(|| IdsError::AccessMethod("missing table_lo parameter".into()))?,
+        );
         // The refinement heap: frozen view on the snapshot path (no
         // LO-level S lock), locked handle otherwise.
         let heap: Box<dyn PageSource + Send> = match ctx.snapshot.as_deref() {
             Some(snap) => Box::new(snap.reader(table_lo)?),
             None => Box::new(ctx.space.open_lo(ctx.txn, table_lo, LockMode::Shared)?),
         };
-        self.with_td(idx, ctx, |td| {
-            let reader = match ctx.snapshot.as_deref() {
-                Some(snap) => Some(
-                    RStarTreeReader::open(
-                        snap.reader(td.lo)?,
-                        TreeMetrics::registered(&ctx.space.metrics(), "rstar"),
-                    )
-                    .map_err(rs_err)?,
-                ),
-                None => {
-                    self.ensure_tree(td, ctx, false)?;
-                    None
-                }
-            };
-            td.scan = Some(ScanState {
-                probes,
-                current: 0,
-                cursor: None,
-                buffer: None,
-                workers,
-                qual,
-                seen: HashSet::new(),
-                heap,
-                column_pos,
-                candidates: 0,
-                matches: 0,
-                reader,
-            });
-            Ok(())
+        Ok(Refinement {
+            heap,
+            column_pos: param("column_pos").unwrap_or(0) as usize,
+            candidates: 0,
+            matches: 0,
         })
     }
 
-    fn am_rescan(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            if let Some(scan) = td.scan.as_mut() {
-                scan.cursor = None;
-                scan.buffer = None;
-                scan.current = 0;
-                scan.seen.clear();
-            }
-            Ok(())
-        })
+    fn end(&self, scan: Refinement, ctx: &AmContext) {
+        ctx.trace.emit_with("RSTAR", 2, || {
+            format!(
+                "scan finished: {} candidates, {} matches",
+                scan.candidates, scan.matches
+            )
+        });
     }
 
-    fn am_getnext(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<Option<(RowId, Vec<Value>)>, IdsError> {
-        self.with_td(idx, ctx, |td| self.scan_step(idx, td, ctx))
+    fn seen(_rect: &Rect2, rowid: u64) -> u64 {
+        rowid
     }
 
-    fn am_getnext_batch(
+    /// Refinement: fetch the base row and apply the exact bitemporal
+    /// predicate.
+    fn row(
         &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        max_rows: usize,
-        ctx: &AmContext,
-    ) -> Result<Vec<(RowId, Vec<Value>)>, IdsError> {
-        // One descriptor-lock acquisition per batch of refined rows; a
-        // short batch tells the executor the scan is exhausted.
-        self.with_td(idx, ctx, |td| {
-            let mut out = Vec::with_capacity(max_rows.min(64));
-            while out.len() < max_rows {
-                match self.scan_step(idx, td, ctx)? {
-                    Some(hit) => out.push(hit),
-                    None => break,
-                }
-            }
-            Ok(out)
-        })
-    }
-
-    fn am_endscan(
-        &self,
-        idx: &IndexDescriptor,
-        _scan: &mut ScanDescriptor,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            if let Some(scan) = td.scan.take() {
-                ctx.trace.emit_with("RSTAR", 2, || {
-                    format!(
-                        "scan finished: {} candidates, {} matches",
-                        scan.candidates, scan.matches
-                    )
-                });
-            }
-            Ok(())
-        })
-    }
-
-    fn am_insert(
-        &self,
-        idx: &IndexDescriptor,
-        row: &[Value],
-        rowid: RowId,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        let extent = extent_from_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-        )?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let rect = self.strategy.to_rect(&extent, td.ct);
-            td.tree
-                .as_mut()
-                .expect("ensured")
-                .insert(rect, rowid.0)
-                .map_err(rs_err)
-        })
-    }
-
-    fn am_build(
-        &self,
-        idx: &IndexDescriptor,
-        rows: &[(RowId, Vec<Value>)],
-        ctx: &AmContext,
-    ) -> Result<bool, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let ct = td.ct;
-            let mut pairs = Vec::with_capacity(rows.len());
-            for (rid, keys) in rows {
-                let extent = extent_from_value(
-                    keys.first()
-                        .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-                )?;
-                pairs.push((self.strategy.to_rect(&extent, ct), rid.0));
-            }
-            let tree = td.tree.take().expect("ensured");
-            let mut handle = tree.into_lo().map_err(rs_err)?;
-            // rst_create already initialised an empty tree in the BLOB;
-            // the packed build replaces it wholesale.
-            handle.truncate_pages(0)?;
-            let mut tree =
-                grt_rstar::bulk_load_pairs(handle, &pairs, self.tree_opts).map_err(rs_err)?;
-            tree.set_metrics(TreeMetrics::registered(&ctx.space.metrics(), "rstar"));
-            td.tree = Some(tree);
-            td.mode = LockMode::Exclusive;
-            ctx.trace.emit_with("RSTAR", 2, || {
-                format!("bulk build: {} entries packed", pairs.len())
-            });
-            Ok(true)
-        })
-    }
-
-    fn am_delete(
-        &self,
-        idx: &IndexDescriptor,
-        row: &[Value],
-        rowid: RowId,
-        ctx: &AmContext,
-    ) -> Result<(), IdsError> {
-        let extent = extent_from_value(
-            row.first()
-                .ok_or_else(|| IdsError::AccessMethod("no key column".into()))?,
-        )?;
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, true)?;
-            let rect = self.strategy.to_rect(&extent, td.ct);
-            let out = td
-                .tree
-                .as_mut()
-                .expect("ensured")
-                .delete(rect, rowid.0)
-                .map_err(rs_err)?;
-            if !out.found {
-                return Err(IdsError::AccessMethod(format!(
-                    "entry for {rowid} not found in {} (horizon drift?)",
-                    idx.index_name
-                )));
-            }
-            Ok(())
-        })
-    }
-
-    fn am_scancost(
-        &self,
-        idx: &IndexDescriptor,
+        scan: &mut Refinement,
         qual: &QualDescriptor,
-        ctx: &AmContext,
-    ) -> Result<f64, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            let ct = td.ct;
-            // Snapshot statements cost the plan from a transient frozen
-            // reader — the planner must not take the LO-level S lock the
-            // snapshot path exists to avoid.
-            let (height, pages, bound) = if let Some(snap) = ctx.snapshot.as_deref() {
-                let reader = RStarTreeReader::open(
-                    snap.reader(td.lo)?,
-                    TreeMetrics::registered(&ctx.space.metrics(), "rstar"),
-                )
-                .map_err(rs_err)?;
-                (
-                    reader.height() as f64,
-                    reader.pages() as f64,
-                    reader.root_mbr().map_err(rs_err)?,
-                )
-            } else {
-                self.ensure_tree(td, ctx, false)?;
-                let tree = td.tree.as_ref().expect("ensured");
-                (
-                    tree.height() as f64,
-                    tree.pages() as f64,
-                    tree.root_mbr().map_err(rs_err)?,
-                )
-            };
-            // Selectivity from the qualification: the fraction of the
-            // root MBR the probes' grounded query rectangles cover.
-            let fraction = match bound {
-                None => 0.0,
-                Some(bound) => {
-                    let total = bound.area();
-                    let probes = decompose(qual).unwrap_or_default();
-                    if probes.is_empty() || total <= 0 {
-                        1.0
-                    } else {
-                        let overlap: i128 = probes
-                            .iter()
-                            .map(|p| bound.overlap_area(&self.strategy.query_rect(&p.query, ct)))
-                            .sum();
-                        (overlap as f64 / total as f64).clamp(0.02, 1.0)
-                    }
-                }
-            };
-            Ok(height + pages * fraction)
-        })
+        _rect: &Rect2,
+        rowid: u64,
+        ct: Day,
+    ) -> Result<Option<Vec<Value>>, IdsError> {
+        scan.candidates += 1;
+        let heap_src: &(dyn PageSource + Send) = scan.heap.as_ref();
+        let Some(row) = heap::fetch(&heap_src, RowId(rowid))? else {
+            return Ok(None);
+        };
+        let stored = extent_from_value(&row[scan.column_pos])?;
+        if !eval_full(qual, &stored, ct)? {
+            return Ok(None);
+        }
+        scan.matches += 1;
+        Ok(Some(vec![extent_to_value(&stored)]))
     }
 
-    fn am_supports_snapshot(&self) -> bool {
-        true
+    fn area(&self, bound: &Rect2, _ct: Day) -> i128 {
+        bound.area()
     }
 
-    fn am_stats(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<String, IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            let tree = td.tree.as_ref().expect("ensured");
-            let q = tree.quality().map_err(rs_err)?;
-            Ok(format!(
-                "rstar {}: {} entries, height {}, {} pages, dead space {}, overlap {}",
-                idx.index_name,
-                tree.len(),
-                tree.height(),
-                tree.pages(),
-                q.total_dead_space(),
-                q.total_overlap(),
-            ))
-        })
+    fn overlap(&self, bound: &Rect2, probe: &Probe, ct: Day) -> i128 {
+        bound.overlap_area(&self.strategy.query_rect(&probe.query, ct))
     }
 
-    fn am_check(&self, idx: &IndexDescriptor, ctx: &AmContext) -> Result<(), IdsError> {
-        self.with_td(idx, ctx, |td| {
-            self.ensure_tree(td, ctx, false)?;
-            td.tree.as_ref().expect("ensured").check().map_err(rs_err)
-        })
+    fn quality(&self, tree: &Tree<RectKey>, _ct: Day) -> Result<String, TreeError> {
+        let q = tree.quality((), |_| ())?;
+        Ok(format!(
+            ", dead space {}, overlap {}",
+            q.total_dead_space(),
+            q.total_overlap()
+        ))
+    }
+
+    fn trace(&self, ctx: &AmContext, event: Event<'_>) {
+        // Both traced events are once-per-probe or rarer, so the line
+        // is formatted whether or not the class is on.
+        let line = match event {
+            Event::Parallel { stats, rows } => format!(
+                "parallel scan: degree {}, {} frontier subtrees, {rows} candidates",
+                stats.workers, stats.frontier
+            ),
+            Event::Built(count) => format!("bulk build: {count} entries packed"),
+            Event::Step(..) | Event::Batch { .. } => return,
+        };
+        ctx.trace.emit("RSTAR", 2, line);
     }
 }
+
+purpose_functions!(RStarBitemporalAm);

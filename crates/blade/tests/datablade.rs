@@ -2,6 +2,7 @@
 //! query, index/scan equivalence, DML maintenance, and the Figure 6
 //! call sequences — all through SQL.
 
+use grt_blade::gist_am::install_gist_blade;
 use grt_blade::{install_grtree_blade, install_rstar_blade, GrTreeAmOptions};
 use grt_grtree::GrTreeOptions;
 use grt_ids::{Database, DatabaseOptions, Value};
@@ -344,46 +345,119 @@ fn figure_6_call_sequences() {
     );
 }
 
-#[test]
-fn delete_through_index_exercises_cursor_restart() {
+/// The Section 5.5 flow for one access method: a `DELETE` routed
+/// through the index interleaves `am_getnext_batch` with `am_delete`
+/// on the same descriptor, the deletes condense the tree under the
+/// open cursor, and the restart rule must keep the scan off the freed
+/// pages without losing or replaying a row. 1 000 ground rows `[d, d+3]`
+/// on every axis, fan-out 8 where the method has one, then a window
+/// covering a quarter of them; `t` is indexed, `u` is its unindexed
+/// copy given the same statement.
+fn delete_through_index_restarts(
+    am: &str,
+    column: &str,
+    value: impl Fn(i32) -> String,
+    victims: &str,
+    prefix: &str,
+) {
     let (db, clock) = db_with_clock();
+    install_rstar_blade(
+        &db,
+        NowStrategy::MaxTimestamp,
+        RStarOptions {
+            max_entries: 8,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    install_gist_blade(&db).unwrap();
     let conn = db.connect();
-    conn.exec("CREATE TABLE t (id integer, pad text, Time_Extent GRT_TimeExtent_t)")
-        .unwrap();
-    conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
-        .unwrap();
-    clock.set(Day(11_000));
-    let pad = "x".repeat(500);
-    for i in 0..150i32 {
-        clock.set(Day(11_000 + i));
+    for table in ["t", "u"] {
         conn.exec(&format!(
-            "INSERT INTO t VALUES ({i}, '{pad}', '{}, UC, {}, NOW')",
-            render(11_000 + i),
-            render(11_000 + i)
+            "CREATE TABLE {table} (id integer, pad text, k {column})"
         ))
         .unwrap();
     }
-    clock.set(Day(12_000));
+    conn.exec(&format!("CREATE INDEX tix ON t(k) USING {am}"))
+        .unwrap();
+    let pad = "x".repeat(500);
+    for i in 0..1000i32 {
+        let d = 11_000 + i;
+        clock.set(Day(d));
+        for table in ["t", "u"] {
+            conn.exec(&format!(
+                "INSERT INTO {table} VALUES ({i}, '{pad}', '{}')",
+                value(d)
+            ))
+            .unwrap();
+        }
+    }
+    clock.set(Day(13_000));
+    let ids = |table: &str| {
+        let mut ids: Vec<String> = conn
+            .exec(&format!("SELECT id FROM {table}"))
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].to_string())
+            .collect();
+        ids.sort();
+        ids
+    };
+    conn.exec(&format!("DELETE FROM u WHERE {victims}"))
+        .unwrap();
+    let before = db.metrics_snapshot();
     db.trace().on("AM", 1);
     db.trace().take();
-    // Delete most rows through the index in one statement: getnext and
-    // grt_delete interleave, and condensation forces cursor restarts.
-    conn.exec(&format!(
-        "DELETE FROM t WHERE Overlaps(Time_Extent, '{}, {}, {}, {}')",
-        render(11_000),
-        render(11_120),
-        render(10_990),
-        render(11_121)
-    ))
-    .unwrap();
+    conn.exec(&format!("DELETE FROM t WHERE {victims}"))
+        .unwrap_or_else(|e| panic!("{am}: DELETE through the index failed: {e}"));
     let calls: Vec<String> = db.trace().take().into_iter().map(|e| e.message).collect();
+    let first_delete = calls.iter().position(|c| c.ends_with("_delete"));
+    let last_batch = calls.iter().rposition(|c| c.ends_with("_getnext_batch"));
     assert!(
-        calls.iter().any(|c| c == "grt_getnext_batch") && calls.iter().any(|c| c == "grt_delete"),
-        "the DELETE must interleave grt_getnext_batch and grt_delete: {calls:?}"
+        first_delete.is_some() && first_delete < last_batch,
+        "{am}: the DELETE must interleave getnext_batch and delete: {calls:?}"
     );
-    let left = conn.exec("SELECT id FROM t").unwrap();
-    assert_eq!(left.rows.len(), 29, "rows 121..149 remain");
+    assert!(
+        db.metrics_snapshot()
+            .since(&before)
+            .get(&format!("{prefix}.condenses"))
+            > 0,
+        "{am}: the deletes never condensed the tree"
+    );
+    let left = ids("t");
+    assert!(left.len() < 800, "{am}: {} rows left", left.len());
+    assert_eq!(left, ids("u"), "{am}: indexed and unindexed copies differ");
     conn.exec("CHECK INDEX tix").unwrap();
+}
+
+fn ground_square(d: i32) -> String {
+    let (a, b) = (render(d), render(d + 3));
+    format!("{a}, {b}, {a}, {b}")
+}
+
+fn window() -> String {
+    let (a, b) = (render(11_333), render(11_583));
+    format!("Overlaps(k, '{a}, {b}, {a}, {b}')")
+}
+
+#[test]
+fn delete_through_grtree_am_restarts_the_cursor() {
+    let column = "GRT_TimeExtent_t";
+    delete_through_index_restarts("grtree_am", column, ground_square, &window(), "grtree");
+}
+
+#[test]
+fn delete_through_rstar_am_restarts_the_cursor() {
+    let column = "GRT_TimeExtent_t";
+    delete_through_index_restarts("rstar_am", column, ground_square, &window(), "rstar");
+}
+
+#[test]
+fn delete_through_gist_am_restarts_the_cursor() {
+    let range = |d: i32| format!("{d}..{}", d + 3);
+    let victims = "RangeOverlaps(k, '11333..11583')";
+    delete_through_index_restarts("gist_am", "IntRange_t", range, victims, "gist");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Two classic extensions: 1-D integer ranges (B-tree flavour) and 2-D
 //! rectangles (R-tree flavour) — HNP95's own worked examples.
 
-use crate::tree::GistExtension;
+use crate::adaptor::GistExtension;
 use crate::{GistError, Result};
 
 /// A closed `i64` interval key.
@@ -78,6 +78,14 @@ impl GistExtension for IntRangeExt {
             hi: existing.hi.max(new.hi),
         };
         (u.hi as i128 - u.lo as i128) - (existing.hi as i128 - existing.lo as i128)
+    }
+
+    fn max_key_len(&self) -> usize {
+        16
+    }
+
+    fn center(&self, key: &IntRange) -> (i64, i64) {
+        (key.lo.saturating_add(key.hi), 0)
     }
 
     fn pick_split(&self, keys: &[IntRange]) -> (Vec<usize>, Vec<usize>) {
@@ -163,6 +171,14 @@ impl GistExtension for RectExt {
     fn penalty(&self, existing: &RectKey, new: &RectKey) -> i128 {
         let u = self.union(&[*existing, *new]);
         u.area() - existing.area()
+    }
+
+    fn max_key_len(&self) -> usize {
+        16
+    }
+
+    fn center(&self, key: &RectKey) -> (i64, i64) {
+        (key.x1 as i64 + key.x2 as i64, key.y1 as i64 + key.y2 as i64)
     }
 
     fn pick_split(&self, keys: &[RectKey]) -> (Vec<usize>, Vec<usize>) {

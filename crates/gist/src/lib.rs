@@ -9,59 +9,40 @@
 //! possible to implement such a generic access method as a DataBlade
 //! and use specially designed operator classes to extend it."
 //!
-//! This crate does exactly that:
+//! This repository does exactly that, and not as a side example: the
+//! generic access method is the paged-tree kernel ([`grt_treekit`]),
+//! and the GR-tree and the R\*-tree are themselves extensions of it.
+//! This crate is the kernel's third instantiation, through the
+//! classic four-primitive interface:
 //!
 //! * [`GistExtension`] is the high-level extension interface — the four
 //!   GiST primitives `consistent`, `union`, `penalty`, `pick_split`
 //!   over an opaque, variable-length key;
-//! * [`GistTree`] is the generic, disk-resident tree skeleton over an
-//!   sbspace large object (one node per page, like every index in this
+//! * [`GistKey`] adapts any extension onto the kernel's key trait, and
+//!   [`GistTree`] is the resulting disk-resident tree over an sbspace
+//!   large object (one node per page, like every index in this
 //!   repository) — insertion, deletion with condensation, cursored
-//!   search, and consistency checking, all extension-agnostic;
+//!   search, parallel scans, bulk loading and consistency checking are
+//!   the kernel's, all extension-agnostic;
 //! * [`ext`] provides two classic instantiations: an interval tree over
 //!   `i64` ranges (B-tree-flavoured) and a 2-D rectangle tree
-//!   (R-tree-flavoured);
-//! * [`am`] wraps the interval instantiation as a full DataBlade-style
-//!   secondary access method (`gist_am`) pluggable into the `ids`
-//!   engine, with its own opaque type and strategy function — closing
-//!   the loop on the paper's "as a DataBlade" suggestion.
+//!   (R-tree-flavoured).
+//!
+//! The interval instantiation is registered as a full DataBlade-style
+//! secondary access method (`gist_am`, in `grt-blade`) with its own
+//! opaque type and strategy function — closing the loop on the paper's
+//! "as a DataBlade" suggestion, and sharing every purpose-function body
+//! with `grtree_am` and `rstar_am`.
 
-pub mod am;
+pub mod adaptor;
 pub mod ext;
-pub mod node;
-pub mod tree;
 
+pub use adaptor::{GistDeleteOutcome, GistExtension, GistKey, GistTree, GistTreeOptions};
 pub use ext::{IntRange, IntRangeExt, RectExt, RectKey};
-pub use tree::{GistCursor, GistDeleteOutcome, GistExtension, GistTree, GistTreeOptions};
 
-/// Errors from the GiST layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GistError {
-    /// Underlying storage failure.
-    Storage(grt_sbspace::SbError),
-    /// The large object does not contain a valid tree.
-    Corrupt(String),
-    /// API misuse or a misbehaving extension.
-    Usage(String),
-}
-
-impl From<grt_sbspace::SbError> for GistError {
-    fn from(e: grt_sbspace::SbError) -> Self {
-        GistError::Storage(e)
-    }
-}
-
-impl std::fmt::Display for GistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GistError::Storage(e) => write!(f, "storage: {e}"),
-            GistError::Corrupt(m) => write!(f, "corrupt gist: {m}"),
-            GistError::Usage(m) => write!(f, "usage: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for GistError {}
+/// Errors from the GiST layer: the kernel's, whose corruption reports
+/// read "corrupt gist: …".
+pub type GistError = grt_treekit::TreeError;
 
 /// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, GistError>;
+pub type Result<T> = grt_treekit::Result<T>;

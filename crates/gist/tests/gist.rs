@@ -1,7 +1,7 @@
 //! GiST tests: both instantiations against linear-scan oracles,
 //! structural invariants under churn, and the full DataBlade wiring.
 
-use grt_gist::am::install_gist_blade;
+use grt_blade::gist_am::install_gist_blade;
 use grt_gist::{GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
 use grt_ids::{Database, DatabaseOptions, Value};
 use grt_sbspace::{IsolationLevel, LoHandle, LockMode, Sbspace, SbspaceOptions};

@@ -3,103 +3,27 @@
 //! Section 5.5 of the paper: "Sometimes vacuuming will have to be
 //! performed to delete all data that is more than, for example, five
 //! years old. ... A straightforward solution is to drop the index and
-//! then create it from scratch using a bulk loading algorithm." This
-//! module provides both pieces: an STR-style bottom-up bulk load over
-//! region centres, and a rebuild-based vacuum.
+//! then create it from scratch using a bulk loading algorithm." The
+//! kernel's packer is the bulk loading algorithm (STR over resolved
+//! region centres); this module adds the rebuild-based vacuum.
 
-use crate::entry::{GrNode, InternalEntry, LeafEntry};
+use crate::entry::LeafEntry;
 use crate::tree::{GrTree, GrTreeOptions};
 use crate::Result;
 use grt_sbspace::LoHandle;
-use grt_temporal::{bound_entries, Day, RegionSpec, TimeExtent, TtEnd};
+use grt_temporal::{Day, TimeExtent, TtEnd};
+use grt_treekit::{Entry, NodeSource, Tree};
 
 /// Bulk-loads a GR-tree from `entries` into an empty large object using
 /// sort-tile-recursive packing over resolved region centres at `ct`.
 pub fn bulk_load(
     lo: LoHandle,
-    mut entries: Vec<LeafEntry>,
+    entries: Vec<LeafEntry>,
     ct: Day,
     opts: GrTreeOptions,
 ) -> Result<GrTree> {
-    let mut tree = GrTree::create(lo, opts)?;
-    if entries.is_empty() {
-        return Ok(tree);
-    }
-    // Target fill: ~90% of fan-out, the classical packing compromise.
-    let cap = (tree.max_entries() * 9 / 10).max(2);
-    let min = tree.min_fill();
-    let center = |e: &LeafEntry| {
-        let m = e.extent.region(ct).mbr();
-        (
-            m.tt1.0 as i64 + m.tt2.0 as i64,
-            m.vt1.0 as i64 + m.vt2.0 as i64,
-        )
-    };
-    // STR: sort by tt-centre, slice into vertical slabs, sort each slab
-    // by vt-centre, pack runs of `cap`.
-    entries.sort_by_key(|e| center(e).0);
-    let n = entries.len();
-    let leaves_needed = n.div_ceil(cap);
-    let slabs = (leaves_needed as f64).sqrt().ceil() as usize;
-    let per_slab = n.div_ceil(slabs.max(1));
-    let mut leaf_nodes: Vec<GrNode> = Vec::new();
-    for slab_range in balanced_runs(n, per_slab.max(1), min) {
-        let mut slab: Vec<LeafEntry> = entries[slab_range].to_vec();
-        slab.sort_by_key(|e| center(e).1);
-        for run in balanced_runs(slab.len(), cap, min) {
-            leaf_nodes.push(GrNode::Leaf(slab[run].to_vec()));
-        }
-    }
-    // Write leaves and build parent levels bottom-up.
-    let mut level_entries: Vec<InternalEntry> = Vec::new();
-    for node in &leaf_nodes {
-        let bound = node.bound(ct);
-        let page = tree.bulk_append(node)?;
-        level_entries.push(InternalEntry {
-            spec: bound,
-            child: page,
-        });
-    }
-    let mut level = 1u16;
-    while level_entries.len() > 1 {
-        let mut next: Vec<InternalEntry> = Vec::new();
-        for run in balanced_runs(level_entries.len(), cap, min) {
-            let node = GrNode::Internal {
-                level,
-                entries: level_entries[run].to_vec(),
-            };
-            let bound = node.bound(ct);
-            let page = tree.bulk_append(&node)?;
-            next.push(InternalEntry {
-                spec: bound,
-                child: page,
-            });
-        }
-        level_entries = next;
-        level += 1;
-    }
-    tree.bulk_finish(level_entries[0].child, level as u32, n as u64)?;
-    Ok(tree)
-}
-
-/// Splits `n` items into runs of at most `cap`, each of at least `min`
-/// items (when `n >= min`): a short final run borrows from its
-/// predecessor so no packed node violates the minimum-fill invariant.
-fn balanced_runs(n: usize, cap: usize, min: usize) -> Vec<std::ops::Range<usize>> {
-    let mut runs = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let take = if remaining > cap && remaining - cap < min && remaining >= 2 * min {
-            // Leave enough behind for a legal final run.
-            remaining - min
-        } else {
-            remaining.min(cap)
-        };
-        runs.push(start..start + take.min(cap).max(1));
-        start += take.min(cap).max(1);
-    }
-    runs
+    let entries = entries.into_iter().map(Entry::from).collect();
+    Tree::bulk_load(lo, opts.header(), entries, ct).map(GrTree)
 }
 
 /// Rebuild-based vacuum: keeps only the entries `keep` accepts,
@@ -136,19 +60,15 @@ pub fn collect_leaves(
     let mut out = Vec::new();
     let mut stack = vec![tree.root_page()];
     while let Some(page) = stack.pop() {
-        match tree.read_node(page)? {
-            GrNode::Leaf(entries) => out.extend(entries.into_iter().filter(|e| filter(e))),
-            GrNode::Internal { entries, .. } => stack.extend(entries.iter().map(|e| e.child)),
+        let node = tree.0.read_node(page)?;
+        if node.is_leaf() {
+            let leaves = node.entries.into_iter().map(LeafEntry::from);
+            out.extend(leaves.filter(|e| filter(e)));
+        } else {
+            stack.extend(node.entries.iter().map(Entry::child));
         }
     }
     Ok(out)
-}
-
-/// The bound of a whole entry set — exposed for tests that validate the
-/// bulk-loaded root.
-pub fn bound_of(entries: &[LeafEntry], ct: Day) -> RegionSpec {
-    let specs: Vec<RegionSpec> = entries.iter().map(LeafEntry::spec).collect();
-    bound_entries(&specs, ct)
 }
 
 /// Convenience: bulk-load from bare `(extent, rowid)` pairs.

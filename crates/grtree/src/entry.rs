@@ -6,10 +6,17 @@
 //! sentinel) plus an 8-byte payload. A leaf payload is the rowid; a
 //! non-leaf payload packs the child page number with the `Rectangle`
 //! and `Hidden` flags.
+//!
+//! The kernel works on one entry shape at every level — a
+//! [`RegionSpec`] plus a pointer, a leaf's spec being its tuple's time
+//! extent with both flags clear; [`GrNode`] is the two-kind view dumps
+//! and benchmarks decode pages into.
 
-use crate::{GrError, Result};
+use crate::key::GrKey;
+use crate::Result;
 use grt_sbspace::page::{page_from_slice, PageBuf, PAGE_SIZE};
 use grt_temporal::{Day, RegionSpec, TimeExtent, TtEnd, VtEnd};
+use grt_treekit::{Entry, Node, TreeError};
 
 const MAGIC: &[u8; 4] = b"GRTN";
 const HEADER_LEN: usize = 8;
@@ -40,14 +47,35 @@ pub struct InternalEntry {
     pub child: u32,
 }
 
-impl LeafEntry {
-    /// The entry's unresolved region descriptor.
-    pub fn spec(&self) -> RegionSpec {
-        self.extent.spec()
+impl From<LeafEntry> for Entry<RegionSpec> {
+    fn from(e: LeafEntry) -> Self {
+        Entry {
+            key: e.extent.spec(),
+            ptr: e.rowid,
+        }
     }
 }
 
-/// A GR-tree node image.
+impl From<Entry<RegionSpec>> for LeafEntry {
+    fn from(e: Entry<RegionSpec>) -> Self {
+        LeafEntry {
+            extent: extent_of(&e.key),
+            rowid: e.ptr,
+        }
+    }
+}
+
+/// The time extent a leaf key stands for (its four timestamps).
+pub fn extent_of(leaf: &RegionSpec) -> TimeExtent {
+    TimeExtent {
+        tt_begin: leaf.tt_begin,
+        tt_end: leaf.tt_end,
+        vt_begin: leaf.vt_begin,
+        vt_end: leaf.vt_end,
+    }
+}
+
+/// A GR-tree node image, leaf and internal entries told apart.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GrNode {
     /// A leaf node.
@@ -62,118 +90,90 @@ pub enum GrNode {
 }
 
 impl GrNode {
-    /// The node's level (0 for leaves).
-    pub fn level(&self) -> u16 {
-        match self {
-            GrNode::Leaf(_) => 0,
-            GrNode::Internal { level, .. } => *level,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            GrNode::Leaf(v) => v.len(),
-            GrNode::Internal { entries, .. } => entries.len(),
-        }
-    }
-
-    /// True when the node has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, GrNode::Leaf(_))
-    }
-
-    /// The region specs of all entries (for bounding computations).
-    pub fn specs(&self) -> Vec<RegionSpec> {
-        match self {
-            GrNode::Leaf(v) => v.iter().map(LeafEntry::spec).collect(),
-            GrNode::Internal { entries, .. } => entries.iter().map(|e| e.spec).collect(),
-        }
-    }
-
-    /// The minimum bounding region of the node at current time `ct`.
-    pub fn bound(&self, ct: Day) -> RegionSpec {
-        grt_temporal::bound_entries(&self.specs(), ct)
-    }
-
-    /// Serialises into a page image.
-    pub fn encode(&self) -> PageBuf {
-        assert!(self.len() <= MAX_FANOUT, "gr-node overflow");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(MAGIC);
-        buf[4..6].copy_from_slice(&self.level().to_le_bytes());
-        buf[6..8].copy_from_slice(&(self.len() as u16).to_le_bytes());
-        match self {
-            GrNode::Leaf(entries) => {
-                for (i, e) in entries.iter().enumerate() {
-                    let off = HEADER_LEN + i * ENTRY_LEN;
-                    e.extent.encode(&mut buf[off..off + 16]);
-                    buf[off + 16..off + 24].copy_from_slice(&e.rowid.to_le_bytes());
-                }
-            }
-            GrNode::Internal { entries, .. } => {
-                for (i, e) in entries.iter().enumerate() {
-                    let off = HEADER_LEN + i * ENTRY_LEN;
-                    encode_spec_timestamps(&e.spec, &mut buf[off..off + 16]);
-                    let mut payload = e.child as u64;
-                    if e.spec.rect {
-                        payload |= FLAG_RECT;
-                    }
-                    if e.spec.hidden {
-                        payload |= FLAG_HIDDEN;
-                    }
-                    buf[off + 16..off + 24].copy_from_slice(&payload.to_le_bytes());
-                }
-            }
-        }
-        page_from_slice(&buf)
-    }
-
     /// Parses a page image.
     pub fn decode(buf: &[u8; PAGE_SIZE]) -> Result<GrNode> {
-        if &buf[0..4] != MAGIC {
-            return Err(GrError::Corrupt("bad gr-node magic".into()));
-        }
-        let level = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-        let count = u16::from_le_bytes(buf[6..8].try_into().unwrap()) as usize;
-        if count > MAX_FANOUT {
-            return Err(GrError::Corrupt(format!("entry count {count}")));
-        }
-        if level == 0 {
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = HEADER_LEN + i * ENTRY_LEN;
-                let extent = TimeExtent::decode(&buf[off..off + 16])?;
-                let rowid = u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap());
-                entries.push(LeafEntry { extent, rowid });
-            }
-            Ok(GrNode::Leaf(entries))
+        Ok(decode(buf)?.into())
+    }
+}
+
+impl From<Node<RegionSpec>> for GrNode {
+    fn from(node: Node<RegionSpec>) -> Self {
+        if node.is_leaf() {
+            GrNode::Leaf(node.entries.into_iter().map(LeafEntry::from).collect())
         } else {
-            let mut entries = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = HEADER_LEN + i * ENTRY_LEN;
-                let payload = u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap());
-                let spec = decode_spec_timestamps(
-                    &buf[off..off + 16],
-                    payload & FLAG_RECT != 0,
-                    payload & FLAG_HIDDEN != 0,
-                )?;
-                entries.push(InternalEntry {
-                    spec,
-                    child: payload as u32,
-                });
+            let internal = |e: Entry<RegionSpec>| InternalEntry {
+                spec: e.key,
+                child: e.child(),
+            };
+            GrNode::Internal {
+                level: node.level,
+                entries: node.entries.into_iter().map(internal).collect(),
             }
-            Ok(GrNode::Internal { level, entries })
         }
     }
 }
 
-fn encode_spec_timestamps(spec: &RegionSpec, out: &mut [u8]) {
+/// Serialises a kernel node into a page image.
+pub(crate) fn encode(node: &Node<RegionSpec>) -> PageBuf {
+    assert!(node.entries.len() <= MAX_FANOUT, "gr-node overflow");
+    let mut buf = vec![0u8; PAGE_SIZE];
+    buf[0..4].copy_from_slice(MAGIC);
+    buf[4..6].copy_from_slice(&node.level.to_le_bytes());
+    buf[6..8].copy_from_slice(&(node.entries.len() as u16).to_le_bytes());
+    for (i, e) in node.entries.iter().enumerate() {
+        let off = HEADER_LEN + i * ENTRY_LEN;
+        buf[off..off + 16].copy_from_slice(&timestamps(&e.key));
+        let mut payload = e.ptr;
+        if !node.is_leaf() {
+            if e.key.rect {
+                payload |= FLAG_RECT;
+            }
+            if e.key.hidden {
+                payload |= FLAG_HIDDEN;
+            }
+        }
+        buf[off + 16..off + 24].copy_from_slice(&payload.to_le_bytes());
+    }
+    page_from_slice(&buf)
+}
+
+/// Parses a page image into a kernel node.
+pub(crate) fn decode(buf: &[u8; PAGE_SIZE]) -> Result<Node<RegionSpec>> {
+    if &buf[0..4] != MAGIC {
+        return Err(TreeError::corrupt::<GrKey>("bad gr-node magic"));
+    }
+    let level = u16::from_le_bytes(buf[4..6].try_into().unwrap());
+    let count = u16::from_le_bytes(buf[6..8].try_into().unwrap()) as usize;
+    if count > MAX_FANOUT {
+        return Err(TreeError::corrupt::<GrKey>(format!("entry count {count}")));
+    }
+    let mut entries = Vec::with_capacity(count);
+    for i in 0..count {
+        let off = HEADER_LEN + i * ENTRY_LEN;
+        let payload = u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap());
+        entries.push(if level == 0 {
+            let extent =
+                TimeExtent::decode(&buf[off..off + 16]).map_err(TreeError::corrupt::<GrKey>)?;
+            Entry {
+                key: extent.spec(),
+                ptr: payload,
+            }
+        } else {
+            let mut key = spec_from_timestamps(&buf[off..off + 16]);
+            key.rect = payload & FLAG_RECT != 0;
+            key.hidden = payload & FLAG_HIDDEN != 0;
+            Entry {
+                key,
+                ptr: payload as u32 as u64,
+            }
+        });
+    }
+    Ok(Node { level, entries })
+}
+
+/// The 16-byte timestamp image of a spec — for a leaf key, exactly
+/// [`TimeExtent::encode_array`] of its extent.
+pub(crate) fn timestamps(spec: &RegionSpec) -> [u8; 16] {
     let tte = match spec.tt_end {
         TtEnd::Ground(d) => d.0,
         TtEnd::Uc => SENTINEL,
@@ -182,32 +182,31 @@ fn encode_spec_timestamps(spec: &RegionSpec, out: &mut [u8]) {
         VtEnd::Ground(d) => d.0,
         VtEnd::Now => SENTINEL,
     };
+    let mut out = [0u8; 16];
     out[0..4].copy_from_slice(&spec.tt_begin.0.to_le_bytes());
     out[4..8].copy_from_slice(&tte.to_le_bytes());
     out[8..12].copy_from_slice(&spec.vt_begin.0.to_le_bytes());
     out[12..16].copy_from_slice(&vte.to_le_bytes());
+    out
 }
 
-fn decode_spec_timestamps(buf: &[u8], rect: bool, hidden: bool) -> Result<RegionSpec> {
+fn spec_from_timestamps(buf: &[u8]) -> RegionSpec {
     let w = |i: usize| i32::from_le_bytes(buf[i..i + 4].try_into().unwrap());
-    let tte = w(4);
-    let vte = w(12);
-    Ok(RegionSpec {
-        tt_begin: Day(w(0)),
-        tt_end: if tte == SENTINEL {
+    let (tte, vte) = (w(4), w(12));
+    RegionSpec::leaf(
+        Day(w(0)),
+        if tte == SENTINEL {
             TtEnd::Uc
         } else {
             TtEnd::Ground(Day(tte))
         },
-        vt_begin: Day(w(8)),
-        vt_end: if vte == SENTINEL {
+        Day(w(8)),
+        if vte == SENTINEL {
             VtEnd::Now
         } else {
             VtEnd::Ground(Day(vte))
         },
-        rect,
-        hidden,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -224,6 +223,13 @@ mod tests {
         .unwrap()
     }
 
+    fn leaf(entries: Vec<LeafEntry>) -> Node<RegionSpec> {
+        Node {
+            level: 0,
+            entries: entries.into_iter().map(Entry::from).collect(),
+        }
+    }
+
     #[test]
     fn leaf_roundtrip() {
         let entries = vec![
@@ -236,59 +242,54 @@ mod tests {
                 rowid: u64::MAX >> 2,
             },
         ];
-        let node = GrNode::Leaf(entries);
-        assert_eq!(GrNode::decode(&node.encode()).unwrap(), node);
+        let node = leaf(entries.clone());
+        assert_eq!(decode(&encode(&node)).unwrap(), node);
+        assert_eq!(
+            GrNode::decode(&encode(&node)).unwrap(),
+            GrNode::Leaf(entries)
+        );
+        // A leaf key's identity is its extent's own encoding.
+        assert_eq!(
+            timestamps(&node.entries[0].key),
+            extent(10, None, 10, None).encode_array()
+        );
     }
 
     #[test]
     fn internal_roundtrip_with_flags() {
-        let mk = |rect, hidden| InternalEntry {
-            spec: RegionSpec {
-                tt_begin: Day(1),
-                tt_end: TtEnd::Uc,
-                vt_begin: Day(0),
-                vt_end: if hidden {
-                    VtEnd::Ground(Day(99))
-                } else {
-                    VtEnd::Now
-                },
-                rect,
-                hidden,
+        let mk = |rect, hidden| RegionSpec {
+            tt_begin: Day(1),
+            tt_end: TtEnd::Uc,
+            vt_begin: Day(0),
+            vt_end: if hidden {
+                VtEnd::Ground(Day(99))
+            } else {
+                VtEnd::Now
             },
-            child: 7,
+            rect,
+            hidden,
         };
         for (rect, hidden) in [(false, false), (true, false), (false, true)] {
-            let node = GrNode::Internal {
+            let node = Node {
                 level: 2,
-                entries: vec![mk(rect, hidden)],
+                entries: vec![Entry {
+                    key: mk(rect, hidden),
+                    ptr: 7,
+                }],
             };
-            let decoded = GrNode::decode(&node.encode()).unwrap();
-            assert_eq!(decoded, node, "rect={rect} hidden={hidden}");
+            let page = encode(&node);
+            assert_eq!(decode(&page).unwrap(), node, "rect={rect} hidden={hidden}");
+            let GrNode::Internal { level: 2, entries } = GrNode::decode(&page).unwrap() else {
+                panic!("internal node expected");
+            };
+            assert_eq!(entries[0].spec, mk(rect, hidden));
+            assert_eq!(entries[0].child, 7);
         }
     }
 
     #[test]
     fn garbage_rejected() {
         assert!(GrNode::decode(&grt_sbspace::page::zeroed_page()).is_err());
-    }
-
-    #[test]
-    fn bound_of_leaf_matches_manual() {
-        let node = GrNode::Leaf(vec![
-            LeafEntry {
-                extent: extent(10, None, 10, None),
-                rowid: 1,
-            },
-            LeafEntry {
-                extent: extent(20, None, 15, None),
-                rowid: 2,
-            },
-        ]);
-        let b = node.bound(Day(100));
-        assert!(b.grows_tt());
-        assert!(b.grows_vt(Day(100)));
-        assert_eq!(b.tt_begin, Day(10));
-        assert_eq!(b.vt_begin, Day(10));
     }
 
     #[test]
@@ -299,7 +300,7 @@ mod tests {
                 rowid: i as u64,
             })
             .collect();
-        let node = GrNode::Leaf(entries);
-        assert_eq!(GrNode::decode(&node.encode()).unwrap(), node);
+        let node = leaf(entries);
+        assert_eq!(decode(&encode(&node)).unwrap(), node);
     }
 }

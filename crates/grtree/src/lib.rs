@@ -49,57 +49,23 @@
 
 pub mod bulk;
 pub mod concurrent;
-pub mod cursor;
 pub mod entry;
+pub mod key;
 pub mod meta;
-pub mod parallel;
 pub mod stats;
 pub mod tree;
 
 pub use concurrent::ConcurrentGrTree;
-pub use cursor::{GrCursor, NodeSource};
 pub use entry::{GrNode, InternalEntry, LeafEntry};
-pub use parallel::{parallel_scan, GrTreeReader, ParallelScan, ParallelScanStats};
+pub use grt_treekit::{NodeSource, ParallelScan, ParallelScanStats};
+pub use key::{GrKey, GrQuery};
 pub use stats::GrQuality;
-pub use tree::{GrDeleteOutcome, GrTree, GrTreeOptions};
+pub use tree::{parallel_scan, GrCursor, GrDeleteOutcome, GrTree, GrTreeOptions, GrTreeReader};
 
-/// Errors from the GR-tree layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GrError {
-    /// Underlying storage failure.
-    Storage(grt_sbspace::SbError),
-    /// Bad timestamps in an entry.
-    Temporal(grt_temporal::TemporalError),
-    /// The large object does not contain a valid GR-tree.
-    Corrupt(String),
-    /// API misuse.
-    Usage(String),
-}
-
-impl From<grt_sbspace::SbError> for GrError {
-    fn from(e: grt_sbspace::SbError) -> Self {
-        GrError::Storage(e)
-    }
-}
-
-impl From<grt_temporal::TemporalError> for GrError {
-    fn from(e: grt_temporal::TemporalError) -> Self {
-        GrError::Temporal(e)
-    }
-}
-
-impl std::fmt::Display for GrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GrError::Storage(e) => write!(f, "storage: {e}"),
-            GrError::Temporal(e) => write!(f, "temporal: {e}"),
-            GrError::Corrupt(m) => write!(f, "corrupt gr-tree: {m}"),
-            GrError::Usage(m) => write!(f, "usage: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for GrError {}
+/// Errors from the GR-tree layer: the kernel's, whose corruption
+/// reports read "corrupt gr-tree: …". Bad timestamps surface as
+/// `Usage("temporal: …")` on insertion and as corruption on decode.
+pub type GrError = grt_treekit::TreeError;
 
 /// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, GrError>;
+pub type Result<T> = grt_treekit::Result<T>;

@@ -1,28 +1,14 @@
-//! GR-tree quality statistics: dead space, overlap, and the census of
-//! GR-specific bound encodings (stairs, hidden rectangles, growing
-//! rectangles) per tree level.
+//! GR-tree quality statistics: the kernel's dead-space/overlap walk
+//! plus the census of GR-specific bound encodings (stairs, hidden
+//! rectangles, growing rectangles).
 
-use crate::entry::GrNode;
-use crate::tree::GrTree;
+use crate::key::GrKey;
 use crate::Result;
-use grt_temporal::{Day, Region, VtEnd};
-use std::collections::VecDeque;
+use grt_temporal::{Day, VtEnd};
+use grt_treekit::Tree;
 
 /// Aggregates for one tree level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GrLevelQuality {
-    /// Nodes at this level.
-    pub nodes: u64,
-    /// Entries across those nodes.
-    pub entries: u64,
-    /// Sum of resolved bounding-region areas.
-    pub bound_area: i128,
-    /// Sum over nodes of `bound area - sum(entry areas)` clamped at zero
-    /// — the dead-space proxy.
-    pub dead_space: i128,
-    /// Sum over nodes of pairwise entry intersection areas.
-    pub overlap: i128,
-}
+pub type GrLevelQuality = grt_treekit::LevelQuality;
 
 /// Whole-tree quality at a point in time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -38,46 +24,21 @@ pub struct GrQuality {
 }
 
 impl GrQuality {
-    pub(crate) fn compute(tree: &GrTree, root: u32, height: u32, ct: Day) -> Result<GrQuality> {
-        let mut q = GrQuality {
-            levels: vec![GrLevelQuality::default(); height as usize],
-            ..Default::default()
-        };
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
-        while let Some(page) = queue.pop_front() {
-            let node = tree.read_node(page)?;
-            let lq = &mut q.levels[node.level() as usize];
-            lq.nodes += 1;
-            lq.entries += node.len() as u64;
-            let specs = node.specs();
-            if !specs.is_empty() {
-                let bound = node.bound(ct).resolve(ct);
-                lq.bound_area += bound.area();
-                let regions: Vec<Region> = specs.iter().map(|s| s.resolve(ct)).collect();
-                let covered: i128 = regions.iter().map(Region::area).sum();
-                lq.dead_space += (bound.area() - covered).max(0);
-                for (i, a) in regions.iter().enumerate() {
-                    for b in &regions[i + 1..] {
-                        lq.overlap += a.intersection_area(b);
-                    }
+    /// Walks `tree` at current time `ct`.
+    pub fn compute(tree: &Tree<GrKey>, ct: Day) -> Result<GrQuality> {
+        let mut q = GrQuality::default();
+        q.levels = tree
+            .quality(ct, |node| {
+                if node.is_leaf() {
+                    return;
                 }
-            }
-            if let GrNode::Internal { entries, .. } = &node {
-                for e in entries {
-                    if e.spec.hidden {
-                        q.hidden_bounds += 1;
-                    }
-                    if e.spec.rect {
-                        q.growing_rect_bounds += 1;
-                    }
-                    if matches!(e.spec.vt_end, VtEnd::Now) && !e.spec.rect {
-                        q.stair_bounds += 1;
-                    }
-                    queue.push_back(e.child);
+                for e in &node.entries {
+                    q.hidden_bounds += e.key.hidden as u64;
+                    q.growing_rect_bounds += e.key.rect as u64;
+                    q.stair_bounds += (matches!(e.key.vt_end, VtEnd::Now) && !e.key.rect) as u64;
                 }
-            }
-        }
+            })?
+            .levels;
         Ok(q)
     }
 

@@ -1,15 +1,16 @@
-//! GR-tree algorithms: insertion with the time parameter, splits,
-//! deletion with condensation, and NOW/UC-aware search.
+//! The disk-resident GR-tree: the paged-tree kernel under a
+//! [`GrKey`], with the time-extent API the DataBlade and the
+//! experiments use.
 
-use crate::cursor::GrCursor;
-use crate::entry::{GrNode, InternalEntry, LeafEntry, MAX_FANOUT};
-use crate::meta::{decode_free, encode_free, GrMeta, NO_PAGE};
+use crate::entry::{extent_of, GrNode, MAX_FANOUT};
+use crate::key::{GrKey, GrQuery};
 use crate::stats::GrQuality;
-use crate::{GrError, Result};
+use crate::Result;
 use grt_metrics::TreeMetrics;
-use grt_sbspace::LoHandle;
-use grt_temporal::{bound_entries, Day, Predicate, Region, RegionSpec, TimeExtent};
-use std::collections::HashSet;
+use grt_sbspace::{LoHandle, LoReader};
+use grt_temporal::{Day, Predicate, Region, RegionSpec, TimeExtent};
+use grt_treekit::{Cursor, Meta, NodeSource, ParallelScan, Reader, Tree};
+use std::ops::{Deref, DerefMut};
 
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -41,597 +42,110 @@ impl Default for GrTreeOptions {
     }
 }
 
-/// Outcome of a deletion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrDeleteOutcome {
-    /// Whether the entry existed.
-    pub found: bool,
-    /// Whether the tree was condensed — open cursors must restart
-    /// (the paper's Section 5.5 rule).
-    pub condensed: bool,
-}
-
-/// Either kind of entry, with its reinsertion level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum AnyEntry {
-    Leaf(LeafEntry),
-    Node(InternalEntry),
-}
-
-impl AnyEntry {
-    pub(crate) fn spec(&self) -> RegionSpec {
-        match self {
-            AnyEntry::Leaf(e) => e.spec(),
-            AnyEntry::Node(e) => e.spec,
-        }
+impl GrTreeOptions {
+    /// The header of a fresh tree built with these options.
+    pub fn header(self) -> Meta<GrKey> {
+        let key = GrKey {
+            time_param: self.time_param,
+            rectangle_only: self.rectangle_only,
+        };
+        Meta::rstar_sized(
+            key,
+            self.max_entries,
+            MAX_FANOUT,
+            self.min_fill_pct,
+            self.reinsert_pct,
+        )
     }
 }
 
-/// A disk-resident GR-tree owning its large-object handle.
-pub struct GrTree {
-    lo: LoHandle,
-    meta: GrMeta,
-    /// Operation counters; detached by default, swapped for
-    /// registry-backed cells via [`GrTree::set_metrics`].
-    pub(crate) metrics: TreeMetrics,
+/// Outcome of a deletion.
+pub type GrDeleteOutcome = grt_treekit::DeleteOutcome;
+
+/// A depth-first scan over qualifying leaf entries. The current time is
+/// fixed at cursor creation — the paper's per-statement current time
+/// (Section 5.4).
+pub type GrCursor = Cursor<GrKey>;
+
+/// A kernel hit as the extent-level API reports it.
+fn hit((leaf, rowid): (RegionSpec, u64)) -> (TimeExtent, u64) {
+    (extent_of(&leaf), rowid)
 }
 
-enum ChildFate {
-    Alive,
-    Dissolved(Vec<AnyEntry>, u16),
+/// A disk-resident GR-tree owning its large-object handle. Derefs to
+/// the kernel [`Tree`] for everything that is not extent-specific
+/// (`len`, `height`, `pages`, `metrics`, `check`, `cursor_restart`, …).
+pub struct GrTree(pub(crate) Tree<GrKey>);
+
+impl Deref for GrTree {
+    type Target = Tree<GrKey>;
+    fn deref(&self) -> &Tree<GrKey> {
+        &self.0
+    }
+}
+
+impl DerefMut for GrTree {
+    fn deref_mut(&mut self) -> &mut Tree<GrKey> {
+        &mut self.0
+    }
 }
 
 impl GrTree {
     /// Initialises a fresh tree inside an (empty) large object.
-    pub fn create(mut lo: LoHandle, opts: GrTreeOptions) -> Result<GrTree> {
-        if lo.page_count() != 0 {
-            return Err(GrError::Usage("large object not empty".into()));
-        }
-        let max_entries = opts.max_entries.clamp(4, MAX_FANOUT) as u32;
-        let min_fill = (max_entries * opts.min_fill_pct.clamp(10, 50) / 100).max(2);
-        let meta = GrMeta {
-            root: 1,
-            height: 1,
-            count: 0,
-            max_entries,
-            min_fill,
-            free_head: NO_PAGE,
-            reinsert_pct: opts.reinsert_pct.min(45),
-            time_param: opts.time_param,
-            rectangle_only: opts.rectangle_only,
-        };
-        lo.append_page(&meta.encode())?;
-        lo.append_page(&GrNode::Leaf(Vec::new()).encode())?;
-        Ok(GrTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+    pub fn create(lo: LoHandle, opts: GrTreeOptions) -> Result<GrTree> {
+        Tree::create(lo, opts.header()).map(GrTree)
     }
 
     /// Opens an existing tree.
     pub fn open(lo: LoHandle) -> Result<GrTree> {
-        let meta = GrMeta::decode(&*lo.read_page_pinned(0)?)?;
-        Ok(GrTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
-    }
-
-    /// Replaces the operation counters, typically with
-    /// [`TreeMetrics::registered`] cells so this tree's splits,
-    /// condenses and search costs show up in an engine-wide registry.
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = metrics;
-    }
-
-    /// The operation counters this tree bumps.
-    pub fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
+        Tree::open(GrKey::default(), lo).map(GrTree)
     }
 
     /// Releases the large-object handle, flushing the header when the
     /// handle is writable (read-only opens never changed it).
-    pub fn into_lo(mut self) -> Result<LoHandle> {
-        if self.lo.is_writable() {
-            self.write_meta()?;
-        }
-        Ok(self.lo)
+    pub fn into_lo(self) -> Result<LoHandle> {
+        self.0.into_lo()
     }
 
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
-    }
-
-    /// True when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
-    }
-
-    /// Tree height (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
-    /// Maximum node fan-out of this tree instance.
-    pub fn max_entries(&self) -> usize {
-        self.meta.max_entries as usize
-    }
-
-    /// Minimum fill of non-root nodes of this tree instance.
-    pub fn min_fill(&self) -> usize {
-        self.meta.min_fill as usize
-    }
-
-    /// Total pages owned, header included.
-    pub fn pages(&self) -> u32 {
-        self.lo.page_count()
-    }
-
-    /// The root page (for structure dumps).
-    pub fn root_page(&self) -> u32 {
-        self.meta.root
-    }
-
-    fn write_meta(&mut self) -> Result<()> {
-        self.lo.write_page(0, &self.meta.encode())?;
-        Ok(())
-    }
-
-    /// Reads the node at `page` (public for dumps and stats).
+    /// Reads the node at `page` (for dumps and stats).
     pub fn read_node(&self, page: u32) -> Result<GrNode> {
-        GrNode::decode(&*self.lo.read_page_pinned(page)?)
-    }
-
-    fn write_node(&mut self, page: u32, node: &GrNode) -> Result<()> {
-        self.lo.write_page(page, &node.encode())?;
-        Ok(())
-    }
-
-    fn alloc_node(&mut self, node: &GrNode) -> Result<u32> {
-        if self.meta.free_head != NO_PAGE {
-            let page = self.meta.free_head;
-            self.meta.free_head = decode_free(&*self.lo.read_page_pinned(page)?)?;
-            self.write_node(page, node)?;
-            return Ok(page);
-        }
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    fn free_node(&mut self, page: u32) -> Result<()> {
-        let img = encode_free(self.meta.free_head);
-        self.lo.write_page(page, &img)?;
-        self.meta.free_head = page;
-        Ok(())
-    }
-
-    /// The reference time for insertion penalties: `ct + time_param`.
-    fn tref(&self, ct: Day) -> Day {
-        ct.plus(self.meta.time_param as i32)
-    }
-
-    /// A node's bounding region, degraded to a growing rectangle when
-    /// the `rectangle_only` ablation is on (stairs keep their `NOW`
-    /// timestamps but the `Rectangle` flag inflates them to squares).
-    fn node_bound(&self, node: &GrNode, ct: Day) -> RegionSpec {
-        let mut b = node.bound(ct);
-        if self.meta.rectangle_only && matches!(b.vt_end, grt_temporal::VtEnd::Now) {
-            b.rect = true;
-        }
-        b
+        Ok(self.0.read_node(page)?.into())
     }
 
     /// Reconstructs the construction options (for rebuilds).
     pub fn options(&self) -> GrTreeOptions {
+        let meta = self.0.meta();
         GrTreeOptions {
-            max_entries: self.meta.max_entries as usize,
-            min_fill_pct: (self.meta.min_fill * 100 / self.meta.max_entries).max(10),
-            reinsert_pct: self.meta.reinsert_pct,
-            time_param: self.meta.time_param,
-            rectangle_only: self.meta.rectangle_only,
+            max_entries: meta.max_entries as usize,
+            min_fill_pct: (meta.min_fill * 100 / meta.max_entries).max(10),
+            reinsert_pct: meta.reinsert_pct,
+            time_param: meta.key.time_param,
+            rectangle_only: meta.key.rectangle_only,
         }
     }
 
     /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans; see [`crate::parallel`]. The snapshot is valid
-    /// while this tree (and the lock its large-object handle holds)
-    /// stays open.
-    pub fn reader(&self) -> crate::parallel::GrTreeReader {
-        crate::parallel::GrTreeReader::new(self.lo.reader(), self.meta, self.metrics.clone())
+    /// parallel scans, valid while this tree (and the lock its
+    /// large-object handle holds) stays open.
+    pub fn reader(&self) -> GrTreeReader {
+        GrTreeReader(self.0.reader())
     }
 
     /// The root node's bounding region resolved at `ct`, or `None` for
     /// an empty tree. The planner's selectivity estimate compares a
     /// query region against this bound.
     pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
-        if self.meta.count == 0 {
-            return Ok(None);
-        }
-        let node = self.read_node(self.meta.root)?;
-        Ok(Some(self.node_bound(&node, ct).resolve(ct)))
-    }
-
-    /// Appends a packed node during bulk load (no balancing).
-    pub(crate) fn bulk_append(&mut self, node: &GrNode) -> Result<u32> {
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    /// Installs the bulk-loaded root and counters.
-    pub(crate) fn bulk_finish(&mut self, root: u32, height: u32, count: u64) -> Result<()> {
-        self.meta.root = root;
-        self.meta.height = height.max(1);
-        self.meta.count = count;
-        self.write_meta()
+        Ok(self.0.root_bound(ct)?.map(|b| b.resolve(ct)))
     }
 
     /// Inserts a tuple's time extent at current time `ct`.
     pub fn insert(&mut self, extent: TimeExtent, rowid: u64, ct: Day) -> Result<()> {
-        extent.spec().validate(ct)?;
-        let mut reinserted = HashSet::new();
-        let mut pending: Vec<(AnyEntry, u16)> =
-            vec![(AnyEntry::Leaf(LeafEntry { extent, rowid }), 0)];
-        while let Some((entry, level)) = pending.pop() {
-            self.insert_toplevel(entry, level, ct, &mut reinserted, &mut pending)?;
-        }
-        self.meta.count += 1;
-        self.write_meta()
-    }
-
-    fn insert_toplevel(
-        &mut self,
-        entry: AnyEntry,
-        level: u16,
-        ct: Day,
-        reinserted: &mut HashSet<u16>,
-        pending: &mut Vec<(AnyEntry, u16)>,
-    ) -> Result<()> {
-        let root = self.meta.root;
-        if let Some(sibling) = self.insert_rec(root, entry, level, ct, reinserted, pending)? {
-            let old_root_node = self.read_node(root)?;
-            let left = InternalEntry {
-                spec: self.node_bound(&old_root_node, ct),
-                child: root,
-            };
-            let new_root = GrNode::Internal {
-                level: old_root_node.level() + 1,
-                entries: vec![left, sibling],
-            };
-            let new_root_page = self.alloc_node(&new_root)?;
-            self.meta.root = new_root_page;
-            self.meta.height += 1;
-        }
-        Ok(())
-    }
-
-    fn insert_rec(
-        &mut self,
-        page: u32,
-        entry: AnyEntry,
-        target_level: u16,
-        ct: Day,
-        reinserted: &mut HashSet<u16>,
-        pending: &mut Vec<(AnyEntry, u16)>,
-    ) -> Result<Option<InternalEntry>> {
-        let mut node = self.read_node(page)?;
-        if node.level() == target_level {
-            match (&mut node, entry) {
-                (GrNode::Leaf(v), AnyEntry::Leaf(e)) => v.push(e),
-                (GrNode::Internal { entries, .. }, AnyEntry::Node(e)) => entries.push(e),
-                _ => return Err(GrError::Corrupt("entry kind vs level mismatch".into())),
-            }
-        } else {
-            let GrNode::Internal { entries, .. } = &mut node else {
-                return Err(GrError::Corrupt("leaf above target level".into()));
-            };
-            let idx = Self::choose_subtree_impl(entries, &entry.spec(), ct, self.tref(ct));
-            let child = entries[idx].child;
-            let split = self.insert_rec(child, entry, target_level, ct, reinserted, pending)?;
-            // Refresh the chosen child's bounding region.
-            let child_bound = self.node_bound(&self.read_node(child)?, ct);
-            let GrNode::Internal { entries, .. } = &mut node else {
-                unreachable!()
-            };
-            entries[idx].spec = child_bound;
-            if let Some(sibling) = split {
-                entries.push(sibling);
-            }
-        }
-        if node.len() > self.meta.max_entries as usize {
-            let is_root = page == self.meta.root;
-            if !is_root && self.meta.reinsert_pct > 0 && reinserted.insert(node.level()) {
-                let evicted = self.forced_reinsert(&mut node, ct);
-                self.write_node(page, &node)?;
-                let level = node.level();
-                for e in evicted {
-                    pending.push((e, level));
-                }
-                return Ok(None);
-            }
-            let (a, b) = self.split(node, ct);
-            self.write_node(page, &a)?;
-            let b_bound = self.node_bound(&b, ct);
-            let b_page = self.alloc_node(&b)?;
-            return Ok(Some(InternalEntry {
-                spec: b_bound,
-                child: b_page,
-            }));
-        }
-        self.write_node(page, &node)?;
-        Ok(None)
-    }
-
-    /// Forced reinsertion: evict the entries whose resolved regions lie
-    /// farthest from the node's resolved centre.
-    fn forced_reinsert(&self, node: &mut GrNode, ct: Day) -> Vec<AnyEntry> {
-        let tref = self.tref(ct);
-        let k = ((node.len() * self.meta.reinsert_pct as usize) / 100).max(1);
-        self.metrics.reinserts.add(k as u64);
-        let node_mbr = node.bound(ct).resolve(tref).mbr();
-        let center_key = |spec: &RegionSpec| {
-            let m = spec.resolve(tref).mbr();
-            let cx = (m.tt1.0 as i128 + m.tt2.0 as i128)
-                - (node_mbr.tt1.0 as i128 + node_mbr.tt2.0 as i128);
-            let cy = (m.vt1.0 as i128 + m.vt2.0 as i128)
-                - (node_mbr.vt1.0 as i128 + node_mbr.vt2.0 as i128);
-            std::cmp::Reverse(cx * cx + cy * cy)
-        };
-        match node {
-            GrNode::Leaf(v) => {
-                v.sort_by_key(|e| center_key(&e.spec()));
-                v.drain(..k).map(AnyEntry::Leaf).collect()
-            }
-            GrNode::Internal { entries, .. } => {
-                entries.sort_by_key(|e| center_key(&e.spec));
-                entries.drain(..k).map(AnyEntry::Node).collect()
-            }
-        }
-    }
-
-    /// GR-tree ChooseSubtree: overlap enlargement above the leaves,
-    /// area enlargement higher up — both evaluated at `ct + time_param`
-    /// so growing entries are charged for their future extent.
-    fn choose_subtree_impl(
-        entries: &[InternalEntry],
-        new: &RegionSpec,
-        ct: Day,
-        tref: Day,
-    ) -> usize {
-        let level_one = false; // decided by caller structure; see below
-        let _ = level_one;
-        let enlarged: Vec<(RegionSpec, i128, i128)> = entries
-            .iter()
-            .map(|e| {
-                let union = bound_entries(&[e.spec, *new], ct);
-                let before = e.spec.resolve(tref).area();
-                let after = union.resolve(tref).area();
-                (union, after - before, before)
-            })
-            .collect();
-        // Use the overlap criterion whenever the fan-out is modest (the
-        // R*-tree applies it at the leaf-parent level; the GR-tree paper
-        // follows suit). The caller passes leaf parents and upper nodes
-        // through the same code path: overlap cost dominates either way
-        // for growing regions, and the area tie-breaks match R*.
-        let mut best = 0usize;
-        let mut best_key = (i128::MAX, i128::MAX, i128::MAX);
-        for (i, e) in entries.iter().enumerate() {
-            let (union, area_delta, area) = &enlarged[i];
-            let mut overlap_delta: i128 = 0;
-            for (j, other) in entries.iter().enumerate() {
-                if i != j {
-                    let o = other.spec.resolve(tref);
-                    overlap_delta += union.resolve(tref).intersection_area(&o)
-                        - e.spec.resolve(tref).intersection_area(&o);
-                }
-            }
-            let key = (overlap_delta, *area_delta, *area);
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// GR-tree split: R\*-style axis and distribution selection over
-    /// regions resolved at `ct + time_param`.
-    fn split(&self, node: GrNode, ct: Day) -> (GrNode, GrNode) {
-        self.metrics.splits.inc();
-        let tref = self.tref(ct);
-        let m = self.meta.min_fill as usize;
-        let level = node.level();
-        let entries: Vec<AnyEntry> = match node {
-            GrNode::Leaf(v) => v.into_iter().map(AnyEntry::Leaf).collect(),
-            GrNode::Internal { entries, .. } => entries.into_iter().map(AnyEntry::Node).collect(),
-        };
-        let total = entries.len();
-        // Sort keys over resolved MBRs: lower/upper per axis.
-        let mbr = |e: &AnyEntry| e.spec().resolve(tref).mbr();
-        #[allow(clippy::type_complexity)]
-        let keys: [fn(&grt_temporal::Rect) -> (i32, i32); 4] = [
-            |r| (r.tt1.0, r.tt2.0),
-            |r| (r.tt2.0, r.tt1.0),
-            |r| (r.vt1.0, r.vt2.0),
-            |r| (r.vt2.0, r.vt1.0),
-        ];
-        let mut sorted: Vec<Vec<AnyEntry>> = Vec::with_capacity(4);
-        let mut axis_margin = [0i128; 2];
-        for (k, key) in keys.iter().enumerate() {
-            let mut es = entries.clone();
-            es.sort_by_key(|e| key(&mbr(e)));
-            for split_at in m..=(total - m) {
-                for group in [&es[..split_at], &es[split_at..]] {
-                    let specs: Vec<RegionSpec> = group.iter().map(AnyEntry::spec).collect();
-                    let b = bound_entries(&specs, ct).resolve(tref).mbr();
-                    axis_margin[k / 2] += (b.tt2.0 as i128 - b.tt1.0 as i128 + 1)
-                        + (b.vt2.0 as i128 - b.vt1.0 as i128 + 1);
-                }
-            }
-            sorted.push(es);
-        }
-        let axis = if axis_margin[0] <= axis_margin[1] {
-            0
-        } else {
-            1
-        };
-        let mut best: Option<(i128, i128, usize, usize)> = None;
-        for key in [axis * 2, axis * 2 + 1] {
-            let es = &sorted[key];
-            for split_at in m..=(total - m) {
-                let s1: Vec<RegionSpec> = es[..split_at].iter().map(AnyEntry::spec).collect();
-                let s2: Vec<RegionSpec> = es[split_at..].iter().map(AnyEntry::spec).collect();
-                let b1 = bound_entries(&s1, ct).resolve(tref);
-                let b2 = bound_entries(&s2, ct).resolve(tref);
-                let cand = (
-                    b1.intersection_area(&b2),
-                    b1.area() + b2.area(),
-                    key,
-                    split_at,
-                );
-                if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    best = Some(cand);
-                }
-            }
-        }
-        let (_, _, key, split_at) = best.expect("at least one distribution");
-        let es = &sorted[key];
-        let rebuild = |slice: &[AnyEntry]| -> GrNode {
-            if level == 0 {
-                GrNode::Leaf(
-                    slice
-                        .iter()
-                        .map(|e| match e {
-                            AnyEntry::Leaf(l) => *l,
-                            AnyEntry::Node(_) => unreachable!("leaf level"),
-                        })
-                        .collect(),
-                )
-            } else {
-                GrNode::Internal {
-                    level,
-                    entries: slice
-                        .iter()
-                        .map(|e| match e {
-                            AnyEntry::Node(n) => *n,
-                            AnyEntry::Leaf(_) => unreachable!("internal level"),
-                        })
-                        .collect(),
-                }
-            }
-        };
-        (rebuild(&es[..split_at]), rebuild(&es[split_at..]))
+        self.0.insert(extent.spec(), rowid, ct)
     }
 
     /// Deletes the entry `(extent, rowid)` at current time `ct`.
     pub fn delete(&mut self, extent: &TimeExtent, rowid: u64, ct: Day) -> Result<GrDeleteOutcome> {
-        let root = self.meta.root;
-        let mut orphans: Vec<(Vec<AnyEntry>, u16)> = Vec::new();
-        let removed = self.delete_rec(root, extent, rowid, ct, &mut orphans)?;
-        if removed.is_none() {
-            return Ok(GrDeleteOutcome {
-                found: false,
-                condensed: false,
-            });
-        }
-        let condensed = !orphans.is_empty();
-        if condensed {
-            self.metrics.condenses.inc();
-        }
-        for (entries, level) in orphans {
-            for entry in entries {
-                let mut reinserted = HashSet::new();
-                let mut pending = vec![(entry, level)];
-                while let Some((e, l)) = pending.pop() {
-                    self.insert_toplevel(e, l, ct, &mut reinserted, &mut pending)?;
-                }
-            }
-        }
-        loop {
-            let root_node = self.read_node(self.meta.root)?;
-            let GrNode::Internal { entries, .. } = &root_node else {
-                break;
-            };
-            if entries.len() != 1 {
-                break;
-            }
-            let old = self.meta.root;
-            self.meta.root = entries[0].child;
-            self.meta.height -= 1;
-            self.free_node(old)?;
-        }
-        self.meta.count -= 1;
-        self.write_meta()?;
-        Ok(GrDeleteOutcome {
-            found: true,
-            condensed,
-        })
-    }
-
-    fn delete_rec(
-        &mut self,
-        page: u32,
-        extent: &TimeExtent,
-        rowid: u64,
-        ct: Day,
-        orphans: &mut Vec<(Vec<AnyEntry>, u16)>,
-    ) -> Result<Option<ChildFate>> {
-        let mut node = self.read_node(page)?;
-        let is_root = page == self.meta.root;
-        let min_fill = self.meta.min_fill as usize;
-        match &mut node {
-            GrNode::Leaf(entries) => {
-                let Some(idx) = entries
-                    .iter()
-                    .position(|e| e.rowid == rowid && e.extent == *extent)
-                else {
-                    return Ok(None);
-                };
-                entries.remove(idx);
-                if !is_root && entries.len() < min_fill {
-                    let orphaned = std::mem::take(entries)
-                        .into_iter()
-                        .map(AnyEntry::Leaf)
-                        .collect();
-                    return Ok(Some(ChildFate::Dissolved(orphaned, 0)));
-                }
-                self.write_node(page, &node)?;
-                Ok(Some(ChildFate::Alive))
-            }
-            GrNode::Internal { level, entries } => {
-                let level = *level;
-                let target = extent.region(ct);
-                for idx in 0..entries.len() {
-                    if !entries[idx].spec.resolve(ct).contains(&target) {
-                        continue;
-                    }
-                    let child = entries[idx].child;
-                    match self.delete_rec(child, extent, rowid, ct, orphans)? {
-                        None => continue,
-                        Some(ChildFate::Alive) => {
-                            let bound = self.node_bound(&self.read_node(child)?, ct);
-                            entries[idx].spec = bound;
-                        }
-                        Some(ChildFate::Dissolved(orphaned, l)) => {
-                            orphans.push((orphaned, l));
-                            self.free_node(child)?;
-                            entries.remove(idx);
-                        }
-                    }
-                    if !is_root && entries.len() < min_fill {
-                        let orphaned = std::mem::take(entries)
-                            .into_iter()
-                            .map(AnyEntry::Node)
-                            .collect();
-                        return Ok(Some(ChildFate::Dissolved(orphaned, level)));
-                    }
-                    self.write_node(page, &node)?;
-                    return Ok(Some(ChildFate::Alive));
-                }
-                Ok(None)
-            }
-        }
+        self.0.delete(&extent.spec(), rowid, ct)
     }
 
     /// Collects all `(extent, rowid)` pairs satisfying `pred` against
@@ -642,122 +156,77 @@ impl GrTree {
         query: &TimeExtent,
         ct: Day,
     ) -> Result<Vec<(TimeExtent, u64)>> {
-        let mut cursor = self.cursor(pred, *query, ct);
-        let mut out = Vec::new();
-        while let Some(hit) = self.cursor_next(&mut cursor)? {
-            out.push(hit);
-        }
-        Ok(out)
+        let hits = self.0.search(GrQuery::new(pred, query, ct), ct)?;
+        Ok(hits.into_iter().map(hit).collect())
     }
 
-    /// Opens a scan cursor. The current time is fixed at cursor creation
-    /// — the paper's per-statement current time (Section 5.4).
+    /// Opens a scan cursor at current time `ct`.
     pub fn cursor(&self, pred: Predicate, query: TimeExtent, ct: Day) -> GrCursor {
-        self.metrics.searches.inc();
-        GrCursor::new(pred, query, ct, self.meta.root)
+        self.0.cursor(GrQuery::new(pred, &query, ct), ct)
     }
 
     /// Advances a cursor to the next qualifying `(extent, rowid)`.
     pub fn cursor_next(&self, cursor: &mut GrCursor) -> Result<Option<(TimeExtent, u64)>> {
-        cursor.next(self)
-    }
-
-    /// Resets a cursor to the root (after tree condensation).
-    pub fn cursor_restart(&self, cursor: &mut GrCursor) {
-        cursor.restart(self.meta.root);
+        Ok(self.0.cursor_next(cursor)?.map(hit))
     }
 
     /// Computes quality statistics at current time `ct`.
     pub fn quality(&self, ct: Day) -> Result<GrQuality> {
-        GrQuality::compute(self, self.meta.root, self.meta.height, ct)
-    }
-
-    /// Verifies structural invariants at current time `ct`: every
-    /// internal entry's region covers its child's bound, levels decrease
-    /// by one, non-root nodes respect minimum fill, and the leaf count
-    /// matches the header.
-    pub fn check(&self, ct: Day) -> Result<()> {
-        let mut leaves = 0u64;
-        self.check_rec(self.meta.root, None, true, ct, &mut leaves)?;
-        if leaves != self.meta.count {
-            return Err(GrError::Corrupt(format!(
-                "count mismatch: header {} vs leaves {leaves}",
-                self.meta.count
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_rec(
-        &self,
-        page: u32,
-        expect_level: Option<u16>,
-        is_root: bool,
-        ct: Day,
-        leaves: &mut u64,
-    ) -> Result<RegionSpec> {
-        let node = self.read_node(page)?;
-        if let Some(l) = expect_level {
-            if node.level() != l {
-                return Err(GrError::Corrupt(format!(
-                    "page {page}: level {} expected {l}",
-                    node.level()
-                )));
-            }
-        }
-        if !is_root && node.len() < self.meta.min_fill as usize {
-            return Err(GrError::Corrupt(format!(
-                "page {page}: underfull ({} < {})",
-                node.len(),
-                self.meta.min_fill
-            )));
-        }
-        if is_root && node.is_empty() {
-            return Ok(RegionSpec::leaf(
-                Day(0),
-                grt_temporal::TtEnd::Ground(Day(0)),
-                Day(0),
-                grt_temporal::VtEnd::Ground(Day(0)),
-            ));
-        }
-        match &node {
-            GrNode::Leaf(_) => {
-                *leaves += node.len() as u64;
-            }
-            GrNode::Internal { level, entries } => {
-                for e in entries {
-                    let child_bound =
-                        self.check_rec(e.child, Some(level - 1), false, ct, leaves)?;
-                    // The stored region must cover the child's current
-                    // bound now and in the future (probe a horizon).
-                    for probe in [0, 1, 365] {
-                        let t = ct.plus(probe);
-                        if !e.spec.resolve(t).contains(&child_bound.resolve(t)) {
-                            return Err(GrError::Corrupt(format!(
-                                "page {page}: entry {} does not cover child {} at ct+{probe}",
-                                e.spec, child_bound
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(node.bound(ct))
+        GrQuality::compute(&self.0, ct)
     }
 }
 
-impl crate::cursor::NodeSource for GrTree {
-    fn read_node(&self, page: u32) -> Result<GrNode> {
-        GrTree::read_node(self, page)
+/// A `Send + Sync` read-only handle on a disk-resident GR-tree (see the
+/// kernel [`Reader`], to which it derefs).
+pub struct GrTreeReader(Reader<GrKey>);
+
+impl Deref for GrTreeReader {
+    type Target = Reader<GrKey>;
+    fn deref(&self) -> &Reader<GrKey> {
+        &self.0
+    }
+}
+
+impl GrTreeReader {
+    /// Opens a reader directly over a large-object view — how a
+    /// snapshot read mounts an index, no LO-level lock involved.
+    pub fn open(reader: LoReader, metrics: TreeMetrics) -> Result<GrTreeReader> {
+        Reader::open(GrKey::default(), reader, metrics).map(GrTreeReader)
     }
 
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
+    /// Opens a scan cursor — the same cursor, predicate semantics, and
+    /// per-statement current time as [`GrTree::cursor`].
+    pub fn cursor(&self, pred: Predicate, query: TimeExtent, ct: Day) -> GrCursor {
+        self.0.cursor(GrQuery::new(pred, &query, ct), ct)
     }
 
-    fn prefetch(&self, pages: &[u32]) {
-        self.lo.prefetch(pages);
+    /// Advances a cursor to the next qualifying `(extent, rowid)`.
+    pub fn cursor_next(&self, cursor: &mut GrCursor) -> Result<Option<(TimeExtent, u64)>> {
+        Ok(self.0.cursor_next(cursor)?.map(hit))
     }
+
+    /// The root node's bounding region resolved at `ct`, or `None` for
+    /// an empty tree — the planner's selectivity input.
+    pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
+        Ok(self.0.root_bound(ct)?.map(|b| b.resolve(ct)))
+    }
+}
+
+/// Runs one predicate over the tree with up to `workers` threads — the
+/// kernel's [`parallel_scan`](grt_treekit::parallel_scan), equivalent
+/// to draining a fresh serial cursor.
+pub fn parallel_scan(
+    reader: &GrTreeReader,
+    pred: Predicate,
+    query: TimeExtent,
+    ct: Day,
+    workers: usize,
+) -> Result<ParallelScan<TimeExtent>> {
+    let scan = grt_treekit::parallel_scan(&reader.0, &GrQuery::new(pred, &query, ct), ct, workers)?;
+    Ok(ParallelScan {
+        rows: scan.rows.into_iter().map(hit).collect(),
+        stats: scan.stats,
+    })
 }
 
 #[cfg(test)]
@@ -816,46 +285,6 @@ mod tests {
                 (i as u64, e)
             })
             .collect()
-    }
-
-    #[test]
-    fn insert_and_search_match_linear_scan() {
-        let mut t = tree(8);
-        let ct = Day(600);
-        let data = history(300);
-        for (id, e) in &data {
-            t.insert(*e, *id, ct).unwrap();
-        }
-        assert_eq!(t.len(), 300);
-        assert!(t.height() > 1);
-        t.check(ct).unwrap();
-
-        let queries = [
-            extent(100, Some(150), 50, Some(160)),
-            extent(0, None, 0, None),
-            extent(450, Some(460), 455, Some(600)),
-            extent(250, Some(250), 250, Some(250)),
-        ];
-        for probe_ct in [ct, ct.plus(100), ct.plus(5000)] {
-            for q in &queries {
-                for pred in Predicate::ALL {
-                    let mut expected: Vec<u64> = data
-                        .iter()
-                        .filter(|(_, e)| pred.eval(e, q, probe_ct))
-                        .map(|(id, _)| *id)
-                        .collect();
-                    let mut got: Vec<u64> = t
-                        .search(pred, q, probe_ct)
-                        .unwrap()
-                        .into_iter()
-                        .map(|(_, id)| id)
-                        .collect();
-                    expected.sort_unstable();
-                    got.sort_unstable();
-                    assert_eq!(got, expected, "{pred} at ct={probe_ct:?}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -938,22 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_everything() {
-        let mut t = tree(6);
-        let ct = Day(600);
-        let data = history(120);
-        for (id, e) in &data {
-            t.insert(*e, *id, ct).unwrap();
-        }
-        for (id, e) in &data {
-            assert!(t.delete(e, *id, ct).unwrap().found, "{id}");
-        }
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.height(), 1);
-        t.check(ct).unwrap();
-    }
-
-    #[test]
     fn cursor_restart_after_condense() {
         let mut t = tree(8);
         let ct = Day(600);
@@ -979,53 +392,6 @@ mod tests {
         // actually condensed.
         t.cursor_restart(&mut cursor);
         while t.cursor_next(&mut cursor).unwrap().is_some() {}
-        t.check(ct).unwrap();
-    }
-
-    #[test]
-    fn cursor_restart_does_not_replay_emitted_rows() {
-        let mut t = tree(8);
-        let ct = Day(600);
-        let data = history(150);
-        for (id, e) in &data {
-            t.insert(*e, *id, ct).unwrap();
-        }
-        let q = extent(0, None, 0, None);
-        let mut cursor = t.cursor(Predicate::Overlaps, q, ct);
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let (_, id) = t.cursor_next(&mut cursor).unwrap().expect("tree has rows");
-            got.push(id);
-        }
-        // Condense the tree mid-scan, deleting only rows the cursor has
-        // *not* yet returned: the emitted three survive, and the
-        // restarted walk meets them again at the leaves.
-        let mut condensed = false;
-        for (id, e) in &data {
-            if got.contains(id) {
-                continue;
-            }
-            if t.delete(e, *id, ct).unwrap().condensed {
-                condensed = true;
-                break;
-            }
-        }
-        assert!(condensed);
-        t.cursor_restart(&mut cursor);
-        while let Some((_, id)) = t.cursor_next(&mut cursor).unwrap() {
-            got.push(id);
-        }
-        let unique: std::collections::HashSet<u64> = got.iter().copied().collect();
-        assert_eq!(
-            unique.len(),
-            got.len(),
-            "restart re-returned rows already emitted before the condense"
-        );
-        // No surviving row was lost either: the post-restart walk still
-        // covers everything a fresh search finds.
-        for (_, id) in t.search(Predicate::Overlaps, &q, ct).unwrap() {
-            assert!(unique.contains(&id), "row {id} lost across restart");
-        }
         t.check(ct).unwrap();
     }
 

@@ -19,50 +19,22 @@
 //!   that motivate the GR-tree.
 
 pub mod bitemporal;
-pub mod bulk;
-pub mod cursor;
 pub mod geom;
 pub mod meta;
 pub mod node;
-pub mod parallel;
 pub mod stats;
 pub mod tree;
 
-pub use bulk::{bulk_load, bulk_load_pairs};
-pub use cursor::{NodeSource, RStarCursor};
 pub use geom::{Rect2, SpatialPredicate};
-pub use parallel::{parallel_scan, ParallelScan, ParallelScanStats, RStarTreeReader};
-pub use stats::TreeQuality;
-pub use tree::{RStarOptions, RStarTree};
+pub use grt_treekit::{NodeSource, ParallelScan, ParallelScanStats, TreeQuality};
+pub use tree::{
+    bulk_load, bulk_load_pairs, parallel_scan, RStarCursor, RStarOptions, RStarTree,
+    RStarTreeReader, RectKey,
+};
 
-/// Errors from the R\*-tree layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RStarError {
-    /// Underlying storage failure.
-    Storage(grt_sbspace::SbError),
-    /// The large object does not contain a valid R*-tree.
-    Corrupt(String),
-    /// API misuse.
-    Usage(String),
-}
-
-impl From<grt_sbspace::SbError> for RStarError {
-    fn from(e: grt_sbspace::SbError) -> Self {
-        RStarError::Storage(e)
-    }
-}
-
-impl std::fmt::Display for RStarError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RStarError::Storage(e) => write!(f, "storage: {e}"),
-            RStarError::Corrupt(m) => write!(f, "corrupt r*-tree: {m}"),
-            RStarError::Usage(m) => write!(f, "usage: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for RStarError {}
+/// Errors from the R\*-tree layer: the kernel's, whose corruption
+/// reports read "corrupt r*-tree: …".
+pub type RStarError = grt_treekit::TreeError;
 
 /// Convenience result alias for this crate.
-pub type Result<T> = std::result::Result<T, RStarError>;
+pub type Result<T> = grt_treekit::Result<T>;

@@ -1,8 +1,11 @@
-//! R\*-tree node pages: one node per sbspace page.
+//! R\*-tree node pages: one node per sbspace page, `RSTN` magic, 24
+//! bytes per entry — a rectangle plus a 64-bit payload.
 
 use crate::geom::Rect2;
-use crate::{RStarError, Result};
+use crate::tree::RectKey;
+use crate::Result;
 use grt_sbspace::page::{page_from_slice, PageBuf, PAGE_SIZE};
+use grt_treekit::TreeError;
 
 const MAGIC: &[u8; 4] = b"RSTN";
 const HEADER_LEN: usize = 8;
@@ -12,7 +15,7 @@ pub const ENTRY_LEN: usize = 24;
 /// The hard fan-out ceiling a 4 KiB page supports.
 pub const MAX_FANOUT: usize = (PAGE_SIZE - HEADER_LEN) / ENTRY_LEN;
 
-/// One node entry.
+/// One node entry as dumps, bulk loads and benchmarks see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Entry {
     /// Bounding rectangle of the child (internal) or object (leaf).
@@ -21,7 +24,16 @@ pub struct Entry {
     pub payload: u64,
 }
 
-/// An in-memory node image.
+impl From<Entry> for grt_treekit::Entry<Rect2> {
+    fn from(e: Entry) -> Self {
+        grt_treekit::Entry {
+            key: e.rect,
+            ptr: e.payload,
+        }
+    }
+}
+
+/// A decoded node image (the kernel's node with the field names above).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// 0 for leaves, increasing toward the root.
@@ -31,61 +43,67 @@ pub struct Node {
 }
 
 impl Node {
-    /// An empty node at `level`.
-    pub fn new(level: u16) -> Node {
-        Node {
-            level,
-            entries: Vec::new(),
-        }
-    }
-
     /// True for leaf nodes.
     pub fn is_leaf(&self) -> bool {
         self.level == 0
     }
 
-    /// The minimum bounding rectangle of all entries.
-    pub fn mbr(&self) -> Rect2 {
-        self.entries
-            .iter()
-            .fold(Rect2::empty(), |acc, e| acc.union(&e.rect))
-    }
-
-    /// Serialises into a page image.
-    pub fn encode(&self) -> PageBuf {
-        assert!(self.entries.len() <= MAX_FANOUT, "node overflow");
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(MAGIC);
-        buf[4..6].copy_from_slice(&self.level.to_le_bytes());
-        buf[6..8].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        for (i, e) in self.entries.iter().enumerate() {
-            let off = HEADER_LEN + i * ENTRY_LEN;
-            e.rect.encode(&mut buf[off..off + 16]);
-            buf[off + 16..off + 24].copy_from_slice(&e.payload.to_le_bytes());
-        }
-        page_from_slice(&buf)
-    }
-
     /// Parses a page image.
     pub fn decode(buf: &[u8; PAGE_SIZE]) -> Result<Node> {
-        if &buf[0..4] != MAGIC {
-            return Err(RStarError::Corrupt("bad node magic".into()));
-        }
-        let level = u16::from_le_bytes(buf[4..6].try_into().unwrap());
-        let count = u16::from_le_bytes(buf[6..8].try_into().unwrap()) as usize;
-        if count > MAX_FANOUT {
-            return Err(RStarError::Corrupt(format!("entry count {count}")));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER_LEN + i * ENTRY_LEN;
-            entries.push(Entry {
-                rect: Rect2::decode(&buf[off..off + 16]),
-                payload: u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
-            });
-        }
-        Ok(Node { level, entries })
+        Ok(decode(buf)?.into())
     }
+}
+
+impl From<grt_treekit::Node<Rect2>> for Node {
+    fn from(node: grt_treekit::Node<Rect2>) -> Self {
+        let entry = |e: grt_treekit::Entry<Rect2>| Entry {
+            rect: e.key,
+            payload: e.ptr,
+        };
+        Node {
+            level: node.level,
+            entries: node.entries.into_iter().map(entry).collect(),
+        }
+    }
+}
+
+/// Serialises a kernel node into a page image.
+pub(crate) fn encode(node: &grt_treekit::Node<Rect2>) -> PageBuf {
+    assert!(node.entries.len() <= MAX_FANOUT, "node overflow");
+    let mut buf = vec![0u8; PAGE_SIZE];
+    buf[0..4].copy_from_slice(MAGIC);
+    buf[4..6].copy_from_slice(&node.level.to_le_bytes());
+    buf[6..8].copy_from_slice(&(node.entries.len() as u16).to_le_bytes());
+    for (i, e) in node.entries.iter().enumerate() {
+        let off = HEADER_LEN + i * ENTRY_LEN;
+        e.key.encode(&mut buf[off..off + 16]);
+        buf[off + 16..off + 24].copy_from_slice(&e.ptr.to_le_bytes());
+    }
+    page_from_slice(&buf)
+}
+
+/// Parses a page image into a kernel node.
+pub(crate) fn decode(buf: &[u8; PAGE_SIZE]) -> Result<grt_treekit::Node<Rect2>> {
+    if &buf[0..4] != MAGIC {
+        return Err(TreeError::corrupt::<RectKey>("bad node magic"));
+    }
+    let level = u16::from_le_bytes(buf[4..6].try_into().unwrap());
+    let count = u16::from_le_bytes(buf[6..8].try_into().unwrap()) as usize;
+    if count > MAX_FANOUT {
+        return Err(TreeError::corrupt::<RectKey>(format!(
+            "entry count {count}"
+        )));
+    }
+    let entries = (0..count)
+        .map(|i| {
+            let off = HEADER_LEN + i * ENTRY_LEN;
+            grt_treekit::Entry {
+                key: Rect2::decode(&buf[off..off + 16]),
+                ptr: u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
+            }
+        })
+        .collect();
+    Ok(grt_treekit::Node { level, entries })
 }
 
 #[cfg(test)]
@@ -94,44 +112,35 @@ mod tests {
 
     #[test]
     fn node_roundtrip() {
-        let mut n = Node::new(3);
-        for i in 0..50 {
-            n.entries.push(Entry {
-                rect: Rect2::new(i, i + 10, -i, i),
-                payload: (i as u64) << 33 | 7,
-            });
-        }
-        let decoded = Node::decode(&n.encode()).unwrap();
-        assert_eq!(decoded, n);
-        assert!(!decoded.is_leaf());
+        let n = grt_treekit::Node {
+            level: 3,
+            entries: (0..50)
+                .map(|i| grt_treekit::Entry {
+                    key: Rect2::new(i, i + 10, -i, i),
+                    ptr: (i as u64) << 33 | 7,
+                })
+                .collect(),
+        };
+        assert_eq!(decode(&encode(&n)).unwrap(), n);
+        let view = Node::decode(&encode(&n)).unwrap();
+        assert!(!view.is_leaf());
+        assert_eq!(view.entries[49].payload, 49u64 << 33 | 7);
     }
 
     #[test]
     fn empty_node_roundtrip() {
-        let n = Node::new(0);
-        let decoded = Node::decode(&n.encode()).unwrap();
+        let n = grt_treekit::Node {
+            level: 0,
+            entries: Vec::new(),
+        };
+        let decoded = Node::decode(&encode(&n)).unwrap();
         assert!(decoded.is_leaf());
         assert!(decoded.entries.is_empty());
-        assert!(decoded.mbr().is_empty());
     }
 
     #[test]
     fn garbage_rejected() {
         let z = grt_sbspace::page::zeroed_page();
         assert!(Node::decode(&z).is_err());
-    }
-
-    #[test]
-    fn mbr_covers_entries() {
-        let mut n = Node::new(0);
-        n.entries.push(Entry {
-            rect: Rect2::new(0, 1, 0, 1),
-            payload: 1,
-        });
-        n.entries.push(Entry {
-            rect: Rect2::new(5, 9, -3, 2),
-            payload: 2,
-        });
-        assert_eq!(n.mbr(), Rect2::new(0, 9, -3, 2));
     }
 }

@@ -1,82 +1,10 @@
 //! Tree-quality statistics: the "goodness" measures of the paper's
-//! Section 3 — dead space and overlap per tree level.
+//! Section 3 — dead space and overlap per tree level — come from the
+//! kernel's quality walk ([`TreeQuality`]); this module adds the metric
+//! for free-standing rectangle sets.
 
 use crate::geom::Rect2;
-use crate::tree::RStarTree;
-use crate::Result;
-use std::collections::VecDeque;
-
-/// Aggregates for one tree level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelQuality {
-    /// Nodes at this level.
-    pub nodes: u64,
-    /// Entries across those nodes.
-    pub entries: u64,
-    /// Sum of node MBR areas.
-    pub mbr_area: i128,
-    /// Sum over nodes of `mbr area - sum(entry areas)` clamped at zero —
-    /// the dead-space proxy (space in the bound covered by no entry,
-    /// ignoring entry overlap).
-    pub dead_space: i128,
-    /// Sum over nodes of pairwise entry overlap areas.
-    pub overlap: i128,
-}
-
-/// Quality per level, index 0 = leaves.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TreeQuality {
-    /// Per-level aggregates, leaves first.
-    pub levels: Vec<LevelQuality>,
-}
-
-impl TreeQuality {
-    pub(crate) fn compute(tree: &RStarTree, root: u32, height: u32) -> Result<TreeQuality> {
-        let mut levels = vec![LevelQuality::default(); height as usize];
-        let mut queue = VecDeque::new();
-        queue.push_back(root);
-        while let Some(page) = queue.pop_front() {
-            let node = tree.read_node(page)?;
-            let lq = &mut levels[node.level as usize];
-            lq.nodes += 1;
-            lq.entries += node.entries.len() as u64;
-            let mbr = node.mbr();
-            lq.mbr_area += mbr.area();
-            let covered: i128 = node.entries.iter().map(|e| e.rect.area()).sum();
-            lq.dead_space += (mbr.area() - covered).max(0);
-            for (i, a) in node.entries.iter().enumerate() {
-                for b in &node.entries[i + 1..] {
-                    lq.overlap += a.rect.overlap_area(&b.rect);
-                }
-            }
-            if node.level > 0 {
-                for e in &node.entries {
-                    queue.push_back(e.payload as u32);
-                }
-            }
-        }
-        Ok(TreeQuality { levels })
-    }
-
-    /// Total overlap across all levels.
-    pub fn total_overlap(&self) -> i128 {
-        self.levels.iter().map(|l| l.overlap).sum()
-    }
-
-    /// Total dead space across all levels.
-    pub fn total_dead_space(&self) -> i128 {
-        self.levels.iter().map(|l| l.dead_space).sum()
-    }
-
-    /// Average leaf fill factor (entries per leaf).
-    pub fn leaf_fill(&self) -> f64 {
-        let leaves = &self.levels[0];
-        if leaves.nodes == 0 {
-            return 0.0;
-        }
-        leaves.entries as f64 / leaves.nodes as f64
-    }
-}
+pub use grt_treekit::{LevelQuality, TreeQuality};
 
 /// Exact pairwise-overlap metric for an arbitrary set of rectangles
 /// (used by the figure-3 reproduction).

@@ -1,25 +1,27 @@
-//! The disk-resident R\*-tree.
+//! The disk-resident R\*-tree: the paged-tree kernel under a [`Rect2`]
+//! key.
 //!
-//! Structure and algorithms follow Beckmann et al. (SIGMOD 1990): subtree
-//! choice by overlap enlargement above the leaf level, margin-driven
-//! split-axis selection, forced reinsertion on first overflow per level,
-//! and deletion with tree condensation (underfull nodes dissolved and
-//! their entries reinserted at their original level).
+//! The kernel runs the drivers; this module supplies the geometry of
+//! Beckmann et al. (SIGMOD 1990): subtree choice by overlap enlargement
+//! above the leaf level, margin-driven split-axis selection, and
+//! centre-distance ordering for forced reinsertion.
 //!
 //! The tree lives in one sbspace large object, one node per page, with
 //! the header on logical page 0 — the same storage layout the GR-tree
 //! DataBlade uses, so I/O comparisons between the two are apples to
 //! apples.
 
-use crate::cursor::RStarCursor;
 use crate::geom::{Rect2, SpatialPredicate};
-use crate::meta::{decode_free, encode_free, Meta, NO_PAGE};
-use crate::node::{Entry, Node, MAX_FANOUT};
-use crate::stats::TreeQuality;
-use crate::{RStarError, Result};
+use crate::node::{self, MAX_FANOUT};
+use crate::Result;
 use grt_metrics::TreeMetrics;
-use grt_sbspace::LoHandle;
-use std::collections::HashSet;
+use grt_sbspace::page::{PageBuf, PAGE_SIZE};
+use grt_sbspace::{LoHandle, LoReader};
+use grt_treekit::{
+    Cursor, DeleteOutcome, Entry, Meta, NodeSource, ParallelScan, Reader, Tree, TreeKey,
+    TreeQuality,
+};
+use std::ops::{Deref, DerefMut};
 
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -44,294 +46,88 @@ impl Default for RStarOptions {
     }
 }
 
-/// Outcome of a deletion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeleteOutcome {
-    /// Whether the entry existed.
-    pub found: bool,
-    /// Whether the tree was condensed (nodes dissolved and entries
-    /// reinserted) — open cursors must restart (the paper's Section 5.5).
-    pub condensed: bool,
+impl RStarOptions {
+    /// The header of a fresh tree built with these options.
+    pub fn header(self) -> Meta<RectKey> {
+        Meta::rstar_sized(
+            RectKey,
+            self.max_entries,
+            MAX_FANOUT,
+            self.min_fill_pct,
+            self.reinsert_pct,
+        )
+    }
 }
 
-/// A disk-resident R\*-tree owning its large-object handle.
-pub struct RStarTree {
-    lo: LoHandle,
-    meta: Meta,
-    /// Operation counters; detached by default, swapped for
-    /// registry-backed cells via [`RStarTree::set_metrics`].
-    pub(crate) metrics: TreeMetrics,
+/// The R\*-tree key policy: plain rectangles at every level, no
+/// per-operation context.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RectKey;
+
+fn mbr(entries: &[Entry<Rect2>]) -> Rect2 {
+    entries
+        .iter()
+        .fold(Rect2::empty(), |acc, e| acc.union(&e.key))
 }
 
-enum ChildFate {
-    /// The child survives with (possibly) a new bounding rectangle.
-    Alive,
-    /// The child went underfull: its page was dissolved and its entries
-    /// must be reinserted.
-    Dissolved(Vec<Entry>, u16),
-}
+impl TreeKey for RectKey {
+    type Key = Rect2;
+    type Query = (SpatialPredicate, Rect2);
+    type Ctx = ();
+    type Dedup = [i32; 4];
 
-impl RStarTree {
-    /// Initialises a fresh tree inside an (empty) large object.
-    pub fn create(mut lo: LoHandle, opts: RStarOptions) -> Result<RStarTree> {
-        if lo.page_count() != 0 {
-            return Err(RStarError::Usage("large object not empty".into()));
-        }
-        let max_entries = opts.max_entries.clamp(4, MAX_FANOUT) as u32;
-        let min_fill = (max_entries * opts.min_fill_pct.clamp(10, 50) / 100).max(2);
-        let meta = Meta {
-            root: 1,
-            height: 1,
-            count: 0,
-            max_entries,
-            min_fill,
-            free_head: NO_PAGE,
-            reinsert_pct: opts.reinsert_pct.min(45),
-        };
-        lo.append_page(&meta.encode())?;
-        lo.append_page(&Node::new(0).encode())?;
-        Ok(RStarTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+    const NAME: &'static str = "r*-tree";
+    const META_MAGIC: &'static [u8; 4] = b"RSTH";
+    const FREE_MAGIC: &'static [u8; 4] = b"RSTF";
+
+    fn encode_node(&self, node: &grt_treekit::Node<Rect2>) -> Result<PageBuf> {
+        Ok(node::encode(node))
     }
 
-    /// Opens an existing tree.
-    pub fn open(lo: LoHandle) -> Result<RStarTree> {
-        let meta = Meta::decode(&*lo.read_page_pinned(0)?)?;
-        Ok(RStarTree {
-            lo,
-            meta,
-            metrics: TreeMetrics::default(),
-        })
+    fn decode_node(&self, buf: &[u8; PAGE_SIZE]) -> Result<grt_treekit::Node<Rect2>> {
+        node::decode(buf)
     }
 
-    /// Replaces the operation counters, typically with
-    /// [`TreeMetrics::registered`] cells feeding an engine-wide registry.
-    pub fn set_metrics(&mut self, metrics: TreeMetrics) {
-        self.metrics = metrics;
+    fn bound(&self, entries: &[Entry<Rect2>], _: ()) -> Rect2 {
+        mbr(entries)
     }
 
-    /// The operation counters this tree bumps.
-    pub fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
+    fn covers(&self, bound: &Rect2, key: &Rect2, _: ()) -> bool {
+        bound.contains(key)
     }
 
-    /// Releases the large-object handle, flushing the header when the
-    /// handle is writable (read-only opens never changed it).
-    pub fn into_lo(mut self) -> Result<LoHandle> {
-        if self.lo.is_writable() {
-            self.write_meta()?;
-        }
-        Ok(self.lo)
+    /// Entry rectangles are exact child MBRs, not merely covers.
+    fn bounds_child(&self, entry: &Rect2, child: &Rect2, _: ()) -> bool {
+        entry == child
     }
 
-    /// Number of indexed entries.
-    pub fn len(&self) -> u64 {
-        self.meta.count
+    fn consistent(&self, bound: &Rect2, (pred, query): &Self::Query, _: ()) -> bool {
+        bound.consistent(*pred, query)
     }
 
-    /// True when no entries are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.meta.count == 0
-    }
-
-    /// Tree height (1 = the root is a leaf).
-    pub fn height(&self) -> u32 {
-        self.meta.height
-    }
-
-    /// Maximum node fan-out of this tree instance.
-    pub fn max_entries(&self) -> usize {
-        self.meta.max_entries as usize
-    }
-
-    /// Minimum fill of non-root nodes of this tree instance.
-    pub fn min_fill(&self) -> usize {
-        self.meta.min_fill as usize
-    }
-
-    /// The root page (for structure dumps).
-    pub fn root_page(&self) -> u32 {
-        self.meta.root
-    }
-
-    fn write_meta(&mut self) -> Result<()> {
-        self.lo.write_page(0, &self.meta.encode())?;
-        Ok(())
-    }
-
-    /// Reads the node at `page` (public for dumps and stats).
-    pub fn read_node(&self, page: u32) -> Result<Node> {
-        Node::decode(&*self.lo.read_page_pinned(page)?)
-    }
-
-    fn write_node(&mut self, page: u32, node: &Node) -> Result<()> {
-        self.lo.write_page(page, &node.encode())?;
-        Ok(())
-    }
-
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans; see [`crate::parallel`]. The snapshot is valid
-    /// while this tree (and the lock its large-object handle holds)
-    /// stays open.
-    pub fn reader(&self) -> crate::parallel::RStarTreeReader {
-        crate::parallel::RStarTreeReader::new(self.lo.reader(), self.meta, self.metrics.clone())
-    }
-
-    /// The root node's minimum bounding rectangle, or `None` for an
-    /// empty tree. The planner's selectivity estimate compares a query
-    /// rectangle against this bound.
-    pub fn root_mbr(&self) -> Result<Option<Rect2>> {
-        if self.meta.count == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.read_node(self.meta.root)?.mbr()))
-    }
-
-    /// Appends a packed node during bulk load (no balancing).
-    pub(crate) fn bulk_append(&mut self, node: &Node) -> Result<u32> {
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    /// Installs the bulk-loaded root and counters.
-    pub(crate) fn bulk_finish(&mut self, root: u32, height: u32, count: u64) -> Result<()> {
-        self.meta.root = root;
-        self.meta.height = height.max(1);
-        self.meta.count = count;
-        self.write_meta()
-    }
-
-    fn alloc_node(&mut self, node: &Node) -> Result<u32> {
-        if self.meta.free_head != NO_PAGE {
-            let page = self.meta.free_head;
-            self.meta.free_head = decode_free(&*self.lo.read_page_pinned(page)?)?;
-            self.write_node(page, node)?;
-            return Ok(page);
-        }
-        Ok(self.lo.append_page(&node.encode())?)
-    }
-
-    fn free_node(&mut self, page: u32) -> Result<()> {
-        let img = encode_free(self.meta.free_head);
-        self.lo.write_page(page, &img)?;
-        self.meta.free_head = page;
-        Ok(())
-    }
-
-    /// Inserts `rect` with payload `rowid`.
-    pub fn insert(&mut self, rect: Rect2, rowid: u64) -> Result<()> {
-        let mut reinserted = HashSet::new();
-        let mut pending: Vec<(Entry, u16)> = vec![(
-            Entry {
-                rect,
-                payload: rowid,
-            },
-            0,
-        )];
-        while let Some((entry, level)) = pending.pop() {
-            self.insert_toplevel(entry, level, &mut reinserted, &mut pending)?;
-        }
-        self.meta.count += 1;
-        self.write_meta()
-    }
-
-    fn insert_toplevel(
-        &mut self,
-        entry: Entry,
-        level: u16,
-        reinserted: &mut HashSet<u16>,
-        pending: &mut Vec<(Entry, u16)>,
-    ) -> Result<()> {
-        let root = self.meta.root;
-        if let Some(sibling) = self.insert_rec(root, entry, level, reinserted, pending)? {
-            // The root split: grow the tree by one level.
-            let old_root_node = self.read_node(root)?;
-            let left = Entry {
-                rect: old_root_node.mbr(),
-                payload: root as u64,
-            };
-            let mut new_root = Node::new(old_root_node.level + 1);
-            new_root.entries.push(left);
-            new_root.entries.push(sibling);
-            let new_root_page = self.alloc_node(&new_root)?;
-            self.meta.root = new_root_page;
-            self.meta.height += 1;
-        }
-        Ok(())
-    }
-
-    /// Recursive insertion; returns the sibling entry if this node split.
-    fn insert_rec(
-        &mut self,
-        page: u32,
-        entry: Entry,
-        target_level: u16,
-        reinserted: &mut HashSet<u16>,
-        pending: &mut Vec<(Entry, u16)>,
-    ) -> Result<Option<Entry>> {
-        let mut node = self.read_node(page)?;
-        if node.level == target_level {
-            node.entries.push(entry);
-        } else {
-            let idx = self.choose_subtree(&node, &entry.rect);
-            let child = node.entries[idx].payload as u32;
-            let split = self.insert_rec(child, entry, target_level, reinserted, pending)?;
-            node.entries[idx].rect = self.read_node(child)?.mbr();
-            if let Some(sibling) = split {
-                node.entries.push(sibling);
-            }
-        }
-        if node.entries.len() > self.meta.max_entries as usize {
-            let is_root = page == self.meta.root;
-            if !is_root && self.meta.reinsert_pct > 0 && reinserted.insert(node.level) {
-                // Forced reinsertion: evict the entries farthest from the
-                // node centre and re-add them at this level.
-                let k = ((node.entries.len() * self.meta.reinsert_pct as usize) / 100).max(1);
-                self.metrics.reinserts.add(k as u64);
-                let mbr = node.mbr();
-                node.entries
-                    .sort_by_key(|e| std::cmp::Reverse(e.rect.center_dist2(&mbr)));
-                let evicted: Vec<Entry> = node.entries.drain(..k).collect();
-                self.write_node(page, &node)?;
-                for e in evicted {
-                    pending.push((e, node.level));
-                }
-                return Ok(None);
-            }
-            let (a, b) = self.split(node);
-            self.write_node(page, &a)?;
-            let b_mbr = b.mbr();
-            let b_page = self.alloc_node(&b)?;
-            return Ok(Some(Entry {
-                rect: b_mbr,
-                payload: b_page as u64,
-            }));
-        }
-        self.write_node(page, &node)?;
-        Ok(None)
+    fn matches(&self, key: &Rect2, (pred, query): &Self::Query, _: ()) -> bool {
+        key.eval(*pred, query)
     }
 
     /// R\*-tree ChooseSubtree: overlap enlargement when the children are
     /// leaves, area enlargement otherwise.
-    fn choose_subtree(&self, node: &Node, rect: &Rect2) -> usize {
-        let area_key = |e: &Entry| {
-            let enlarged = e.rect.union(rect);
-            (enlarged.area() - e.rect.area(), e.rect.area())
+    fn choose_subtree(&self, level: u16, entries: &[Entry<Rect2>], rect: &Rect2, _: ()) -> usize {
+        let area_key = |e: &Entry<Rect2>| {
+            let enlarged = e.key.union(rect);
+            (enlarged.area() - e.key.area(), e.key.area())
         };
-        if node.level == 1 {
+        if level == 1 {
             // Children are leaves: minimise overlap enlargement, ties by
             // area enlargement, then area.
             let mut best = 0usize;
             let mut best_key = (i128::MAX, i128::MAX, i128::MAX);
-            for (i, e) in node.entries.iter().enumerate() {
-                let enlarged = e.rect.union(rect);
+            for (i, e) in entries.iter().enumerate() {
+                let enlarged = e.key.union(rect);
                 let mut overlap_delta: i128 = 0;
-                for (j, other) in node.entries.iter().enumerate() {
+                for (j, other) in entries.iter().enumerate() {
                     if i != j {
                         overlap_delta +=
-                            enlarged.overlap_area(&other.rect) - e.rect.overlap_area(&other.rect);
+                            enlarged.overlap_area(&other.key) - e.key.overlap_area(&other.key);
                     }
                 }
                 let (area_delta, area) = area_key(e);
@@ -343,40 +139,37 @@ impl RStarTree {
             }
             best
         } else {
-            (0..node.entries.len())
-                .min_by_key(|&i| area_key(&node.entries[i]))
+            (0..entries.len())
+                .min_by_key(|&i| area_key(&entries[i]))
                 .unwrap_or(0)
         }
     }
 
     /// R\*-tree split: margin-driven axis selection, overlap-driven
     /// distribution selection.
-    fn split(&self, node: Node) -> (Node, Node) {
-        self.metrics.splits.inc();
-        let m = self.meta.min_fill as usize;
-        let total = node.entries.len();
-        let level = node.level;
+    fn split(
+        &self,
+        entries: Vec<Entry<Rect2>>,
+        m: usize,
+        _: (),
+    ) -> Result<(Vec<Entry<Rect2>>, Vec<Entry<Rect2>>)> {
+        let total = entries.len();
         #[allow(clippy::type_complexity)]
-        let sort_keys: [fn(&Entry) -> (i32, i32); 4] = [
-            |e| (e.rect.x1, e.rect.x2),
-            |e| (e.rect.x2, e.rect.x1),
-            |e| (e.rect.y1, e.rect.y2),
-            |e| (e.rect.y2, e.rect.y1),
+        let sort_keys: [fn(&Entry<Rect2>) -> (i32, i32); 4] = [
+            |e| (e.key.x1, e.key.x2),
+            |e| (e.key.x2, e.key.x1),
+            |e| (e.key.y1, e.key.y2),
+            |e| (e.key.y2, e.key.y1),
         ];
         // Margin sum per axis (keys 0,1 = x; keys 2,3 = y).
         let mut axis_margin = [0i64; 2];
-        let mut sorted: Vec<Vec<Entry>> = Vec::with_capacity(4);
+        let mut sorted: Vec<Vec<Entry<Rect2>>> = Vec::with_capacity(4);
         for (k, key) in sort_keys.iter().enumerate() {
-            let mut entries = node.entries.clone();
+            let mut entries = entries.clone();
             entries.sort_by_key(key);
             for split_at in m..=(total - m) {
-                let g1 = entries[..split_at]
-                    .iter()
-                    .fold(Rect2::empty(), |acc, e| acc.union(&e.rect));
-                let g2 = entries[split_at..]
-                    .iter()
-                    .fold(Rect2::empty(), |acc, e| acc.union(&e.rect));
-                axis_margin[k / 2] += g1.margin() + g2.margin();
+                axis_margin[k / 2] +=
+                    mbr(&entries[..split_at]).margin() + mbr(&entries[split_at..]).margin();
             }
             sorted.push(entries);
         }
@@ -391,12 +184,7 @@ impl RStarTree {
         for key in [axis * 2, axis * 2 + 1] {
             let entries = &sorted[key];
             for split_at in m..=(total - m) {
-                let g1 = entries[..split_at]
-                    .iter()
-                    .fold(Rect2::empty(), |acc, e| acc.union(&e.rect));
-                let g2 = entries[split_at..]
-                    .iter()
-                    .fold(Rect2::empty(), |acc, e| acc.union(&e.rect));
+                let (g1, g2) = (mbr(&entries[..split_at]), mbr(&entries[split_at..]));
                 let cand = (g1.overlap_area(&g2), g1.area() + g2.area(), key, split_at);
                 if best.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
                     best = Some(cand);
@@ -404,220 +192,195 @@ impl RStarTree {
             }
         }
         let (_, _, key, split_at) = best.expect("at least one distribution");
-        let entries = &sorted[key];
-        let mut a = Node::new(level);
-        let mut b = Node::new(level);
-        a.entries.extend_from_slice(&entries[..split_at]);
-        b.entries.extend_from_slice(&entries[split_at..]);
-        (a, b)
+        let mut a = sorted.swap_remove(key);
+        let b = a.split_off(split_at);
+        Ok((a, b))
+    }
+
+    /// Farthest from the node's centre first.
+    fn sort_for_reinsert(&self, entries: &mut [Entry<Rect2>], _: ()) {
+        let mbr = mbr(entries);
+        entries.sort_by_key(|e| std::cmp::Reverse(e.key.center_dist2(&mbr)));
+    }
+
+    fn dedup_key(&self, r: &Rect2) -> [i32; 4] {
+        [r.x1, r.x2, r.y1, r.y2]
+    }
+
+    fn center(&self, r: &Rect2, _: ()) -> (i64, i64) {
+        (r.x1 as i64 + r.x2 as i64, r.y1 as i64 + r.y2 as i64)
+    }
+
+    fn area(&self, r: &Rect2, _: ()) -> i128 {
+        r.area()
+    }
+
+    fn overlap(&self, a: &Rect2, b: &Rect2, _: ()) -> i128 {
+        a.overlap_area(b)
+    }
+}
+
+/// A depth-first scan over qualifying entries.
+pub type RStarCursor = Cursor<RectKey>;
+
+/// A disk-resident R\*-tree owning its large-object handle. Derefs to
+/// the kernel [`Tree`] for everything that is not rectangle-specific
+/// (`len`, `height`, `pages`, `metrics`, `cursor_restart`, …).
+pub struct RStarTree(Tree<RectKey>);
+
+impl Deref for RStarTree {
+    type Target = Tree<RectKey>;
+    fn deref(&self) -> &Tree<RectKey> {
+        &self.0
+    }
+}
+
+impl DerefMut for RStarTree {
+    fn deref_mut(&mut self) -> &mut Tree<RectKey> {
+        &mut self.0
+    }
+}
+
+impl RStarTree {
+    /// Initialises a fresh tree inside an (empty) large object.
+    pub fn create(lo: LoHandle, opts: RStarOptions) -> Result<RStarTree> {
+        Tree::create(lo, opts.header()).map(RStarTree)
+    }
+
+    /// Opens an existing tree.
+    pub fn open(lo: LoHandle) -> Result<RStarTree> {
+        Tree::open(RectKey, lo).map(RStarTree)
+    }
+
+    /// Releases the large-object handle, flushing the header when the
+    /// handle is writable (read-only opens never changed it).
+    pub fn into_lo(self) -> Result<LoHandle> {
+        self.0.into_lo()
+    }
+
+    /// Reads the node at `page` (for dumps and stats).
+    pub fn read_node(&self, page: u32) -> Result<node::Node> {
+        Ok(self.0.read_node(page)?.into())
+    }
+
+    /// Snapshots this tree into a `Send + Sync` read-only handle for
+    /// parallel scans, valid while this tree (and the lock its
+    /// large-object handle holds) stays open.
+    pub fn reader(&self) -> RStarTreeReader {
+        RStarTreeReader(self.0.reader())
+    }
+
+    /// The root node's minimum bounding rectangle, or `None` for an
+    /// empty tree.
+    pub fn root_mbr(&self) -> Result<Option<Rect2>> {
+        self.0.root_bound(())
+    }
+
+    /// Inserts `rect` with payload `rowid`.
+    pub fn insert(&mut self, rect: Rect2, rowid: u64) -> Result<()> {
+        self.0.insert(rect, rowid, ())
     }
 
     /// Deletes the entry `(rect, rowid)`. Underfull nodes are dissolved
     /// and their entries reinserted (CondenseTree).
     pub fn delete(&mut self, rect: Rect2, rowid: u64) -> Result<DeleteOutcome> {
-        let root = self.meta.root;
-        let mut orphans: Vec<(Vec<Entry>, u16)> = Vec::new();
-        let removed = self.delete_rec(root, &rect, rowid, &mut orphans)?;
-        if removed.is_none() {
-            return Ok(DeleteOutcome {
-                found: false,
-                condensed: false,
-            });
-        }
-        let condensed = !orphans.is_empty();
-        if condensed {
-            self.metrics.condenses.inc();
-        }
-        // Reinsert the dissolved nodes' entries at their own level.
-        for (entries, level) in orphans {
-            for entry in entries {
-                let mut reinserted = HashSet::new();
-                let mut pending = vec![(entry, level)];
-                while let Some((e, l)) = pending.pop() {
-                    self.insert_toplevel(e, l, &mut reinserted, &mut pending)?;
-                }
-            }
-        }
-        // Shrink the root while it is internal with a single child.
-        loop {
-            let root_node = self.read_node(self.meta.root)?;
-            if root_node.is_leaf() || root_node.entries.len() != 1 {
-                break;
-            }
-            let old = self.meta.root;
-            self.meta.root = root_node.entries[0].payload as u32;
-            self.meta.height -= 1;
-            self.free_node(old)?;
-        }
-        self.meta.count -= 1;
-        self.write_meta()?;
-        Ok(DeleteOutcome {
-            found: true,
-            condensed,
-        })
-    }
-
-    /// Recursive delete; `Ok(Some(fate))` when the entry was found under
-    /// `page`.
-    fn delete_rec(
-        &mut self,
-        page: u32,
-        rect: &Rect2,
-        rowid: u64,
-        orphans: &mut Vec<(Vec<Entry>, u16)>,
-    ) -> Result<Option<ChildFate>> {
-        let mut node = self.read_node(page)?;
-        let is_root = page == self.meta.root;
-        if node.is_leaf() {
-            let Some(idx) = node
-                .entries
-                .iter()
-                .position(|e| e.payload == rowid && e.rect == *rect)
-            else {
-                return Ok(None);
-            };
-            node.entries.remove(idx);
-            if !is_root && node.entries.len() < self.meta.min_fill as usize {
-                let fate = ChildFate::Dissolved(std::mem::take(&mut node.entries), 0);
-                return Ok(Some(fate));
-            }
-            self.write_node(page, &node)?;
-            return Ok(Some(ChildFate::Alive));
-        }
-        for idx in 0..node.entries.len() {
-            if !node.entries[idx].rect.contains(rect) {
-                continue;
-            }
-            let child = node.entries[idx].payload as u32;
-            match self.delete_rec(child, rect, rowid, orphans)? {
-                None => continue,
-                Some(ChildFate::Alive) => {
-                    node.entries[idx].rect = self.read_node(child)?.mbr();
-                }
-                Some(ChildFate::Dissolved(entries, level)) => {
-                    orphans.push((entries, level));
-                    self.free_node(child)?;
-                    node.entries.remove(idx);
-                }
-            }
-            if !is_root && node.entries.len() < self.meta.min_fill as usize {
-                let level = node.level;
-                let fate = ChildFate::Dissolved(std::mem::take(&mut node.entries), level);
-                return Ok(Some(fate));
-            }
-            self.write_node(page, &node)?;
-            return Ok(Some(ChildFate::Alive));
-        }
-        Ok(None)
+        self.0.delete(&rect, rowid, ())
     }
 
     /// Collects all rowids whose stored rectangle satisfies `pred`
     /// against `query`.
     pub fn search(&self, pred: SpatialPredicate, query: &Rect2) -> Result<Vec<u64>> {
-        let mut cursor = self.cursor(pred, *query);
-        let mut out = Vec::new();
-        while let Some((_, rowid)) = self.cursor_next(&mut cursor)? {
-            out.push(rowid);
-        }
-        Ok(out)
+        let hits = self.0.search((pred, *query), ())?;
+        Ok(hits.into_iter().map(|(_, rowid)| rowid).collect())
     }
 
     /// Opens a scan cursor.
     pub fn cursor(&self, pred: SpatialPredicate, query: Rect2) -> RStarCursor {
-        self.metrics.searches.inc();
-        RStarCursor::new(pred, query, self.meta.root)
+        self.0.cursor((pred, query), ())
     }
 
     /// Advances a cursor to the next qualifying `(rect, rowid)`.
     pub fn cursor_next(&self, cursor: &mut RStarCursor) -> Result<Option<(Rect2, u64)>> {
-        cursor.next(self)
-    }
-
-    /// Resets a cursor to the root (after tree condensation —
-    /// the paper's Section 5.5 restart rule).
-    pub fn cursor_restart(&self, cursor: &mut RStarCursor) {
-        cursor.restart(self.meta.root);
+        self.0.cursor_next(cursor)
     }
 
     /// Computes quality statistics (nodes, fill, area, overlap) per
     /// level.
     pub fn quality(&self) -> Result<TreeQuality> {
-        TreeQuality::compute(self, self.meta.root, self.meta.height)
-    }
-
-    /// Total pages owned by the tree, header included.
-    pub fn pages(&self) -> u32 {
-        self.lo.page_count()
+        self.0.quality((), |_| ())
     }
 
     /// Verifies structural invariants: entry rectangles equal child
     /// MBRs, levels decrease by one, non-root nodes respect minimum
     /// fill, and the leaf count matches the header.
     pub fn check(&self) -> Result<()> {
-        let mut leaves = 0u64;
-        self.check_rec(self.meta.root, None, true, &mut leaves)?;
-        if leaves != self.meta.count {
-            return Err(RStarError::Corrupt(format!(
-                "count mismatch: header {} vs leaves {leaves}",
-                self.meta.count
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_rec(
-        &self,
-        page: u32,
-        expect_level: Option<u16>,
-        is_root: bool,
-        leaves: &mut u64,
-    ) -> Result<Rect2> {
-        let node = self.read_node(page)?;
-        if let Some(l) = expect_level {
-            if node.level != l {
-                return Err(RStarError::Corrupt(format!(
-                    "page {page}: level {} expected {l}",
-                    node.level
-                )));
-            }
-        }
-        if !is_root && node.entries.len() < self.meta.min_fill as usize {
-            return Err(RStarError::Corrupt(format!(
-                "page {page}: underfull ({} < {})",
-                node.entries.len(),
-                self.meta.min_fill
-            )));
-        }
-        if node.is_leaf() {
-            *leaves += node.entries.len() as u64;
-            return Ok(node.mbr());
-        }
-        for e in &node.entries {
-            let child_mbr =
-                self.check_rec(e.payload as u32, Some(node.level - 1), false, leaves)?;
-            if child_mbr != e.rect {
-                return Err(RStarError::Corrupt(format!(
-                    "page {page}: stale child rect {} vs {child_mbr}",
-                    e.rect
-                )));
-            }
-        }
-        Ok(node.mbr())
+        self.0.check(())
     }
 }
 
-impl crate::cursor::NodeSource for RStarTree {
-    fn read_node(&self, page: u32) -> Result<Node> {
-        RStarTree::read_node(self, page)
+/// A `Send + Sync` read-only handle on a disk-resident R\*-tree (see
+/// the kernel [`Reader`], to which it derefs).
+pub struct RStarTreeReader(Reader<RectKey>);
+
+impl Deref for RStarTreeReader {
+    type Target = Reader<RectKey>;
+    fn deref(&self) -> &Reader<RectKey> {
+        &self.0
+    }
+}
+
+impl RStarTreeReader {
+    /// Opens a reader directly over a large-object view — how a
+    /// snapshot read mounts an index, no LO-level lock involved.
+    pub fn open(reader: LoReader, metrics: TreeMetrics) -> Result<RStarTreeReader> {
+        Reader::open(RectKey, reader, metrics).map(RStarTreeReader)
     }
 
-    fn metrics(&self) -> &TreeMetrics {
-        &self.metrics
+    /// Opens a scan cursor — same contract as [`RStarTree::cursor`].
+    pub fn cursor(&self, pred: SpatialPredicate, query: Rect2) -> RStarCursor {
+        self.0.cursor((pred, query), ())
     }
 
-    fn prefetch(&self, pages: &[u32]) {
-        self.lo.prefetch(pages);
+    /// Advances a cursor to the next qualifying `(rect, rowid)`.
+    pub fn cursor_next(&self, cursor: &mut RStarCursor) -> Result<Option<(Rect2, u64)>> {
+        self.0.cursor_next(cursor)
     }
+
+    /// The root node's minimum bounding rectangle, or `None` for an
+    /// empty tree — the planner's selectivity input.
+    pub fn root_mbr(&self) -> Result<Option<Rect2>> {
+        self.0.root_bound(())
+    }
+}
+
+/// Runs one predicate over the tree with up to `workers` threads — the
+/// kernel's [`parallel_scan`](grt_treekit::parallel_scan), equivalent
+/// to draining a fresh serial cursor.
+pub fn parallel_scan(
+    reader: &RStarTreeReader,
+    pred: SpatialPredicate,
+    query: Rect2,
+    workers: usize,
+) -> Result<ParallelScan<Rect2>> {
+    grt_treekit::parallel_scan(&reader.0, &(pred, query), (), workers)
+}
+
+/// Bulk-loads an R\*-tree from `(rect, rowid)` entries into an empty
+/// large object using sort-tile-recursive packing over rectangle
+/// centres.
+pub fn bulk_load(lo: LoHandle, entries: Vec<node::Entry>, opts: RStarOptions) -> Result<RStarTree> {
+    let entries = entries.into_iter().map(Entry::from).collect();
+    Tree::bulk_load(lo, opts.header(), entries, ()).map(RStarTree)
+}
+
+/// Convenience: bulk-load from bare `(rect, rowid)` pairs.
+pub fn bulk_load_pairs(
+    lo: LoHandle,
+    pairs: &[(Rect2, u64)],
+    opts: RStarOptions,
+) -> Result<RStarTree> {
+    let entries = pairs.iter().map(|&(key, ptr)| Entry { key, ptr }).collect();
+    Tree::bulk_load(lo, opts.header(), entries, ()).map(RStarTree)
 }
 
 #[cfg(test)]
@@ -625,7 +388,7 @@ mod tests {
     use super::*;
     use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
 
-    fn tree(max_entries: usize) -> RStarTree {
+    fn fresh_lo() -> LoHandle {
         let sb = Sbspace::mem(SbspaceOptions {
             pool_pages: 4096,
             ..Default::default()
@@ -636,8 +399,12 @@ mod tests {
         // Keep space and txn alive for the whole test.
         std::mem::forget(txn);
         std::mem::forget(sb);
+        h
+    }
+
+    fn tree(max_entries: usize) -> RStarTree {
         RStarTree::create(
-            h,
+            fresh_lo(),
             RStarOptions {
                 max_entries,
                 ..Default::default()
@@ -671,38 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn search_matches_linear_scan() {
-        let mut t = tree(8);
-        let n = 400;
-        for i in 0..n {
-            t.insert(rect_for(i), i as u64).unwrap();
-        }
-        let queries = [
-            Rect2::new(0, 100, 0, 100),
-            Rect2::new(500, 600, 200, 900),
-            Rect2::new(-10, -1, -10, -1),
-            Rect2::new(0, 1000, 0, 1000),
-        ];
-        for q in &queries {
-            for pred in [
-                SpatialPredicate::Overlap,
-                SpatialPredicate::Within,
-                SpatialPredicate::Contains,
-                SpatialPredicate::Equal,
-            ] {
-                let mut expected: Vec<u64> = (0..n)
-                    .filter(|&i| rect_for(i).eval(pred, q))
-                    .map(|i| i as u64)
-                    .collect();
-                let mut got = t.search(pred, q).unwrap();
-                expected.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, expected, "{pred:?} {q}");
-            }
-        }
-    }
-
-    #[test]
     fn delete_removes_and_condenses() {
         let mut t = tree(8);
         let n = 250;
@@ -727,27 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_everything_shrinks_to_empty_root() {
-        let mut t = tree(6);
-        for i in 0..100 {
-            t.insert(rect_for(i), i as u64).unwrap();
-        }
-        for i in 0..100 {
-            assert!(t.delete(rect_for(i), i as u64).unwrap().found);
-        }
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.height(), 1);
-        t.check().unwrap();
-        assert!(t
-            .search(
-                SpatialPredicate::Overlap,
-                &Rect2::new(-10_000, 10_000, -10_000, 10_000)
-            )
-            .unwrap()
-            .is_empty());
-    }
-
-    #[test]
     fn duplicate_rects_with_distinct_rowids() {
         let mut t = tree(8);
         let r = Rect2::new(5, 10, 5, 10);
@@ -761,71 +475,6 @@ mod tests {
         let hits = t.search(SpatialPredicate::Equal, &r).unwrap();
         assert_eq!(hits.len(), 19);
         assert!(!hits.contains(&13));
-    }
-
-    #[test]
-    fn cursor_streams_all_results() {
-        let mut t = tree(8);
-        for i in 0..120 {
-            t.insert(rect_for(i), i as u64).unwrap();
-        }
-        let q = Rect2::new(0, 1000, 0, 1000);
-        let mut cursor = t.cursor(SpatialPredicate::Overlap, q);
-        let mut got = Vec::new();
-        while let Some((_, id)) = t.cursor_next(&mut cursor).unwrap() {
-            got.push(id);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..120).collect::<Vec<_>>());
-        // A restart re-walks the tree but never re-returns rows the
-        // cursor already emitted (the Section 5.5 restart rule), so a
-        // fully drained cursor stays drained.
-        t.cursor_restart(&mut cursor);
-        let mut again = 0;
-        while t.cursor_next(&mut cursor).unwrap().is_some() {
-            again += 1;
-        }
-        assert_eq!(again, 0);
-    }
-
-    #[test]
-    fn cursor_restart_does_not_replay_emitted_rows() {
-        let mut t = tree(8);
-        for i in 0..120 {
-            t.insert(rect_for(i), i as u64).unwrap();
-        }
-        let q = Rect2::new(0, 1000, 0, 1000);
-        let mut cursor = t.cursor(SpatialPredicate::Overlap, q);
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let (_, id) = t.cursor_next(&mut cursor).unwrap().expect("tree has rows");
-            got.push(id);
-        }
-        // Condense mid-scan, deleting only rows not yet returned.
-        let mut condensed = false;
-        for i in 0..120u64 {
-            if got.contains(&i) {
-                continue;
-            }
-            if t.delete(rect_for(i as i32), i).unwrap().condensed {
-                condensed = true;
-                break;
-            }
-        }
-        assert!(condensed);
-        t.cursor_restart(&mut cursor);
-        while let Some((_, id)) = t.cursor_next(&mut cursor).unwrap() {
-            got.push(id);
-        }
-        let unique: std::collections::HashSet<u64> = got.iter().copied().collect();
-        assert_eq!(
-            unique.len(),
-            got.len(),
-            "restart re-returned rows already emitted before the condense"
-        );
-        for id in t.search(SpatialPredicate::Overlap, &q).unwrap() {
-            assert!(unique.contains(&id), "row {id} lost across restart");
-        }
     }
 
     #[test]
@@ -870,5 +519,24 @@ mod tests {
         assert_eq!(q.levels.len() as u32, t.height());
         assert!(q.levels[0].nodes > 1, "multiple leaves expected");
         assert!(q.levels[0].entries >= 300);
+    }
+
+    #[test]
+    fn empty_and_tiny_loads() {
+        let t = bulk_load_pairs(fresh_lo(), &[], RStarOptions::default()).unwrap();
+        assert_eq!(t.len(), 0);
+        let t = bulk_load_pairs(
+            fresh_lo(),
+            &[(Rect2::new(1, 2, 1, 2), 7)],
+            RStarOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(t.len(), 1);
+        t.check().unwrap();
+        assert_eq!(
+            t.search(SpatialPredicate::Overlap, &Rect2::new(0, 3, 0, 3))
+                .unwrap(),
+            vec![7]
+        );
     }
 }

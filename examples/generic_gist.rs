@@ -10,7 +10,7 @@
 //! cargo run --example generic_gist
 //! ```
 
-use grtree_datablade::gist::am::install_gist_blade;
+use grtree_datablade::blade::gist_am::install_gist_blade;
 use grtree_datablade::gist::{GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
 use grtree_datablade::ids::{Database, DatabaseOptions};
 use grtree_datablade::sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
