@@ -885,7 +885,7 @@ fn abl_delete() {
         let getnexts = trace
             .take()
             .into_iter()
-            .filter(|e| e.message == "grt_getnext")
+            .filter(|e| matches!(e.message.as_str(), "grt_getnext" | "grt_getnext_batch"))
             .count();
         assert!(getnexts > 0, "the DELETE must run through the index");
         t.push(&[

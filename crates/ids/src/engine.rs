@@ -96,6 +96,11 @@ pub(crate) struct EngineCounters {
     pub plans_index: Counter,
     pub plans_seq: Counter,
     pub udr_calls: Counter,
+    /// Base rows fetched for index scans, and the distinct heap pages
+    /// pinned to fetch them (`scan.heap_rows` / `scan.heap_pages`,
+    /// bumped once per statement).
+    pub heap_rows: Counter,
+    pub heap_pages: Counter,
     /// `PREPARE`d statement handles opened / closed (DEALLOCATE,
     /// re-PREPARE, or connection drop) — equal when nothing leaks.
     pub prepared_opened: Counter,
@@ -137,6 +142,8 @@ impl EngineCounters {
             plans_index: metrics.counter("ids.plans_index"),
             plans_seq: metrics.counter("ids.plans_seq"),
             udr_calls: metrics.counter("ids.udr_calls"),
+            heap_rows: metrics.counter("scan.heap_rows"),
+            heap_pages: metrics.counter("scan.heap_pages"),
             prepared_opened: metrics.counter("ids.prepared_opened"),
             prepared_closed: metrics.counter("ids.prepared_closed"),
             sessions_opened: metrics.counter("ids.sessions_opened"),
@@ -2477,29 +2484,18 @@ impl Connection {
                 let mut scan = ScanDescriptor::new(qual.clone());
                 self.trace_purpose(&am, "am_beginscan");
                 am.handler.am_beginscan(&desc, &mut scan, &ctx)?;
-                // Rows are pulled a batch at a time — one dynamic
-                // dispatch per `scan_batch_rows` rows instead of one per
-                // row. A short batch means the scan is exhausted.
+                // The index is drained first, a batch at a time — one
+                // dynamic dispatch per `scan_batch_rows` rows instead of
+                // one per row; a short batch means the scan is
+                // exhausted. Only the rowids are kept.
                 let batch = self.db.inner.scan_batch_rows;
-                'batches: loop {
+                let mut rids: Vec<RowId> = Vec::new();
+                loop {
                     self.trace_purpose(&am, "am_getnext_batch");
                     let hits = am.handler.am_getnext_batch(&desc, &mut scan, batch, &ctx)?;
                     self.db.inner.batch_rows.observe_ns(hits.len() as u64);
                     let exhausted = hits.len() < batch;
-                    for (rid, _keys) in hits {
-                        // Fetch the base row; it may be gone under
-                        // weaker isolation.
-                        let Some(row) = heap::fetch(&h, rid)? else {
-                            continue;
-                        };
-                        let keep = match residual {
-                            Some(f) => self.eval_expr(f, &row, table, &ctx)?.as_bool()?,
-                            None => true,
-                        };
-                        if keep && !sink(rid, row)? {
-                            break 'batches;
-                        }
-                    }
+                    rids.extend(hits.into_iter().map(|(rid, _keys)| rid));
                     if exhausted {
                         break;
                     }
@@ -2508,6 +2504,27 @@ impl Connection {
                 am.handler.am_endscan(&desc, &mut scan, &ctx)?;
                 self.trace_purpose(&am, "am_close");
                 am.handler.am_close(&desc, &ctx)?;
+                // Then one ordered pass over the heap: each page that
+                // holds a hit is pinned once, so the base-row fetches
+                // cost at most one sequential pass whatever order the
+                // index returned them in. A row may be gone under weaker
+                // isolation; the pass skips it.
+                let fetched = heap::fetch_ordered(&h, &mut rids, |rid, row| {
+                    let keep = match residual {
+                        Some(f) => self.eval_expr(f, &row, table, &ctx)?.as_bool()?,
+                        None => true,
+                    };
+                    Ok(!keep || sink(rid, row)?)
+                })?;
+                let counters = &self.db.inner.counters;
+                counters.heap_rows.add(fetched.rows);
+                counters.heap_pages.add(fetched.pages);
+                ctx.trace.emit_with("EXPLAIN", 1, || {
+                    format!(
+                        "{}: heap fetch: {} rows from {} pages",
+                        table.name, fetched.rows, fetched.pages
+                    )
+                });
                 Ok(())
             }
         }

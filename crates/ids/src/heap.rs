@@ -10,7 +10,7 @@ use crate::value::Value;
 use crate::vii::RowId;
 use crate::{IdsError, Result};
 use grt_sbspace::page::{get_u32, get_u64, page_from_slice, put_u32, put_u64, PageBuf, PAGE_SIZE};
-use grt_sbspace::{LoHandle, PageSource};
+use grt_sbspace::{LoHandle, PageGuard, PageSource};
 
 const HEADER_MAGIC: &[u8; 4] = b"HEPH";
 const PAGE_MAGIC: &[u8; 4] = b"HEAP";
@@ -28,44 +28,78 @@ fn unrid(r: RowId) -> (u32, u16) {
     ((r.0 >> 16) as u32, (r.0 & 0xffff) as u16)
 }
 
-struct PageView {
-    buf: PageBuf,
-}
+/// A borrowed, read-only view of a heap page image — a pinned pool
+/// frame or an owned buffer under modification.
+#[derive(Clone, Copy)]
+struct PageRef<'a>(&'a [u8; PAGE_SIZE]);
 
-impl PageView {
-    fn fresh() -> PageView {
-        let mut buf = vec![0u8; PAGE_SIZE];
-        buf[0..4].copy_from_slice(PAGE_MAGIC);
-        // count = 0; free_off = PAGE_SIZE.
-        buf[6..8].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        PageView {
-            buf: page_from_slice(&buf),
-        }
-    }
-
-    fn parse(buf: PageBuf) -> Result<PageView> {
+impl<'a> PageRef<'a> {
+    fn parse(buf: &'a [u8; PAGE_SIZE]) -> Result<PageRef<'a>> {
         if &buf[0..4] != PAGE_MAGIC {
             return Err(IdsError::Storage(grt_sbspace::SbError::Corrupt(
                 "bad heap page magic".into(),
             )));
         }
-        Ok(PageView { buf })
+        Ok(PageRef(buf))
     }
 
-    fn count(&self) -> u16 {
-        u16::from_le_bytes(self.buf[4..6].try_into().unwrap())
+    fn count(self) -> u16 {
+        u16::from_le_bytes(self.0[4..6].try_into().unwrap())
     }
 
-    fn free_off(&self) -> u16 {
-        u16::from_le_bytes(self.buf[6..8].try_into().unwrap())
+    fn free_off(self) -> u16 {
+        u16::from_le_bytes(self.0[6..8].try_into().unwrap())
     }
 
-    fn slot(&self, i: u16) -> (u16, u16) {
+    fn slot(self, i: u16) -> (u16, u16) {
         let off = PAGE_HDR + SLOT_LEN * i as usize;
         (
-            u16::from_le_bytes(self.buf[off..off + 2].try_into().unwrap()),
-            u16::from_le_bytes(self.buf[off + 2..off + 4].try_into().unwrap()),
+            u16::from_le_bytes(self.0[off..off + 2].try_into().unwrap()),
+            u16::from_le_bytes(self.0[off + 2..off + 4].try_into().unwrap()),
         )
+    }
+
+    fn free_space(self) -> usize {
+        self.free_off() as usize - (PAGE_HDR + SLOT_LEN * (self.count() as usize + 1))
+    }
+
+    /// The row bytes in `slot` (`None` past the slot directory or on a
+    /// tombstone).
+    fn get(self, slot: u16) -> Option<&'a [u8]> {
+        if slot >= self.count() {
+            return None;
+        }
+        let (off, len) = self.slot(slot);
+        if len == 0 {
+            return None; // tombstone
+        }
+        Some(&self.0[off as usize..(off + len) as usize])
+    }
+}
+
+/// An owned page image being modified (the write paths' private copy).
+struct PageMut {
+    buf: PageBuf,
+}
+
+impl PageMut {
+    fn fresh() -> PageMut {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        buf[0..4].copy_from_slice(PAGE_MAGIC);
+        // count = 0; free_off = PAGE_SIZE.
+        buf[6..8].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
+        PageMut {
+            buf: page_from_slice(&buf),
+        }
+    }
+
+    fn parse(buf: PageBuf) -> Result<PageMut> {
+        PageRef::parse(&buf)?;
+        Ok(PageMut { buf })
+    }
+
+    fn view(&self) -> PageRef<'_> {
+        PageRef(&self.buf)
     }
 
     fn set_slot(&mut self, i: u16, off: u16, len: u16) {
@@ -74,19 +108,13 @@ impl PageView {
         self.buf[s + 2..s + 4].copy_from_slice(&len.to_le_bytes());
     }
 
-    fn free_space(&self) -> usize {
-        self.free_off() as usize - (PAGE_HDR + SLOT_LEN * (self.count() as usize + 1))
-    }
-
     fn push(&mut self, data: &[u8]) -> Option<u16> {
-        if data.len() + SLOT_LEN > self.free_space() + SLOT_LEN
-            || self.free_space() < data.len()
-            || self.count() == u16::MAX
-        {
+        let view = self.view();
+        let (free_space, slot, free_off) = (view.free_space(), view.count(), view.free_off());
+        if free_space < data.len() || slot == u16::MAX {
             return None;
         }
-        let slot = self.count();
-        let new_off = self.free_off() as usize - data.len();
+        let new_off = free_off as usize - data.len();
         self.buf[new_off..new_off + data.len()].copy_from_slice(data);
         self.set_slot(slot, new_off as u16, data.len() as u16);
         self.buf[4..6].copy_from_slice(&(slot + 1).to_le_bytes());
@@ -94,22 +122,11 @@ impl PageView {
         Some(slot)
     }
 
-    fn get(&self, slot: u16) -> Option<&[u8]> {
-        if slot >= self.count() {
-            return None;
-        }
-        let (off, len) = self.slot(slot);
-        if len == 0 {
-            return None; // tombstone
-        }
-        Some(&self.buf[off as usize..(off + len) as usize])
-    }
-
     fn kill(&mut self, slot: u16) -> bool {
-        if slot >= self.count() {
+        if slot >= self.view().count() {
             return false;
         }
-        let (off, len) = self.slot(slot);
+        let (off, len) = self.view().slot(slot);
         if len == 0 {
             return false;
         }
@@ -119,7 +136,7 @@ impl PageView {
 }
 
 fn read_header<P: PageSource>(lo: &P) -> Result<(u64, u32)> {
-    let buf = lo.read_page(0)?;
+    let buf = lo.read_page_pinned(0)?;
     if &buf[0..4] != HEADER_MAGIC {
         return Err(IdsError::Storage(grt_sbspace::SbError::Corrupt(
             "bad heap header magic".into(),
@@ -171,14 +188,14 @@ pub fn insert(lo: &mut LoHandle, row: &[Value]) -> Result<RowId> {
     let npages = lo.page_count();
     // Try the hint page first, then append a fresh page.
     if hint >= 1 && hint < npages {
-        let mut page = PageView::parse(lo.read_page(hint)?)?;
+        let mut page = PageMut::parse(lo.read_page(hint)?)?;
         if let Some(slot) = page.push(&data) {
             lo.write_page(hint, &page.buf)?;
             write_header(lo, rows + 1, hint)?;
             return Ok(rid(hint, slot));
         }
     }
-    let mut page = PageView::fresh();
+    let mut page = PageMut::fresh();
     let slot = page.push(&data).expect("fresh page fits any legal row");
     let pno = lo.append_page(&page.buf)?;
     write_header(lo, rows + 1, pno)?;
@@ -191,11 +208,57 @@ pub fn fetch<P: PageSource>(lo: &P, id: RowId) -> Result<Option<Vec<Value>>> {
     if pno == 0 || pno >= lo.page_count() {
         return Ok(None);
     }
-    let page = PageView::parse(lo.read_page(pno)?)?;
-    match page.get(slot) {
+    let page = lo.read_page_pinned(pno)?;
+    match PageRef::parse(&page)?.get(slot) {
         Some(bytes) => Ok(Some(Value::decode_row(bytes)?)),
         None => Ok(None),
     }
+}
+
+/// How much heap a [`fetch_ordered`] pass touched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FetchStats {
+    /// Live rows decoded and handed to the visitor.
+    pub rows: u64,
+    /// Distinct heap pages pinned.
+    pub pages: u64,
+}
+
+/// Fetches the rows named by `ids` in heap order — the order a
+/// [`HeapScan`] returns them — pinning each distinct page once and
+/// decoding every wanted slot from that one pin. `ids` is sorted in
+/// place; ids that name no live row (tombstoned, past the slot
+/// directory, page 0 or past the end) are skipped, exactly as [`fetch`]
+/// answers `None` for them. `visit` returns `false` to stop early.
+pub fn fetch_ordered<P: PageSource>(
+    lo: &P,
+    ids: &mut [RowId],
+    mut visit: impl FnMut(RowId, Vec<Value>) -> Result<bool>,
+) -> Result<FetchStats> {
+    ids.sort_unstable();
+    let npages = lo.page_count();
+    let mut stats = FetchStats::default();
+    for on_page in ids.chunk_by(|a, b| unrid(*a).0 == unrid(*b).0) {
+        let pno = unrid(on_page[0]).0;
+        if pno == 0 {
+            continue; // the header page holds no rows
+        }
+        if pno >= npages {
+            break; // sorted: everything after is out of range too
+        }
+        let guard = lo.read_page_pinned(pno)?;
+        let page = PageRef::parse(&guard)?;
+        stats.pages += 1;
+        for &id in on_page {
+            if let Some(bytes) = page.get(unrid(id).1) {
+                stats.rows += 1;
+                if !visit(id, Value::decode_row(bytes)?)? {
+                    return Ok(stats);
+                }
+            }
+        }
+    }
+    Ok(stats)
 }
 
 /// Deletes a row by id; returns whether it existed.
@@ -204,7 +267,7 @@ pub fn delete(lo: &mut LoHandle, id: RowId) -> Result<bool> {
     if pno == 0 || pno >= lo.page_count() {
         return Ok(false);
     }
-    let mut page = PageView::parse(lo.read_page(pno)?)?;
+    let mut page = PageMut::parse(lo.read_page(pno)?)?;
     if !page.kill(slot) {
         return Ok(false);
     }
@@ -228,12 +291,21 @@ pub fn update(lo: &mut LoHandle, id: RowId, new_row: &[Value]) -> Result<RowId> 
 pub struct HeapScan {
     page: u32,
     slot: u16,
+    /// The pin on `page`, taken when the cursor first reads it and
+    /// released when it moves on — one logical read per page, not per
+    /// row. A pin is a stable snapshot: a page rewritten while the
+    /// cursor stands on it is still scanned as it was when pinned.
+    pinned: Option<PageGuard>,
 }
 
 impl HeapScan {
     /// A scan from the first row.
     pub fn new() -> HeapScan {
-        HeapScan { page: 1, slot: 0 }
+        HeapScan {
+            page: 1,
+            slot: 0,
+            pinned: None,
+        }
     }
 
     /// The next live row, or `None` at the end.
@@ -242,7 +314,10 @@ impl HeapScan {
             if self.page >= lo.page_count() {
                 return Ok(None);
             }
-            let page = PageView::parse(lo.read_page(self.page)?)?;
+            if self.pinned.is_none() {
+                self.pinned = Some(lo.read_page_pinned(self.page)?);
+            }
+            let page = PageRef::parse(self.pinned.as_ref().expect("just pinned"))?;
             while self.slot < page.count() {
                 let slot = self.slot;
                 self.slot += 1;
@@ -252,6 +327,7 @@ impl HeapScan {
             }
             self.page += 1;
             self.slot = 0;
+            self.pinned = None;
         }
     }
 }
@@ -265,9 +341,14 @@ impl Default for HeapScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
+    use grt_sbspace::{IoStats, IsolationLevel, LockMode, Sbspace, SbspaceOptions};
+    use std::sync::Arc;
 
     fn fresh_lo() -> LoHandle {
+        fresh_lo_with_stats().0
+    }
+
+    fn fresh_lo_with_stats() -> (LoHandle, Arc<IoStats>) {
         let sb = Sbspace::mem(SbspaceOptions {
             pool_pages: 4096,
             ..Default::default()
@@ -275,9 +356,10 @@ mod tests {
         let txn = sb.begin(IsolationLevel::ReadCommitted);
         let lo = sb.create_lo(&txn).unwrap();
         let h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+        let stats = sb.stats();
         std::mem::forget(txn);
         std::mem::forget(sb);
-        h
+        (h, stats)
     }
 
     fn row(i: i64) -> Vec<Value> {
@@ -345,6 +427,135 @@ mod tests {
         init(&mut lo).unwrap();
         let big = vec![Value::Text("x".repeat(PAGE_SIZE))];
         assert!(matches!(insert(&mut lo, &big), Err(IdsError::Semantic(_))));
+    }
+
+    /// A heap of 300 rows over several pages, with the rowids.
+    fn loaded() -> (LoHandle, Arc<IoStats>, Vec<RowId>) {
+        let (mut lo, stats) = fresh_lo_with_stats();
+        init(&mut lo).unwrap();
+        let rids = (0..300)
+            .map(|i| insert(&mut lo, &row(i)).unwrap())
+            .collect();
+        (lo, stats, rids)
+    }
+
+    fn collect_ordered(lo: &LoHandle, ids: &mut [RowId]) -> (Vec<(RowId, Vec<Value>)>, FetchStats) {
+        let mut got = Vec::new();
+        let stats = fetch_ordered(lo, ids, |id, row| {
+            got.push((id, row));
+            Ok(true)
+        })
+        .unwrap();
+        (got, stats)
+    }
+
+    #[test]
+    fn fetch_ordered_returns_heap_order_from_unsorted_input() {
+        let (lo, _, rids) = loaded();
+        // Every third row, handed over back to front, one of them twice.
+        let mut ids: Vec<RowId> = rids.iter().rev().step_by(3).copied().collect();
+        ids.push(ids[0]);
+        let (got, stats) = collect_ordered(&lo, &mut ids);
+        let mut want = ids.clone();
+        want.sort_unstable();
+        assert_eq!(got.iter().map(|(id, _)| *id).collect::<Vec<_>>(), want);
+        for (id, r) in &got {
+            assert_eq!(Some(r), fetch(&lo, *id).unwrap().as_ref());
+        }
+        assert_eq!(stats.rows, want.len() as u64);
+        // ... which is the order a sequential scan meets them in.
+        let mut scan = HeapScan::new();
+        let mut seq = Vec::new();
+        while let Some((id, _)) = scan.next(&lo).unwrap() {
+            if want.contains(&id) {
+                seq.push(id);
+            }
+        }
+        want.dedup();
+        assert_eq!(seq, want);
+    }
+
+    #[test]
+    fn fetch_ordered_pins_each_distinct_page_once() {
+        let (lo, io, rids) = loaded();
+        let mut ids: Vec<RowId> = rids.iter().rev().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = ids.iter().map(|id| unrid(*id).0).collect();
+        assert!(
+            distinct.len() >= 3 && distinct.len() < ids.len(),
+            "several rows on each of several pages"
+        );
+        let before = io.snapshot();
+        let (got, stats) = collect_ordered(&lo, &mut ids);
+        let d = io.snapshot().since(&before);
+        assert_eq!(got.len(), 300);
+        assert_eq!(
+            stats,
+            FetchStats {
+                rows: 300,
+                pages: distinct.len() as u64
+            }
+        );
+        assert_eq!(d.pinned_reads, distinct.len() as u64);
+        assert_eq!(d.logical_reads, d.pinned_reads, "no copying read");
+        // The point lookup and the sequential cursor pin too: one
+        // logical read per fetch, one per page scanned.
+        let before = io.snapshot();
+        fetch(&lo, rids[7]).unwrap().unwrap();
+        let d = io.snapshot().since(&before);
+        assert_eq!((d.logical_reads, d.pinned_reads), (1, 1));
+        let before = io.snapshot();
+        let mut scan = HeapScan::new();
+        while scan.next(&lo).unwrap().is_some() {}
+        let d = io.snapshot().since(&before);
+        assert_eq!(d.logical_reads, distinct.len() as u64);
+        assert_eq!(d.pinned_reads, distinct.len() as u64);
+    }
+
+    #[test]
+    fn fetch_ordered_skips_what_fetch_answers_none_for() {
+        let (mut lo, io, rids) = loaded();
+        let dead = rids[10];
+        assert!(delete(&mut lo, dead).unwrap());
+        let (page, _) = unrid(rids[10]);
+        let past_slots = rid(page, u16::MAX);
+        let header_page = rid(0, 0);
+        let past_end = rid(lo.page_count(), 0);
+        let far_past_end = RowId(u64::MAX);
+        let mut ids = vec![
+            far_past_end,
+            rids[11],
+            past_end,
+            dead,
+            header_page,
+            past_slots,
+            rids[9],
+        ];
+        for id in [dead, past_slots, header_page, past_end, far_past_end] {
+            assert_eq!(fetch(&lo, id).unwrap(), None);
+        }
+        let before = io.snapshot();
+        let (got, stats) = collect_ordered(&lo, &mut ids);
+        let d = io.snapshot().since(&before);
+        assert_eq!(
+            got,
+            vec![(rids[9], row(9)), (rids[11], row(11))],
+            "only the live rows, in heap order"
+        );
+        assert_eq!(stats, FetchStats { rows: 2, pages: 1 });
+        assert_eq!(d.pinned_reads, 1, "out-of-range pages are never read");
+    }
+
+    #[test]
+    fn fetch_ordered_stops_when_the_visitor_says_so() {
+        let (lo, _, rids) = loaded();
+        let mut ids = rids.clone();
+        let mut seen = 0;
+        let stats = fetch_ordered(&lo, &mut ids, |_, _| {
+            seen += 1;
+            Ok(seen < 5)
+        })
+        .unwrap();
+        assert_eq!((seen, stats.rows, stats.pages), (5, 5, 1));
     }
 
     #[test]

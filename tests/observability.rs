@@ -171,6 +171,11 @@ fn sysmetrics_exposes_plan_cache_and_batched_fetch_counters() {
         m["scan.batch_rows.count"] > 0,
         "batch-fill histogram missing from sysmetrics"
     );
+    // Rows per page pin of the index scans' heap pass, as two counters.
+    assert!(
+        m["scan.heap_pages"] > 0 && m["scan.heap_rows"] >= m["scan.heap_pages"],
+        "heap-fetch counters missing from sysmetrics"
+    );
 }
 
 #[test]
