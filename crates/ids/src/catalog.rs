@@ -43,7 +43,6 @@ impl TableMeta {
 }
 
 /// A registered secondary access method (SYSAMS).
-#[derive(Clone)]
 pub struct AmEntry {
     /// Access-method name (e.g. `grtree_am`).
     pub name: String,
@@ -94,13 +93,38 @@ pub struct IndexMeta {
     pub space: String,
 }
 
+/// The system catalogs a `SELECT` may name (and a `CREATE TABLE` may
+/// not), each with its comma-separated column headers.
+pub const SYSTEM_CATALOGS: [(&str, &str); 7] = [
+    ("sysams", "am_name,purpose_functions,am_sptype"),
+    (
+        "sysindices",
+        "index_name,table,columns,access_method,opclass",
+    ),
+    ("sysfragments", "index_name,blob_handle"),
+    ("systables", "table_name,columns,heap_lo"),
+    ("sysmetrics", "name,value"),
+    ("sysprocedures", "name,args,returns,external"),
+    ("sysopclasses", "opclass,am,strategies,support"),
+];
+
+/// The column headers of a system catalog, by exact (case-insensitive)
+/// name; `None` for anything else, user tables named `sys…` included.
+pub fn system_catalog(name: &str) -> Option<Vec<String>> {
+    SYSTEM_CATALOGS
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, headers)| headers.split(',').map(String::from).collect())
+}
+
 /// The engine catalogs.
 #[derive(Default)]
 pub struct Catalog {
     /// SYSTABLES.
     pub tables: HashMap<String, TableMeta>,
-    /// SYSAMS.
-    pub ams: HashMap<String, AmEntry>,
+    /// SYSAMS. Shared, so a statement binds an access method by
+    /// reference count instead of copying its purpose bindings.
+    pub ams: HashMap<String, Arc<AmEntry>>,
     /// SYSINDICES.
     pub indices: HashMap<String, IndexMeta>,
     /// SYSFRAGMENTS: index name → large-object page id. Shared with
@@ -117,7 +141,7 @@ impl Catalog {
     }
 
     /// Looks up an access method.
-    pub fn am(&self, name: &str) -> Result<&AmEntry> {
+    pub fn am(&self, name: &str) -> Result<&Arc<AmEntry>> {
         self.ams
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| IdsError::NotFound(format!("access method {name}")))
@@ -145,88 +169,57 @@ impl Catalog {
     /// `sysams`, `sysindices`, `sysfragments`, `systables`.
     pub fn dump(&self, catalog: &str) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
         let text = |s: &str| Value::Text(s.to_string());
-        match catalog.to_ascii_lowercase().as_str() {
-            "sysams" => {
-                let mut rows: Vec<Vec<Value>> = self
-                    .ams
-                    .values()
-                    .map(|a| {
-                        let purpose = a
-                            .purpose
-                            .iter()
-                            .map(|(s, n)| format!("{s}={n}"))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        vec![text(&a.name), text(&purpose), text(&a.sptype)]
-                    })
-                    .collect();
-                rows.sort_by_key(|r| r[0].to_string());
-                Ok((
+        let mut rows: Vec<Vec<Value>> = match catalog.to_ascii_lowercase().as_str() {
+            "sysams" => self
+                .ams
+                .values()
+                .map(|a| {
+                    let purpose = a
+                        .purpose
+                        .iter()
+                        .map(|(s, n)| format!("{s}={n}"))
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    vec![text(&a.name), text(&purpose), text(&a.sptype)]
+                })
+                .collect(),
+            "sysindices" => self
+                .indices
+                .values()
+                .map(|i| {
                     vec![
-                        "am_name".into(),
-                        "purpose_functions".into(),
-                        "am_sptype".into(),
-                    ],
-                    rows,
-                ))
-            }
-            "sysindices" => {
-                let mut rows: Vec<Vec<Value>> = self
-                    .indices
-                    .values()
-                    .map(|i| {
-                        vec![
-                            text(&i.name),
-                            text(&i.table),
-                            text(&i.columns.join(", ")),
-                            text(&i.access_method),
-                            text(&i.opclass),
-                        ]
-                    })
-                    .collect();
-                rows.sort_by_key(|r| r[0].to_string());
-                Ok((
-                    vec![
-                        "index_name".into(),
-                        "table".into(),
-                        "columns".into(),
-                        "access_method".into(),
-                        "opclass".into(),
-                    ],
-                    rows,
-                ))
-            }
-            "sysfragments" => {
-                let frags = self.fragments.lock();
-                let mut rows: Vec<Vec<Value>> = frags
-                    .iter()
-                    .map(|(ix, lo)| vec![text(ix), Value::Int(*lo as i64)])
-                    .collect();
-                rows.sort_by_key(|r| r[0].to_string());
-                Ok((vec!["index_name".into(), "blob_handle".into()], rows))
-            }
-            "systables" => {
-                let mut rows: Vec<Vec<Value>> = self
-                    .tables
-                    .values()
-                    .map(|t| {
-                        let cols = t
-                            .columns
-                            .iter()
-                            .map(|(c, ty)| format!("{c} {ty}"))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        vec![text(&t.name), text(&cols), Value::Int(t.lo.0 as i64)]
-                    })
-                    .collect();
-                rows.sort_by_key(|r| r[0].to_string());
-                Ok((
-                    vec!["table_name".into(), "columns".into(), "heap_lo".into()],
-                    rows,
-                ))
-            }
-            other => Err(IdsError::NotFound(format!("system catalog {other}"))),
-        }
+                        text(&i.name),
+                        text(&i.table),
+                        text(&i.columns.join(", ")),
+                        text(&i.access_method),
+                        text(&i.opclass),
+                    ]
+                })
+                .collect(),
+            "sysfragments" => self
+                .fragments
+                .lock()
+                .iter()
+                .map(|(ix, lo)| vec![text(ix), Value::Int(*lo as i64)])
+                .collect(),
+            "systables" => self
+                .tables
+                .values()
+                .map(|t| {
+                    let cols = t
+                        .columns
+                        .iter()
+                        .map(|(c, ty)| format!("{c} {ty}"))
+                        .collect::<Vec<_>>()
+                        .join(", ");
+                    vec![text(&t.name), text(&cols), Value::Int(t.lo.0 as i64)]
+                })
+                .collect(),
+            other => return Err(IdsError::NotFound(format!("system catalog {other}"))),
+        };
+        rows.sort_by_key(|r| r[0].to_string());
+        let headers = system_catalog(catalog).expect("the four names matched above are listed");
+        Ok((headers, rows))
     }
 }
 

@@ -193,6 +193,8 @@ pub(crate) fn candidate_for(
 
 /// Chooses the cheapest path: the best index candidate (by
 /// `am_scancost`, ties by pushed predicates) against a sequential scan.
+/// `cost_of` is called once per candidate, in order — the executor's
+/// is the `am_scancost` call itself.
 pub fn choose(
     cands: Vec<Candidate>,
     cost_of: impl Fn(&Candidate) -> f64,

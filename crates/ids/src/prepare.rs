@@ -22,15 +22,16 @@
 //! [`GENERIC_AFTER`] consecutive re-costs under *different* bindings
 //! all picked the same choice, at which point the memo goes *generic*
 //! and is reused for any binding (the custom-vs-generic plan rule).
-//! The concrete `Plan` is rebuilt per execution against the live
-//! catalog either way. DDL touching a statement's tables clears the
+//! The concrete `Plan` is rebuilt per execution against the table
+//! binding the statement resolved either way. DDL touching a statement's tables clears the
 //! memo (and drops transparent entries entirely, so parameter types
 //! are re-inferred against the new schema).
 
-use crate::sql::{Expr, Statement};
+use crate::sql::{self, Expr, Statement};
 use crate::value::{DataType, Value};
 use crate::{IdsError, Result};
 use grt_metrics::{Counter, Metrics};
+use grt_sbspace::LoId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -67,6 +68,20 @@ impl PlanMemo {
     }
 }
 
+/// A SELECT list resolved against its source: the output headers and,
+/// for each, the position of the source column it copies.
+pub(crate) struct Projection {
+    pub headers: Vec<String>,
+    pub positions: Vec<usize>,
+}
+
+impl Projection {
+    /// The output row for one source row.
+    pub fn apply(&self, row: &[Value]) -> Vec<Value> {
+        self.positions.iter().map(|&i| row[i].clone()).collect()
+    }
+}
+
 /// A statement carried through parse and verify/resolve, with its plan
 /// choice memoized after the first execution.
 pub(crate) struct CompiledStatement {
@@ -86,6 +101,14 @@ pub(crate) struct CompiledStatement {
     /// The memoized plan choice (see [`PlanMemo`]); cleared by DDL
     /// invalidation.
     pub plan: Mutex<Option<PlanMemo>>,
+    /// The heap of the user table the statement resolved against (DML
+    /// only; `None` when a SELECT reads a system catalog). Tables are
+    /// never altered, so a different heap under the same name means the
+    /// table was dropped and re-created, and everything resolved here
+    /// is stale.
+    pub heap: Option<LoId>,
+    /// SELECT only: the resolved SELECT list.
+    pub projection: Option<Projection>,
 }
 
 impl CompiledStatement {
@@ -237,86 +260,26 @@ impl PlanCache {
 }
 
 /// Substitutes bound values for the `?` placeholders of a compiled
-/// statement, producing an executable statement.
+/// statement, producing an executable statement — the one deep copy of
+/// the statement an execution makes.
 pub(crate) fn bind(stmt: &Statement, args: &[Value]) -> Result<Statement> {
-    fn bind_expr(e: &Expr, args: &[Value]) -> Result<Expr> {
-        Ok(match e {
-            Expr::Param(i) => Expr::Bound(args.get(*i).cloned().ok_or_else(|| {
-                IdsError::Type(format!("parameter {} has no bound value", i + 1))
-            })?),
-            Expr::Call { name, args: a } => Expr::Call {
-                name: name.clone(),
-                args: a
-                    .iter()
-                    .map(|x| bind_expr(x, args))
-                    .collect::<Result<_>>()?,
-            },
-            Expr::Cmp { op, left, right } => Expr::Cmp {
-                op: op.clone(),
-                left: Box::new(bind_expr(left, args)?),
-                right: Box::new(bind_expr(right, args)?),
-            },
-            Expr::And(p) => Expr::And(
-                p.iter()
-                    .map(|x| bind_expr(x, args))
-                    .collect::<Result<_>>()?,
-            ),
-            Expr::Or(p) => Expr::Or(
-                p.iter()
-                    .map(|x| bind_expr(x, args))
-                    .collect::<Result<_>>()?,
-            ),
-            Expr::Not(inner) => Expr::Not(Box::new(bind_expr(inner, args)?)),
-            other => other.clone(),
-        })
+    let mut bound = stmt.clone();
+    let mut missing = None;
+    sql::visit_exprs_mut(&mut bound, &mut |e| {
+        if let Expr::Param(i) = *e {
+            match args.get(i) {
+                Some(v) => *e = Expr::Bound(v.clone()),
+                None => missing = missing.or(Some(i)),
+            }
+        }
+    });
+    match missing {
+        Some(i) => Err(IdsError::Type(format!(
+            "parameter {} has no bound value",
+            i + 1
+        ))),
+        None => Ok(bound),
     }
-    Ok(match stmt {
-        Statement::Insert { table, values } => Statement::Insert {
-            table: table.clone(),
-            values: values
-                .iter()
-                .map(|v| bind_expr(v, args))
-                .collect::<Result<_>>()?,
-        },
-        Statement::Select {
-            columns,
-            table,
-            where_clause,
-        } => Statement::Select {
-            columns: columns.clone(),
-            table: table.clone(),
-            where_clause: where_clause
-                .as_ref()
-                .map(|w| bind_expr(w, args))
-                .transpose()?,
-        },
-        Statement::Delete {
-            table,
-            where_clause,
-        } => Statement::Delete {
-            table: table.clone(),
-            where_clause: where_clause
-                .as_ref()
-                .map(|w| bind_expr(w, args))
-                .transpose()?,
-        },
-        Statement::Update {
-            table,
-            sets,
-            where_clause,
-        } => Statement::Update {
-            table: table.clone(),
-            sets: sets
-                .iter()
-                .map(|(c, e)| Ok((c.clone(), bind_expr(e, args)?)))
-                .collect::<Result<_>>()?,
-            where_clause: where_clause
-                .as_ref()
-                .map(|w| bind_expr(w, args))
-                .transpose()?,
-        },
-        other => other.clone(),
-    })
 }
 
 #[cfg(test)]
@@ -337,6 +300,8 @@ mod tests {
                 choice: PlanChoice::Seq,
                 streak: 0,
             })),
+            heap: None,
+            projection: None,
         })
     }
 

@@ -185,37 +185,86 @@ pub enum Statement {
     Deallocate { name: String },
 }
 
-/// Calls `f` on every expression (recursively) in a statement.
-fn visit_exprs(stmt: &Statement, f: &mut impl FnMut(&Expr)) {
-    fn walk(e: &Expr, f: &mut impl FnMut(&Expr)) {
-        f(e);
-        match e {
-            Expr::Call { args, .. } => args.iter().for_each(|a| walk(a, f)),
+impl Expr {
+    /// Calls `f` on this expression and every one nested in it, parents
+    /// first, left to right.
+    pub(crate) fn visit(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        match self {
+            Expr::Call { args, .. } => args.iter().for_each(|a| a.visit(f)),
             Expr::Cmp { left, right, .. } => {
-                walk(left, f);
-                walk(right, f);
+                left.visit(f);
+                right.visit(f);
             }
-            Expr::And(parts) | Expr::Or(parts) => parts.iter().for_each(|p| walk(p, f)),
-            Expr::Not(inner) => walk(inner, f),
+            Expr::And(parts) | Expr::Or(parts) => parts.iter().for_each(|p| p.visit(f)),
+            Expr::Not(inner) => inner.visit(f),
             Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) | Expr::Bound(_) => {}
         }
     }
-    match stmt {
-        Statement::Insert { values, .. } => values.iter().for_each(|v| walk(v, f)),
-        Statement::Select { where_clause, .. } | Statement::Delete { where_clause, .. } => {
-            if let Some(w) = where_clause {
-                walk(w, f);
+
+    /// [`Expr::visit`] with leave to rewrite each expression in place.
+    fn visit_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        match self {
+            Expr::Call { args, .. } => args.iter_mut().for_each(|a| a.visit_mut(f)),
+            Expr::Cmp { left, right, .. } => {
+                left.visit_mut(f);
+                right.visit_mut(f);
             }
+            Expr::And(parts) | Expr::Or(parts) => parts.iter_mut().for_each(|p| p.visit_mut(f)),
+            Expr::Not(inner) => inner.visit_mut(f),
+            Expr::Literal(_) | Expr::Column(_) | Expr::Param(_) | Expr::Bound(_) => {}
+        }
+    }
+}
+
+impl Statement {
+    /// INSERT / SELECT / DELETE / UPDATE — the statements that run the
+    /// resolve → bind → plan → execute path.
+    pub fn is_dml(&self) -> bool {
+        use Statement::{Delete, Insert, Select, Update};
+        matches!(
+            self,
+            Insert { .. } | Select { .. } | Delete { .. } | Update { .. }
+        )
+    }
+}
+
+/// Calls `f` on every expression (recursively) in a statement, with
+/// leave to rewrite it in place.
+pub(crate) fn visit_exprs_mut(stmt: &mut Statement, f: &mut impl FnMut(&mut Expr)) {
+    match stmt {
+        Statement::Insert { values, .. } => values.iter_mut().for_each(|v| v.visit_mut(f)),
+        Statement::Select { where_clause, .. } | Statement::Delete { where_clause, .. } => {
+            where_clause.iter_mut().for_each(|w| w.visit_mut(f))
         }
         Statement::Update {
             sets, where_clause, ..
-        } => {
-            sets.iter().for_each(|(_, e)| walk(e, f));
-            if let Some(w) = where_clause {
-                walk(w, f);
-            }
+        } => sets
+            .iter_mut()
+            .map(|(_, e)| e)
+            .chain(where_clause)
+            .for_each(|e| e.visit_mut(f)),
+        Statement::Execute { using, .. } => using.iter_mut().for_each(|u| u.visit_mut(f)),
+        _ => {}
+    }
+}
+
+/// Calls `f` on every expression (recursively) in a statement.
+fn visit_exprs(stmt: &Statement, f: &mut impl FnMut(&Expr)) {
+    match stmt {
+        Statement::Insert { values, .. } => values.iter().for_each(|v| v.visit(f)),
+        Statement::Select { where_clause, .. } | Statement::Delete { where_clause, .. } => {
+            where_clause.iter().for_each(|w| w.visit(f))
         }
-        Statement::Execute { using, .. } => using.iter().for_each(|u| walk(u, f)),
+        Statement::Update {
+            sets, where_clause, ..
+        } => sets
+            .iter()
+            .map(|(_, e)| e)
+            .chain(where_clause)
+            .for_each(|e| e.visit(f)),
+        Statement::Execute { using, .. } => using.iter().for_each(|u| u.visit(f)),
         _ => {}
     }
 }
@@ -317,6 +366,10 @@ struct Parser {
     pos: usize,
     /// Positional parameters seen so far; each `?` takes the next index.
     params: usize,
+    /// Literals become parameters too (plan-cache normalization). A
+    /// literal is only ever consumed by `primary`, so the slots number
+    /// the statement's literal tokens in order.
+    lift: bool,
 }
 
 impl Parser {
@@ -853,10 +906,13 @@ impl Parser {
         if self.eat_kw("NOT") {
             return Ok(Expr::Not(Box::new(self.primary()?)));
         }
-        if self.eat_sym("?") {
-            let idx = self.params;
+        let lifted = self.lift && matches!(self.peek(), Some(Tok::Num(_) | Tok::Str(_)));
+        if lifted {
+            self.pos += 1;
+        }
+        if lifted || self.eat_sym("?") {
             self.params += 1;
-            return Ok(Expr::Param(idx));
+            return Ok(Expr::Param(self.params - 1));
         }
         if self.eat_sym("(") {
             let e = self.expr()?;
@@ -898,14 +954,15 @@ impl Parser {
 
 /// Parses one statement (an optional trailing semicolon is allowed).
 pub fn parse(input: &str) -> Result<Statement> {
-    parse_tokens(lex(input)?)
+    parse_tokens(lex(input)?, false)
 }
 
-fn parse_tokens(toks: Vec<Tok>) -> Result<Statement> {
+fn parse_tokens(toks: Vec<Tok>, lift: bool) -> Result<Statement> {
     let mut p = Parser {
         toks,
         pos: 0,
         params: 0,
+        lift,
     };
     let stmt = p.statement()?;
     p.eat_sym(";");
@@ -919,9 +976,8 @@ fn parse_tokens(toks: Vec<Tok>) -> Result<Statement> {
 }
 
 /// A DML statement with its literals lifted into positional parameters:
-/// the plan-cache key, the lifted token stream (parsed lazily — a plan
-/// cache hit on `key` never parses at all), and the lifted argument
-/// values.
+/// the plan-cache key, the token stream (parsed lazily — a plan cache
+/// hit on `key` never parses at all), and the lifted argument values.
 pub struct Normalized {
     /// The cache key: the token stream with every literal replaced by
     /// `?` and identifiers uppercased, so `select * from T where id=3`
@@ -929,15 +985,15 @@ pub struct Normalized {
     pub key: String,
     /// The lifted literal values, in parameter order.
     pub args: Vec<Lit>,
-    /// The token stream with literals replaced by `?` placeholders.
-    lifted: Vec<Tok>,
+    /// The statement's own tokens, so a syntax error reads as written.
+    toks: Vec<Tok>,
 }
 
 impl Normalized {
-    /// Parses the lifted token stream; lifted literals appear as
+    /// Parses the statement with every literal lifted to an
     /// [`Expr::Param`]. Only needed on a plan-cache miss.
     pub fn parse(self) -> Result<Statement> {
-        parse_tokens(self.lifted)
+        parse_tokens(self.toks, true)
     }
 }
 
@@ -958,70 +1014,36 @@ pub fn normalize_dml(input: &str) -> Result<Option<Normalized>> {
     if !dml || toks.iter().any(|t| matches!(t, Tok::Sym(s) if s == "?")) {
         return Ok(None);
     }
-    let mut lifted = Vec::with_capacity(toks.len());
     let mut args = Vec::new();
     let mut key = String::new();
-    for t in toks {
+    for t in &toks {
         if !key.is_empty() {
             key.push(' ');
         }
         match t {
             Tok::Num(n) => {
-                args.push(Lit::Int(n));
+                args.push(Lit::Int(*n));
                 key.push('?');
-                lifted.push(Tok::Sym("?".into()));
             }
             Tok::Str(s) => {
-                args.push(Lit::Str(s));
+                args.push(Lit::Str(s.clone()));
                 key.push('?');
-                lifted.push(Tok::Sym("?".into()));
             }
-            Tok::Ident(s) => {
-                key.push_str(&s.to_ascii_uppercase());
-                lifted.push(Tok::Ident(s));
-            }
-            Tok::Sym(s) => {
-                key.push_str(&s);
-                lifted.push(Tok::Sym(s));
-            }
+            Tok::Ident(s) => key.push_str(&s.to_ascii_uppercase()),
+            Tok::Sym(s) => key.push_str(s),
         }
     }
-    Ok(Some(Normalized { key, args, lifted }))
+    Ok(Some(Normalized { key, args, toks }))
 }
 
 /// Splits a script into statements on semicolons outside strings and
-/// parses each.
+/// comments (the lexer knows both) and parses each.
 pub fn parse_script(input: &str) -> Result<Vec<Statement>> {
-    let mut statements = Vec::new();
-    let mut current = String::new();
-    let mut quote: Option<char> = None;
-    for c in input.chars() {
-        match quote {
-            Some(q) => {
-                current.push(c);
-                if c == q {
-                    quote = None;
-                }
-            }
-            None => match c {
-                '\'' | '"' => {
-                    quote = Some(c);
-                    current.push(c);
-                }
-                ';' => {
-                    if !current.trim().is_empty() {
-                        statements.push(parse(&current)?);
-                    }
-                    current.clear();
-                }
-                _ => current.push(c),
-            },
-        }
-    }
-    if !current.trim().is_empty() {
-        statements.push(parse(&current)?);
-    }
-    Ok(statements)
+    lex(input)?
+        .split(|t| matches!(t, Tok::Sym(s) if s == ";"))
+        .filter(|toks| !toks.is_empty())
+        .map(|toks| parse_tokens(toks.to_vec(), false))
+        .collect()
 }
 
 #[cfg(test)]
