@@ -10,7 +10,7 @@
 //! import/export (shared with text input/output).
 
 use grt_ids::opaque::OpaqueType;
-use grt_ids::{IdsError, Value};
+use grt_ids::{IdsError, Value, ValueRef};
 use grt_temporal::TimeExtent;
 use std::sync::Arc;
 
@@ -34,8 +34,14 @@ pub fn grt_time_extent_type() -> OpaqueType {
 
 /// Decodes a `GRT_TimeExtent_t` value into a [`TimeExtent`].
 pub fn extent_from_value(v: &Value) -> Result<TimeExtent, IdsError> {
+    extent_from_ref(v.as_ref())
+}
+
+/// Decodes a `GRT_TimeExtent_t` value read in place — off a pinned heap
+/// page, say — into a [`TimeExtent`].
+pub fn extent_from_ref(v: ValueRef<'_>) -> Result<TimeExtent, IdsError> {
     match v {
-        Value::Opaque { type_name, bytes } if type_name.eq_ignore_ascii_case(TYPE_NAME) => {
+        ValueRef::Opaque { type_name, bytes } if type_name.eq_ignore_ascii_case(TYPE_NAME) => {
             TimeExtent::decode(bytes).map_err(|e| IdsError::Type(e.to_string()))
         }
         other => Err(IdsError::Type(format!("expected {TYPE_NAME}, got {other}"))),

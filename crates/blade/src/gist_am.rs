@@ -66,15 +66,6 @@ fn range_of_value(v: &Value) -> Result<IntRange, IdsError> {
     }
 }
 
-fn range_to_value(r: &IntRange) -> Value {
-    let mut bytes = r.lo.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&r.hi.to_le_bytes());
-    Value::Opaque {
-        type_name: RANGE_TYPE.to_string(),
-        bytes,
-    }
-}
-
 /// Length of the part of `a` inside `b` (0 when disjoint).
 fn shared_len(a: &IntRange, b: &IntRange) -> i128 {
     (a.hi.min(b.hi) as i128 - a.lo.max(b.lo) as i128 + 1).max(0)
@@ -86,6 +77,8 @@ pub struct GistRangeAm;
 
 impl TreeAm for GistRangeAm {
     type Key = GistKey<IntRangeExt>;
+    /// The one range the qualification names.
+    type Qual = IntRange;
     type Probe = IntRange;
     type Scan = ();
     type Seen = (u64, i64, i64);
@@ -107,21 +100,24 @@ impl TreeAm for GistRangeAm {
         )
     }
 
-    /// One probe: the `RangeOverlaps` constant, or everything.
-    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<IntRange>, IdsError> {
-        Ok(vec![match &qual.root {
+    /// The `RangeOverlaps` constant, or everything.
+    fn compile(&self, qual: &QualDescriptor) -> Result<IntRange, IdsError> {
+        match &qual.root {
             Some(QualNode::Simple(q)) if q.func.eq_ignore_ascii_case("RangeOverlaps") => {
                 range_of_value(q.constant.as_ref().ok_or_else(|| {
                     IdsError::AccessMethod("RangeOverlaps needs a constant".into())
-                })?)?
+                })?)
             }
-            None => IntRange::new(i64::MIN / 2, i64::MAX / 2),
-            other => {
-                return Err(IdsError::AccessMethod(format!(
-                    "unsupported qualification {other:?}"
-                )))
-            }
-        }])
+            None => Ok(IntRange::new(i64::MIN / 2, i64::MAX / 2)),
+            other => Err(IdsError::AccessMethod(format!(
+                "unsupported qualification {other:?}"
+            ))),
+        }
+    }
+
+    /// One probe: the range itself.
+    fn probes(&self, qual: &IntRange) -> Result<Vec<IntRange>, IdsError> {
+        Ok(vec![*qual])
     }
 
     fn query(&self, probe: &IntRange, _ct: Day) -> IntRange {
@@ -137,15 +133,15 @@ impl TreeAm for GistRangeAm {
     }
 
     /// The index test is exact for ranges: every hit is a row.
-    fn row(
+    fn recheck(
         &self,
         _scan: &mut (),
-        _qual: &QualDescriptor,
-        key: &IntRange,
+        _qual: &IntRange,
+        _key: &IntRange,
         _rowid: u64,
         _ct: Day,
-    ) -> Result<Option<Vec<Value>>, IdsError> {
-        Ok(Some(vec![range_to_value(key)]))
+    ) -> Result<bool, IdsError> {
+        Ok(true)
     }
 
     fn area(&self, bound: &IntRange, _ct: Day) -> i128 {

@@ -9,9 +9,9 @@
 //! observed steps of a live index.
 
 use crate::curtime::CurrentTimePolicy;
-use crate::extent_type::{extent_of_row, extent_to_value, TYPE_NAME};
+use crate::extent_type::{extent_of_row, TYPE_NAME};
 use crate::purpose::purpose_functions;
-use crate::qual::{decompose, eval_full, Probe};
+use crate::qual::{Probe, Qual};
 use crate::tree_am::{DeletePolicy, Event, TreeAm};
 use grt_grtree::entry::extent_of;
 use grt_grtree::{GrKey, GrQuality, GrQuery, GrTreeOptions};
@@ -55,6 +55,7 @@ impl GrTreeAm {
 
 impl TreeAm for GrTreeAm {
     type Key = GrKey;
+    type Qual = Qual;
     type Probe = Probe;
     type Scan = ();
     type Seen = (u64, [u8; 16]);
@@ -83,8 +84,12 @@ impl TreeAm for GrTreeAm {
         Ok(extent_of_row(row)?.spec())
     }
 
-    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
-        decompose(qual)
+    fn compile(&self, qual: &QualDescriptor) -> Result<Qual, IdsError> {
+        Qual::compile(qual)
+    }
+
+    fn probes(&self, qual: &Qual) -> Result<Vec<Probe>, IdsError> {
+        qual.probes()
     }
 
     fn query(&self, probe: &Probe, ct: Day) -> GrQuery {
@@ -99,16 +104,15 @@ impl TreeAm for GrTreeAm {
         (rowid, extent_of(leaf).encode_array())
     }
 
-    fn row(
+    fn recheck(
         &self,
         _scan: &mut (),
-        qual: &QualDescriptor,
+        qual: &Qual,
         leaf: &RegionSpec,
         _rowid: u64,
         ct: Day,
-    ) -> Result<Option<Vec<Value>>, IdsError> {
-        let extent = extent_of(leaf);
-        Ok(eval_full(qual, &extent, ct)?.then(|| vec![extent_to_value(&extent)]))
+    ) -> Result<bool, IdsError> {
+        Ok(qual.eval(&extent_of(leaf), ct))
     }
 
     fn area(&self, bound: &RegionSpec, ct: Day) -> i128 {

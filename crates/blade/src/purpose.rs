@@ -13,8 +13,7 @@ use grt_ids::{
     AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId, ScanDescriptor, Value,
 };
 use grt_sbspace::{LoId, LockMode};
-use grt_treekit::{Entry, Tree};
-use std::collections::HashSet;
+use grt_treekit::{Emitted, Entry, Tree};
 
 pub(crate) fn create<A: TreeAm>(
     am: &A,
@@ -130,8 +129,8 @@ pub(crate) fn beginscan<A: TreeAm>(
     let say = |text: &str| am.trace(ctx, Event::Step("beginscan", text));
     say("(1) Get qualification descriptor qd from sd");
     say("(2) Get index descriptor td from sd");
-    let probes = am.probes(&scan.qual)?;
-    let qual = scan.qual.clone();
+    let qual = am.compile(&scan.qual)?;
+    let probes = am.probes(&qual)?;
     let workers = scan_degree(idx, ctx);
     let extra = am.begin(idx, ctx)?;
     with_td::<A, _>(idx, ctx, |td| {
@@ -148,7 +147,7 @@ pub(crate) fn beginscan<A: TreeAm>(
             buffer: None,
             workers,
             qual,
-            seen: HashSet::new(),
+            seen: Emitted::new(),
             reader,
             extra,
         });
@@ -167,8 +166,7 @@ pub(crate) fn rescan<A: TreeAm>(
     say("(1-2) Get Cursor from td");
     with_td::<A, _>(idx, ctx, |td| {
         if let Some(scan) = td.scan.as_mut() {
-            scan.rewind();
-            scan.seen.clear();
+            scan.replay();
         }
         say("(3) Reset Cursor");
         Ok(())
@@ -237,6 +235,12 @@ pub(crate) fn insert<A: TreeAm>(
         let tree = td.tree.as_mut().expect("ensured");
         tree.insert(key, rowid.0, A::ctx(td.ct)).map_err(am_err)?;
         say("(3) Insert the entry via Tree's insert()");
+        if let Some(scan) = td.scan.as_mut() {
+            // A split or forced reinsert may have moved an entry the
+            // open scan already returned into a leaf it has yet to
+            // visit.
+            scan.seen.arm();
+        }
         Ok(())
     })
 }

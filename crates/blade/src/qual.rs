@@ -6,6 +6,12 @@
 //! into simple ones and for how to invoke appropriate strategy
 //! functions."
 //!
+//! The descriptor is parsed **once per scan**, at `am_beginscan`, into a
+//! [`Qual`]: the same boolean tree with every simple predicate resolved
+//! to a [`Probe`] — strategy-function name matched, query constant
+//! decoded. Nothing about a qualification depends on the candidate, so
+//! nothing about it is worked out again per candidate.
+//!
 //! The decomposition strategy: each *branch* of a top-level OR (an AND
 //! tree or a single predicate) contributes one index probe — its first
 //! simple predicate, which is a necessary condition for the branch —
@@ -43,84 +49,122 @@ pub fn universal_extent() -> TimeExtent {
     .expect("universal extent is legal")
 }
 
-fn probe_of(simple: &SimpleQual) -> Result<Probe, IdsError> {
-    let pred = Predicate::from_udr_name(&simple.func).ok_or_else(|| {
-        IdsError::AccessMethod(format!(
-            "{} is not a GR-tree strategy function",
-            simple.func
-        ))
-    })?;
-    let constant = simple.constant.as_ref().ok_or_else(|| {
-        IdsError::AccessMethod(format!("{}(column) form is not supported", simple.func))
-    })?;
-    Ok(Probe {
-        pred,
-        query: extent_from_value(constant)?,
-        commuted: simple.commuted,
-    })
-}
-
-/// The effective probe predicate seen from the stored value's side:
-/// `Contains(const, col)` asks whether the constant contains the column
-/// — i.e. the column is `ContainedIn` the constant.
-fn oriented(pred: Predicate, commuted: bool) -> Predicate {
-    if !commuted {
-        return pred;
+impl Probe {
+    /// Resolves one simple predicate: the strategy function by name,
+    /// the query extent from the constant's bytes.
+    fn parse(simple: &SimpleQual) -> Result<Probe, IdsError> {
+        let pred = Predicate::from_udr_name(&simple.func).ok_or_else(|| {
+            IdsError::AccessMethod(format!(
+                "{} is not a GR-tree strategy function",
+                simple.func
+            ))
+        })?;
+        let constant = simple.constant.as_ref().ok_or_else(|| {
+            IdsError::AccessMethod(format!("{}(column) form is not supported", simple.func))
+        })?;
+        Ok(Probe {
+            pred,
+            query: extent_from_value(constant)?,
+            commuted: simple.commuted,
+        })
     }
-    match pred {
-        Predicate::Contains => Predicate::ContainedIn,
-        Predicate::ContainedIn => Predicate::Contains,
-        p => p,
-    }
-}
 
-/// Breaks a qualification into index probes: one per OR branch (the
-/// branch's first simple predicate). An empty qualification yields the
-/// universal probe.
-pub fn decompose(qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
-    let Some(root) = &qual.root else {
-        return Ok(vec![Probe {
-            pred: Predicate::Overlaps,
-            query: universal_extent(),
-            commuted: false,
-        }]);
-    };
-    let branches: Vec<&QualNode> = match root {
-        QualNode::Or(children) => children.iter().collect(),
-        other => vec![other],
-    };
-    let mut probes = Vec::with_capacity(branches.len());
-    for b in branches {
-        let first = b
-            .leaves()
-            .first()
-            .copied()
-            .ok_or_else(|| IdsError::AccessMethod("empty qualification branch".into()))?;
-        let raw = probe_of(first)?;
-        probes.push(Probe {
-            pred: oriented(raw.pred, raw.commuted),
-            query: raw.query,
-            commuted: raw.commuted,
-        });
-    }
-    Ok(probes)
-}
-
-/// Evaluates the full qualification tree against a stored extent at
-/// current time `ct` — the recheck applied to every index candidate.
-pub fn eval_full(qual: &QualDescriptor, stored: &TimeExtent, ct: Day) -> Result<bool, IdsError> {
-    let Some(root) = &qual.root else {
-        return Ok(true);
-    };
-    root.eval(&mut |simple: &SimpleQual| {
-        let probe = probe_of(simple)?;
-        let ok = if probe.commuted {
-            probe.pred.eval(&probe.query, stored, ct)
+    /// Whether a stored extent satisfies the predicate at `ct`, with
+    /// the arguments in the order the statement wrote them.
+    fn eval(&self, stored: &TimeExtent, ct: Day) -> bool {
+        if self.commuted {
+            self.pred.eval(&self.query, stored, ct)
         } else {
-            probe.pred.eval(stored, &probe.query, ct)
+            self.pred.eval(stored, &self.query, ct)
+        }
+    }
+
+    /// The probe as an index scans with it: the predicate seen from the
+    /// stored value's side — `Contains(const, col)` asks whether the
+    /// constant contains the column, i.e. the column is `ContainedIn`
+    /// the constant.
+    fn oriented(self) -> Probe {
+        let pred = match (self.commuted, self.pred) {
+            (true, Predicate::Contains) => Predicate::ContainedIn,
+            (true, Predicate::ContainedIn) => Predicate::Contains,
+            (_, p) => p,
         };
-        Ok(ok)
-    })
+        Probe { pred, ..self }
+    }
+}
+
+/// A qualification descriptor parsed for one scan.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Qual {
+    /// No qualification: every stored extent qualifies.
+    All,
+    /// One strategy-function predicate, as written.
+    Simple(Probe),
+    /// All children must hold.
+    And(Vec<Qual>),
+    /// At least one child must hold.
+    Or(Vec<Qual>),
+}
+
+impl Qual {
+    /// Parses the descriptor: every strategy-function name is matched
+    /// and every constant decoded here, once.
+    pub fn compile(qual: &QualDescriptor) -> Result<Qual, IdsError> {
+        fn node(n: &QualNode) -> Result<Qual, IdsError> {
+            let children = |cs: &[QualNode]| cs.iter().map(node).collect::<Result<Vec<_>, _>>();
+            Ok(match n {
+                QualNode::Simple(s) => Qual::Simple(Probe::parse(s)?),
+                QualNode::And(cs) => Qual::And(children(cs)?),
+                QualNode::Or(cs) => Qual::Or(children(cs)?),
+            })
+        }
+        qual.root.as_ref().map_or(Ok(Qual::All), node)
+    }
+
+    /// The first simple predicate under this node, left to right.
+    fn first(&self) -> Option<Probe> {
+        match self {
+            Qual::All => None,
+            Qual::Simple(p) => Some(*p),
+            Qual::And(cs) | Qual::Or(cs) => cs.iter().find_map(Qual::first),
+        }
+    }
+
+    /// Breaks the qualification into index probes: one per OR branch
+    /// (the branch's first simple predicate, oriented for the index).
+    /// No qualification yields the universal probe.
+    pub fn probes(&self) -> Result<Vec<Probe>, IdsError> {
+        let branches = match self {
+            Qual::All => {
+                return Ok(vec![Probe {
+                    pred: Predicate::Overlaps,
+                    query: universal_extent(),
+                    commuted: false,
+                }])
+            }
+            Qual::Or(children) => children.as_slice(),
+            other => std::slice::from_ref(other),
+        };
+        branches
+            .iter()
+            .map(|b| {
+                b.first()
+                    .map(Probe::oriented)
+                    .ok_or_else(|| IdsError::AccessMethod("empty qualification branch".into()))
+            })
+            .collect()
+    }
+
+    /// Evaluates the full qualification against a stored extent at
+    /// current time `ct` — the recheck applied to every index candidate.
+    pub fn eval(&self, stored: &TimeExtent, ct: Day) -> bool {
+        match self {
+            Qual::All => true,
+            Qual::Simple(p) => p.eval(stored, ct),
+            Qual::And(cs) => cs.iter().all(|c| c.eval(stored, ct)),
+            Qual::Or(cs) => cs.iter().any(|c| c.eval(stored, ct)),
+        }
+    }
 }
 
 /// Extracts the extent constant of a qualification value (for tests).
@@ -143,6 +187,10 @@ mod tests {
         .unwrap()
     }
 
+    fn probes_of(qual: &QualDescriptor) -> Vec<Probe> {
+        Qual::compile(qual).unwrap().probes().unwrap()
+    }
+
     fn simple(func: &str, q: TimeExtent, commuted: bool) -> QualNode {
         QualNode::Simple(SimpleQual {
             func: func.into(),
@@ -154,11 +202,14 @@ mod tests {
 
     #[test]
     fn universal_probe_for_empty_qual() {
-        let probes = decompose(&QualDescriptor::default()).unwrap();
+        let all = Qual::compile(&QualDescriptor::default()).unwrap();
+        assert_eq!(all, Qual::All);
+        let probes = all.probes().unwrap();
         assert_eq!(probes.len(), 1);
         let u = universal_extent();
         let any = extent(10, None, 5, None);
         assert!(Predicate::Overlaps.eval(&any, &u, Day(100)));
+        assert!(all.eval(&any, Day(100)));
     }
 
     #[test]
@@ -171,14 +222,14 @@ mod tests {
                 simple("Contains", b, false),
             ])),
         };
-        assert_eq!(decompose(&and).unwrap().len(), 1);
+        assert_eq!(probes_of(&and).len(), 1);
         let or = QualDescriptor {
             root: Some(QualNode::Or(vec![
                 simple("Overlaps", a, false),
                 simple("Overlaps", b, false),
             ])),
         };
-        assert_eq!(decompose(&or).unwrap().len(), 2);
+        assert_eq!(probes_of(&or).len(), 2);
     }
 
     #[test]
@@ -190,10 +241,13 @@ mod tests {
         let qual = QualDescriptor {
             root: Some(simple("Contains", big, true)),
         };
-        assert!(eval_full(&qual, &small, Day(200)).unwrap());
-        assert!(!eval_full(&qual, &extent(0, Some(500), 0, Some(400)), Day(600)).unwrap());
-        let probes = decompose(&qual).unwrap();
-        assert_eq!(probes[0].pred, Predicate::ContainedIn);
+        let compiled = Qual::compile(&qual).unwrap();
+        assert!(compiled.eval(&small, Day(200)));
+        assert!(!compiled.eval(&extent(0, Some(500), 0, Some(400)), Day(600)));
+        // The index probe is seen from the stored side; the recheck
+        // keeps the predicate as written.
+        assert_eq!(compiled.probes().unwrap()[0].pred, Predicate::ContainedIn);
+        assert!(matches!(compiled, Qual::Simple(p) if p.pred == Predicate::Contains));
     }
 
     #[test]
@@ -208,14 +262,14 @@ mod tests {
                 simple("Overlaps", b, false),
             ])),
         };
-        assert!(eval_full(&or, &stored, ct).unwrap());
+        assert!(Qual::compile(&or).unwrap().eval(&stored, ct));
         let and = QualDescriptor {
             root: Some(QualNode::And(vec![
                 simple("Overlaps", a, false),
                 simple("Overlaps", b, false),
             ])),
         };
-        assert!(!eval_full(&and, &stored, ct).unwrap());
+        assert!(!Qual::compile(&and).unwrap().eval(&stored, ct));
     }
 
     #[test]
@@ -228,6 +282,6 @@ mod tests {
                 commuted: false,
             })),
         };
-        assert!(decompose(&qual).is_err());
+        assert!(Qual::compile(&qual).is_err());
     }
 }

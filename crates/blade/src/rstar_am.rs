@@ -11,12 +11,12 @@
 //! is the shared purpose-function bodies of `tree_am` and `purpose`.
 
 use crate::curtime::CurrentTimePolicy;
-use crate::extent_type::{extent_from_value, extent_of_row, extent_to_value, TYPE_NAME};
+use crate::extent_type::{extent_from_ref, extent_of_row, TYPE_NAME};
 use crate::purpose::purpose_functions;
-use crate::qual::{decompose, eval_full, Probe};
+use crate::qual::{Probe, Qual};
 use crate::tree_am::{Event, TreeAm};
 use grt_ids::heap;
-use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, RowId, Value};
+use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, RowId, Value, ValueRef};
 use grt_rstar::bitemporal::NowStrategy;
 use grt_rstar::{RStarOptions, Rect2, RectKey, SpatialPredicate};
 use grt_sbspace::{LoId, LockMode, PageSource};
@@ -58,6 +58,7 @@ pub(crate) struct Refinement {
 
 impl TreeAm for RStarBitemporalAm {
     type Key = RectKey;
+    type Qual = Qual;
     type Probe = Probe;
     type Scan = Refinement;
     /// Refinement reads the row itself, so the rowid identifies a hit.
@@ -81,8 +82,12 @@ impl TreeAm for RStarBitemporalAm {
         Ok(self.strategy.to_rect(&extent_of_row(row)?, ct))
     }
 
-    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<Probe>, IdsError> {
-        decompose(qual)
+    fn compile(&self, qual: &QualDescriptor) -> Result<Qual, IdsError> {
+        Qual::compile(qual)
+    }
+
+    fn probes(&self, qual: &Qual) -> Result<Vec<Probe>, IdsError> {
+        qual.probes()
     }
 
     /// The rectangle-level probe for a bitemporal probe. Only Contains
@@ -129,27 +134,25 @@ impl TreeAm for RStarBitemporalAm {
         rowid
     }
 
-    /// Refinement: fetch the base row and apply the exact bitemporal
-    /// predicate.
-    fn row(
+    /// Refinement: read the base row's extent where it lies on the
+    /// pinned heap page and apply the exact bitemporal predicate.
+    fn recheck(
         &self,
         scan: &mut Refinement,
-        qual: &QualDescriptor,
+        qual: &Qual,
         _rect: &Rect2,
         rowid: u64,
         ct: Day,
-    ) -> Result<Option<Vec<Value>>, IdsError> {
+    ) -> Result<bool, IdsError> {
         scan.candidates += 1;
         let heap_src: &(dyn PageSource + Send) = scan.heap.as_ref();
-        let Some(row) = heap::fetch(&heap_src, RowId(rowid))? else {
-            return Ok(None);
-        };
-        let stored = extent_from_value(&row[scan.column_pos])?;
-        if !eval_full(qual, &stored, ct)? {
-            return Ok(None);
-        }
-        scan.matches += 1;
-        Ok(Some(vec![extent_to_value(&stored)]))
+        let column = scan.column_pos;
+        let stored = heap::fetch_with(&heap_src, RowId(rowid), |row| {
+            extent_from_ref(ValueRef::column(row, column)?)
+        })?;
+        let matched = stored.is_some_and(|e| qual.eval(&e, ct));
+        scan.matches += matched as u64;
+        Ok(matched)
     }
 
     fn area(&self, bound: &Rect2, _ct: Day) -> i128 {

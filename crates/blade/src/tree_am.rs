@@ -13,7 +13,7 @@
 //!
 //! An access method is a [`TreeAm`]: the key policy it instantiates
 //! the kernel with, how a row's value becomes a key and a qualification
-//! becomes probes, how a hit becomes a row, and how it traces. This
+//! becomes probes, how a hit is rechecked, and how it traces. This
 //! module holds that contract, the "td" state and the scan machinery;
 //! [`crate::purpose`] holds the purpose-function bodies built on them.
 
@@ -23,9 +23,9 @@ use grt_metrics::TreeMetrics;
 use grt_sbspace::{LoId, LockMode};
 use grt_temporal::Day;
 use grt_treekit::{
-    parallel_scan, Cursor, Meta, NodeSource, ParallelScanStats, Reader, Tree, TreeError, TreeKey,
+    parallel_scan, Cursor, Emitted, Meta, NodeSource, ParallelScanStats, Reader, Tree, TreeError,
+    TreeKey,
 };
-use std::collections::HashSet;
 
 /// Index scans on trees at least this many pages go parallel when the
 /// effective degree exceeds one; smaller probes stay on the serial
@@ -66,12 +66,15 @@ pub(crate) type Row = (RowId, Vec<Value>);
 pub(crate) trait TreeAm: Send + Sync + Sized + 'static {
     /// The key policy the kernel is instantiated with.
     type Key: TreeKey + Clone;
+    /// The qualification as parsed for one scan (see
+    /// [`TreeAm::compile`]).
+    type Qual: Send;
     /// One index probe derived from the qualification.
     type Probe: Send;
     /// Per-scan state beyond the cursor (a refinement heap, say).
     type Scan: Send;
-    /// Identity of a returned row in the scan's dedup set, which spans
-    /// OR branches and restarts.
+    /// Identity of a returned row in the scan's dedup memory, which
+    /// spans OR branches and restarts.
     type Seen: Eq + std::hash::Hash + Send;
 
     /// The access method's SQL name.
@@ -95,8 +98,12 @@ pub(crate) trait TreeAm: Send + Sync + Sized + 'static {
     fn ctx(ct: Day) -> <Self::Key as TreeKey>::Ctx;
     /// The key a row's indexed value is stored under at `ct`.
     fn key_of(&self, row: &[Value], ct: Day) -> Result<KeyOf<Self>, IdsError>;
+    /// Parses a qualification descriptor — strategy-function names
+    /// matched, constants decoded. Called once per scan (and once per
+    /// cost estimate); every per-candidate recheck reads the result.
+    fn compile(&self, qual: &QualDescriptor) -> Result<Self::Qual, IdsError>;
     /// Breaks a qualification into index probes.
-    fn probes(&self, qual: &QualDescriptor) -> Result<Vec<Self::Probe>, IdsError>;
+    fn probes(&self, qual: &Self::Qual) -> Result<Vec<Self::Probe>, IdsError>;
     /// The kernel query a probe scans with at `ct`.
     fn query(&self, probe: &Self::Probe, ct: Day) -> <Self::Key as TreeKey>::Query;
     /// Sets up the per-scan state at `am_beginscan`.
@@ -105,16 +112,15 @@ pub(crate) trait TreeAm: Send + Sync + Sized + 'static {
     fn end(&self, _scan: Self::Scan, _ctx: &AmContext) {}
     /// The dedup identity of a hit.
     fn seen(key: &KeyOf<Self>, rowid: u64) -> Self::Seen;
-    /// Turns an index hit into the row's indexed fields, or `None` when
-    /// the full qualification rejects it.
-    fn row(
+    /// Rechecks an index hit against the full qualification.
+    fn recheck(
         &self,
         scan: &mut Self::Scan,
-        qual: &QualDescriptor,
+        qual: &Self::Qual,
         key: &KeyOf<Self>,
         rowid: u64,
         ct: Day,
-    ) -> Result<Option<Vec<Value>>, IdsError>;
+    ) -> Result<bool, IdsError>;
     /// Area of the root bound at `ct`, the cost formula's denominator.
     fn area(&self, bound: &KeyOf<Self>, ct: Day) -> i128;
     /// Area of the root bound a probe covers at `ct`.
@@ -127,8 +133,10 @@ pub(crate) trait TreeAm: Send + Sync + Sized + 'static {
     fn trace(&self, _ctx: &AmContext, _event: Event<'_>) {}
 }
 
-/// Scan state: the probes derived from the qualification, the live
-/// cursor, and the dedup set across OR branches / restarts.
+/// Scan state: everything `am_beginscan` works out from the scan
+/// descriptor — the parsed qualification, the probes derived from it —
+/// plus the live cursor and the dedup memory across OR branches /
+/// restarts.
 pub(crate) struct ScanState<A: TreeAm> {
     pub(crate) probes: Vec<A::Probe>,
     pub(crate) current: usize,
@@ -138,8 +146,13 @@ pub(crate) struct ScanState<A: TreeAm> {
     pub(crate) buffer: Option<Vec<(KeyOf<A>, u64)>>,
     /// Requested parallel degree (resolved at `am_beginscan`).
     pub(crate) workers: usize,
-    pub(crate) qual: QualDescriptor,
-    pub(crate) seen: HashSet<A::Seen>,
+    pub(crate) qual: A::Qual,
+    /// What the scan has returned. The kernel cursor's own memory stays
+    /// empty on this path (the scan steps with [`Cursor::advance`]):
+    /// this one outlives the cursor, which is replaced per probe and
+    /// per restart. A log until a repeat becomes possible — a restart
+    /// ([`ScanState::rewind`]) or a second probe.
+    pub(crate) seen: Emitted<A::Seen>,
     /// Frozen-view reader when the statement runs on a space snapshot
     /// (no BLOB lock, no condense restarts). Lives in the scan — not in
     /// "td" — so it is released with the statement, never pinning
@@ -150,13 +163,25 @@ pub(crate) struct ScanState<A: TreeAm> {
 
 impl<A: TreeAm> ScanState<A> {
     /// Drops the live cursor — and any buffered parallel results, which
-    /// a restarted traversal re-derives from the new root — and rewinds
-    /// to the first probe; the dedup set keeps already-returned entries
-    /// from reappearing.
-    pub(crate) fn rewind(&mut self) {
+    /// a new traversal re-derives from the root — and goes back to the
+    /// first probe.
+    fn reset(&mut self) {
         self.cursor = None;
         self.buffer = None;
         self.current = 0;
+    }
+
+    /// Restarts the traversal (Section 5.5); the dedup memory, armed
+    /// from here on, keeps already-returned entries from reappearing.
+    pub(crate) fn rewind(&mut self) {
+        self.reset();
+        self.seen.arm();
+    }
+
+    /// Starts the scan over with nothing remembered (`am_rescan`).
+    pub(crate) fn replay(&mut self) {
+        self.reset();
+        self.seen.clear();
     }
 }
 
@@ -288,7 +313,10 @@ pub(crate) fn cost_estimate<A: TreeAm, S: NodeSource<A::Key>>(
         None => 0.0,
         Some(bound) => {
             let total = am.area(&bound, ct);
-            let probes = am.probes(qual).unwrap_or_default();
+            let probes = am
+                .compile(qual)
+                .and_then(|q| am.probes(&q))
+                .unwrap_or_default();
             if probes.is_empty() || total <= 0 {
                 1.0
             } else {
@@ -380,8 +408,8 @@ pub(crate) fn scan_step<A: TreeAm>(
         let next = match (scan.buffer.as_mut(), scan.cursor.as_mut()) {
             (Some(buf), _) => buf.pop(),
             (None, Some(cursor)) => match &scan.reader {
-                Some(r) => r.cursor_next(cursor),
-                None => tree.expect("ensured").cursor_next(cursor),
+                Some(r) => cursor.advance(r),
+                None => cursor.advance(tree.expect("ensured")),
             }
             .map_err(am_err)?,
             (None, None) => unreachable!("a probe was just started"),
@@ -390,13 +418,18 @@ pub(crate) fn scan_step<A: TreeAm>(
             scan.cursor = None;
             scan.buffer = None;
             scan.current += 1;
+            if scan.current < scan.probes.len() {
+                // The next OR branch may cover rows this one returned.
+                scan.seen.arm();
+            }
             continue;
         };
         if !scan.seen.insert(A::seen(&key, rowid)) {
             continue;
         }
-        if let Some(values) = am.row(&mut scan.extra, &scan.qual, &key, rowid, ct)? {
-            return Ok(Some((RowId(rowid), values)));
+        if am.recheck(&mut scan.extra, &scan.qual, &key, rowid, ct)? {
+            // *retrow* stays empty: the executor refetches by rowid.
+            return Ok(Some((RowId(rowid), Vec::new())));
         }
     }
 }

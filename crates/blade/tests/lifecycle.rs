@@ -3,15 +3,16 @@
 //! including `am_rescan` and `am_update`.
 
 use grt_blade::{
-    extent_to_value, install_grtree_blade, uninstall_grtree_blade, GrTreeAm, GrTreeAmOptions,
-    TYPE_NAME,
+    extent_to_value, install_grtree_blade, uninstall_grtree_blade, DeletePolicy, GrTreeAm,
+    GrTreeAmOptions, TYPE_NAME,
 };
+use grt_grtree::GrTreeOptions;
 use grt_ids::vii::{QualDescriptor, QualNode, SimpleQual};
 use grt_ids::{
     AccessMethod, AmContext, DataType, Database, DatabaseOptions, IndexDescriptor, RowId,
     ScanDescriptor,
 };
-use grt_temporal::{Day, MockClock, TimeExtent, TtEnd, VtEnd};
+use grt_temporal::{Day, MockClock, Predicate, TimeExtent, TtEnd, VtEnd};
 use std::sync::Arc;
 
 #[test]
@@ -57,8 +58,8 @@ fn extent(ttb: i32, tte: Option<i32>, vtb: i32, vte: Option<i32>) -> TimeExtent 
     .unwrap()
 }
 
-fn driven_blade() -> (GrTreeAm, IndexDescriptor, AmContext<'static>) {
-    let am = GrTreeAm::default();
+fn driven_blade_with(opts: GrTreeAmOptions) -> (GrTreeAm, IndexDescriptor, AmContext<'static>) {
+    let am = GrTreeAm::new(opts);
     let idx = IndexDescriptor::new(
         "direct_ix",
         "t",
@@ -69,6 +70,42 @@ fn driven_blade() -> (GrTreeAm, IndexDescriptor, AmContext<'static>) {
     let mut ctx = AmContext::for_tests();
     ctx.clock = Arc::new(MockClock::new(Day(500)));
     (am, idx, ctx)
+}
+
+fn driven_blade() -> (GrTreeAm, IndexDescriptor, AmContext<'static>) {
+    driven_blade_with(GrTreeAmOptions::default())
+}
+
+fn overlaps(q: TimeExtent) -> QualNode {
+    QualNode::Simple(SimpleQual {
+        func: "Overlaps".into(),
+        column: "Time_Extent".into(),
+        constant: Some(extent_to_value(&q)),
+        commuted: false,
+    })
+}
+
+/// The rowid of the scan's next hit. The blades leave *retrow* empty:
+/// the executor fetches the base row by rowid.
+fn next_rowid(
+    am: &GrTreeAm,
+    idx: &IndexDescriptor,
+    scan: &mut ScanDescriptor,
+    ctx: &AmContext,
+) -> Option<u64> {
+    let (rowid, keys) = am.am_getnext(idx, scan, ctx).unwrap()?;
+    assert!(keys.is_empty());
+    Some(rowid.0)
+}
+
+/// Every hit left in the scan.
+fn drain(
+    am: &GrTreeAm,
+    idx: &IndexDescriptor,
+    scan: &mut ScanDescriptor,
+    ctx: &AmContext,
+) -> Vec<u64> {
+    std::iter::from_fn(|| next_rowid(am, idx, scan, ctx)).collect()
 }
 
 #[test]
@@ -82,29 +119,140 @@ fn rescan_replays_the_scan_from_the_start() {
             .unwrap();
     }
     let qual = QualDescriptor {
-        root: Some(QualNode::Simple(SimpleQual {
-            func: "Overlaps".into(),
-            column: "Time_Extent".into(),
-            constant: Some(extent_to_value(&extent(0, None, 0, None))),
-            commuted: false,
-        })),
+        root: Some(overlaps(extent(0, None, 0, None))),
     };
     let mut scan = ScanDescriptor::new(qual);
     am.am_beginscan(&idx, &mut scan, &ctx).unwrap();
-    let mut first_pass = 0;
-    while am.am_getnext(&idx, &mut scan, &ctx).unwrap().is_some() {
-        first_pass += 1;
+    // A rescan in mid-scan: everything comes back, the ten rows already
+    // returned included (the dedup memory is cleared too).
+    for _ in 0..10 {
+        am.am_getnext(&idx, &mut scan, &ctx).unwrap().unwrap();
     }
-    assert_eq!(first_pass, 30);
-    // Rescan: everything comes back (the dedup set is cleared too).
     am.am_rescan(&idx, &mut scan, &ctx).unwrap();
-    let mut second_pass = 0;
-    while am.am_getnext(&idx, &mut scan, &ctx).unwrap().is_some() {
-        second_pass += 1;
-    }
-    assert_eq!(second_pass, 30);
+    assert_eq!(drain(&am, &idx, &mut scan, &ctx).len(), 30);
+    // And again after a complete pass.
+    am.am_rescan(&idx, &mut scan, &ctx).unwrap();
+    assert_eq!(drain(&am, &idx, &mut scan, &ctx).len(), 30);
     am.am_endscan(&idx, &mut scan, &ctx).unwrap();
     am.am_close(&idx, &ctx).unwrap();
+}
+
+/// A scan restarted after `k` hits returns each row exactly once,
+/// wherever the restart falls. `RestartAlways` makes any
+/// `am_delete` a restart; the row deleted lies outside the window, so
+/// the answer owed stays the same 40 rows.
+#[test]
+fn restart_after_k_hits_returns_each_entry_once() {
+    let (am, idx, ctx) = driven_blade_with(GrTreeAmOptions {
+        delete_policy: DeletePolicy::RestartAlways,
+        ..Default::default()
+    });
+    am.am_create(&idx, &ctx).unwrap();
+    am.am_open(&idx, &ctx).unwrap();
+    let inside = |i: i32| extent_to_value(&extent(100 + i, Some(110 + i), 100 + i, Some(110 + i)));
+    let outside = |i: i32| extent_to_value(&extent(300 + i, Some(301 + i), 300 + i, Some(301 + i)));
+    for i in 0..40 {
+        am.am_insert(&idx, &[inside(i)], RowId(i as u64), &ctx)
+            .unwrap();
+    }
+    let restarts = [0usize, 1, 20, 39];
+    for (n, _) in restarts.iter().enumerate() {
+        let n = n as i32;
+        am.am_insert(&idx, &[outside(n)], RowId(1_000 + n as u64), &ctx)
+            .unwrap();
+    }
+    let window = extent(90, Some(200), 90, Some(200));
+    for (n, k) in restarts.into_iter().enumerate() {
+        let mut scan = ScanDescriptor::new(QualDescriptor {
+            root: Some(overlaps(window)),
+        });
+        am.am_beginscan(&idx, &mut scan, &ctx).unwrap();
+        let mut got: Vec<u64> = (0..k)
+            .map(|_| next_rowid(&am, &idx, &mut scan, &ctx).unwrap())
+            .collect();
+        let n = n as i32;
+        am.am_delete(&idx, &[outside(n)], RowId(1_000 + n as u64), &ctx)
+            .unwrap();
+        got.extend(drain(&am, &idx, &mut scan, &ctx));
+        am.am_endscan(&idx, &mut scan, &ctx).unwrap();
+        got.sort_unstable();
+        assert_eq!(got, (0..40).collect::<Vec<u64>>(), "restart after {k} hits");
+    }
+    am.am_close(&idx, &ctx).unwrap();
+}
+
+/// `am_insert` through the descriptor of an open scan: splits and
+/// forced reinserts move entries the scan has returned into leaves it
+/// has yet to visit, and they must not come back.
+#[test]
+fn insert_during_a_scan_returns_no_row_twice() {
+    let (am, idx, ctx) = driven_blade_with(GrTreeAmOptions {
+        tree: GrTreeOptions {
+            max_entries: 8,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    am.am_create(&idx, &ctx).unwrap();
+    am.am_open(&idx, &ctx).unwrap();
+    let row = |i: i32| {
+        let (tt, vt) = (100 + (i * 37) % 200, 100 + (i * 91) % 200);
+        extent_to_value(&extent(tt, Some(tt + 30), vt, Some(vt + 30)))
+    };
+    for i in 0..300 {
+        am.am_insert(&idx, &[row(i)], RowId(i as u64), &ctx)
+            .unwrap();
+    }
+    let mut scan = ScanDescriptor::new(QualDescriptor {
+        root: Some(overlaps(extent(0, Some(1_000), 0, Some(1_000)))),
+    });
+    am.am_beginscan(&idx, &mut scan, &ctx).unwrap();
+    let mut got: Vec<u64> = (0..100)
+        .map(|_| next_rowid(&am, &idx, &mut scan, &ctx).unwrap())
+        .collect();
+    for i in 300..600 {
+        am.am_insert(&idx, &[row(i)], RowId(i as u64), &ctx)
+            .unwrap();
+    }
+    got.extend(drain(&am, &idx, &mut scan, &ctx));
+    am.am_endscan(&idx, &mut scan, &ctx).unwrap();
+    am.am_close(&idx, &ctx).unwrap();
+    let returned = got.len();
+    got.sort_unstable();
+    got.dedup();
+    assert_eq!(got.len(), returned, "a row came back twice");
+}
+
+/// The second probe of an OR covers rows the first returned; they come
+/// back once.
+#[test]
+fn or_of_overlapping_probes_returns_the_overlap_once() {
+    let (am, idx, ctx) = driven_blade();
+    am.am_create(&idx, &ctx).unwrap();
+    am.am_open(&idx, &ctx).unwrap();
+    let row = |i: i32| extent(100 + i, Some(102 + i), 100 + i, Some(102 + i));
+    for i in 0..60 {
+        am.am_insert(&idx, &[extent_to_value(&row(i))], RowId(i as u64), &ctx)
+            .unwrap();
+    }
+    let first = extent(90, Some(130), 90, Some(130));
+    let second = extent(120, Some(150), 120, Some(150));
+    let meets = |i: i32, window: &TimeExtent| Predicate::Overlaps.eval(&row(i), window, Day(500));
+    let both = (0..60).filter(|&i| meets(i, &first) && meets(i, &second));
+    assert!(both.count() > 5, "the windows share rows");
+    let mut scan = ScanDescriptor::new(QualDescriptor {
+        root: Some(QualNode::Or(vec![overlaps(first), overlaps(second)])),
+    });
+    am.am_beginscan(&idx, &mut scan, &ctx).unwrap();
+    let mut got = drain(&am, &idx, &mut scan, &ctx);
+    am.am_endscan(&idx, &mut scan, &ctx).unwrap();
+    am.am_close(&idx, &ctx).unwrap();
+    got.sort_unstable();
+    let want: Vec<u64> = (0..60)
+        .filter(|&i| meets(i, &first) || meets(i, &second))
+        .map(|i| i as u64)
+        .collect();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use super::{msg, Connection, QueryResult, Stmt, Work};
 use crate::catalog::TableMeta;
 use crate::heap;
 use crate::planner::Plan;
-use crate::prepare::CompiledStatement;
+use crate::prepare::{CompiledStatement, Projection};
 use crate::sql::{Expr, Statement};
 use crate::value::{DataType, Value};
 use crate::vii::{AccessMethod, AmContext, IndexDescriptor, QualDescriptor, RowId, ScanDescriptor};
@@ -236,18 +236,23 @@ impl Connection {
     }
 
     /// Runs a scan, invoking `sink` for each qualifying `(rowid, row)`;
-    /// `sink` returns whether to go on.
+    /// `sink` returns whether to go on. With a `projection` the rows
+    /// are the SELECT's output rows; without one they are whole table
+    /// rows (UPDATE and DELETE write back and re-index what they read).
     fn scan(
         &self,
         st: &Stmt,
         binding: &TableBinding,
         plan: &Plan,
+        projection: Option<&Projection>,
         mut sink: impl FnMut(RowId, Vec<Value>) -> Result<bool>,
     ) -> Result<()> {
         let table = &binding.table;
-        let keep = |filter: &Option<Expr>, row: &[Value]| -> Result<bool> {
+        // `row` is a row of `shape`: the table, or the columns of it an
+        // index scan decoded.
+        let keep = |filter: &Option<Expr>, row: &[Value], shape: &TableMeta| -> Result<bool> {
             match filter {
-                Some(f) => self.eval_expr(f, Some((row, table)), &st.am)?.as_bool(),
+                Some(f) => self.eval_expr(f, Some((row, shape)), &st.am)?.as_bool(),
                 None => Ok(true),
             }
         };
@@ -268,7 +273,14 @@ impl Connection {
             Plan::SeqScan { filter } => {
                 let mut scan = heap::HeapScan::new();
                 while let Some((rid, row)) = scan.next(&h)? {
-                    if keep(filter, &row)? && !sink(rid, row)? {
+                    if !keep(filter, &row, table)? {
+                        continue;
+                    }
+                    let row = match projection {
+                        Some(p) => p.apply(&row),
+                        None => row,
+                    };
+                    if !sink(rid, row)? {
                         break;
                     }
                 }
@@ -279,19 +291,44 @@ impl Connection {
                 residual,
             } => {
                 let ix = binding.index(index).expect("the plan names a bound index");
-                // The index is drained first; only the rowids are kept.
+                // The index is drained first, for rowids alone.
                 let mut rids: Vec<RowId> = Vec::new();
                 self.index_scan(st, ix, qual, |hits| {
-                    rids.extend(hits.into_iter().map(|(rid, _keys)| rid));
+                    rids.extend(hits.into_iter().map(|(rid, _)| rid));
                     Ok(())
                 })?;
+                // What the heap pass builds of each row it meets: the
+                // whole row, or — for a SELECT — the projected columns in
+                // output order, so the decoded row *is* the output row,
+                // followed by any column only the residual reads (cut
+                // off again once the residual has been evaluated). A
+                // column the statement never names is stepped over on
+                // the page and never becomes a value.
+                let widened = projection
+                    .zip(residual.as_ref())
+                    .map(|(p, f)| p.widened_for(f, table))
+                    .transpose()?;
+                let (columns, shape) = match &widened {
+                    Some((columns, shape)) => (Some(&columns[..]), shape),
+                    None => (projection.map(|p| &p.positions[..]), table),
+                };
+                let read = |stored: &[u8]| match columns {
+                    Some(columns) => Value::decode_columns(stored, columns),
+                    None => Value::decode_row(stored),
+                };
                 // Then one ordered pass over the heap: each page that
                 // holds a hit is pinned once, so the base-row fetches
                 // cost at most one sequential pass whatever order the
                 // index returned them in. A row may be gone under weaker
                 // isolation; the pass skips it.
-                let fetched = heap::fetch_ordered(&h, &mut rids, |rid, row| {
-                    Ok(!keep(residual, &row)? || sink(rid, row)?)
+                let fetched = heap::fetch_ordered(&h, &mut rids, read, |rid, mut row| {
+                    if !keep(residual, &row, shape)? {
+                        return Ok(true);
+                    }
+                    if let Some(p) = projection {
+                        row.truncate(p.positions.len());
+                    }
+                    sink(rid, row)
                 })?;
                 let counters = &self.db.inner.counters;
                 counters.heap_rows.add(fetched.rows);
@@ -316,7 +353,7 @@ impl Connection {
         plan: &Plan,
     ) -> Result<Vec<(RowId, Vec<Value>)>> {
         let mut rows = Vec::new();
-        self.scan(st, binding, plan, |rid, row| {
+        self.scan(st, binding, plan, None, |rid, row| {
             rows.push((rid, row));
             Ok(true)
         })?;
@@ -335,10 +372,11 @@ impl Connection {
             .as_ref()
             .expect("resolve projects every SELECT");
         let mut rows = Vec::new();
-        if compiled.heap.is_none() {
+        let rendered = if compiled.heap.is_none() {
             // A system catalog, queryable like a table (projection only).
             let (_, all) = self.db.catalog_dump(table)?;
             rows.extend(all.iter().map(|row| projection.apply(row)));
+            self.render_rows(&[], &rows)
         } else {
             let binding = &self.bound(compiled, table)?;
             let table = &binding.table.name;
@@ -362,15 +400,18 @@ impl Connection {
                 }
             });
             let plan = self.plan(st, compiled, binding, where_clause)?;
-            self.scan(st, binding, &plan, |_rid, row| {
-                rows.push(projection.apply(&row));
+            self.scan(st, binding, &plan, Some(projection), |_rid, row| {
+                rows.push(row);
                 Ok(true)
             })?;
-        }
-        let rendered = rows
-            .iter()
-            .map(|r| r.iter().map(|v| self.render_value(v)).collect())
-            .collect();
+            let columns = &binding.table.columns;
+            let types: Vec<&DataType> = projection
+                .positions
+                .iter()
+                .map(|&i| &columns[i].1)
+                .collect();
+            self.render_rows(&types, &rows)
+        };
         Ok(QueryResult {
             columns: projection.headers.clone(),
             rows,

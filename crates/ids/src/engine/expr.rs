@@ -5,6 +5,7 @@
 
 use super::Connection;
 use crate::catalog::TableMeta;
+use crate::opaque::OpaqueType;
 use crate::sql::{Expr, Lit};
 use crate::udr::Routine;
 use crate::value::{DataType, Value};
@@ -216,17 +217,34 @@ impl Connection {
         }
     }
 
-    /// Renders a value through its type support functions.
-    pub fn render_value(&self, v: &Value) -> String {
-        if let Value::Opaque { type_name, .. } = v {
+    /// Renders result rows through the type support functions.
+    /// `types[i]` is the declared type of output column `i` (a column
+    /// past `types` has none): each opaque column's text-output function
+    /// is looked up here, once for the statement, and every cell of the
+    /// column goes through it.
+    pub(super) fn render_rows(&self, types: &[&DataType], rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+        let outputs: Vec<Option<OpaqueType>> = {
             let opaques = self.db.inner.opaques.lock();
-            if let Some(ot) = opaques.get(&type_name.to_ascii_lowercase()) {
-                if let Ok(text) = ot.value_to_text(v) {
-                    return text;
-                }
-            }
-        }
-        v.to_string()
+            let output_of = |ty: &&DataType| match ty {
+                DataType::Opaque(t) => opaques.get(&t.to_ascii_lowercase()).cloned(),
+                _ => None,
+            };
+            types.iter().map(output_of).collect()
+        };
+        let cell = |(i, v): (usize, &Value)| {
+            // A NULL in an opaque column has no bytes to hand the
+            // output function.
+            let output = match v {
+                Value::Opaque { .. } => outputs.get(i).and_then(Option::as_ref),
+                _ => None,
+            };
+            output
+                .and_then(|ot| ot.value_to_text(v).ok())
+                .unwrap_or_else(|| v.to_string())
+        };
+        rows.iter()
+            .map(|row| row.iter().enumerate().map(cell).collect())
+            .collect()
     }
 }
 

@@ -204,15 +204,25 @@ pub fn insert(lo: &mut LoHandle, row: &[Value]) -> Result<RowId> {
 
 /// Fetches a row by id (`None` if deleted or out of range).
 pub fn fetch<P: PageSource>(lo: &P, id: RowId) -> Result<Option<Vec<Value>>> {
+    fetch_with(lo, id, Value::decode_row)
+}
+
+/// Reads a row by id through `read`, which sees the stored bytes in
+/// place on the pinned page ([`Value::decode_row`],
+/// [`Value::decode_columns`] and [`ValueRef`](crate::ValueRef) are the
+/// codec) — so a reader that wants one column builds one value, or
+/// none. `None` if the row is deleted or out of range.
+pub fn fetch_with<P: PageSource, T>(
+    lo: &P,
+    id: RowId,
+    read: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<Option<T>> {
     let (pno, slot) = unrid(id);
     if pno == 0 || pno >= lo.page_count() {
         return Ok(None);
     }
     let page = lo.read_page_pinned(pno)?;
-    match PageRef::parse(&page)?.get(slot) {
-        Some(bytes) => Ok(Some(Value::decode_row(bytes)?)),
-        None => Ok(None),
-    }
+    PageRef::parse(&page)?.get(slot).map(read).transpose()
 }
 
 /// How much heap a [`fetch_ordered`] pass touched.
@@ -226,14 +236,17 @@ pub struct FetchStats {
 
 /// Fetches the rows named by `ids` in heap order — the order a
 /// [`HeapScan`] returns them — pinning each distinct page once and
-/// decoding every wanted slot from that one pin. `ids` is sorted in
-/// place; ids that name no live row (tombstoned, past the slot
-/// directory, page 0 or past the end) are skipped, exactly as [`fetch`]
-/// answers `None` for them. `visit` returns `false` to stop early.
-pub fn fetch_ordered<P: PageSource>(
+/// reading every wanted slot from that one pin through `read` (as
+/// [`fetch_with`] does: the caller says what of a row it wants built).
+/// `ids` is sorted in place; ids that name no live row (tombstoned, past
+/// the slot directory, page 0 or past the end) are skipped, exactly as
+/// [`fetch`] answers `None` for them. `visit` returns `false` to stop
+/// early.
+pub fn fetch_ordered<P: PageSource, T>(
     lo: &P,
     ids: &mut [RowId],
-    mut visit: impl FnMut(RowId, Vec<Value>) -> Result<bool>,
+    read: impl Fn(&[u8]) -> Result<T>,
+    mut visit: impl FnMut(RowId, T) -> Result<bool>,
 ) -> Result<FetchStats> {
     ids.sort_unstable();
     let npages = lo.page_count();
@@ -252,7 +265,7 @@ pub fn fetch_ordered<P: PageSource>(
         for &id in on_page {
             if let Some(bytes) = page.get(unrid(id).1) {
                 stats.rows += 1;
-                if !visit(id, Value::decode_row(bytes)?)? {
+                if !visit(id, read(bytes)?)? {
                     return Ok(stats);
                 }
             }
@@ -441,7 +454,7 @@ mod tests {
 
     fn collect_ordered(lo: &LoHandle, ids: &mut [RowId]) -> (Vec<(RowId, Vec<Value>)>, FetchStats) {
         let mut got = Vec::new();
-        let stats = fetch_ordered(lo, ids, |id, row| {
+        let stats = fetch_ordered(lo, ids, Value::decode_row, |id, row| {
             got.push((id, row));
             Ok(true)
         })
@@ -550,7 +563,7 @@ mod tests {
         let (lo, _, rids) = loaded();
         let mut ids = rids.clone();
         let mut seen = 0;
-        let stats = fetch_ordered(&lo, &mut ids, |_, _| {
+        let stats = fetch_ordered(&lo, &mut ids, Value::decode_row, |_, _| {
             seen += 1;
             Ok(seen < 5)
         })

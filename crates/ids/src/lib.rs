@@ -56,7 +56,7 @@ pub mod vii;
 pub use engine::{Connection, Database, DatabaseOptions, QueryResult};
 pub use session::{MemDuration, Session};
 pub use trace::{TraceEvent, TraceSink};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};
 pub use vii::{
     AccessMethod, AmContext, IndexDescriptor, QualDescriptor, RowId, ScanDescriptor, SimpleQual,
 };

@@ -27,6 +27,7 @@
 //! memo (and drops transparent entries entirely, so parameter types
 //! are re-inferred against the new schema).
 
+use crate::catalog::TableMeta;
 use crate::sql::{self, Expr, Statement};
 use crate::value::{DataType, Value};
 use crate::{IdsError, Result};
@@ -76,9 +77,39 @@ pub(crate) struct Projection {
 }
 
 impl Projection {
-    /// The output row for one source row.
+    /// The output row for one whole source row.
     pub fn apply(&self, row: &[Value]) -> Vec<Value> {
         self.positions.iter().map(|&i| row[i].clone()).collect()
+    }
+
+    /// For a reader that builds only part of each stored row and must
+    /// still evaluate `residual` on it: the table positions to decode —
+    /// the output columns first, in output order, then the columns only
+    /// `residual` names — and those columns as a table of their own,
+    /// which is what `residual` resolves its column names against.
+    pub fn widened_for(
+        &self,
+        residual: &Expr,
+        table: &TableMeta,
+    ) -> Result<(Vec<usize>, TableMeta)> {
+        let mut columns = self.positions.clone();
+        let mut unknown = Ok(());
+        residual.visit(&mut |e| {
+            if let Expr::Column(c) = e {
+                match table.column_index(c) {
+                    Ok(i) if !columns.contains(&i) => columns.push(i),
+                    Ok(_) => {}
+                    Err(e) => unknown = Err(e),
+                }
+            }
+        });
+        unknown?;
+        let shape = TableMeta {
+            name: table.name.clone(),
+            columns: columns.iter().map(|&i| table.columns[i].clone()).collect(),
+            lo: table.lo,
+        };
+        Ok((columns, shape))
     }
 }
 

@@ -95,6 +95,18 @@ impl Value {
         }
     }
 
+    /// The same value, borrowed.
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Text(s) => ValueRef::Text(s),
+            Value::Date(d) => ValueRef::Date(*d),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Opaque { type_name, bytes } => ValueRef::Opaque { type_name, bytes },
+        }
+    }
+
     /// Serialises into `out` (the heap row codec).
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -128,41 +140,7 @@ impl Value {
 
     /// Deserialises one value, advancing `pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Value> {
-        let bad = || IdsError::Type("truncated row".into());
-        let tag = *buf.get(*pos).ok_or_else(bad)?;
-        *pos += 1;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = buf.get(*pos..*pos + n).ok_or_else(bad)?;
-            *pos += n;
-            Ok(s)
-        };
-        match tag {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(i64::from_le_bytes(
-                take(pos, 8)?.try_into().unwrap(),
-            ))),
-            2 => {
-                let len = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                let bytes = take(pos, len)?;
-                Ok(Value::Text(
-                    String::from_utf8(bytes.to_vec())
-                        .map_err(|_| IdsError::Type("bad utf8 in row".into()))?,
-                ))
-            }
-            3 => Ok(Value::Date(Day(i32::from_le_bytes(
-                take(pos, 4)?.try_into().unwrap(),
-            )))),
-            4 => Ok(Value::Bool(take(pos, 1)?[0] != 0)),
-            5 => {
-                let nlen = take(pos, 1)?[0] as usize;
-                let type_name = String::from_utf8(take(pos, nlen)?.to_vec())
-                    .map_err(|_| IdsError::Type("bad utf8 in type name".into()))?;
-                let len = u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize;
-                let bytes = take(pos, len)?.to_vec();
-                Ok(Value::Opaque { type_name, bytes })
-            }
-            other => Err(IdsError::Type(format!("unknown value tag {other}"))),
-        }
+        ValueRef::decode(buf, pos).map(ValueRef::to_value)
     }
 
     /// Serialises a whole row.
@@ -177,10 +155,7 @@ impl Value {
 
     /// Deserialises a whole row.
     pub fn decode_row(buf: &[u8]) -> Result<Vec<Value>> {
-        if buf.len() < 2 {
-            return Err(IdsError::Type("truncated row header".into()));
-        }
-        let n = u16::from_le_bytes(buf[0..2].try_into().unwrap()) as usize;
+        let n = row_len(buf)?;
         let mut pos = 2;
         let mut row = Vec::with_capacity(n);
         for _ in 0..n {
@@ -188,17 +163,157 @@ impl Value {
         }
         Ok(row)
     }
+
+    /// Deserialises the columns at `positions` of an encoded row, in
+    /// that order — what [`Value::decode_row`] followed by picking
+    /// `positions` gives, without building the values in between: a
+    /// column nobody asked for is stepped over in the buffer. Ascending
+    /// positions cost one pass; a position at or before the previous one
+    /// (`SELECT id, id`, `SELECT Time_Extent, id`) starts over from the
+    /// row's first column. A position past the stored row is an error.
+    pub fn decode_columns(buf: &[u8], positions: &[usize]) -> Result<Vec<Value>> {
+        let n = row_len(buf)?;
+        let mut out = Vec::with_capacity(positions.len());
+        // The walk stands before column `col`, at byte `pos`.
+        let (mut col, mut pos) = (0, 2);
+        for &want in positions {
+            if want >= n {
+                return Err(IdsError::Type(format!("column {want} of a {n}-column row")));
+            }
+            if want < col {
+                (col, pos) = (0, 2);
+            }
+            while col < want {
+                ValueRef::decode(buf, &mut pos)?;
+                col += 1;
+            }
+            out.push(Value::decode(buf, &mut pos)?);
+            col += 1;
+        }
+        Ok(out)
+    }
+}
+
+/// The column count an encoded row leads with.
+fn row_len(buf: &[u8]) -> Result<usize> {
+    match buf.get(0..2) {
+        Some(n) => Ok(u16::from_le_bytes(n.try_into().unwrap()) as usize),
+        None => Err(IdsError::Type("truncated row header".into())),
+    }
+}
+
+/// A value read in place: what [`Value`] owns, this borrows from the
+/// encoded row — a pinned heap page, say. Decoding one allocates
+/// nothing, which is also how a reader steps over a column it does not
+/// want.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Integer value.
+    Int(i64),
+    /// Text value.
+    Text(&'a str),
+    /// Date value.
+    Date(Day),
+    /// Boolean value.
+    Bool(bool),
+    /// An opaque value.
+    Opaque {
+        /// The opaque type's name.
+        type_name: &'a str,
+        /// The internal binary representation.
+        bytes: &'a [u8],
+    },
+}
+
+impl<'a> ValueRef<'a> {
+    /// Reads one value of the heap row codec, advancing `pos` — the
+    /// codec's one decoder; [`Value::decode`] is this plus a copy.
+    pub fn decode(buf: &'a [u8], pos: &mut usize) -> Result<ValueRef<'a>> {
+        let bad = || IdsError::Type("truncated row".into());
+        let tag = *buf.get(*pos).ok_or_else(bad)?;
+        *pos += 1;
+        let take = |pos: &mut usize, n: usize| -> Result<&'a [u8]> {
+            let end = pos.checked_add(n).ok_or_else(bad)?;
+            let s = buf.get(*pos..end).ok_or_else(bad)?;
+            *pos = end;
+            Ok(s)
+        };
+        let len = |pos: &mut usize| -> Result<usize> {
+            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()) as usize)
+        };
+        let text = |bytes: &'a [u8], what: &str| {
+            std::str::from_utf8(bytes).map_err(|_| IdsError::Type(format!("bad utf8 in {what}")))
+        };
+        match tag {
+            0 => Ok(ValueRef::Null),
+            1 => Ok(ValueRef::Int(i64::from_le_bytes(
+                take(pos, 8)?.try_into().unwrap(),
+            ))),
+            2 => {
+                let n = len(pos)?;
+                Ok(ValueRef::Text(text(take(pos, n)?, "row")?))
+            }
+            3 => Ok(ValueRef::Date(Day(i32::from_le_bytes(
+                take(pos, 4)?.try_into().unwrap(),
+            )))),
+            4 => Ok(ValueRef::Bool(take(pos, 1)?[0] != 0)),
+            5 => {
+                let nlen = take(pos, 1)?[0] as usize;
+                let type_name = text(take(pos, nlen)?, "type name")?;
+                let n = len(pos)?;
+                let bytes = take(pos, n)?;
+                Ok(ValueRef::Opaque { type_name, bytes })
+            }
+            other => Err(IdsError::Type(format!("unknown value tag {other}"))),
+        }
+    }
+
+    /// Column `col` of an encoded row, read in place.
+    pub fn column(buf: &'a [u8], col: usize) -> Result<ValueRef<'a>> {
+        let n = row_len(buf)?;
+        if col >= n {
+            return Err(IdsError::Type(format!("column {col} of a {n}-column row")));
+        }
+        let mut pos = 2;
+        for _ in 0..col {
+            ValueRef::decode(buf, &mut pos)?;
+        }
+        ValueRef::decode(buf, &mut pos)
+    }
+
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Text(s) => Value::Text(s.to_string()),
+            ValueRef::Date(d) => Value::Date(d),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Opaque { type_name, bytes } => Value::Opaque {
+                type_name: type_name.to_string(),
+                bytes: bytes.to_vec(),
+            },
+        }
+    }
 }
 
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+impl std::fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Text(s) => write!(f, "{s}"),
-            Value::Date(d) => write!(f, "{d}"),
-            Value::Bool(b) => write!(f, "{}", if *b { "t" } else { "f" }),
-            Value::Opaque { type_name, bytes } => {
+            ValueRef::Null => write!(f, "NULL"),
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Text(s) => write!(f, "{s}"),
+            ValueRef::Date(d) => write!(f, "{d}"),
+            ValueRef::Bool(b) => write!(f, "{}", if *b { "t" } else { "f" }),
+            ValueRef::Opaque { type_name, bytes } => {
                 write!(f, "<{type_name}:{} bytes>", bytes.len())
             }
         }

@@ -246,8 +246,16 @@ pub trait AccessMethod: Send + Sync {
         Ok(())
     }
 
-    /// Fetching the next qualifying row: rowid plus the indexed fields
-    /// ("retrowid" and "retrow" of the paper's Table 5). Mandatory.
+    /// Fetching the next qualifying row. The paper's Table 5 has
+    /// `grt_getnext` return two things per hit: *retrowid*, the row's
+    /// id, and *retrow*, the indexed fields rebuilt from the index
+    /// entry. Informix's VII lets the server say which of a row's
+    /// columns it will read (`mi_scan_nprojs` / `mi_scan_projs`), and an
+    /// access method need not produce the others. This executor fetches
+    /// the base row by rowid and reads no column off the index, so the
+    /// value vector is never read: an access method may leave it empty
+    /// (an empty `Vec` does not allocate), and the tree blades do.
+    /// Mandatory.
     fn am_getnext(
         &self,
         idx: &IndexDescriptor,

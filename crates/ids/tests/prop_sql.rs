@@ -3,7 +3,8 @@
 //! parser must be total (no panics) on arbitrary input.
 
 use grt_ids::sql::{parse, Expr, Lit, Statement};
-use grt_ids::{Database, DatabaseOptions, Value};
+use grt_ids::{Database, DatabaseOptions, Value, ValueRef};
+use grt_temporal::Day;
 use proptest::prelude::*;
 
 /// A tiny predicate AST we can both render to SQL and evaluate in Rust.
@@ -59,6 +60,19 @@ impl Pred {
             Pred::Not(a) => !a.eval(row),
         }
     }
+}
+
+/// Any value the heap row codec stores.
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<i64>().prop_map(Value::Int),
+        "\\PC{0,12}".prop_map(Value::Text),
+        any::<i32>().prop_map(|d| Value::Date(Day(d))),
+        any::<bool>().prop_map(Value::Bool),
+        ("\\PC{1,10}", proptest::collection::vec(any::<u8>(), 0..20))
+            .prop_map(|(type_name, bytes)| Value::Opaque { type_name, bytes }),
+    ]
 }
 
 fn seeded_db(rows: &[[i64; 3]]) -> Database {
@@ -148,5 +162,57 @@ proptest! {
         got.sort_unstable();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
+    }
+
+    /// Decoding the columns at positions `P` of a stored row is decoding
+    /// the whole row and picking `P` — repeated, reordered or all of
+    /// them (`SELECT id, id`, `SELECT Time_Extent, id`, `SELECT *`) —
+    /// and so is reading one column in place.
+    #[test]
+    fn decoded_columns_are_the_picked_columns(
+        row in proptest::collection::vec(arb_value(), 1..7),
+        picks in proptest::collection::vec(any::<usize>(), 0..9),
+    ) {
+        let stored = Value::encode_row(&row);
+        let whole = Value::decode_row(&stored).unwrap();
+        prop_assert_eq!(&whole, &row);
+        let star: Vec<usize> = (0..row.len()).collect();
+        let picks: Vec<usize> = picks.iter().map(|p| p % row.len()).collect();
+        for positions in [&picks, &star] {
+            let want: Vec<Value> = positions.iter().map(|&i| whole[i].clone()).collect();
+            prop_assert_eq!(Value::decode_columns(&stored, positions).unwrap(), want);
+        }
+        for (i, v) in row.iter().enumerate() {
+            prop_assert_eq!(ValueRef::column(&stored, i).unwrap().to_value(), v.clone());
+        }
+        // A position past the stored row is an error, wherever it sits.
+        let mut past = picks.clone();
+        past.push(row.len());
+        prop_assert!(Value::decode_columns(&stored, &past).is_err());
+        prop_assert!(ValueRef::column(&stored, row.len()).is_err());
+    }
+
+    /// A row cut short at any byte never panics the partial decoders:
+    /// they answer an error, or — when everything they were asked for
+    /// lies before the cut — the right values. Asked for the last column
+    /// they need every byte, so every cut is an error.
+    #[test]
+    fn truncated_rows_error_in_the_partial_decoders(
+        row in proptest::collection::vec(arb_value(), 1..6),
+        picks in proptest::collection::vec(any::<usize>(), 1..6),
+    ) {
+        let stored = Value::encode_row(&row);
+        let picks: Vec<usize> = picks.iter().map(|p| p % row.len()).collect();
+        let want: Vec<Value> = picks.iter().map(|&i| row[i].clone()).collect();
+        let last = row.len() - 1;
+        for cut in 0..stored.len() {
+            let cut_row = &stored[..cut];
+            prop_assert!(Value::decode_row(cut_row).is_err());
+            if let Ok(got) = Value::decode_columns(cut_row, &picks) {
+                prop_assert_eq!(&got, &want, "cut {}", cut);
+            }
+            prop_assert!(Value::decode_columns(cut_row, &[picks[0], last]).is_err());
+            prop_assert!(ValueRef::column(cut_row, last).is_err());
+        }
     }
 }

@@ -275,17 +275,30 @@ pub struct TreeMetrics {
 impl TreeMetrics {
     /// Counters registered in `metrics` under `<prefix>.<name>` — e.g.
     /// prefix `"grtree"` yields `grtree.splits`. Get-or-register: every
-    /// tree opened against the same registry shares the cells.
+    /// tree opened against the same registry shares the cells. The
+    /// registry remembers the set per prefix, so every call after the
+    /// first is one lookup and seven handle clones — a tree is opened
+    /// once per statement.
     pub fn registered(metrics: &Metrics, prefix: &str) -> TreeMetrics {
-        TreeMetrics {
-            searches: metrics.counter(&format!("{prefix}.searches")),
-            nodes_visited: metrics.counter(&format!("{prefix}.nodes_visited")),
-            splits: metrics.counter(&format!("{prefix}.splits")),
-            condenses: metrics.counter(&format!("{prefix}.condenses")),
-            reinserts: metrics.counter(&format!("{prefix}.reinserts")),
-            hidden_resolutions: metrics.counter(&format!("{prefix}.hidden_resolutions")),
-            now_resolutions: metrics.counter(&format!("{prefix}.now_resolutions")),
+        if let Some(t) = metrics.inner.read().trees.get(prefix) {
+            return t.clone();
         }
+        let counter = |name: &str| metrics.counter(&format!("{prefix}.{name}"));
+        let fresh = TreeMetrics {
+            searches: counter("searches"),
+            nodes_visited: counter("nodes_visited"),
+            splits: counter("splits"),
+            condenses: counter("condenses"),
+            reinserts: counter("reinserts"),
+            hidden_resolutions: counter("hidden_resolutions"),
+            now_resolutions: counter("now_resolutions"),
+        };
+        let mut inner = metrics.inner.write();
+        inner
+            .trees
+            .entry(prefix.to_string())
+            .or_insert(fresh)
+            .clone()
     }
 }
 
@@ -294,6 +307,9 @@ struct Registered {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
+    /// [`TreeMetrics::registered`]'s memo: prefix → handles on the
+    /// seven counters registered above under that prefix.
+    trees: BTreeMap<String, TreeMetrics>,
 }
 
 /// The named registry: every subsystem's counters and histograms, one
@@ -550,6 +566,20 @@ mod tests {
         assert_eq!(g2.get(), 42);
         g.dec();
         assert_eq!(g.get(), 41);
+    }
+
+    #[test]
+    fn tree_metrics_share_the_registered_cells_per_prefix() {
+        let m = Metrics::new();
+        let first = TreeMetrics::registered(&m, "grtree");
+        let again = TreeMetrics::registered(&m, "grtree");
+        let other = TreeMetrics::registered(&m, "rstar");
+        first.splits.inc();
+        again.splits.inc();
+        other.splits.inc();
+        assert_eq!(m.counter("grtree.splits").get(), 2);
+        assert_eq!(m.counter("rstar.splits").get(), 1);
+        assert_eq!(m.snapshot().counters.len(), 14, "seven names a prefix");
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! creation and stays constant for the whole scan — for the GR-tree
 //! that is the per-statement current time of Section 5.4.
 
-use crate::{Entry, Meta, Node, Result, TreeKey};
+use crate::{Emitted, Entry, Meta, Node, Result, TreeKey};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::PageGuard;
-use std::collections::HashSet;
 
 /// Where a traversal reads its nodes from: a [`Tree`](crate::Tree)
 /// (locked handle, sees the owning transaction's writes) or a
@@ -56,7 +55,7 @@ pub trait NodeSource<K: TreeKey> {
             root: self.meta().root,
             stack: Vec::new(),
             primed: false,
-            emitted: HashSet::new(),
+            emitted: Emitted::new(),
         }
     }
 
@@ -99,7 +98,11 @@ pub struct Cursor<K: TreeKey> {
     /// new entry). Survives [`Cursor::restart`]: a Section 5.5 restart
     /// re-walks the condensed tree from the root, and without this
     /// memory it would re-return every row emitted before the condense.
-    emitted: HashSet<(u64, K::Dedup)>,
+    /// A log until the first restart arms it — a traversal that is
+    /// never restarted meets each leaf entry once, as long as nothing
+    /// writes to the tree under it; a caller that does write between
+    /// steps restarts the cursor.
+    emitted: Emitted<(u64, K::Dedup)>,
 }
 
 impl<K: TreeKey> Cursor<K> {
@@ -108,12 +111,13 @@ impl<K: TreeKey> Cursor<K> {
     /// have been freed, so every open scan over **any** tree kind must
     /// restart before its next step. The captured context is kept (the
     /// statement's time does not change mid-scan) and so is the
-    /// emitted-set, so rows returned before the restart are not
-    /// returned again by the re-walk.
+    /// emitted memory, armed from here on, so rows returned before the
+    /// restart are not returned again by the re-walk.
     pub fn restart<S: NodeSource<K>>(&mut self, src: &S) {
         self.root = src.meta().root;
         self.stack.clear();
         self.primed = false;
+        self.emitted.arm();
     }
 
     fn push<S: NodeSource<K>>(&mut self, src: &S, page: u32) -> Result<()> {
@@ -139,6 +143,21 @@ impl<K: TreeKey> Cursor<K> {
     }
 
     pub(crate) fn next<S: NodeSource<K>>(&mut self, src: &S) -> Result<Option<(K::Key, u64)>> {
+        let key = &src.meta().key;
+        while let Some((k, rowid)) = self.advance(src)? {
+            if self.emitted.insert((rowid, key.dedup_key(&k))) {
+                return Ok(Some((k, rowid)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The traversal alone: the next qualifying leaf entry, whether or
+    /// not this cursor returned it before. For a caller that keeps an
+    /// [`Emitted`] of its own across several cursors (the blade's scan,
+    /// which spans the probes of an OR and replaces its cursor on a
+    /// restart); everyone else steps with [`NodeSource::cursor_next`].
+    pub fn advance<S: NodeSource<K>>(&mut self, src: &S) -> Result<Option<(K::Key, u64)>> {
         if !self.primed {
             self.primed = true;
             self.push(src, self.root)?;
@@ -155,9 +174,7 @@ impl<K: TreeKey> Cursor<K> {
             frame.next += 1;
             key.charge(&e.key, src.metrics());
             if frame.node.is_leaf() {
-                if key.matches(&e.key, &self.query, self.ctx)
-                    && self.emitted.insert((e.ptr, key.dedup_key(&e.key)))
-                {
+                if key.matches(&e.key, &self.query, self.ctx) {
                     return Ok(Some((e.key.clone(), e.ptr)));
                 }
             } else if key.consistent(&e.key, &self.query, self.ctx) {

@@ -13,8 +13,8 @@
 //!   the delete/condense driver, and the invariant checker;
 //! * [`NodeSource`] — where a traversal reads nodes from: the locked
 //!   [`Tree`] or a frozen [`Reader`] over a space snapshot;
-//! * [`Cursor`] — the depth-first scan with its emitted-set, the
-//!   Section 5.5 restart, and prefetch announcements;
+//! * [`Cursor`] — the depth-first scan with its [`Emitted`] memory,
+//!   the Section 5.5 restart, and prefetch announcements;
 //! * [`parallel_scan`] — the work-stealing scan over a [`Reader`];
 //! * [`Tree::bulk_load`] — the sort-tile-recursive packer;
 //! * [`TreeQuality`] — the dead-space/overlap walk.
@@ -28,11 +28,13 @@
 
 mod bulk;
 mod cursor;
+mod emitted;
 mod parallel;
 mod quality;
 mod tree;
 
 pub use cursor::{Cursor, NodeSource};
+pub use emitted::Emitted;
 pub use parallel::{parallel_scan, ParallelScan, ParallelScanStats, Reader};
 pub use quality::{LevelQuality, TreeQuality};
 pub use tree::{DeleteOutcome, Tree};
@@ -247,7 +249,7 @@ pub trait TreeKey: Send + Sync + 'static {
     type Query: Send + Sync;
     /// The per-operation context (see the trait documentation).
     type Ctx: Copy + Send + Sync;
-    /// A leaf key's identity in emitted-sets and in the deterministic
+    /// A leaf key's identity in [`Emitted`] memories and in the deterministic
     /// order of a merged parallel scan.
     type Dedup: Ord + std::hash::Hash + Send;
 

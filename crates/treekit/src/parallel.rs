@@ -19,7 +19,6 @@ use crate::cursor::NodeSource;
 use crate::{Entry, Meta, Node, Result, TreeKey};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{LoReader, PageGuard};
-use std::collections::HashSet;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -173,7 +172,7 @@ fn scan_subtree<K: TreeKey>(
 /// cursor: same leaf test, same descent test, same dedup key. The
 /// caller owns restart semantics — on a concurrent condense it simply
 /// re-runs the scan against the new root and filters against its own
-/// emitted-set, exactly as it would restart a cursor.
+/// [`Emitted`](crate::Emitted) memory, exactly as it would restart a cursor.
 pub fn parallel_scan<K: TreeKey>(
     reader: &Reader<K>,
     query: &K::Query,
@@ -275,6 +274,6 @@ pub fn parallel_scan<K: TreeKey>(
 /// Deterministic merge order plus the cursor's dedup key.
 fn dedup_sort<K: TreeKey>(key: &K, rows: &mut Vec<(K::Key, u64)>) {
     rows.sort_by_cached_key(|(k, rowid)| (*rowid, key.dedup_key(k)));
-    let mut seen: HashSet<(u64, K::Dedup)> = HashSet::with_capacity(rows.len());
-    rows.retain(|(k, rowid)| seen.insert((*rowid, key.dedup_key(k))));
+    // Sorted by identity, so a repeat sits next to its original.
+    rows.dedup_by(|b, a| a.1 == b.1 && key.dedup_key(&a.0) == key.dedup_key(&b.0));
 }

@@ -129,6 +129,33 @@ where
     }
     drop(reader);
 
+    // Phase 2b: the cursor's memory is a log until its first restart.
+    // Wherever that restart falls — before the first hit, after one, in
+    // the middle, one short of the end — the re-walk from the root
+    // returns what was still owed and nothing already returned, each
+    // `(rowid, key)` exactly once; a second restart changes nothing.
+    let total = input.rows.len();
+    for k in [0, 1, total / 2, total - 1] {
+        let mut cursor = tree.cursor(everything(), ctx);
+        let mut got = Vec::new();
+        for _ in 0..k {
+            got.push(tree.cursor_next(&mut cursor).unwrap().expect("rows left"));
+        }
+        tree.cursor_restart(&mut cursor);
+        if k == total / 2 {
+            got.push(tree.cursor_next(&mut cursor).unwrap().expect("rows left"));
+            tree.cursor_restart(&mut cursor);
+        }
+        while let Some(hit) = tree.cursor_next(&mut cursor).unwrap() {
+            got.push(hit);
+        }
+        assert_eq!(got.len(), total, "restart after {k}: replayed or lost");
+        for (key, id) in &got {
+            assert_eq!(key, &input.rows[*id as usize], "restart after {k}: key");
+        }
+        assert_eq!(ids(got), live, "restart after {k}: rows");
+    }
+
     // Phase 3: delete a random third.
     let mut condensed = false;
     for _ in 0..input.rows.len() / 3 {

@@ -147,6 +147,18 @@ fn explain_of(db: &Database) -> (String, String) {
     (find(": plan: "), find(": heap fetch: "))
 }
 
+/// SELECT lists and what is ANDed to the probe. An index scan builds
+/// only the columns a statement names, in the order it names them, so
+/// the shapes are: the plain case, a residual on a column the list
+/// leaves out, every column, and a reordered list with a repeat plus a
+/// residual on a column it does have.
+const SELECT_SHAPES: [(&str, &str); 4] = [
+    ("id, tag", ""),
+    ("tag", " AND id > 600"),
+    ("*", ""),
+    ("tag, id, id", " AND tag != 'late'"),
+];
+
 /// For a table `ix` with an index and its unindexed twin `plain`,
 /// loaded and churned identically: every indexed `SELECT` answers row
 /// for row in the order of the sequential scan over the twin.
@@ -161,11 +173,15 @@ fn assert_indexed_equals_sequential(db: &Database, conn: &Connection, am: &str, 
         }
         for degree in [1, 4] {
             conn.exec(&format!("SET PARALLEL {degree}")).unwrap();
-            for probe in probes {
-                let what = format!("{am}, locked={locked}, degree {degree}, {probe}");
+            for (probe, (list, residual)) in probes
+                .iter()
+                .flat_map(|p| SELECT_SHAPES.iter().map(move |s| (p, s)))
+            {
+                let probe = &format!("{probe}{residual}");
+                let what = format!("{am}, locked={locked}, degree {degree}, {list}, {probe}");
                 let before = db.metrics_snapshot();
                 let want = conn
-                    .exec(&format!("SELECT id, tag FROM plain WHERE {probe}"))
+                    .exec(&format!("SELECT {list} FROM plain WHERE {probe}"))
                     .unwrap();
                 let d = db.metrics_snapshot().since(&before);
                 assert_eq!(d.get("ids.plans_seq"), 1, "twin must scan: {what}");
@@ -174,11 +190,13 @@ fn assert_indexed_equals_sequential(db: &Database, conn: &Connection, am: &str, 
                 db.trace().take();
                 let before = db.metrics_snapshot();
                 let got = conn
-                    .exec(&format!("SELECT id, tag FROM ix WHERE {probe}"))
+                    .exec(&format!("SELECT {list} FROM ix WHERE {probe}"))
                     .unwrap();
                 let d = db.metrics_snapshot().since(&before);
                 assert_eq!(d.get("ids.plans_index"), 1, "must use the index: {what}");
                 assert_eq!(got.rows, want.rows, "row for row, in order: {what}");
+                assert_eq!(got.rendered, want.rendered, "as text: {what}");
+                assert_eq!(got.columns, want.columns, "{what}");
 
                 let (plan, heap_fetch) = explain_of(db);
                 let path = if locked { "locked" } else { "snapshot" };
