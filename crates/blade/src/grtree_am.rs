@@ -141,10 +141,6 @@ impl TreeAm for GrTreeAm {
             Event::Batch { asked, got } => {
                 format!("grt_getnext_batch: (1-2) Advance Cursor up to {asked} rows: {got} row(s)")
             }
-            Event::Parallel { stats, rows } => format!(
-                "grt_getnext: parallel scan: degree {}, {} frontier subtrees, {rows} rows",
-                stats.workers, stats.frontier
-            ),
             Event::Built(count) => {
                 format!("grt_build: (2) Bulk-load {count} entries via STR packing")
             }

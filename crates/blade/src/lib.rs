@@ -12,7 +12,7 @@
 //!   kernel, written once for every tree — `tree_am` and `purpose`: cursor
 //!   management with the Section 5.5 restart-on-condense rule, the
 //!   Section 5.4 per-statement / per-transaction current-time caching
-//!   ([`curtime`]), parallel scans, snapshot reads, packed builds and
+//!   ([`curtime`]), snapshot reads, packed builds and
 //!   the Section 6 cost formula;
 //! * `grtree_am`, the GR-tree instantiation with its qualification
 //!   decomposition ([`qual`]) and the `grt_*` step trace —

@@ -6,8 +6,8 @@
 
 use crate::curtime::resolve_current_time;
 use crate::tree_am::{
-    am_err, cost_estimate, ensure_tree, metrics, release, scan_degree, scan_step, snapshot_reader,
-    with_td, DeletePolicy, Event, Row, ScanState, TdState, TreeAm,
+    am_err, cost_estimate, ensure_tree, metrics, release, scan_step, snapshot_reader, with_td,
+    DeletePolicy, Event, Row, ScanState, TdState, TreeAm,
 };
 use grt_ids::{
     AmContext, DataType, IdsError, IndexDescriptor, QualDescriptor, RowId, ScanDescriptor, Value,
@@ -131,7 +131,6 @@ pub(crate) fn beginscan<A: TreeAm>(
     say("(2) Get index descriptor td from sd");
     let qual = am.compile(&scan.qual)?;
     let probes = am.probes(&qual)?;
-    let workers = scan_degree(idx, ctx);
     let extra = am.begin(idx, ctx)?;
     with_td::<A, _>(idx, ctx, |td| {
         let reader = snapshot_reader(am, td, ctx)?;
@@ -144,8 +143,6 @@ pub(crate) fn beginscan<A: TreeAm>(
             probes,
             current: 0,
             cursor: None,
-            buffer: None,
-            workers,
             qual,
             seen: Emitted::new(),
             reader,
@@ -178,7 +175,7 @@ pub(crate) fn getnext<A: TreeAm>(
     idx: &IndexDescriptor,
     ctx: &AmContext,
 ) -> Result<Option<Row>, IdsError> {
-    with_td::<A, _>(idx, ctx, |td| scan_step(am, idx, td, ctx))
+    with_td::<A, _>(idx, ctx, |td| scan_step(am, td, ctx))
 }
 
 pub(crate) fn getnext_batch<A: TreeAm>(
@@ -192,7 +189,7 @@ pub(crate) fn getnext_batch<A: TreeAm>(
     with_td::<A, _>(idx, ctx, |td| {
         let mut out = Vec::with_capacity(max_rows.min(64));
         while out.len() < max_rows {
-            match scan_step(am, idx, td, ctx)? {
+            match scan_step(am, td, ctx)? {
                 Some(hit) => out.push(hit),
                 None => break,
             }

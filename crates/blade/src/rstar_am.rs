@@ -173,17 +173,12 @@ impl TreeAm for RStarBitemporalAm {
     }
 
     fn trace(&self, ctx: &AmContext, event: Event<'_>) {
-        // Both traced events are once-per-probe or rarer, so the line
-        // is formatted whether or not the class is on.
-        let line = match event {
-            Event::Parallel { stats, rows } => format!(
-                "parallel scan: degree {}, {} frontier subtrees, {rows} candidates",
-                stats.workers, stats.frontier
-            ),
-            Event::Built(count) => format!("bulk build: {count} entries packed"),
-            Event::Step(..) | Event::Batch { .. } => return,
-        };
-        ctx.trace.emit("RSTAR", 2, line);
+        // Once per build, so the line is formatted whether or not the
+        // class is on.
+        if let Event::Built(count) = event {
+            let line = format!("bulk build: {count} entries packed");
+            ctx.trace.emit("RSTAR", 2, line);
+        }
     }
 }
 

@@ -22,15 +22,7 @@ use grt_ids::{AmContext, IdsError, IndexDescriptor, QualDescriptor, RowId, Value
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{LoId, LockMode};
 use grt_temporal::Day;
-use grt_treekit::{
-    parallel_scan, Cursor, Emitted, Meta, NodeSource, ParallelScanStats, Reader, Tree, TreeError,
-    TreeKey,
-};
-
-/// Index scans on trees at least this many pages go parallel when the
-/// effective degree exceeds one; smaller probes stay on the serial
-/// cursor, whose setup cost they cannot amortise.
-const PARALLEL_PAGE_THRESHOLD: u32 = 32;
+use grt_treekit::{Cursor, Emitted, Meta, NodeSource, Reader, Tree, TreeError, TreeKey};
 
 /// Scan-restart policy after deletions (the Section 5.5 design space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,11 +42,6 @@ pub(crate) enum Event<'a> {
     Step(&'a str, &'a str),
     /// `am_getnext_batch` advanced the cursor.
     Batch { asked: usize, got: usize },
-    /// A probe ran through the parallel traversal.
-    Parallel {
-        stats: &'a ParallelScanStats,
-        rows: usize,
-    },
     /// `am_build` packed this many entries.
     Built(usize),
 }
@@ -65,7 +52,7 @@ pub(crate) type Row = (RowId, Vec<Value>);
 /// What one access method contributes on top of the shared bodies.
 pub(crate) trait TreeAm: Send + Sync + Sized + 'static {
     /// The key policy the kernel is instantiated with.
-    type Key: TreeKey + Clone;
+    type Key: TreeKey;
     /// The qualification as parsed for one scan (see
     /// [`TreeAm::compile`]).
     type Qual: Send;
@@ -141,11 +128,6 @@ pub(crate) struct ScanState<A: TreeAm> {
     pub(crate) probes: Vec<A::Probe>,
     pub(crate) current: usize,
     pub(crate) cursor: Option<Cursor<A::Key>>,
-    /// Merged parallel results for the current probe, handed out from
-    /// the back. `None` while the probe runs on the serial cursor.
-    pub(crate) buffer: Option<Vec<(KeyOf<A>, u64)>>,
-    /// Requested parallel degree (resolved at `am_beginscan`).
-    pub(crate) workers: usize,
     pub(crate) qual: A::Qual,
     /// What the scan has returned. The kernel cursor's own memory stays
     /// empty on this path (the scan steps with [`Cursor::advance`]):
@@ -162,12 +144,9 @@ pub(crate) struct ScanState<A: TreeAm> {
 }
 
 impl<A: TreeAm> ScanState<A> {
-    /// Drops the live cursor — and any buffered parallel results, which
-    /// a new traversal re-derives from the root — and goes back to the
-    /// first probe.
+    /// Drops the live cursor and goes back to the first probe.
     fn reset(&mut self) {
         self.cursor = None;
-        self.buffer = None;
         self.current = 0;
     }
 
@@ -200,17 +179,6 @@ pub(crate) fn am_err(e: TreeError) -> IdsError {
 
 pub(crate) fn metrics<A: TreeAm>(ctx: &AmContext) -> TreeMetrics {
     TreeMetrics::registered(&ctx.space.metrics(), A::PREFIX)
-}
-
-/// Effective parallel degree for a scan: the session's `SET PARALLEL`
-/// override when present, else the engine-wide default carried in the
-/// index descriptor's parameters.
-pub(crate) fn scan_degree(idx: &IndexDescriptor, ctx: &AmContext) -> usize {
-    ctx.session
-        .get_named::<usize>("parallel_workers")
-        .or_else(|| idx.params.get("scan_workers").and_then(|s| s.parse().ok()))
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// Runs `f` with the descriptor's `TdState`, creating it on demand from
@@ -333,7 +301,6 @@ pub(crate) fn cost_estimate<A: TreeAm, S: NodeSource<A::Key>>(
 /// via [`with_td`].
 pub(crate) fn scan_step<A: TreeAm>(
     am: &A,
-    idx: &IndexDescriptor,
     td: &mut TdState<A>,
     ctx: &AmContext,
 ) -> Result<Option<Row>, IdsError> {
@@ -350,73 +317,26 @@ pub(crate) fn scan_step<A: TreeAm>(
         .as_mut()
         .ok_or_else(|| IdsError::AccessMethod("getnext without beginscan".into()))?;
     loop {
-        if scan.cursor.is_none() && scan.buffer.is_none() {
-            let Some(probe) = scan.probes.get(scan.current) else {
-                return Ok(None);
-            };
-            let query = am.query(probe, ct);
-            let pages = match &scan.reader {
-                Some(r) => r.pages(),
-                None => tree.expect("ensured").pages(),
-            };
-            if scan.workers > 1 && pages >= PARALLEL_PAGE_THRESHOLD {
-                // The probe clears the page threshold: run it through
-                // the work-stealing traversal over the pinned read path
-                // and buffer the merged rows.
-                let locked_view;
-                let reader = match &scan.reader {
-                    Some(r) => r,
-                    None => {
-                        locked_view = tree.expect("ensured").reader();
-                        &locked_view
-                    }
+        let cursor = match &mut scan.cursor {
+            Some(cursor) => cursor,
+            None => {
+                let Some(probe) = scan.probes.get(scan.current) else {
+                    return Ok(None);
                 };
-                let result =
-                    parallel_scan(reader, &query, A::ctx(ct), scan.workers).map_err(am_err)?;
-                let registry = ctx.space.metrics();
-                registry.counter("scan.parallel_scans").inc();
-                let worker_ns = registry.histogram("scan.parallel_worker_ns");
-                for &ns in &result.stats.worker_ns {
-                    worker_ns.observe_ns(ns);
-                }
-                am.trace(
-                    ctx,
-                    Event::Parallel {
-                        stats: &result.stats,
-                        rows: result.rows.len(),
-                    },
-                );
-                ctx.trace.emit_with("EXPLAIN", 1, || {
-                    format!(
-                        "parallel index scan on {}: degree {} (requested {})",
-                        idx.index_name, result.stats.workers, scan.workers
-                    )
-                });
-                let mut rows = result.rows;
-                rows.reverse();
-                scan.buffer = Some(rows);
-            } else {
-                if scan.workers > 1 {
-                    ctx.space.metrics().counter("scan.parallel_fallbacks").inc();
-                }
-                scan.cursor = Some(match &scan.reader {
+                let query = am.query(probe, ct);
+                scan.cursor.insert(match &scan.reader {
                     Some(r) => r.cursor(query, A::ctx(ct)),
                     None => tree.expect("ensured").cursor(query, A::ctx(ct)),
-                });
+                })
             }
-        }
-        let next = match (scan.buffer.as_mut(), scan.cursor.as_mut()) {
-            (Some(buf), _) => buf.pop(),
-            (None, Some(cursor)) => match &scan.reader {
-                Some(r) => cursor.advance(r),
-                None => cursor.advance(tree.expect("ensured")),
-            }
-            .map_err(am_err)?,
-            (None, None) => unreachable!("a probe was just started"),
         };
+        let next = match &scan.reader {
+            Some(r) => cursor.advance(r),
+            None => cursor.advance(tree.expect("ensured")),
+        }
+        .map_err(am_err)?;
         let Some((key, rowid)) = next else {
             scan.cursor = None;
-            scan.buffer = None;
             scan.current += 1;
             if scan.current < scan.probes.len() {
                 // The next OR branch may cover rows this one returned.

@@ -22,7 +22,7 @@
 //!   [`GistTree`] is the resulting disk-resident tree over an sbspace
 //!   large object (one node per page, like every index in this
 //!   repository) — insertion, deletion with condensation, cursored
-//!   search, parallel scans, bulk loading and consistency checking are
+//!   search, bulk loading and consistency checking are
 //!   the kernel's, all extension-agnostic;
 //! * [`ext`] provides two classic instantiations: an interval tree over
 //!   `i64` ranges (B-tree-flavoured) and a 2-D rectangle tree

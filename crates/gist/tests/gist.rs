@@ -2,10 +2,13 @@
 //! structural invariants under churn, and the full DataBlade wiring.
 
 use grt_blade::gist_am::install_gist_blade;
-use grt_gist::{GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
+use grt_gist::{GistExtension, GistTree, GistTreeOptions, IntRange, IntRangeExt, RectExt, RectKey};
 use grt_ids::{Database, DatabaseOptions, Value};
 use grt_sbspace::{IsolationLevel, LoHandle, LockMode, Sbspace, SbspaceOptions};
+use grt_treekit::NodeSource;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn fresh_lo() -> LoHandle {
     let sb = Sbspace::mem(SbspaceOptions {
@@ -54,6 +57,65 @@ fn interval_tree_matches_linear_scan() {
         expected.sort_unstable();
         assert_eq!(got, expected, "query {q:?}");
     }
+}
+
+/// The interval extension, counting the internal-level `consistent`
+/// calls a search makes.
+struct CountingRanges(Arc<AtomicUsize>);
+
+impl GistExtension for CountingRanges {
+    type Key = IntRange;
+    type Query = IntRange;
+    fn encode_key(&self, key: &IntRange, out: &mut Vec<u8>) {
+        IntRangeExt.encode_key(key, out)
+    }
+    fn decode_key(&self, bytes: &[u8]) -> grt_gist::Result<IntRange> {
+        IntRangeExt.decode_key(bytes)
+    }
+    fn consistent(&self, key: &IntRange, query: &IntRange, is_leaf: bool) -> bool {
+        if !is_leaf {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        IntRangeExt.consistent(key, query, is_leaf)
+    }
+    fn union(&self, keys: &[IntRange]) -> IntRange {
+        IntRangeExt.union(keys)
+    }
+    fn penalty(&self, existing: &IntRange, new: &IntRange) -> i128 {
+        IntRangeExt.penalty(existing, new)
+    }
+    fn pick_split(&self, keys: &[IntRange]) -> (Vec<usize>, Vec<usize>) {
+        IntRangeExt.pick_split(keys)
+    }
+}
+
+#[test]
+fn a_search_tests_each_internal_entry_once() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let ext = CountingRanges(Arc::clone(&calls));
+    let mut tree = GistTree::create(ext, fresh_lo(), GistTreeOptions::default()).unwrap();
+    for i in 0..2_000 {
+        tree.insert(&IntRange::new(i, i + 4), i as u64).unwrap();
+    }
+    assert!(tree.height() >= 2, "the root must be internal");
+    // Every internal entry of the tree, by walking it.
+    let mut internal_entries = 0;
+    let mut pages = vec![tree.root_page()];
+    while let Some(page) = pages.pop() {
+        let node = tree.read_node(page).unwrap();
+        if !node.is_leaf() {
+            internal_entries += node.entries.len();
+            pages.extend(node.entries.iter().map(|e| e.child()));
+        }
+    }
+    // A full-range search descends into every one of them, and asks
+    // the extension about each exactly once on the way.
+    calls.store(0, Ordering::Relaxed);
+    let hits = tree
+        .search(&IntRange::new(i64::MIN / 2, i64::MAX / 2))
+        .unwrap();
+    assert_eq!(hits.len(), 2_000);
+    assert_eq!(calls.load(Ordering::Relaxed), internal_entries);
 }
 
 #[test]

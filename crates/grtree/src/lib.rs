@@ -48,19 +48,17 @@
 //! ```
 
 pub mod bulk;
-pub mod concurrent;
 pub mod entry;
 pub mod key;
 pub mod meta;
 pub mod stats;
 pub mod tree;
 
-pub use concurrent::ConcurrentGrTree;
 pub use entry::{GrNode, InternalEntry, LeafEntry};
-pub use grt_treekit::{NodeSource, ParallelScan, ParallelScanStats};
+pub use grt_treekit::NodeSource;
 pub use key::{GrKey, GrQuery};
 pub use stats::GrQuality;
-pub use tree::{parallel_scan, GrCursor, GrDeleteOutcome, GrTree, GrTreeOptions, GrTreeReader};
+pub use tree::{GrCursor, GrDeleteOutcome, GrTree, GrTreeOptions, GrTreeReader};
 
 /// Errors from the GR-tree layer: the kernel's, whose corruption
 /// reports read "corrupt gr-tree: …". Bad timestamps surface as

@@ -9,7 +9,7 @@ use crate::Result;
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{LoHandle, LoReader};
 use grt_temporal::{Day, Predicate, Region, RegionSpec, TimeExtent};
-use grt_treekit::{Cursor, Meta, NodeSource, ParallelScan, Reader, Tree};
+use grt_treekit::{Cursor, Meta, NodeSource, Reader, Tree};
 use std::ops::{Deref, DerefMut};
 
 /// Construction parameters.
@@ -124,13 +124,6 @@ impl GrTree {
         }
     }
 
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans, valid while this tree (and the lock its
-    /// large-object handle holds) stays open.
-    pub fn reader(&self) -> GrTreeReader {
-        GrTreeReader(self.0.reader())
-    }
-
     /// The root node's bounding region resolved at `ct`, or `None` for
     /// an empty tree. The planner's selectivity estimate compares a
     /// query region against this bound.
@@ -210,23 +203,6 @@ impl GrTreeReader {
     pub fn root_bound(&self, ct: Day) -> Result<Option<Region>> {
         Ok(self.0.root_bound(ct)?.map(|b| b.resolve(ct)))
     }
-}
-
-/// Runs one predicate over the tree with up to `workers` threads — the
-/// kernel's [`parallel_scan`](grt_treekit::parallel_scan), equivalent
-/// to draining a fresh serial cursor.
-pub fn parallel_scan(
-    reader: &GrTreeReader,
-    pred: Predicate,
-    query: TimeExtent,
-    ct: Day,
-    workers: usize,
-) -> Result<ParallelScan<TimeExtent>> {
-    let scan = grt_treekit::parallel_scan(&reader.0, &GrQuery::new(pred, &query, ct), ct, workers)?;
-    Ok(ParallelScan {
-        rows: scan.rows.into_iter().map(hit).collect(),
-        stats: scan.stats,
-    })
 }
 
 #[cfg(test)]

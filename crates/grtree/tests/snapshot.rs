@@ -1,11 +1,10 @@
 //! Snapshot reads over a GR-tree: a frozen space snapshot must keep
 //! answering with the exact rows that were committed when it was taken,
-//! even while a writer condenses the tree underneath it, and the
-//! parallel scan must agree with the serial cursor on that frozen view.
+//! even while a writer condenses the tree underneath it.
 
 use std::collections::BTreeSet;
 
-use grt_grtree::{parallel_scan, GrTree, GrTreeOptions, GrTreeReader};
+use grt_grtree::{GrTree, GrTreeOptions, GrTreeReader};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions};
 use grt_temporal::{Day, Predicate, TimeExtent, TtEnd, VtEnd};
@@ -117,38 +116,4 @@ fn snapshot_sees_exact_pre_condense_rows() {
 
     drop((reader, live_reader, snap, live));
     assert_eq!(sb.snapshots_open(), 0);
-}
-
-#[test]
-fn snapshot_parallel_scan_matches_serial_across_degrees() {
-    let sb = Sbspace::mem(SbspaceOptions {
-        pool_pages: 8192,
-        ..Default::default()
-    });
-    let ct = Day(800);
-    let data = history(400);
-    let lo = committed_tree(&sb, &data, ct);
-
-    let snap = sb.snapshot_for(&[lo]).unwrap();
-    let reader = GrTreeReader::open(snap.reader(lo).unwrap(), TreeMetrics::default()).unwrap();
-
-    for pred in [Predicate::Overlaps, Predicate::Contains] {
-        let query = everything();
-        let mut cursor = reader.cursor(pred, query, ct);
-        let mut want: Vec<u64> = Vec::new();
-        while let Some((_, rowid)) = reader.cursor_next(&mut cursor).unwrap() {
-            want.push(rowid);
-        }
-        want.sort_unstable();
-        for workers in [1, 2, 4, 8] {
-            let mut got: Vec<u64> = parallel_scan(&reader, pred, query, ct, workers)
-                .unwrap()
-                .rows
-                .iter()
-                .map(|(_, rowid)| *rowid)
-                .collect();
-            got.sort_unstable();
-            assert_eq!(got, want, "{pred:?} at degree {workers} diverged");
-        }
-    }
 }

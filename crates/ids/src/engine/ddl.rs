@@ -444,7 +444,7 @@ impl Connection {
             opclass,
             space: space.unwrap_or("sbspace").to_string(),
         };
-        let mut ix = IndexBinding::new(meta, &table_meta, am, None, inner.opts.scan_workers)?;
+        let mut ix = IndexBinding::new(meta, &table_meta, am, None)?;
         if let Some(space) = space {
             ix.desc.params.insert("space".into(), space.to_string());
         }

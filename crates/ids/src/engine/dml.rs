@@ -391,14 +391,6 @@ impl Connection {
                 Some(s) => format!("{table}: plan: snapshot (epoch {})", s.epoch()),
                 None => format!("{table}: plan: locked"),
             });
-            st.explain(|| {
-                let (workers, depth) = self.db.inner.space.prefetch_params();
-                if workers > 0 {
-                    format!("{table}: scan prefetch: on(depth={depth})")
-                } else {
-                    format!("{table}: scan prefetch: off")
-                }
-            });
             let plan = self.plan(st, compiled, binding, where_clause)?;
             self.scan(st, binding, &plan, Some(projection), |_rid, row| {
                 rows.push(row);

@@ -359,17 +359,6 @@ impl Connection {
                 }
                 Ok(msg("explain updated"))
             }
-            Statement::SetParallel { workers } => {
-                // Session-scoped override of the engine's default scan
-                // degree; access methods read it back through the named
-                // memory they share with the engine.
-                self.session.put_named(
-                    "parallel_workers",
-                    MemDuration::PerSession,
-                    (*workers as usize).max(1),
-                );
-                Ok(msg("parallel degree set"))
-            }
             Statement::Prepare { name, sql } => self.prepare_statement(name, sql),
             Statement::Deallocate { name } => {
                 if self

@@ -50,9 +50,8 @@ pub struct DatabaseOptions {
     /// Backoff slept before the first retry; it doubles on every
     /// further attempt (bounded exponential backoff).
     pub retry_backoff: Duration,
-    /// Default parallel-scan degree offered to access methods for index
-    /// scans (and used by the planner when costing them). `1` keeps
-    /// every scan serial; sessions override it with `SET PARALLEL n`.
+    /// Retired in PR 18 (ISSUE 21) with the parallel index scan: not
+    /// read, deleted when the benchmark harness stops naming it.
     pub scan_workers: usize,
     /// Capacity (in compiled statements) of the transparent plan cache
     /// keyed on normalized statement text. Least-recently-used entries
@@ -180,8 +179,8 @@ struct DbInner {
     /// Loaded "shared libraries" providing access-method handlers,
     /// keyed by library file name (e.g. `grtree.bld`).
     libraries: Mutex<HashMap<String, Arc<dyn AccessMethod>>>,
-    /// The options the database booted with (`scan_batch_rows` and
-    /// `scan_workers` raised to at least 1; `space` already consumed).
+    /// The options the database booted with (`scan_batch_rows` raised
+    /// to at least 1; `space` already consumed).
     opts: DatabaseOptions,
     trace: TraceSink,
     /// The unified registry, shared with the sbspace underneath.
@@ -341,7 +340,6 @@ impl Database {
 
     fn boot(space: Sbspace, mut opts: DatabaseOptions) -> Database {
         opts.scan_batch_rows = opts.scan_batch_rows.max(1);
-        opts.scan_workers = opts.scan_workers.max(1);
         // The sbspace already registered its I/O counters; the engine
         // joins the same registry so one snapshot covers every layer.
         let metrics = space.metrics();

@@ -42,7 +42,6 @@ impl IndexBinding {
         table: &TableMeta,
         am: Arc<AmEntry>,
         fragment: Option<LoId>,
-        scan_workers: usize,
     ) -> Result<IndexBinding> {
         let key_cols = meta
             .columns
@@ -62,7 +61,6 @@ impl IndexBinding {
         desc.params = HashMap::from([
             ("table_lo".to_string(), table.lo.0.to_string()),
             ("column_pos".to_string(), key_cols[0].to_string()),
-            ("scan_workers".to_string(), scan_workers.to_string()),
         ]);
         Ok(IndexBinding {
             meta,
@@ -107,7 +105,7 @@ impl Connection {
             .map(|ix| {
                 let am = Arc::clone(catalog.am(&ix.access_method)?);
                 let fragment = fragments.get(&ix.name).map(|&page| LoId(page));
-                IndexBinding::new(ix.clone(), &table, am, fragment, inner.opts.scan_workers)
+                IndexBinding::new(ix.clone(), &table, am, fragment)
             })
             .collect::<Result<_>>()?;
         Ok(TableBinding { table, indexes })
@@ -123,7 +121,7 @@ impl Connection {
         let am = Arc::clone(catalog.am(&ix.access_method)?);
         let fragment = inner.fragments.lock().get(&ix.name).map(|&p| LoId(p));
         let table = catalog.table(&ix.table)?;
-        IndexBinding::new(ix.clone(), table, am, fragment, inner.opts.scan_workers)
+        IndexBinding::new(ix.clone(), table, am, fragment)
     }
 
     /// Phase 2 of statement execution — verify/resolve: check the

@@ -158,8 +158,6 @@ pub enum Statement {
     },
     /// `SET EXPLAIN ON|OFF` — planner decisions traced for the session.
     SetExplain { on: bool },
-    /// `SET PARALLEL [TO] n` — session-scoped parallel scan degree.
-    SetParallel { workers: u32 },
     /// `CHECK INDEX name` (runs `am_check`)
     CheckIndex { name: String },
     /// `UPDATE STATISTICS FOR INDEX name` (runs `am_stats`)
@@ -842,15 +840,9 @@ impl Parser {
             } else {
                 Err(IdsError::Parse("expected ON or OFF after EXPLAIN".into()))
             }
-        } else if self.eat_kw("PARALLEL") {
-            self.eat_kw("TO");
-            match self.next()? {
-                Tok::Num(n) if n >= 0 => Ok(Statement::SetParallel { workers: n as u32 }),
-                other => Err(IdsError::Parse(format!("bad parallel degree {other:?}"))),
-            }
         } else {
             Err(IdsError::Parse(
-                "expected ISOLATION, TRACE, EXPLAIN, or PARALLEL".into(),
+                "expected ISOLATION, TRACE, or EXPLAIN".into(),
             ))
         }
     }
@@ -1225,15 +1217,13 @@ mod tests {
             parse("SET EXPLAIN OFF").unwrap(),
             Statement::SetExplain { on: false }
         );
+        // Not a SET target: the error names the three there are.
         assert_eq!(
-            parse("SET PARALLEL 4").unwrap(),
-            Statement::SetParallel { workers: 4 }
+            parse("SET PARALLEL 4"),
+            Err(IdsError::Parse(
+                "expected ISOLATION, TRACE, or EXPLAIN".into()
+            ))
         );
-        assert_eq!(
-            parse("SET PARALLEL TO 8").unwrap(),
-            Statement::SetParallel { workers: 8 }
-        );
-        assert!(parse("SET PARALLEL many").is_err());
         assert_eq!(
             parse("CHECK INDEX grt_index").unwrap(),
             Statement::CheckIndex {

@@ -26,10 +26,9 @@ pub mod stats;
 pub mod tree;
 
 pub use geom::{Rect2, SpatialPredicate};
-pub use grt_treekit::{NodeSource, ParallelScan, ParallelScanStats, TreeQuality};
+pub use grt_treekit::{NodeSource, TreeQuality};
 pub use tree::{
-    bulk_load, bulk_load_pairs, parallel_scan, RStarCursor, RStarOptions, RStarTree,
-    RStarTreeReader, RectKey,
+    bulk_load, bulk_load_pairs, RStarCursor, RStarOptions, RStarTree, RStarTreeReader, RectKey,
 };
 
 /// Errors from the R\*-tree layer: the kernel's, whose corruption

@@ -18,8 +18,7 @@ use grt_metrics::TreeMetrics;
 use grt_sbspace::page::{PageBuf, PAGE_SIZE};
 use grt_sbspace::{LoHandle, LoReader};
 use grt_treekit::{
-    Cursor, DeleteOutcome, Entry, Meta, NodeSource, ParallelScan, Reader, Tree, TreeKey,
-    TreeQuality,
+    Cursor, DeleteOutcome, Entry, Meta, NodeSource, Reader, Tree, TreeKey, TreeQuality,
 };
 use std::ops::{Deref, DerefMut};
 
@@ -263,13 +262,6 @@ impl RStarTree {
         Ok(self.0.read_node(page)?.into())
     }
 
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans, valid while this tree (and the lock its
-    /// large-object handle holds) stays open.
-    pub fn reader(&self) -> RStarTreeReader {
-        RStarTreeReader(self.0.reader())
-    }
-
     /// The root node's minimum bounding rectangle, or `None` for an
     /// empty tree.
     pub fn root_mbr(&self) -> Result<Option<Rect2>> {
@@ -351,18 +343,6 @@ impl RStarTreeReader {
     pub fn root_mbr(&self) -> Result<Option<Rect2>> {
         self.0.root_bound(())
     }
-}
-
-/// Runs one predicate over the tree with up to `workers` threads — the
-/// kernel's [`parallel_scan`](grt_treekit::parallel_scan), equivalent
-/// to draining a fresh serial cursor.
-pub fn parallel_scan(
-    reader: &RStarTreeReader,
-    pred: SpatialPredicate,
-    query: Rect2,
-    workers: usize,
-) -> Result<ParallelScan<Rect2>> {
-    grt_treekit::parallel_scan(&reader.0, &(pred, query), (), workers)
 }
 
 /// Bulk-loads an R\*-tree from `(rect, rowid)` entries into an empty

@@ -19,17 +19,6 @@
 //! caller only; waiters retry and fault for themselves, so each caller
 //! sees its own error exactly once and the pool is never poisoned.
 //!
-//! An optional prefetcher (a bounded queue drained by a small
-//! worker pool) lets scans announce pages ahead of demand:
-//! [`BufferPool::prefetch`] enqueues, workers claim the pages through
-//! the same in-flight table and read them in one vectored
-//! [`Backend::read_pages`] call. Prefetched frames enter the clock
-//! un-referenced and flagged untouched, so they lose eviction to
-//! re-referenced demand pages; a demand hit on one counts
-//! `prefetch_hits`, eviction before first touch counts
-//! `prefetch_wasted`, and a failed prefetch read is silent (the demand
-//! read retries).
-//!
 //! Frames dirtied by a transaction stay in the pool until that
 //! transaction commits (force-at-commit) or aborts (frames discarded) —
 //! the no-steal policy that makes the redo-only WAL sound. Dirty and
@@ -48,21 +37,18 @@
 //! snapshot intact (copy-on-write) instead of mutating under a reader.
 
 use crate::backend::Backend;
-use crate::page::{zeroed_page, PageBuf, PageId, PAGE_SIZE};
+use crate::page::{PageId, PAGE_SIZE};
 use crate::stats::IoStats;
 use crate::txn::TxnId;
 use crate::Result;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared, immutable-unless-sole-owner page bytes.
 type PageArc = Arc<[u8; PAGE_SIZE]>;
-
-/// Pages a prefetch worker claims from the queue per backend call.
-const PREFETCH_BATCH: usize = 16;
 
 struct Frame {
     data: PageArc,
@@ -76,10 +62,6 @@ struct Frame {
     committed_dirty: bool,
     /// Clock reference bit: set on access, cleared by the sweep.
     referenced: bool,
-    /// Installed by a prefetch worker and not yet demanded. Cleared by
-    /// the first demand access (read counts `prefetch_hits`, write just
-    /// clears); still set at eviction counts `prefetch_wasted`.
-    prefetched_untouched: bool,
     /// Outstanding [`PageGuard`]s on this frame (shared with them so a
     /// guard can unpin without re-locking the shard).
     pins: Arc<AtomicU64>,
@@ -95,7 +77,6 @@ impl Frame {
             // Clear on insertion: the bit means "hit since faulted in",
             // so one-touch pages lose to re-referenced ones.
             referenced: false,
-            prefetched_untouched: false,
             pins: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -162,6 +143,15 @@ impl Shard {
             inflight: HashMap::new(),
         }
     }
+
+    /// Drops every frame `keep` rejects and rebuilds the clock ring
+    /// around the survivors.
+    fn retain(&mut self, keep: impl Fn(&Frame) -> bool) {
+        self.frames.retain(|_, f| keep(f));
+        let frames = &self.frames;
+        self.clock.retain(|pid| frames.contains_key(pid));
+        self.hand = 0;
+    }
 }
 
 /// A pinned, zero-copy view of one page.
@@ -192,7 +182,7 @@ impl Drop for PageGuard {
     }
 }
 
-/// What [`PoolInner::acquire`] produced for the caller.
+/// What [`BufferPool::acquire`] produced for the caller.
 enum Acquired {
     Copy(PageArc),
     Pinned(PageGuard),
@@ -214,9 +204,9 @@ fn run_count(pids: &[u32]) -> usize {
     runs
 }
 
-/// The shard array and everything the read/write paths touch. Shared
-/// (`Arc`) between the pool handle and the prefetch workers.
-struct PoolInner {
+/// The sharded buffer pool. Internally synchronised: all methods take
+/// `&self` and lock only the shard(s) they touch.
+pub struct BufferPool {
     backend: Box<dyn Backend>,
     shards: Vec<Mutex<Shard>>,
     /// Per-shard frame budget.
@@ -225,19 +215,20 @@ struct PoolInner {
     /// Per-shard counts of live [`PageGuard`]s (striped to keep guard
     /// pin/unpin off a shared cache line).
     shard_pins: Vec<Arc<AtomicU64>>,
-    /// Bumped by [`PoolInner::invalidate`]. An unlocked fault snapshots
+    /// Bumped by [`BufferPool::invalidate`]. An unlocked fault snapshots
     /// this before reading and discards its bytes if the epoch moved —
     /// otherwise a read racing recovery replay could install pages that
     /// predate the out-of-band backend change.
     invalidations: AtomicU64,
 }
 
-impl PoolInner {
+impl BufferPool {
     fn shard_idx(&self, pid: PageId) -> usize {
         pid.0 as usize % self.shards.len()
     }
 
-    fn outstanding_pins(&self) -> u64 {
+    /// Pool-wide count of outstanding page pins (test hook).
+    pub fn outstanding_pins(&self) -> u64 {
         self.shard_pins
             .iter()
             .map(|p| p.load(Ordering::Acquire))
@@ -275,10 +266,6 @@ impl PoolInner {
             let mut shard = self.shards[idx].lock();
             if let Some(f) = shard.frames.get_mut(&pid.0) {
                 f.referenced = true;
-                if f.prefetched_untouched {
-                    f.prefetched_untouched = false;
-                    IoStats::bump(&self.stats.prefetch_hits);
-                }
                 return Ok(if pin {
                     Acquired::Pinned(self.pin_frame(idx, f))
                 } else {
@@ -349,61 +336,6 @@ impl PoolInner {
         }
     }
 
-    /// Prefetch-worker fault: claim every page of `pids` that is neither
-    /// resident nor already in flight, read them in one vectored call,
-    /// and install the frames flagged untouched. Errors are swallowed —
-    /// the claims are cleared so demand reads retry and surface the
-    /// error themselves.
-    fn prefetch_fault(&self, pids: &[PageId]) {
-        let mut sorted: Vec<PageId> = pids.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        let mut claimed: Vec<(PageId, Arc<Inflight>)> = Vec::new();
-        for pid in sorted {
-            let mut shard = self.shards[self.shard_idx(pid)].lock();
-            if shard.frames.contains_key(&pid.0) || shard.inflight.contains_key(&pid.0) {
-                continue;
-            }
-            let inflight = Arc::new(Inflight::new());
-            shard.inflight.insert(pid.0, Arc::clone(&inflight));
-            claimed.push((pid, inflight));
-        }
-        if claimed.is_empty() {
-            return;
-        }
-        let epoch = self.invalidations.load(Ordering::Acquire);
-        let ids: Vec<PageId> = claimed.iter().map(|(pid, _)| *pid).collect();
-        let mut bufs: Vec<PageBuf> = ids.iter().map(|_| zeroed_page()).collect();
-        if self.backend.read_pages(&ids, &mut bufs).is_err() {
-            for (pid, inflight) in claimed {
-                self.shards[self.shard_idx(pid)]
-                    .lock()
-                    .inflight
-                    .remove(&pid.0);
-                inflight.finish(None);
-            }
-            return;
-        }
-        self.stats.physical_reads.add(ids.len() as u64);
-        let id_nums: Vec<u32> = ids.iter().map(|p| p.0).collect();
-        self.stats.read_runs.add(run_count(&id_nums) as u64);
-        let stale = self.invalidations.load(Ordering::Acquire) != epoch;
-        for ((pid, inflight), buf) in claimed.into_iter().zip(bufs) {
-            let data: PageArc = Arc::from(buf);
-            let mut shard = self.shards[self.shard_idx(pid)].lock();
-            shard.inflight.remove(&pid.0);
-            if !stale && !shard.frames.contains_key(&pid.0) {
-                let mut f = Frame::clean(Arc::clone(&data));
-                f.prefetched_untouched = true;
-                shard.frames.insert(pid.0, f);
-                shard.clock.push(pid.0);
-                self.evict_to_capacity(&mut shard);
-            }
-            drop(shard);
-            inflight.finish(if stale { None } else { Some(data) });
-        }
-    }
-
     /// Clock sweep: evict unreferenced, unpinned frames until the shard
     /// fits its budget. A frame whose reference bit is set gets a
     /// second chance (the bit is cleared and the hand moves on).
@@ -440,9 +372,6 @@ impl PoolInner {
                         }
                         IoStats::bump(&self.stats.physical_writes);
                     }
-                    if f.prefetched_untouched {
-                        IoStats::bump(&self.stats.prefetch_wasted);
-                    }
                     shard.frames.remove(&pid);
                     shard.clock.remove(shard.hand);
                     IoStats::bump(&self.stats.evictions);
@@ -476,7 +405,11 @@ impl PoolInner {
         Ok(())
     }
 
-    fn invalidate(&self) {
+    /// Drops the entire cache (used after out-of-band backend changes,
+    /// e.g. recovery replay). Outstanding guards keep their snapshots
+    /// but no longer pin anything resident. In-flight faults that raced
+    /// this call discard their bytes and re-read.
+    pub fn invalidate(&self) {
         // Bump first: a fault that re-locks after its shard was cleared
         // must see the moved epoch and discard its (possibly stale)
         // bytes.
@@ -488,151 +421,35 @@ impl PoolInner {
             shard.hand = 0;
         }
     }
-}
 
-/// The prefetch queue and its worker threads.
-struct PrefetchShared {
-    q: Mutex<PrefetchQueue>,
-    cv: Condvar,
-}
-
-struct PrefetchQueue {
-    queue: VecDeque<PageId>,
-    shutdown: bool,
-    /// Workers currently faulting a claimed batch (for quiesce).
-    active: usize,
-}
-
-struct Prefetcher {
-    shared: Arc<PrefetchShared>,
-    /// Queue bound: enqueues past this are dropped, not blocked on.
-    depth: usize,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Prefetcher {
-    fn spawn(inner: &Arc<PoolInner>, workers: usize, depth: usize) -> Prefetcher {
-        let shared = Arc::new(PrefetchShared {
-            q: Mutex::new(PrefetchQueue {
-                queue: VecDeque::new(),
-                shutdown: false,
-                active: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let inner = Arc::clone(inner);
-                std::thread::spawn(move || Prefetcher::run(&shared, &inner))
-            })
-            .collect();
-        Prefetcher {
-            shared,
-            depth,
-            workers: handles,
-        }
-    }
-
-    fn run(shared: &PrefetchShared, inner: &PoolInner) {
-        loop {
-            let batch: Vec<PageId> = {
-                let mut q = shared.q.lock();
-                loop {
-                    if q.shutdown {
-                        return;
-                    }
-                    if !q.queue.is_empty() {
-                        break;
-                    }
-                    shared.cv.wait(&mut q);
-                }
-                q.active += 1;
-                let n = q.queue.len().min(PREFETCH_BATCH);
-                q.queue.drain(..n).collect()
-            };
-            inner.prefetch_fault(&batch);
-            let mut q = shared.q.lock();
-            q.active -= 1;
-            if q.active == 0 && q.queue.is_empty() {
-                // Wake quiescers (workers ignore the spurious wake).
-                shared.cv.notify_all();
-            }
-        }
-    }
-
-    fn shutdown(mut self) {
-        {
-            let mut q = self.shared.q.lock();
-            q.shutdown = true;
-            self.shared.cv.notify_all();
-        }
-        for h in self.workers.drain(..) {
-            h.join().ok();
-        }
-    }
-}
-
-/// The sharded buffer pool. Internally synchronised: all methods take
-/// `&self` and lock only the shard(s) they touch.
-pub struct BufferPool {
-    inner: Arc<PoolInner>,
-    prefetcher: Option<Prefetcher>,
-}
-
-impl BufferPool {
     /// Creates a pool of `capacity` frames over `backend`, striped into
-    /// `shards` partitions (`page_id % shards`), with prefetch off.
+    /// `shards` partitions (`page_id % shards`).
     pub fn new(
         backend: Box<dyn Backend>,
         capacity: usize,
         shards: usize,
         stats: Arc<IoStats>,
     ) -> BufferPool {
-        BufferPool::with_prefetch(backend, capacity, shards, stats, 0, 0)
-    }
-
-    /// [`BufferPool::new`] plus an asynchronous prefetcher:
-    /// `prefetch_workers` background threads drain a queue bounded at
-    /// `prefetch_depth` pages. `prefetch_workers = 0` disables prefetch
-    /// ([`BufferPool::prefetch`] becomes a no-op).
-    pub fn with_prefetch(
-        backend: Box<dyn Backend>,
-        capacity: usize,
-        shards: usize,
-        stats: Arc<IoStats>,
-        prefetch_workers: usize,
-        prefetch_depth: usize,
-    ) -> BufferPool {
         let shards = shards.max(1);
-        let shard_capacity = capacity.max(1).div_ceil(shards);
-        let inner = Arc::new(PoolInner {
+        BufferPool {
             backend,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            shard_capacity,
+            shard_capacity: capacity.max(1).div_ceil(shards),
             stats,
             shard_pins: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             invalidations: AtomicU64::new(0),
-        });
-        let prefetcher = (prefetch_workers > 0)
-            .then(|| Prefetcher::spawn(&inner, prefetch_workers, prefetch_depth.max(1)));
-        BufferPool { inner, prefetcher }
+        }
     }
 
     /// Number of shards the pool is striped into.
     pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// Pool-wide count of outstanding page pins (test hook).
-    pub fn outstanding_pins(&self) -> u64 {
-        self.inner.outstanding_pins()
+        self.shards.len()
     }
 
     /// Reads page `pid` into `out` (logical read; miss = physical read).
     pub fn read(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        IoStats::bump(&self.inner.stats.logical_reads);
-        match self.inner.acquire(pid, false)? {
+        IoStats::bump(&self.stats.logical_reads);
+        match self.acquire(pid, false)? {
             Acquired::Copy(data) => {
                 out.copy_from_slice(&data[..]);
                 Ok(())
@@ -646,53 +463,19 @@ impl BufferPool {
     /// writer gets a private copy (copy-on-write), so the guard always
     /// sees the bytes as of the pin.
     pub fn read_pinned(&self, pid: PageId) -> Result<PageGuard> {
-        IoStats::bump(&self.inner.stats.logical_reads);
-        IoStats::bump(&self.inner.stats.pinned_reads);
-        match self.inner.acquire(pid, true)? {
+        IoStats::bump(&self.stats.logical_reads);
+        IoStats::bump(&self.stats.pinned_reads);
+        match self.acquire(pid, true)? {
             Acquired::Pinned(guard) => Ok(guard),
             Acquired::Copy(_) => unreachable!("acquire(pin=true) always pins"),
-        }
-    }
-
-    /// Announces pages a scan will want soon. Pages are enqueued (up to
-    /// the configured depth; excess is dropped, never blocked on) and
-    /// read asynchronously by the prefetch workers. No-op when the pool
-    /// was built without prefetch workers.
-    pub fn prefetch(&self, pids: &[PageId]) {
-        let Some(p) = &self.prefetcher else { return };
-        let mut q = p.shared.q.lock();
-        let mut pushed = false;
-        for &pid in pids {
-            if q.queue.len() >= p.depth {
-                break;
-            }
-            if q.queue.contains(&pid) {
-                continue;
-            }
-            q.queue.push_back(pid);
-            IoStats::bump(&self.inner.stats.prefetch_issued);
-            pushed = true;
-        }
-        if pushed {
-            p.shared.cv.notify_all();
-        }
-    }
-
-    /// Blocks until the prefetch queue is empty and no worker is
-    /// mid-batch (test and benchmark hook; no-op without workers).
-    pub fn prefetch_quiesce(&self) {
-        let Some(p) = &self.prefetcher else { return };
-        let mut q = p.shared.q.lock();
-        while !(q.queue.is_empty() && q.active == 0) {
-            p.shared.cv.wait(&mut q);
         }
     }
 
     /// Buffers a transactional write of page `pid` by `txn` (no-steal:
     /// nothing of `txn`'s reaches the backend until commit).
     pub fn write_txn(&self, txn: TxnId, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
-        IoStats::bump(&self.inner.stats.logical_writes);
-        let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
+        IoStats::bump(&self.stats.logical_writes);
+        let mut shard = self.shards[self.shard_idx(pid)].lock();
         let inserted = !shard.frames.contains_key(&pid.0);
         let frame = shard
             .frames
@@ -708,19 +491,17 @@ impl BufferPool {
             // their redo image is durable. A discard-and-refetch, or a
             // checkpoint's sync before it recycles that image, then
             // finds them there.
-            self.inner.backend.write_page(pid, &frame.data)?;
-            IoStats::bump(&self.inner.stats.physical_writes);
+            self.backend.write_page(pid, &frame.data)?;
+            IoStats::bump(&self.stats.physical_writes);
             frame.committed_dirty = false;
         }
         // Copy-on-write: pinned guards keep their snapshot.
         Arc::make_mut(&mut frame.data).copy_from_slice(data);
         frame.dirty_owner = Some(txn);
         frame.referenced = true;
-        // A write is a touch too, but not a prefetch *hit*.
-        frame.prefetched_untouched = false;
         if inserted {
             shard.clock.push(pid.0);
-            self.inner.evict_to_capacity(&mut shard);
+            self.evict_to_capacity(&mut shard);
         }
         Ok(())
     }
@@ -730,7 +511,7 @@ impl BufferPool {
     /// flushing, and the next owner's [`BufferPool::write_txn`] need not
     /// preserve them.
     pub fn forget_committed(&self, pid: PageId) {
-        let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
+        let mut shard = self.shards[self.shard_idx(pid)].lock();
         if let Some(frame) = shard.frames.get_mut(&pid.0) {
             frame.committed_dirty = false;
         }
@@ -740,10 +521,10 @@ impl BufferPool {
     /// refreshes the cache. WAL-before-data is the caller's to keep: the
     /// page's redo image must already be **durable** in the log.
     pub fn write_through(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
-        IoStats::bump(&self.inner.stats.logical_writes);
-        IoStats::bump(&self.inner.stats.physical_writes);
-        self.inner.backend.write_page(pid, data)?;
-        let mut shard = self.inner.shards[self.inner.shard_idx(pid)].lock();
+        IoStats::bump(&self.stats.logical_writes);
+        IoStats::bump(&self.stats.physical_writes);
+        self.backend.write_page(pid, data)?;
+        let mut shard = self.shards[self.shard_idx(pid)].lock();
         let inserted = !shard.frames.contains_key(&pid.0);
         let frame = shard
             .frames
@@ -753,10 +534,9 @@ impl BufferPool {
         frame.dirty_owner = None;
         frame.committed_dirty = false;
         frame.referenced = true;
-        frame.prefetched_untouched = false;
         if inserted {
             shard.clock.push(pid.0);
-            self.inner.evict_to_capacity(&mut shard);
+            self.evict_to_capacity(&mut shard);
         }
         Ok(())
     }
@@ -765,7 +545,7 @@ impl BufferPool {
     /// (`Arc` clones, no page copies), sorted by page id for the WAL.
     pub fn dirty_of(&self, txn: TxnId) -> Vec<(PageId, Arc<[u8; PAGE_SIZE]>)> {
         let mut out: Vec<(PageId, PageArc)> = Vec::new();
-        for shard in &self.inner.shards {
+        for shard in &self.shards {
             let shard = shard.lock();
             out.extend(
                 shard
@@ -796,7 +576,7 @@ impl BufferPool {
     /// deferred to the next checkpoint (no-force).
     pub fn flush_txn(&self, txn: TxnId, sync: bool) -> Result<()> {
         let mut pages: Vec<(u32, PageArc)> = Vec::new();
-        for shard in &self.inner.shards {
+        for shard in &self.shards {
             let shard = shard.lock();
             pages.extend(
                 shard
@@ -807,19 +587,19 @@ impl BufferPool {
             );
         }
         pages.sort_by_key(|(pid, _)| *pid);
-        self.inner.write_batch(&pages)?;
-        for shard in &self.inner.shards {
+        self.write_batch(&pages)?;
+        for shard in &self.shards {
             let mut shard = shard.lock();
             for f in shard.frames.values_mut() {
                 if f.dirty_owner == Some(txn) {
                     f.dirty_owner = None;
                 }
             }
-            self.inner.evict_to_capacity(&mut shard);
+            self.evict_to_capacity(&mut shard);
         }
         if sync && !pages.is_empty() {
-            IoStats::bump(&self.inner.stats.data_syncs);
-            self.inner.backend.sync()?;
+            IoStats::bump(&self.stats.data_syncs);
+            self.backend.sync()?;
         }
         Ok(())
     }
@@ -829,7 +609,7 @@ impl BufferPool {
     /// durable in the WAL, so the data writes are deferred to the
     /// checkpointer — or to write-on-evict under pool pressure).
     pub fn mark_committed(&self, txn: TxnId) {
-        for shard in &self.inner.shards {
+        for shard in &self.shards {
             let mut shard = shard.lock();
             for f in shard.frames.values_mut() {
                 if f.dirty_owner == Some(txn) {
@@ -854,7 +634,7 @@ impl BufferPool {
     /// syncs the backend afterwards.
     pub fn flush_committed(&self) -> Result<usize> {
         let mut pages: Vec<(u32, PageArc)> = Vec::new();
-        for shard in &self.inner.shards {
+        for shard in &self.shards {
             let shard = shard.lock();
             pages.extend(
                 shard
@@ -865,9 +645,9 @@ impl BufferPool {
             );
         }
         pages.sort_by_key(|(pid, _)| *pid);
-        self.inner.write_batch(&pages)?;
+        self.write_batch(&pages)?;
         for (pid, written) in &pages {
-            let mut shard = self.inner.shards[self.inner.shard_idx(PageId(*pid))].lock();
+            let mut shard = self.shards[self.shard_idx(PageId(*pid))].lock();
             if let Some(f) = shard.frames.get_mut(pid) {
                 if Arc::ptr_eq(&f.data, written) {
                     f.committed_dirty = false;
@@ -879,8 +659,7 @@ impl BufferPool {
 
     /// Number of committed-dirty frames across all shards (test hook).
     pub fn committed_dirty_count(&self) -> usize {
-        self.inner
-            .shards
+        self.shards
             .iter()
             .map(|s| {
                 s.lock()
@@ -895,70 +674,59 @@ impl BufferPool {
     /// Discards `txn`'s dirty frames (abort: the backend still holds the
     /// pre-transaction images).
     pub fn discard_txn(&self, txn: TxnId) {
-        for shard in &self.inner.shards {
-            let mut shard = shard.lock();
-            shard.frames.retain(|_, f| f.dirty_owner != Some(txn));
-            let shard = &mut *shard;
-            let frames = &shard.frames;
-            shard.clock.retain(|pid| frames.contains_key(pid));
-            shard.hand = 0;
+        for shard in &self.shards {
+            shard.lock().retain(|f| f.dirty_owner != Some(txn));
         }
     }
 
     /// True if any frame is dirty (used by checkpoint assertions).
     pub fn any_dirty(&self) -> bool {
-        self.inner
-            .shards
+        self.shards
             .iter()
             .any(|s| s.lock().frames.values().any(|f| f.dirty_owner.is_some()))
     }
 
-    /// Drops the entire cache (used after out-of-band backend changes,
-    /// e.g. recovery replay). Outstanding guards keep their snapshots
-    /// but no longer pin anything resident. In-flight faults that raced
-    /// this call discard their bytes and re-read.
-    pub fn invalidate(&self) {
-        self.inner.invalidate();
+    /// Drops every clean frame, so the next read of such a page goes to
+    /// the backend. A frame holding the only copy of its bytes stays: a
+    /// transaction's uncommitted writes, and committed-dirty frames
+    /// ([`BufferPool::flush_committed`] first makes those clean).
+    pub fn drop_clean(&self) {
+        for shard in &self.shards {
+            shard
+                .lock()
+                .retain(|f| f.dirty_owner.is_some() || f.committed_dirty);
+        }
     }
 
     /// Durably syncs the backend.
     pub fn sync_backend(&self) -> Result<()> {
-        IoStats::bump(&self.inner.stats.data_syncs);
-        self.inner.backend.sync()
+        IoStats::bump(&self.stats.data_syncs);
+        self.backend.sync()
     }
 
     /// Direct backend write used by recovery (bypasses cache and stats).
     pub fn recovery_write(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
-        self.inner.backend.write_page(pid, data)
+        self.backend.write_page(pid, data)
     }
 
     /// Direct backend read used by recovery.
     pub fn recovery_read(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        self.inner.backend.read_page(pid, out)
+        self.backend.read_page(pid, out)
     }
 
     /// Number of cached frames across all shards (test hook).
     pub fn cached_frames(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().frames.len())
-            .sum()
+        self.shards.iter().map(|s| s.lock().frames.len()).sum()
     }
 }
 
 impl Drop for BufferPool {
     fn drop(&mut self) {
-        // Stop the prefetch workers first: they hold the inner Arc and
-        // may still be installing frames.
-        if let Some(p) = self.prefetcher.take() {
-            p.shutdown();
-        }
         // A PageGuard outliving the pool means a pin was leaked past the
         // storage layer's lifetime — catch it loudly in tests rather
         // than silently in production traces.
         if !std::thread::panicking() {
-            let pins = self.inner.outstanding_pins();
+            let pins = self.outstanding_pins();
             assert_eq!(pins, 0, "{pins} PageGuard(s) outlive their BufferPool");
         }
     }
@@ -968,7 +736,7 @@ impl Drop for BufferPool {
 mod tests {
     use super::*;
     use crate::backend::{FaultInjector, MemBackend};
-    use crate::page::page_from_slice;
+    use crate::page::{page_from_slice, zeroed_page};
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
@@ -1409,112 +1177,5 @@ mod tests {
         p.read(PageId(3), &mut out).unwrap();
         assert_eq!(&out[..2], b"ok");
         assert_eq!(stats.snapshot().physical_reads, 3);
-    }
-
-    fn prefetch_pool(cap: usize, workers: usize) -> (BufferPool, Arc<IoStats>) {
-        let stats = IoStats::new_shared();
-        let p = BufferPool::with_prefetch(
-            Box::new(MemBackend::new()),
-            cap,
-            2,
-            Arc::clone(&stats),
-            workers,
-            64,
-        );
-        (p, stats)
-    }
-
-    #[test]
-    fn prefetch_warms_cache_and_counts_hits() {
-        let (p, stats) = prefetch_pool(32, 2);
-        for pid in 0..8u32 {
-            p.write_through(PageId(pid), &page_from_slice(&[b'p', pid as u8]))
-                .unwrap();
-        }
-        p.invalidate();
-        let pids: Vec<PageId> = (0..8).map(PageId).collect();
-        p.prefetch(&pids);
-        p.prefetch_quiesce();
-        let faulted = stats.snapshot().physical_reads;
-        assert!(faulted >= 8, "prefetch performed the physical reads");
-        let mut out = zeroed_page();
-        for pid in 0..8u32 {
-            p.read(PageId(pid), &mut out).unwrap();
-            assert_eq!(&out[..2], &[b'p', pid as u8]);
-        }
-        let s = stats.snapshot();
-        assert_eq!(s.physical_reads, faulted, "demand reads were all hits");
-        assert_eq!(s.prefetch_issued, 8);
-        assert_eq!(s.prefetch_hits, 8);
-    }
-
-    #[test]
-    fn prefetch_disabled_is_noop() {
-        let (p, stats) = prefetch_pool(32, 0);
-        p.prefetch(&[PageId(1), PageId(2)]);
-        p.prefetch_quiesce();
-        assert_eq!(stats.snapshot().prefetch_issued, 0);
-        assert_eq!(stats.snapshot().physical_reads, 0);
-    }
-
-    #[test]
-    fn prefetch_failure_is_silent_and_demand_read_retries() {
-        let inj = Arc::new(FaultInjector::new(MemBackend::new()));
-        inj.write_page(PageId(5), &page_from_slice(b"later"))
-            .unwrap();
-        let stats = IoStats::new_shared();
-        let p =
-            BufferPool::with_prefetch(Box::new(Arc::clone(&inj)), 8, 2, Arc::clone(&stats), 1, 16);
-        inj.fail_after(0);
-        p.prefetch(&[PageId(5)]);
-        p.prefetch_quiesce();
-        // The failure was swallowed: nothing installed, nothing counted
-        // as transferred, no error anywhere.
-        assert_eq!(stats.snapshot().physical_reads, 0);
-        assert_eq!(stats.snapshot().prefetch_hits, 0);
-        assert!(inj.injected() >= 1);
-        // While the injector still fails, the demand read surfaces the
-        // error to its caller — exactly once, then the pool recovers.
-        let mut out = zeroed_page();
-        assert!(p.read(PageId(5), &mut out).is_err());
-        inj.heal();
-        p.read(PageId(5), &mut out).unwrap();
-        assert_eq!(&out[..5], b"later");
-    }
-
-    #[test]
-    fn wasted_prefetch_is_counted_on_eviction() {
-        let stats = IoStats::new_shared();
-        let p =
-            BufferPool::with_prefetch(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats), 1, 64);
-        // Six prefetched pages into a two-frame pool: most are evicted
-        // before any demand read touches them.
-        let pids: Vec<PageId> = (0..6).map(PageId).collect();
-        p.prefetch(&pids);
-        p.prefetch_quiesce();
-        assert!(p.cached_frames() <= 2);
-        assert!(
-            stats.snapshot().prefetch_wasted > 0,
-            "untouched prefetched frames were evicted"
-        );
-    }
-
-    #[test]
-    fn read_pinned_and_prefetched_reads_agree() {
-        let (p, _stats) = prefetch_pool(64, 2);
-        for pid in 0..12u32 {
-            p.write_through(PageId(pid), &page_from_slice(&[0xAB, pid as u8]))
-                .unwrap();
-        }
-        p.invalidate();
-        let pids: Vec<PageId> = (0..12).map(PageId).collect();
-        p.prefetch(&pids);
-        p.prefetch_quiesce();
-        for pid in 0..12u32 {
-            let mut copied = zeroed_page();
-            p.read(PageId(pid), &mut copied).unwrap();
-            let pinned = p.read_pinned(PageId(pid)).unwrap();
-            assert_eq!(&copied[..], &pinned[..], "page {pid} diverged");
-        }
     }
 }

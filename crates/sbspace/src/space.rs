@@ -60,14 +60,11 @@ pub struct SbspaceOptions {
     /// batches whose snapshots have drained. `None` (the default) runs
     /// no thread; [`Sbspace::checkpoint`] still checkpoints on demand.
     pub checkpoint_interval: Option<Duration>,
-    /// Background prefetch worker threads in the buffer pool. Scans
-    /// announce upcoming pages ([`LoHandle::prefetch`],
-    /// [`LoReader::prefetch`]) and the workers fault them in through
-    /// vectored backend reads, overlapping I/O with compute. `0` (the
-    /// default) disables prefetch entirely — announcements are no-ops.
+    /// Retired in PR 18 (ISSUE 21) with the scan prefetcher: not read,
+    /// deleted when the benchmark harness stops naming it.
     pub prefetch_workers: usize,
-    /// Bound on the prefetch queue, in pages. Announcements past the
-    /// bound are dropped (prefetch is advisory, never back-pressure).
+    /// Retired in PR 18 (ISSUE 21) with the scan prefetcher: not read,
+    /// deleted when the benchmark harness stops naming it.
     pub prefetch_depth: usize,
 }
 
@@ -198,10 +195,6 @@ pub(crate) struct SpaceInner {
     /// Bytes across live WAL segments as of the last checkpoint
     /// (`wal.live_bytes`).
     wal_live_bytes: Gauge,
-    /// The configured `(prefetch_workers, prefetch_depth)` — surfaced
-    /// by [`Sbspace::prefetch_params`] so EXPLAIN output can report the
-    /// scan prefetch mode.
-    prefetch_params: (usize, usize),
     /// Background checkpointer shutdown flag + wakeup.
     ckpt_stop: Arc<(Mutex<bool>, Condvar)>,
     /// The background checkpointer, when `checkpoint_interval` is set.
@@ -243,13 +236,11 @@ impl Sbspace {
         let stats = IoStats::new_shared();
         let metrics = Metrics::shared();
         stats.register_in(&metrics);
-        let pool = BufferPool::with_prefetch(
+        let pool = BufferPool::new(
             Box::new(backend),
             opts.pool_pages,
             opts.pool_shards,
             Arc::clone(&stats),
-            opts.prefetch_workers,
-            opts.prefetch_depth,
         );
         Self::recover(&pool, &wal)?;
         // Initialise the header if the space is brand new.
@@ -306,7 +297,6 @@ impl Sbspace {
                 checkpoint_failures,
                 segments_recycled,
                 wal_live_bytes,
-                prefetch_params: (opts.prefetch_workers, opts.prefetch_depth),
                 ckpt_stop: Arc::new((Mutex::new(false), Condvar::new())),
                 ckpt_thread: Mutex::new(None),
             }),
@@ -534,25 +524,19 @@ impl Sbspace {
         self.inner.lm.lock_count()
     }
 
-    /// The configured `(prefetch_workers, prefetch_depth)` pair.
-    /// `(0, _)` means scan prefetch is off.
-    pub fn prefetch_params(&self) -> (usize, usize) {
-        self.inner.prefetch_params
-    }
-
-    /// Blocks until the prefetch queue has drained (benchmark hook;
-    /// no-op when prefetch is off).
-    pub fn prefetch_quiesce(&self) {
-        self.inner.pool.prefetch_quiesce();
-    }
-
-    /// Drops every cached frame, so the next reads hit the backend cold
-    /// (benchmark hook — lets a cold-scan harness measure physical I/O
-    /// without reopening the space). Quiesces the prefetcher first so
-    /// in-flight installs don't repopulate the cache behind the drop.
+    /// Empties the page cache of everything the backend also holds, so
+    /// the next reads hit the backend cold (benchmark hook — lets a
+    /// cold-scan harness measure physical I/O without reopening the
+    /// space). Committed-dirty frames (no-force commits the checkpointer
+    /// has not reached) are written out first and then dropped; if that
+    /// write fails they stay cached for the checkpointer to retry. An
+    /// open transaction's uncommitted frames stay: the pool holds their
+    /// only copy.
     pub fn drop_page_cache(&self) {
-        self.inner.pool.prefetch_quiesce();
-        self.inner.pool.invalidate();
+        // Not an error here: frames that failed to flush stay
+        // committed-dirty, and `drop_clean` keeps those.
+        let _ = self.inner.pool.flush_committed();
+        self.inner.pool.drop_clean();
     }
 
     /// The lock mode `txn` currently holds on `lo`, if any (diagnostic).
@@ -1478,20 +1462,6 @@ impl LoHandle {
         self.inner.pool.read_pinned(PageId(pid))
     }
 
-    /// Announces logical pages an upcoming scan will read, letting the
-    /// pool's prefetch workers fault them in while the caller computes.
-    /// Advisory: out-of-range pages are skipped, and the call is a
-    /// no-op when the space runs without prefetch workers.
-    pub fn prefetch(&self, logical: &[u32]) {
-        let pids: Vec<PageId> = logical
-            .iter()
-            .filter_map(|&l| self.inode.data_pages.get(l as usize).map(|&p| PageId(p)))
-            .collect();
-        if !pids.is_empty() {
-            self.inner.pool.prefetch(&pids);
-        }
-    }
-
     /// Writes logical page `logical` (buffered until commit).
     ///
     /// The page-level API does not touch the byte size — an index that
@@ -1666,15 +1636,12 @@ impl Drop for LoHandle {
 /// same object concurrently without a lock-manager interaction per
 /// read.
 ///
-/// The view is as stable as whatever pins the page table it was built
-/// from: a reader taken from a [`LoHandle`] is protected by that
-/// handle's lock (keep the handle open while the reader lives); a
-/// reader taken from a [`SpaceSnapshot`] is protected by the snapshot's
-/// epoch registration — shadow paging means committed pages are never
-/// overwritten in place, and the epoch gate keeps them off the free
-/// list (keep the snapshot alive while the reader lives). Readers hand
-/// out [`PageGuard`]s, which must all be dropped before the owning
-/// space shuts down.
+/// A reader comes from [`SpaceSnapshot::reader`] and is protected by
+/// that snapshot's epoch registration — shadow paging means committed
+/// pages are never overwritten in place, and the epoch gate keeps them
+/// off the free list (keep the snapshot alive while the reader lives).
+/// Readers hand out [`PageGuard`]s, which must all be dropped before
+/// the owning space shuts down.
 pub struct LoReader {
     inner: Arc<SpaceInner>,
     lo: LoId,
@@ -1714,19 +1681,6 @@ impl LoReader {
         let pid = self.phys(logical)?;
         self.inner.pool.read_pinned(PageId(pid))
     }
-
-    /// Announces logical pages an upcoming scan will read, exactly like
-    /// [`LoHandle::prefetch`]: advisory, skips out-of-range pages,
-    /// no-op without prefetch workers.
-    pub fn prefetch(&self, logical: &[u32]) {
-        let pids: Vec<PageId> = logical
-            .iter()
-            .filter_map(|&l| self.pages.get(l as usize).map(|&p| PageId(p)))
-            .collect();
-        if !pids.is_empty() {
-            self.inner.pool.prefetch(&pids);
-        }
-    }
 }
 
 /// Page-granular read access shared by the locked and the snapshot
@@ -1741,10 +1695,6 @@ pub trait PageSource {
     fn read_page(&self, logical: u32) -> Result<PageBuf>;
     /// Pins logical page `logical` for zero-copy access.
     fn read_page_pinned(&self, logical: u32) -> Result<PageGuard>;
-    /// Announces logical pages an upcoming scan will read. Advisory —
-    /// the default does nothing, so sources without a prefetcher (or
-    /// tests with trivial sources) need no code.
-    fn prefetch(&self, _logical: &[u32]) {}
 }
 
 impl PageSource for LoHandle {
@@ -1756,9 +1706,6 @@ impl PageSource for LoHandle {
     }
     fn read_page_pinned(&self, logical: u32) -> Result<PageGuard> {
         LoHandle::read_page_pinned(self, logical)
-    }
-    fn prefetch(&self, logical: &[u32]) {
-        LoHandle::prefetch(self, logical);
     }
 }
 
@@ -1772,9 +1719,6 @@ impl PageSource for LoReader {
     fn read_page_pinned(&self, logical: u32) -> Result<PageGuard> {
         LoReader::read_page_pinned(self, logical)
     }
-    fn prefetch(&self, logical: &[u32]) {
-        LoReader::prefetch(self, logical);
-    }
 }
 
 impl<P: PageSource + ?Sized> PageSource for &P {
@@ -1786,22 +1730,6 @@ impl<P: PageSource + ?Sized> PageSource for &P {
     }
     fn read_page_pinned(&self, logical: u32) -> Result<PageGuard> {
         (**self).read_page_pinned(logical)
-    }
-    fn prefetch(&self, logical: &[u32]) {
-        (**self).prefetch(logical)
-    }
-}
-
-impl LoHandle {
-    /// Snapshots this handle into a [`LoReader`] that worker threads can
-    /// share. The handle's lock protects the reader: keep the handle
-    /// open for as long as any reader (or guard it produced) is live.
-    pub fn reader(&self) -> LoReader {
-        LoReader {
-            inner: self.inner.clone(),
-            lo: self.lo,
-            pages: self.inode.data_pages.clone(),
-        }
     }
 }
 

@@ -17,19 +17,11 @@ use std::time::Duration;
 
 const SEG_BYTES: usize = 8 * 1024;
 
-thread_local! {
-    /// Prefetch workers for the spaces `opts` builds — swept by
-    /// `both_modes` so every checkpoint scenario also runs with an
-    /// active prefetcher.
-    static PREFETCH_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 fn opts(group_commit: bool) -> SbspaceOptions {
     SbspaceOptions {
         pool_pages: 64,
         lock_timeout: Duration::from_millis(200),
         group_commit,
-        prefetch_workers: PREFETCH_WORKERS.with(|c| c.get()),
         ..Default::default()
     }
 }
@@ -45,15 +37,11 @@ fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>, group_commit: bool) -> S
     Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts(group_commit)).expect("reopen")
 }
 
-/// Runs `body` across group commit off/on × prefetch workers 0/2.
+/// Runs `body` with group commit off, then on.
 fn both_modes(body: impl Fn(bool)) {
-    for prefetch_workers in [0usize, 2] {
-        PREFETCH_WORKERS.with(|c| c.set(prefetch_workers));
-        for group_commit in [false, true] {
-            body(group_commit);
-        }
+    for group_commit in [false, true] {
+        body(group_commit);
     }
-    PREFETCH_WORKERS.with(|c| c.set(0));
 }
 
 /// One churn transaction: overwrite `pages` pages of `lo` with `fill`.

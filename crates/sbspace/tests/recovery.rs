@@ -13,19 +13,11 @@ use grt_sbspace::{
 use std::sync::Arc;
 use std::time::Duration;
 
-thread_local! {
-    /// Prefetch workers for the spaces `opts` builds — swept by
-    /// `both_modes` so every scenario also runs with an active
-    /// prefetcher (whose in-flight installs must not confuse replay).
-    static PREFETCH_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 fn opts(group_commit: bool) -> SbspaceOptions {
     SbspaceOptions {
         pool_pages: 64,
         lock_timeout: Duration::from_millis(200),
         group_commit,
-        prefetch_workers: PREFETCH_WORKERS.with(|c| c.get()),
         ..Default::default()
     }
 }
@@ -38,18 +30,13 @@ fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>, group_commit: bool) -> S
     Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts(group_commit)).expect("reopen")
 }
 
-/// Runs `body` across the commit-mode × prefetch matrix — group commit
-/// off/on, prefetch workers 0/2 — each over a fresh backend and log.
-/// The two modes take different paths to the same durability contract,
-/// and the prefetcher must be invisible to all of them.
+/// Runs `body` with group commit off, then on, each over a fresh
+/// backend and log: the two modes take different paths to the same
+/// durability contract.
 fn both_modes(body: impl Fn(bool)) {
-    for prefetch_workers in [0usize, 2] {
-        PREFETCH_WORKERS.with(|c| c.set(prefetch_workers));
-        for group_commit in [false, true] {
-            body(group_commit);
-        }
+    for group_commit in [false, true] {
+        body(group_commit);
     }
-    PREFETCH_WORKERS.with(|c| c.set(0));
 }
 
 #[test]

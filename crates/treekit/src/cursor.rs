@@ -6,7 +6,7 @@
 //! creation and stays constant for the whole scan — for the GR-tree
 //! that is the per-statement current time of Section 5.4.
 
-use crate::{Emitted, Entry, Meta, Node, Result, TreeKey};
+use crate::{Emitted, Meta, Node, Result, TreeKey};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::PageGuard;
 
@@ -24,10 +24,6 @@ pub trait NodeSource<K: TreeKey> {
     fn page(&self, page: u32) -> Result<PageGuard>;
     /// Pages in the underlying large object, header included.
     fn pages(&self) -> u32;
-    /// Announces pages the traversal will likely read next, so a source
-    /// backed by a prefetching buffer pool can overlap the reads with
-    /// the traversal's compute. Advisory.
-    fn prefetch(&self, pages: &[u32]);
 
     /// Decodes the node at `page` (no counter side effects — the
     /// traversals bump `nodes_visited` themselves).
@@ -123,21 +119,6 @@ impl<K: TreeKey> Cursor<K> {
     fn push<S: NodeSource<K>>(&mut self, src: &S, page: u32) -> Result<()> {
         src.metrics().nodes_visited.inc();
         let node = src.read_node(page)?;
-        if !node.is_leaf() {
-            // Announce every child this node will descend into (the
-            // same consistency test `next()` applies, minus its metric
-            // bumps) so their reads overlap the per-entry compute.
-            let key = &src.meta().key;
-            let kids: Vec<u32> = node
-                .entries
-                .iter()
-                .filter(|e| key.consistent(&e.key, &self.query, self.ctx))
-                .map(Entry::child)
-                .collect();
-            if kids.len() > 1 {
-                src.prefetch(&kids);
-            }
-        }
         self.stack.push(Frame { node, next: 0 });
         Ok(())
     }

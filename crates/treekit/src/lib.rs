@@ -14,8 +14,7 @@
 //! * [`NodeSource`] — where a traversal reads nodes from: the locked
 //!   [`Tree`] or a frozen [`Reader`] over a space snapshot;
 //! * [`Cursor`] — the depth-first scan with its [`Emitted`] memory,
-//!   the Section 5.5 restart, and prefetch announcements;
-//! * [`parallel_scan`] — the work-stealing scan over a [`Reader`];
+//!   and the Section 5.5 restart;
 //! * [`Tree::bulk_load`] — the sort-tile-recursive packer;
 //! * [`TreeQuality`] — the dead-space/overlap walk.
 //!
@@ -29,14 +28,14 @@
 mod bulk;
 mod cursor;
 mod emitted;
-mod parallel;
 mod quality;
+mod reader;
 mod tree;
 
 pub use cursor::{Cursor, NodeSource};
 pub use emitted::Emitted;
-pub use parallel::{parallel_scan, ParallelScan, ParallelScanStats, Reader};
 pub use quality::{LevelQuality, TreeQuality};
+pub use reader::Reader;
 pub use tree::{DeleteOutcome, Tree};
 
 use grt_metrics::TreeMetrics;
@@ -249,9 +248,8 @@ pub trait TreeKey: Send + Sync + 'static {
     type Query: Send + Sync;
     /// The per-operation context (see the trait documentation).
     type Ctx: Copy + Send + Sync;
-    /// A leaf key's identity in [`Emitted`] memories and in the deterministic
-    /// order of a merged parallel scan.
-    type Dedup: Ord + std::hash::Hash + Send;
+    /// A leaf key's identity in [`Emitted`] memories.
+    type Dedup: Eq + std::hash::Hash + Send;
 
     /// The tree's name in error messages ("gr-tree").
     const NAME: &'static str;

@@ -8,7 +8,6 @@
 //! geometric decision to the [`TreeKey`].
 
 use crate::cursor::{Cursor, NodeSource};
-use crate::parallel::Reader;
 use crate::{decode_free, encode_free, Entry, Meta, Node, Result, TreeError, TreeKey, NO_PAGE};
 use grt_metrics::TreeMetrics;
 use grt_sbspace::{LoHandle, PageGuard};
@@ -135,16 +134,6 @@ impl<K: TreeKey> Tree<K> {
     /// The root page (for structure dumps).
     pub fn root_page(&self) -> u32 {
         self.meta.root
-    }
-
-    /// Snapshots this tree into a `Send + Sync` read-only handle for
-    /// parallel scans. The snapshot is valid while this tree (and the
-    /// lock its large-object handle holds) stays open.
-    pub fn reader(&self) -> Reader<K>
-    where
-        K: Clone,
-    {
-        Reader::new(self.lo.reader(), self.meta.clone(), self.metrics.clone())
     }
 
     /// Resets a cursor to the root (after tree condensation).
@@ -459,9 +448,5 @@ impl<K: TreeKey> NodeSource<K> for Tree<K> {
 
     fn pages(&self) -> u32 {
         Tree::pages(self)
-    }
-
-    fn prefetch(&self, pages: &[u32]) {
-        self.lo.prefetch(pages);
     }
 }

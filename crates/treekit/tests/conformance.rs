@@ -5,17 +5,22 @@
 use grt_gist::{GistKey, GistTreeOptions, IntRange, IntRangeExt};
 use grt_grtree::entry::extent_of;
 use grt_grtree::{GrKey, GrQuery, GrTreeOptions};
+use grt_metrics::TreeMetrics;
 use grt_rstar::{RStarOptions, Rect2, RectKey, SpatialPredicate};
 use grt_sbspace::{IsolationLevel, LoHandle, LockMode, Sbspace, SbspaceOptions};
 use grt_temporal::{Day, Predicate, RegionSpec, TimeExtent, TtEnd, VtEnd};
-use grt_treekit::{parallel_scan, Entry, Meta, NodeSource, Tree, TreeKey};
+use grt_treekit::{Entry, Meta, NodeSource, Reader, Tree, TreeKey};
 use std::collections::BTreeSet;
 
-fn fresh_lo() -> LoHandle {
-    let sb = Sbspace::mem(SbspaceOptions {
+fn space() -> Sbspace {
+    Sbspace::mem(SbspaceOptions {
         pool_pages: 8192,
         ..Default::default()
-    });
+    })
+}
+
+fn fresh_lo() -> LoHandle {
+    let sb = space();
     let txn = sb.begin(IsolationLevel::ReadCommitted);
     let lo = sb.create_lo(&txn).unwrap();
     let h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
@@ -67,7 +72,7 @@ where
     }
 }
 
-fn conformance<K: TreeKey + Clone>(input: Input<K>)
+fn conformance<K: TreeKey>(input: Input<K>)
 where
     K::Query: Clone,
 {
@@ -84,7 +89,11 @@ where
     };
 
     // Phase 1: incremental build.
-    let mut tree = Tree::create(fresh_lo(), (input.header)()).unwrap();
+    let sb = space();
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&txn).unwrap();
+    let handle = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    let mut tree = Tree::create(handle, (input.header)()).unwrap();
     let mut live = Rows::new();
     for (id, key) in input.rows.iter().enumerate() {
         tree.insert(key.clone(), id as u64, ctx).unwrap();
@@ -96,10 +105,17 @@ where
     );
     assert_matches_scan(&tree, &input, &live, "after inserts");
 
-    // Phase 2: the serial cursor, the frozen reader's cursor and the
-    // parallel scan at every degree return the same rows; the parallel
-    // result's order does not depend on the degree.
-    let reader = tree.reader();
+    // Phase 2: the serial cursor and the cursor of a frozen reader —
+    // mounted the way a snapshot statement mounts one, on a space
+    // snapshot of the committed tree — return the same rows.
+    tree.into_lo().unwrap().close().unwrap();
+    txn.commit().unwrap();
+    let key = || (input.header)().key;
+    let snap = sb.snapshot_for(&[lo]).unwrap();
+    let reader = Reader::open(key(), snap.reader(lo).unwrap(), TreeMetrics::default()).unwrap();
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let handle = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    let mut tree = Tree::open(key(), handle).unwrap();
     for (n, (query, _)) in input.probes.iter().enumerate() {
         let mut cursor = tree.cursor(query.clone(), ctx);
         let mut serial = Vec::new();
@@ -113,21 +129,8 @@ where
             serial_set,
             "probe {n}: frozen reader"
         );
-        let mut orders = Vec::new();
-        for workers in [1, 2, 4] {
-            let scan = parallel_scan(&reader, query, ctx, workers).unwrap();
-            let order: Vec<u64> = scan.rows.iter().map(|(_, id)| *id).collect();
-            assert_eq!(
-                order.iter().copied().collect::<Rows>(),
-                serial_set,
-                "probe {n}: parallel degree {workers}"
-            );
-            assert!(order.windows(2).all(|w| w[0] < w[1]), "rowid order");
-            orders.push(order);
-        }
-        assert!(orders.windows(2).all(|w| w[0] == w[1]), "probe {n}: order");
     }
-    drop(reader);
+    drop((reader, snap));
 
     // Phase 2b: the cursor's memory is a log until its first restart.
     // Wherever that restart falls — before the first hit, after one, in

@@ -29,7 +29,6 @@ fn quick_db_with_retries(deadlock_retries: u32) -> (Database, MockClock) {
         clock: Arc::new(clock.clone()),
         deadlock_retries,
         retry_backoff: Duration::from_millis(1),
-        scan_workers: 1,
         ..Default::default()
     });
     install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();

@@ -6,7 +6,7 @@
 //!   distinct pages holding its rows, not by the number of rows;
 //! * **order** — an unordered indexed `SELECT` answers in rowid order,
 //!   which is exactly the order of a sequential scan, for every access
-//!   method, on the locked and the snapshot path, at any scan degree.
+//!   method, on the locked and the snapshot path.
 
 use grtree_datablade::blade::gist_am::install_gist_blade;
 use grtree_datablade::blade::{install_grtree_blade, install_rstar_blade, GrTreeAmOptions};
@@ -171,54 +171,50 @@ fn assert_indexed_equals_sequential(db: &Database, conn: &Connection, am: &str, 
             conn.exec("BEGIN WORK").unwrap();
             conn.exec("INSERT INTO scratch VALUES (1)").unwrap();
         }
-        for degree in [1, 4] {
-            conn.exec(&format!("SET PARALLEL {degree}")).unwrap();
-            for (probe, (list, residual)) in probes
-                .iter()
-                .flat_map(|p| SELECT_SHAPES.iter().map(move |s| (p, s)))
-            {
-                let probe = &format!("{probe}{residual}");
-                let what = format!("{am}, locked={locked}, degree {degree}, {list}, {probe}");
-                let before = db.metrics_snapshot();
-                let want = conn
-                    .exec(&format!("SELECT {list} FROM plain WHERE {probe}"))
-                    .unwrap();
-                let d = db.metrics_snapshot().since(&before);
-                assert_eq!(d.get("ids.plans_seq"), 1, "twin must scan: {what}");
-                assert!(want.rows.len() >= 20, "probe matches too little: {what}");
+        for (probe, (list, residual)) in probes
+            .iter()
+            .flat_map(|p| SELECT_SHAPES.iter().map(move |s| (p, s)))
+        {
+            let probe = &format!("{probe}{residual}");
+            let what = format!("{am}, locked={locked}, {list}, {probe}");
+            let before = db.metrics_snapshot();
+            let want = conn
+                .exec(&format!("SELECT {list} FROM plain WHERE {probe}"))
+                .unwrap();
+            let d = db.metrics_snapshot().since(&before);
+            assert_eq!(d.get("ids.plans_seq"), 1, "twin must scan: {what}");
+            assert!(want.rows.len() >= 20, "probe matches too little: {what}");
 
-                db.trace().take();
-                let before = db.metrics_snapshot();
-                let got = conn
-                    .exec(&format!("SELECT {list} FROM ix WHERE {probe}"))
-                    .unwrap();
-                let d = db.metrics_snapshot().since(&before);
-                assert_eq!(d.get("ids.plans_index"), 1, "must use the index: {what}");
-                assert_eq!(got.rows, want.rows, "row for row, in order: {what}");
-                assert_eq!(got.rendered, want.rendered, "as text: {what}");
-                assert_eq!(got.columns, want.columns, "{what}");
+            db.trace().take();
+            let before = db.metrics_snapshot();
+            let got = conn
+                .exec(&format!("SELECT {list} FROM ix WHERE {probe}"))
+                .unwrap();
+            let d = db.metrics_snapshot().since(&before);
+            assert_eq!(d.get("ids.plans_index"), 1, "must use the index: {what}");
+            assert_eq!(got.rows, want.rows, "row for row, in order: {what}");
+            assert_eq!(got.rendered, want.rendered, "as text: {what}");
+            assert_eq!(got.columns, want.columns, "{what}");
 
-                let (plan, heap_fetch) = explain_of(db);
-                let path = if locked { "locked" } else { "snapshot" };
-                assert!(plan.contains(path), "{plan:?} for {what}");
-                assert!(d.get("scan.heap_pages") > 0, "{what}");
-                assert_eq!(
-                    heap_fetch,
-                    format!(
-                        "ix: heap fetch: {} rows from {} pages",
-                        d.get("scan.heap_rows"),
-                        d.get("scan.heap_pages")
-                    ),
-                    "{what}"
-                );
-            }
+            let (plan, heap_fetch) = explain_of(db);
+            let path = if locked { "locked" } else { "snapshot" };
+            assert!(plan.contains(path), "{plan:?} for {what}");
+            assert!(d.get("scan.heap_pages") > 0, "{what}");
+            assert_eq!(
+                heap_fetch,
+                format!(
+                    "ix: heap fetch: {} rows from {} pages",
+                    d.get("scan.heap_rows"),
+                    d.get("scan.heap_pages")
+                ),
+                "{what}"
+            );
         }
         if locked {
             conn.exec("ROLLBACK WORK").unwrap();
         }
     }
     conn.exec("SET EXPLAIN OFF").unwrap();
-    conn.exec("SET PARALLEL 1").unwrap();
 
     // An indexed UPDATE runs through the same scan: it moves the same
     // rows in the same order as the sequential one, so the two tables
@@ -301,8 +297,7 @@ fn extent_db() -> Database {
 #[test]
 fn grtree_indexed_select_and_update_equal_sequential_in_order() {
     let db = extent_db();
-    // A small fan-out spreads the tree over enough pages for degree 4
-    // to run in parallel.
+    // A small fan-out makes the tree several levels deep.
     install_grtree_blade(
         &db,
         GrTreeAmOptions {
@@ -319,15 +314,7 @@ fn grtree_indexed_select_and_update_equal_sequential_in_order() {
         "grtree",
         "CREATE INDEX tix ON ix(Time_Extent grt_opclass) USING grtree_am",
     );
-    let before = db.metrics_snapshot();
     assert_indexed_equals_sequential(&db, &conn, "grtree_am", &extent_probes());
-    assert!(
-        db.metrics_snapshot()
-            .since(&before)
-            .get("scan.parallel_scans")
-            > 0,
-        "degree 4 never ran in parallel"
-    );
 }
 
 #[test]

@@ -4,10 +4,7 @@
 //! workload against one GR-tree-indexed table, deliberately provoking
 //! lock waits, shared→exclusive upgrade deadlocks (half the sessions
 //! run REPEATABLE READ), automatic victim retries, and mid-scan
-//! condenses; a third of the sessions run their index scans through
-//! the parallel executor (`SET PARALLEL 4`), racing the pinned read
-//! path against concurrent writers. The harness then checks the
-//! engine-level invariants:
+//! condenses. The harness then checks the engine-level invariants:
 //!
 //! * no scan ever returns a duplicate row (the Section 5.5
 //!   restart-after-condense rule, plus cursor emitted-row memory);
@@ -101,7 +98,6 @@ fn stress_mixed_workload_reconciles() {
         clock: Arc::new(clock),
         deadlock_retries: 10,
         retry_backoff: Duration::from_millis(1),
-        scan_workers: 1,
         ..Default::default()
     });
     install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
@@ -135,15 +131,10 @@ fn stress_mixed_workload_reconciles() {
             if i % 2 == 1 {
                 conn.exec("SET ISOLATION TO REPEATABLE READ").unwrap();
             }
-            // A third of the sessions scan in parallel, so the
-            // work-stealing read path runs concurrently with writers
-            // (and with the serial cursors of everyone else).
-            if i % 3 == 0 {
-                conn.exec("SET PARALLEL 4").unwrap();
-            }
-            // Another third compile once and execute many: the whole
-            // workload goes through PREPARE/EXECUTE handles, racing
-            // cached plans against everyone else's ad-hoc statements.
+            // A third of the sessions compile once and execute many:
+            // the whole workload goes through PREPARE/EXECUTE handles,
+            // racing cached plans against everyone else's ad-hoc
+            // statements.
             if i % 3 == 1 {
                 conn.exec("PREPARE ins FROM 'INSERT INTO t VALUES (?, ?)'")
                     .unwrap();
