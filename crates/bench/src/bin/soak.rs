@@ -53,7 +53,6 @@ fn opts(checkpoint: bool) -> SbspaceOptions {
     SbspaceOptions {
         pool_pages: POOL_PAGES,
         lock_timeout: Duration::from_secs(10),
-        group_commit: true,
         wal_segment_bytes: SEG_BYTES,
         checkpoint_interval: checkpoint.then(|| Duration::from_millis(20)),
         ..Default::default()

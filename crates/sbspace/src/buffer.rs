@@ -20,15 +20,27 @@
 //! sees its own error exactly once and the pool is never poisoned.
 //!
 //! Frames dirtied by a transaction stay in the pool until that
-//! transaction commits (force-at-commit) or aborts (frames discarded) —
-//! the no-steal policy that makes the redo-only WAL sound. Dirty and
-//! pinned frames are never evicted; when a full clock sweep finds no
-//! victim the shard temporarily exceeds its capacity (counted in
-//! [`IoStats::dirty_overflows`]) rather than stealing. Commit and
-//! checkpoint flushes batch each shard's dirty pages, sorted by page
-//! id, through [`Backend::write_pages`] so contiguous runs coalesce
-//! into single backend calls ([`IoStats::write_runs`],
-//! [`IoStats::coalesced_writes`]).
+//! transaction commits (they are relabelled committed-dirty: the log
+//! carries durability, the data write is deferred) or aborts (frames
+//! discarded) — the no-steal policy that makes the redo-only WAL sound.
+//! Dirty and pinned frames are never evicted; when a full clock sweep
+//! finds no victim the shard temporarily exceeds its capacity (counted
+//! in [`IoStats::dirty_overflows`]) rather than stealing.
+//!
+//! Three things write a page to the backend while the space is open:
+//! the checkpoint flush ([`BufferPool::flush_committed`], one pid-sorted
+//! [`Backend::write_pages`] batch so contiguous runs coalesce —
+//! [`IoStats::write_runs`], [`IoStats::coalesced_writes`]),
+//! write-on-evict, and [`BufferPool::write_txn`]'s write of committed
+//! bytes it is about to overwrite in place. The last two run under the
+//! page's shard lock; the flush runs under none, so it marks the frames
+//! it collected `flushing`. **The flush invariant:** no write of a
+//! page's bytes lands on the backend after a write of newer committed
+//! bytes of the same page — a `flushing` frame is not evicted and not
+//! handed to a transaction until the flusher's write has landed, so
+//! while the mark is set the flusher is the page's only writer, and
+//! whatever newer committed bytes the frame received meanwhile are
+//! still committed-dirty afterwards and written later.
 //!
 //! Page data lives behind `Arc<[u8; PAGE_SIZE]>`. [`BufferPool::read_pinned`]
 //! clones that `Arc` into a [`PageGuard`] — no page copy — and pins the
@@ -55,11 +67,16 @@ struct Frame {
     /// `Some(txn)` when the frame holds uncommitted writes of `txn`.
     dirty_owner: Option<TxnId>,
     /// The frame holds committed bytes newer than the backend's copy:
-    /// the owning transaction committed no-force (its redo images are
-    /// durable in the WAL) and the data write is deferred to the
-    /// checkpointer — or to eviction, which may write-then-drop such a
-    /// frame without a sync. Mutually exclusive with `dirty_owner`.
+    /// their redo image is durable in the WAL and the data write is
+    /// deferred to the checkpointer — or to eviction, which may
+    /// write-then-drop such a frame without a sync. Mutually exclusive
+    /// with `dirty_owner`.
     committed_dirty: bool,
+    /// A [`BufferPool::flush_committed`] collected this frame and its
+    /// backend write may not have landed. Eviction skips the frame like
+    /// a pin and [`BufferPool::write_txn`] waits the flush out, so a
+    /// marked frame is never removed and never transaction-dirty.
+    flushing: bool,
     /// Clock reference bit: set on access, cleared by the sweep.
     referenced: bool,
     /// Outstanding [`PageGuard`]s on this frame (shared with them so a
@@ -74,6 +91,7 @@ impl Frame {
             data,
             dirty_owner: None,
             committed_dirty: false,
+            flushing: false,
             // Clear on insertion: the bit means "hit since faulted in",
             // so one-touch pages lose to re-referenced ones.
             referenced: false,
@@ -220,6 +238,10 @@ pub struct BufferPool {
     /// otherwise a read racing recovery replay could install pages that
     /// predate the out-of-band backend change.
     invalidations: AtomicU64,
+    /// Held across [`BufferPool::flush_committed`]: one flusher at a
+    /// time owns the `flushing` marks, and taking it is how a writer
+    /// waits a flush out. Lock order: before any shard lock.
+    flush_lock: Mutex<()>,
 }
 
 impl BufferPool {
@@ -339,12 +361,13 @@ impl BufferPool {
     /// Clock sweep: evict unreferenced, unpinned frames until the shard
     /// fits its budget. A frame whose reference bit is set gets a
     /// second chance (the bit is cleared and the hand moves on).
-    /// Uncommitted-dirty frames are never evicted (no-steal); a
-    /// committed-dirty frame is written to the backend first — no sync
-    /// needed, its redo image is already durable in the WAL — so a
-    /// churn workload bigger than the pool stays bounded even between
-    /// checkpoints. If a bounded sweep finds no victim the shard
-    /// overflows its capacity rather than stealing.
+    /// Uncommitted-dirty frames are never evicted (no-steal), nor is a
+    /// frame a flush is writing; any other committed-dirty frame is
+    /// written to the backend first — no sync needed, its redo image is
+    /// already durable in the WAL — so a churn workload bigger than the
+    /// pool stays bounded even between checkpoints. If a bounded sweep
+    /// finds no victim the shard overflows its capacity rather than
+    /// stealing.
     fn evict_to_capacity(&self, shard: &mut Shard) {
         while shard.frames.len() > self.shard_capacity {
             let mut evicted = false;
@@ -356,7 +379,7 @@ impl BufferPool {
                 }
                 let pid = shard.clock[shard.hand];
                 let f = shard.frames.get_mut(&pid).expect("clock entry resident");
-                if f.dirty_owner.is_some() || f.pins.load(Ordering::Acquire) > 0 {
+                if f.dirty_owner.is_some() || f.flushing || f.pins.load(Ordering::Acquire) > 0 {
                     shard.hand += 1;
                 } else if f.referenced {
                     f.referenced = false;
@@ -438,6 +461,7 @@ impl BufferPool {
             stats,
             shard_pins: (0..shards).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             invalidations: AtomicU64::new(0),
+            flush_lock: Mutex::new(()),
         }
     }
 
@@ -472,10 +496,21 @@ impl BufferPool {
     }
 
     /// Buffers a transactional write of page `pid` by `txn` (no-steal:
-    /// nothing of `txn`'s reaches the backend until commit).
+    /// nothing of `txn`'s reaches the backend before its commit record
+    /// is durable).
     pub fn write_txn(&self, txn: TxnId, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
         IoStats::bump(&self.stats.logical_writes);
-        let mut shard = self.shards[self.shard_idx(pid)].lock();
+        let idx = self.shard_idx(pid);
+        let mut shard = self.shards[idx].lock();
+        while shard.frames.get(&pid.0).is_some_and(|f| f.flushing) {
+            // A checkpoint is writing this page. Writing it here too
+            // could land newer bytes under the flusher's, and an abort
+            // would discard a frame the flusher still counts on — so
+            // wait for that one write (flush invariant, module docs).
+            drop(shard);
+            drop(self.flush_lock.lock());
+            shard = self.shards[idx].lock();
+        }
         let inserted = !shard.frames.contains_key(&pid.0);
         let frame = shard
             .frames
@@ -485,8 +520,8 @@ impl BufferPool {
             // An in-place rewrite of a live page (an inode or indirect
             // page: data pages are shadow-paged, and a freed page's flag
             // is dropped by `forget_committed`). The frame holds the
-            // only copy of committed bytes the backend has not seen
-            // (no-force), and an abort discards the frame — so they go
+            // only copy of committed bytes the backend has not seen,
+            // and an abort discards the frame — so they go
             // to the backend first, which is allowed at any time since
             // their redo image is durable. A discard-and-refetch, or a
             // checkpoint's sync before it recycles that image, then
@@ -506,10 +541,10 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Declares page `pid`'s committed bytes dead (the page was freed):
-    /// if its frame is committed-dirty there is nothing left worth
-    /// flushing, and the next owner's [`BufferPool::write_txn`] need not
-    /// preserve them.
+    /// Declares page `pid`'s committed bytes dead (the page was freed,
+    /// or a free page is being handed out again): if its frame is
+    /// committed-dirty there is nothing left worth flushing, and the
+    /// next owner's [`BufferPool::write_txn`] need not preserve them.
     pub fn forget_committed(&self, pid: PageId) {
         let mut shard = self.shards[self.shard_idx(pid)].lock();
         if let Some(frame) = shard.frames.get_mut(&pid.0) {
@@ -517,28 +552,32 @@ impl BufferPool {
         }
     }
 
-    /// Writes a metadata page through to the backend immediately and
-    /// refreshes the cache. WAL-before-data is the caller's to keep: the
-    /// page's redo image must already be **durable** in the log.
-    pub fn write_through(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
+    /// Makes `data` the committed bytes of page `pid` without writing
+    /// them: the frame becomes committed-dirty, for the checkpoint or
+    /// eviction to write. WAL-before-data is the caller's to keep — the
+    /// page's redo image must already be **durable** in the log. Never
+    /// waits: a frame a flush is writing keeps its mark, and the flush
+    /// sees on landing that the bytes moved on.
+    pub fn install_committed(&self, pid: PageId, data: &[u8; PAGE_SIZE]) {
         IoStats::bump(&self.stats.logical_writes);
-        IoStats::bump(&self.stats.physical_writes);
-        self.backend.write_page(pid, data)?;
         let mut shard = self.shards[self.shard_idx(pid)].lock();
         let inserted = !shard.frames.contains_key(&pid.0);
         let frame = shard
             .frames
             .entry(pid.0)
             .or_insert_with(|| Frame::clean(Arc::new([0u8; PAGE_SIZE])));
+        debug_assert!(
+            frame.dirty_owner.is_none(),
+            "metadata page {pid:?} is txn-dirty"
+        );
+        // Copy-on-write: pinned guards, and a flush in flight, keep theirs.
         Arc::make_mut(&mut frame.data).copy_from_slice(data);
-        frame.dirty_owner = None;
-        frame.committed_dirty = false;
+        frame.committed_dirty = true;
         frame.referenced = true;
         if inserted {
             shard.clock.push(pid.0);
             self.evict_to_capacity(&mut shard);
         }
-        Ok(())
     }
 
     /// Returns all dirty frames owned by `txn` as shared references
@@ -559,55 +598,12 @@ impl BufferPool {
         out
     }
 
-    /// Flushes `txn`'s dirty frames to the backend and marks them clean
-    /// (the force step of commit — call after their images are logged).
-    /// The dirty set is collected across **all** shards and written as
-    /// one globally pid-sorted [`Backend::write_pages`] batch: shards
-    /// stripe pages `pid % shards`, so per-shard batches could never
-    /// contain adjacent pids — only a cross-shard batch lets contiguous
-    /// copy-on-write allocations coalesce into multi-page runs. No
-    /// shard lock is held during the backend write; the cheap Arc
-    /// clones pin the committed images against later copy-on-write.
-    ///
-    /// The backend is synced only when `sync` is requested **and** the
-    /// transaction actually dirtied pages: a read-only commit performs
-    /// no backend I/O at all. Group commit passes `sync = false` — the
-    /// redo images in the WAL are already durable, so the data sync is
-    /// deferred to the next checkpoint (no-force).
-    pub fn flush_txn(&self, txn: TxnId, sync: bool) -> Result<()> {
-        let mut pages: Vec<(u32, PageArc)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            pages.extend(
-                shard
-                    .frames
-                    .iter()
-                    .filter(|(_, f)| f.dirty_owner == Some(txn))
-                    .map(|(&pid, f)| (pid, Arc::clone(&f.data))),
-            );
-        }
-        pages.sort_by_key(|(pid, _)| *pid);
-        self.write_batch(&pages)?;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for f in shard.frames.values_mut() {
-                if f.dirty_owner == Some(txn) {
-                    f.dirty_owner = None;
-                }
-            }
-            self.evict_to_capacity(&mut shard);
-        }
-        if sync && !pages.is_empty() {
-            IoStats::bump(&self.stats.data_syncs);
-            self.backend.sync()?;
-        }
-        Ok(())
-    }
-
     /// Relabels `txn`'s dirty frames as committed-dirty without writing
-    /// them (the no-force commit path: the redo images just became
+    /// them (the data step of commit: the redo images just became
     /// durable in the WAL, so the data writes are deferred to the
-    /// checkpointer — or to write-on-evict under pool pressure).
+    /// checkpointer — or to write-on-evict under pool pressure). The
+    /// frames were unevictable until now, so each shard is brought back
+    /// to capacity here rather than by the next statement's first fault.
     pub fn mark_committed(&self, txn: TxnId) {
         for shard in &self.shards {
             let mut shard = shard.lock();
@@ -617,43 +613,44 @@ impl BufferPool {
                     f.committed_dirty = true;
                 }
             }
+            self.evict_to_capacity(&mut shard);
         }
     }
 
     /// Writes every committed-dirty frame to the backend and marks it
     /// clean — the fuzzy-checkpoint walk. The dirty set is collected
-    /// across all shards (each lock held only long enough to clone the
-    /// frame Arcs) and written as one globally pid-sorted vectored
-    /// batch: shards stripe pages `pid % shards`, so only a
-    /// cross-shard batch lets contiguous pids coalesce into runs. No
-    /// lock is held during the backend write, so writers never stall
-    /// behind checkpoint I/O at all. A frame a writer redirties behind
-    /// the walk swaps in a fresh Arc under copy-on-write; the
-    /// `ptr_eq` guard leaves its flag set, and the next checkpoint
-    /// catches it. Returns how many frames were written. The caller
-    /// syncs the backend afterwards.
+    /// across all shards (each lock held only long enough to mark the
+    /// frames `flushing` and clone their Arcs) and written as one
+    /// globally pid-sorted vectored batch: shards stripe pages
+    /// `pid % shards`, so only a cross-shard batch lets contiguous pids
+    /// coalesce into runs. No shard lock is held during the backend
+    /// write; the marks keep every other writer off the collected pages
+    /// until it has landed (flush invariant, module docs). A frame that
+    /// received newer committed bytes behind the walk swapped in a fresh
+    /// Arc under copy-on-write; the `ptr_eq` guard leaves its flag set,
+    /// and the next checkpoint catches it. Returns how many frames were
+    /// written. The caller syncs the backend afterwards.
     pub fn flush_committed(&self) -> Result<usize> {
+        let _one_flusher = self.flush_lock.lock();
         let mut pages: Vec<(u32, PageArc)> = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
-            pages.extend(
-                shard
-                    .frames
-                    .iter()
-                    .filter(|(_, f)| f.committed_dirty)
-                    .map(|(&pid, f)| (pid, Arc::clone(&f.data))),
-            );
-        }
-        pages.sort_by_key(|(pid, _)| *pid);
-        self.write_batch(&pages)?;
-        for (pid, written) in &pages {
-            let mut shard = self.shards[self.shard_idx(PageId(*pid))].lock();
-            if let Some(f) = shard.frames.get_mut(pid) {
-                if Arc::ptr_eq(&f.data, written) {
-                    f.committed_dirty = false;
-                }
+            let mut shard = shard.lock();
+            for (&pid, f) in shard.frames.iter_mut().filter(|(_, f)| f.committed_dirty) {
+                f.flushing = true;
+                pages.push((pid, Arc::clone(&f.data)));
             }
         }
+        pages.sort_by_key(|(pid, _)| *pid);
+        let written = self.write_batch(&pages);
+        for (pid, data) in &pages {
+            let mut shard = self.shards[self.shard_idx(PageId(*pid))].lock();
+            let f = shard.frames.get_mut(pid).expect("flushing frame resident");
+            f.flushing = false;
+            if written.is_ok() && Arc::ptr_eq(&f.data, data) {
+                f.committed_dirty = false;
+            }
+        }
+        written?;
         Ok(pages.len())
     }
 
@@ -689,12 +686,13 @@ impl BufferPool {
     /// Drops every clean frame, so the next read of such a page goes to
     /// the backend. A frame holding the only copy of its bytes stays: a
     /// transaction's uncommitted writes, and committed-dirty frames
-    /// ([`BufferPool::flush_committed`] first makes those clean).
+    /// ([`BufferPool::flush_committed`] first makes those clean) — as
+    /// does a frame another thread's flush is still writing.
     pub fn drop_clean(&self) {
         for shard in &self.shards {
             shard
                 .lock()
-                .retain(|f| f.dirty_owner.is_some() || f.committed_dirty);
+                .retain(|f| f.dirty_owner.is_some() || f.committed_dirty || f.flushing);
         }
     }
 
@@ -765,14 +763,18 @@ mod tests {
     }
 
     #[test]
-    fn flush_persists_and_cleans() {
-        let p = pool(8, 2);
+    fn commit_relabels_and_flush_persists_and_cleans() {
+        let stats = IoStats::new_shared();
+        let p = BufferPool::new(Box::new(MemBackend::new()), 8, 2, Arc::clone(&stats));
         let data = page_from_slice(b"committed");
         p.write_txn(TxnId(1), PageId(3), &data).unwrap();
         assert_eq!(p.dirty_of(TxnId(1)).len(), 1);
-        p.flush_txn(TxnId(1), true).unwrap();
+        p.mark_committed(TxnId(1));
         assert!(p.dirty_of(TxnId(1)).is_empty());
         assert!(!p.any_dirty());
+        assert_eq!(stats.snapshot().physical_writes, 0, "commit wrote a page");
+        assert_eq!(p.flush_committed().unwrap(), 1);
+        assert_eq!(p.committed_dirty_count(), 0);
         p.invalidate();
         let mut out = zeroed_page();
         p.read(PageId(3), &mut out).unwrap();
@@ -807,14 +809,17 @@ mod tests {
     }
 
     #[test]
-    fn write_through_is_immediate() {
+    fn installed_image_is_served_at_once_and_written_by_the_flush() {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 8, 2, Arc::clone(&stats));
-        p.write_through(PageId(9), &page_from_slice(b"meta"))
-            .unwrap();
+        p.install_committed(PageId(9), &page_from_slice(b"meta"));
         assert!(!p.any_dirty());
-        p.invalidate();
         let mut out = zeroed_page();
+        p.read(PageId(9), &mut out).unwrap();
+        assert_eq!(&out[..4], b"meta");
+        assert_eq!(stats.snapshot().physical_writes, 0);
+        assert_eq!(p.flush_committed().unwrap(), 1);
+        p.invalidate();
         p.read(PageId(9), &mut out).unwrap();
         assert_eq!(&out[..4], b"meta");
         assert_eq!(stats.snapshot().physical_writes, 1);
@@ -823,8 +828,7 @@ mod tests {
     #[test]
     fn pinned_read_is_zero_copy_and_snapshot_isolated() {
         let p = pool(8, 2);
-        p.write_through(PageId(4), &page_from_slice(b"before"))
-            .unwrap();
+        p.install_committed(PageId(4), &page_from_slice(b"before"));
         let g = p.read_pinned(PageId(4)).unwrap();
         assert_eq!(&g[..6], b"before");
         assert_eq!(p.outstanding_pins(), 1);
@@ -845,8 +849,7 @@ mod tests {
     fn pinned_pages_survive_eviction_pressure() {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats));
-        p.write_through(PageId(0), &page_from_slice(b"pinned"))
-            .unwrap();
+        p.install_committed(PageId(0), &page_from_slice(b"pinned"));
         let guard = p.read_pinned(PageId(0)).unwrap();
         let mut out = zeroed_page();
         for pid in 1..20 {
@@ -903,16 +906,17 @@ mod tests {
             p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[b'a' + pid as u8]))
                 .unwrap();
         }
+        // The commit itself brings the shard back to capacity: with
+        // more committed frames than capacity, some are written out on
+        // evict instead of overflowing the pool.
         p.mark_committed(TxnId(1));
         assert!(!p.any_dirty());
-        assert_eq!(p.committed_dirty_count(), 5);
-        // Faulting one more page forces eviction: with more committed
-        // frames than capacity, some must be written out on evict
-        // instead of overflowing the pool.
-        let mut out = zeroed_page();
-        p.read(PageId(10), &mut out).unwrap();
         assert!(p.cached_frames() <= 2, "pool stayed bounded");
-        assert!(p.committed_dirty_count() < 5, "write-on-evict fired");
+        assert!(
+            stats.snapshot().physical_writes >= 3,
+            "write-on-evict fired"
+        );
+        let mut out = zeroed_page();
         // flush_committed writes whatever is still resident.
         let resident = p.committed_dirty_count();
         assert_eq!(p.flush_committed().unwrap(), resident);
@@ -934,7 +938,8 @@ mod tests {
             p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[pid as u8]))
                 .unwrap();
         }
-        p.flush_txn(TxnId(1), false).unwrap();
+        p.mark_committed(TxnId(1));
+        p.flush_committed().unwrap();
         let s = stats.snapshot();
         assert_eq!(s.physical_writes, 5);
         assert_eq!(s.write_runs, 2);
@@ -942,9 +947,48 @@ mod tests {
     }
 
     #[test]
+    fn bulk_commit_leaves_the_pool_within_budget() {
+        // A transaction that dirtied 5x the pool (a bulk LOAD): no-steal
+        // held every frame until commit, and commit must not leave the
+        // overflow for the next statement's first fault to pay for.
+        let p = pool(8, 2);
+        for pid in 0..40u32 {
+            p.write_txn(TxnId(1), PageId(pid), &page_from_slice(&[pid as u8 + 1]))
+                .unwrap();
+        }
+        assert_eq!(p.cached_frames(), 40);
+        p.mark_committed(TxnId(1));
+        assert!(p.cached_frames() <= 8, "{} frames", p.cached_frames());
+        let mut out = zeroed_page();
+        for pid in 0..40u32 {
+            p.read(PageId(pid), &mut out).unwrap();
+            assert_eq!(out[0], pid as u8 + 1, "page {pid}");
+        }
+    }
+
+    #[test]
+    fn failed_flush_keeps_frames_dirty_and_unmarked() {
+        let inj = Arc::new(FaultInjector::new(MemBackend::new()));
+        let p = BufferPool::new(Box::new(Arc::clone(&inj)), 8, 2, IoStats::new_shared());
+        p.install_committed(PageId(1), &page_from_slice(b"v1"));
+        inj.fail_after(0);
+        assert!(p.flush_committed().is_err());
+        inj.heal();
+        assert_eq!(p.committed_dirty_count(), 1, "the retry still owes it");
+        // No mark left behind: an in-place rewrite neither waits nor
+        // loses the committed bytes it overwrites.
+        p.write_txn(TxnId(1), PageId(1), &page_from_slice(b"v2"))
+            .unwrap();
+        p.discard_txn(TxnId(1));
+        let mut out = zeroed_page();
+        p.read(PageId(1), &mut out).unwrap();
+        assert_eq!(&out[..2], b"v1");
+    }
+
+    #[test]
     fn guard_outliving_pool_trips_assertion() {
         let p = pool(4, 2);
-        p.write_through(PageId(1), &page_from_slice(b"x")).unwrap();
+        p.install_committed(PageId(1), &page_from_slice(b"x"));
         let guard = p.read_pinned(PageId(1)).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
         assert!(
@@ -958,8 +1002,7 @@ mod tests {
     fn concurrent_readers_on_distinct_shards() {
         let p = Arc::new(pool(64, 8));
         for pid in 0..8 {
-            p.write_through(PageId(pid), &page_from_slice(&[b'a' + pid as u8]))
-                .unwrap();
+            p.install_committed(PageId(pid), &page_from_slice(&[b'a' + pid as u8]));
         }
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8u32)
@@ -1055,6 +1098,167 @@ mod tests {
         );
         release_tx.send(()).ok();
         cold.join().unwrap();
+    }
+
+    /// A backend whose first vectored write blocks, after signalling
+    /// that it started, until released (or a generous timeout). Only
+    /// `flush_committed` issues vectored writes, so this holds a
+    /// checkpoint flush open between collecting its pages and landing
+    /// them — the window the flush invariant is about.
+    struct FlushGate {
+        inner: Arc<MemBackend>,
+        armed: std::sync::atomic::AtomicBool,
+        started: mpsc::Sender<()>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Backend for FlushGate {
+        fn read_page(&self, pid: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<()> {
+            self.inner.read_page(pid, out)
+        }
+        fn write_page(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> Result<()> {
+            self.inner.write_page(pid, data)
+        }
+        fn page_count(&self) -> u32 {
+            self.inner.page_count()
+        }
+        fn sync(&self) -> Result<()> {
+            self.inner.sync()
+        }
+        fn write_pages(&self, pages: &[(PageId, &[u8; PAGE_SIZE])]) -> Result<()> {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.started.send(()).ok();
+                let _ = self.release.lock().recv_timeout(Duration::from_secs(10));
+            }
+            self.inner.write_pages(pages)
+        }
+    }
+
+    /// A two-frame, one-shard pool whose page 0 holds committed bytes
+    /// `v1` that a flush has collected and is blocked writing.
+    struct BlockedFlush {
+        pool: Arc<BufferPool>,
+        backend: Arc<MemBackend>,
+        release: mpsc::Sender<()>,
+        flusher: std::thread::JoinHandle<usize>,
+    }
+
+    impl BlockedFlush {
+        fn start() -> BlockedFlush {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            let backend = Arc::new(MemBackend::new());
+            let pool = Arc::new(BufferPool::new(
+                Box::new(FlushGate {
+                    inner: Arc::clone(&backend),
+                    armed: true.into(),
+                    started: started_tx,
+                    release: Mutex::new(release_rx),
+                }),
+                2,
+                1,
+                IoStats::new_shared(),
+            ));
+            pool.write_txn(TxnId(1), PageId(0), &page_from_slice(b"v1"))
+                .unwrap();
+            pool.mark_committed(TxnId(1));
+            let flusher = {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || pool.flush_committed().unwrap())
+            };
+            started_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("flush reached the backend");
+            BlockedFlush {
+                pool,
+                backend,
+                release,
+                flusher,
+            }
+        }
+
+        /// Starts an in-place rewrite of page 0 by transaction 2 and
+        /// checks that it waits for the blocked flush instead of writing
+        /// beside it.
+        fn rewrite_waits(&self) -> std::thread::JoinHandle<()> {
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = Arc::clone(&self.pool);
+            let writer = std::thread::spawn(move || {
+                pool.write_txn(TxnId(2), PageId(0), &page_from_slice(b"v2"))
+                    .unwrap();
+                done_tx.send(()).ok();
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+                "an in-place rewrite went ahead beside a flush of the same page"
+            );
+            writer
+        }
+
+        /// Lets the flush land.
+        fn land(self) -> (Arc<BufferPool>, Arc<MemBackend>) {
+            self.release.send(()).unwrap();
+            assert_eq!(self.flusher.join().unwrap(), 1);
+            (self.pool, self.backend)
+        }
+    }
+
+    /// Pins as many other pages as the pool holds, so the clock hand
+    /// has to come round to page 0: its frame goes if it is evictable.
+    fn pressure(pool: &BufferPool) {
+        let _pins = [1, 2].map(|pid| pool.read_pinned(PageId(pid)).unwrap());
+    }
+
+    /// Page 0 reads `want` through the pool, and from the backend after
+    /// the next flush.
+    fn expect_page0(pool: &BufferPool, backend: &MemBackend, want: &[u8]) {
+        let mut out = zeroed_page();
+        pool.read(PageId(0), &mut out).unwrap();
+        assert_eq!(&out[..want.len()], want, "through the pool");
+        pool.flush_committed().unwrap();
+        backend.read_page(PageId(0), &mut out).unwrap();
+        assert_eq!(&out[..want.len()], want, "on the backend");
+    }
+
+    #[test]
+    fn flush_in_flight_cannot_bury_a_freed_pages_installed_image() {
+        // (a) The collected page is freed, its free-list image is
+        // installed, and the pool comes under pressure — all before the
+        // flusher's older bytes land.
+        let f = BlockedFlush::start();
+        f.pool.forget_committed(PageId(0));
+        f.pool
+            .install_committed(PageId(0), &page_from_slice(b"free"));
+        pressure(&f.pool);
+        let (pool, backend) = f.land();
+        pressure(&pool);
+        expect_page0(&pool, &backend, b"free");
+    }
+
+    #[test]
+    fn flush_in_flight_holds_back_a_rewrite_that_commits_and_is_evicted() {
+        // (b) The collected page gets newer committed bytes, which
+        // eviction writes out: that write must follow the flusher's.
+        let f = BlockedFlush::start();
+        let writer = f.rewrite_waits();
+        let (pool, backend) = f.land();
+        writer.join().unwrap();
+        pool.mark_committed(TxnId(2));
+        pressure(&pool);
+        expect_page0(&pool, &backend, b"v2");
+    }
+
+    #[test]
+    fn flush_in_flight_holds_back_a_rewrite_that_aborts() {
+        // (c) The collected page is rewritten in place by a transaction
+        // that aborts: its frame is discarded, and what remains must be
+        // the committed bytes the flusher was writing.
+        let f = BlockedFlush::start();
+        let writer = f.rewrite_waits();
+        let (pool, backend) = f.land();
+        writer.join().unwrap();
+        pool.discard_txn(TxnId(2));
+        expect_page0(&pool, &backend, b"v1");
     }
 
     /// A backend that stamps each page with its id and sleeps briefly,

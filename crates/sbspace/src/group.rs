@@ -14,12 +14,12 @@
 //!   abort and checkpoint records take this path.
 //!
 //! The first forcer to find no leader becomes the leader: it takes the
-//! queue's prefix up to the `max_batch`-th forced entry, writes it with
-//! one `WalStore::append`, issues a single `sync`, advances
-//! `durable_seq`, and wakes the forcers whose entries rode along. Under
-//! a burst of `k` commits this collapses `k` WAL syncs into a handful,
-//! and an auto-commit statement with nobody to share with performs
-//! exactly one.
+//! whole queue (at most one forced entry per session in a force),
+//! writes it with one `WalStore::append`, issues a single `sync`,
+//! advances `durable_seq`, and wakes the forcers whose entries rode
+//! along. Under a burst of `k` commits this collapses `k` WAL syncs
+//! into a handful, and an auto-commit statement with nobody to share
+//! with performs exactly one.
 //!
 //! Ordering is sound without extra coordination because sbspace holds
 //! LO-level two-phase locks until after commit: two conflicting
@@ -72,7 +72,6 @@ pub(crate) struct LogWriter {
     stats: Arc<IoStats>,
     state: Mutex<State>,
     cond: Condvar,
-    max_batch: usize,
     /// Wall time of each `WalStore::sync` (`wal.sync_ns`).
     sync_ns: Histogram,
     /// Bytes written per force (`wal.force_bytes`).
@@ -82,14 +81,8 @@ pub(crate) struct LogWriter {
 }
 
 impl LogWriter {
-    /// A writer over `wal` whose leaders flush at most `max_batch`
-    /// forced entries per sync.
-    pub fn new(
-        wal: Box<dyn WalStore>,
-        stats: Arc<IoStats>,
-        metrics: &Metrics,
-        max_batch: usize,
-    ) -> LogWriter {
+    /// A writer over `wal`.
+    pub fn new(wal: Box<dyn WalStore>, stats: Arc<IoStats>, metrics: &Metrics) -> LogWriter {
         LogWriter {
             wal,
             stats,
@@ -101,7 +94,6 @@ impl LogWriter {
                 poisoned: None,
             }),
             cond: Condvar::new(),
-            max_batch: max_batch.max(1),
             sync_ns: metrics.histogram("wal.sync_ns"),
             force_bytes: metrics.histogram("wal.force_bytes"),
             meta_deferred: metrics.counter("sbspace.meta_deferred"),
@@ -160,19 +152,11 @@ impl LogWriter {
                 self.cond.wait(&mut state);
                 continue;
             }
-            // Lead: take a group and flush it outside the lock. Our own
-            // entry is forced and still queued, so the group is never
-            // empty.
+            // Lead: take the queue and flush it outside the lock. Our
+            // own entry is still queued, so the group is never empty.
             state.leader = true;
-            let end = state
-                .queue
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.forced)
-                .nth(self.max_batch - 1)
-                .map_or(state.queue.len(), |(i, _)| i + 1);
-            let group: Vec<Entry> = state.queue.drain(..end).collect();
-            let hi = group[end - 1].seq;
+            let group: Vec<Entry> = state.queue.drain(..).collect();
+            let hi = group.last().expect("own entry queued").seq;
             drop(state);
 
             let res = self.flush(&group);
@@ -197,7 +181,6 @@ impl LogWriter {
         }
         self.wal.append(&flat)?;
         IoStats::bump(&self.stats.wal_syncs);
-        IoStats::bump(&self.stats.group_commits);
         let started = Instant::now();
         self.wal.sync()?;
         self.sync_ns.observe(started.elapsed());
@@ -215,14 +198,9 @@ mod tests {
     use crate::TxnId;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    fn writer(wal: impl WalStore + 'static, max_batch: usize) -> (LogWriter, Arc<IoStats>) {
+    fn writer(wal: impl WalStore + 'static) -> (LogWriter, Arc<IoStats>) {
         let stats = IoStats::new_shared();
-        let w = LogWriter::new(
-            Box::new(wal),
-            Arc::clone(&stats),
-            &Metrics::new(),
-            max_batch,
-        );
+        let w = LogWriter::new(Box::new(wal), Arc::clone(&stats), &Metrics::new());
         (w, stats)
     }
 
@@ -233,7 +211,7 @@ mod tests {
     #[test]
     fn burst_of_commits_shares_syncs() {
         let wal = Arc::new(MemWal::new());
-        let (w, stats) = writer(Arc::clone(&wal), 32);
+        let (w, stats) = writer(Arc::clone(&wal));
         let w = Arc::new(w);
         let barrier = Arc::new(std::sync::Barrier::new(16));
         let handles: Vec<_> = (0..16u64)
@@ -254,13 +232,12 @@ mod tests {
         // ...in no more syncs than committers.
         let syncs = stats.snapshot().wal_syncs;
         assert!(syncs <= 16, "at most one sync per committer, got {syncs}");
-        assert_eq!(stats.snapshot().group_commits, syncs);
     }
 
     #[test]
     fn appends_ride_the_next_force_in_order() {
         let wal = Arc::new(MemWal::new());
-        let (w, stats) = writer(Arc::clone(&wal), 8);
+        let (w, stats) = writer(Arc::clone(&wal));
         let a = w.append(commit(1)).unwrap();
         let b = w.append(commit(2)).unwrap();
         assert!(a < b);
@@ -279,21 +256,6 @@ mod tests {
         assert!(w.durable_seq() > b);
         assert_eq!(stats.snapshot().wal_syncs, 1);
         assert_eq!(w.meta_deferred.get(), 2);
-    }
-
-    #[test]
-    fn max_batch_bounds_forced_entries_per_flush() {
-        // One forced entry per flush: the appends before it ride along,
-        // the ones after it wait for the next force.
-        let wal = Arc::new(MemWal::new());
-        let (w, stats) = writer(Arc::clone(&wal), 1);
-        w.append(commit(1)).unwrap();
-        w.force(commit(2)).unwrap();
-        w.append(commit(3)).unwrap();
-        assert_eq!(WalRecord::decode_stream(&wal.read_all().unwrap()).len(), 2);
-        w.force(commit(4)).unwrap();
-        assert_eq!(WalRecord::decode_stream(&wal.read_all().unwrap()).len(), 4);
-        assert_eq!(stats.snapshot().wal_syncs, 2);
     }
 
     /// Fails appends while `broken` is set.
@@ -331,7 +293,7 @@ mod tests {
     #[test]
     fn failure_poisons_later_appends_and_forces() {
         let (wal, broken) = flaky();
-        let (w, _) = writer(wal, 8);
+        let (w, _) = writer(wal);
         let queued = w.append(commit(0)).unwrap();
         let first = w.force(commit(1));
         assert!(matches!(first, Err(SbError::Io(_))));
@@ -352,7 +314,7 @@ mod tests {
     #[test]
     fn leader_failure_reaches_every_rider() {
         let (wal, _) = flaky();
-        let w = Arc::new(writer(wal, 32).0);
+        let w = Arc::new(writer(wal).0);
         let barrier = Arc::new(std::sync::Barrier::new(4));
         let handles: Vec<_> = (0..4u64)
             .map(|i| {

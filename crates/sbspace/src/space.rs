@@ -39,15 +39,11 @@ pub struct SbspaceOptions {
     pub pool_shards: usize,
     /// Lock-wait timeout.
     pub lock_timeout: Duration,
-    /// When true, data pages are no-force: a commit only relabels its
-    /// frames committed-dirty — the WAL's redo images carry durability —
-    /// and the checkpointer, or eviction pressure, writes them later.
-    /// When false (the default), every commit also writes and syncs its
-    /// data pages. The log is forced the same way in both settings: once
-    /// per commit, through the one log writer, shared with whoever else
-    /// is committing at that moment.
+    /// Retired in PR 19 (ISSUE 22) with the force-data commit mode: not
+    /// read, deleted when the benchmark harness stops naming it.
     pub group_commit: bool,
-    /// Maximum commit batches a log-writer leader flushes per sync.
+    /// Retired in PR 19 (ISSUE 22) with the force-data commit mode: not
+    /// read, deleted when the benchmark harness stops naming it.
     pub commit_batch_size: usize,
     /// Size at which a WAL segment rolls. Together with the checkpoint
     /// cadence this bounds both the log's footprint and how much of it
@@ -59,6 +55,8 @@ pub struct SbspaceOptions {
     /// active-transaction low-water mark, and sweeps retired page
     /// batches whose snapshots have drained. `None` (the default) runs
     /// no thread; [`Sbspace::checkpoint`] still checkpoints on demand.
+    /// A commit forces the log and never writes the data file, so this
+    /// cadence — not commit — is what bounds the log and the replay.
     pub checkpoint_interval: Option<Duration>,
     /// Retired in PR 18 (ISSUE 21) with the scan prefetcher: not read,
     /// deleted when the benchmark harness stops naming it.
@@ -130,8 +128,9 @@ struct MetaState {
     header_dirty: bool,
     /// Metadata page images that are in the log but not yet on the
     /// backend, keyed by page, each tagged with its log sequence
-    /// number. WAL-before-data: an image may be written to the backend
-    /// only once the log is durable past its record
+    /// number. WAL-before-data: an image may enter the pool, whose
+    /// frames eviction or a checkpoint may write at any time, only once
+    /// the log is durable past its record
     /// ([`SpaceInner::drain_meta`]). Until then — and for a free page
     /// that is reallocated first, for good — this map is the only
     /// current copy, so free-list reads consult it before the pool.
@@ -143,8 +142,6 @@ pub(crate) struct SpaceInner {
     pool: BufferPool,
     /// The one path into the WAL (owns the store).
     log: LogWriter,
-    /// No-force data pages at commit (see [`SbspaceOptions::group_commit`]).
-    group_commit: bool,
     pub(crate) lm: LockManager,
     stats: Arc<IoStats>,
     /// Engine-wide metrics registry; holds the [`IoStats`] cells under
@@ -264,13 +261,7 @@ impl Sbspace {
         let space = Sbspace {
             inner: Arc::new(SpaceInner {
                 pool,
-                log: LogWriter::new(
-                    Box::new(wal),
-                    Arc::clone(&stats),
-                    &metrics,
-                    opts.commit_batch_size,
-                ),
-                group_commit: opts.group_commit,
+                log: LogWriter::new(Box::new(wal), Arc::clone(&stats), &metrics),
                 lm: LockManager::new(opts.lock_timeout, Arc::clone(&stats)),
                 stats,
                 metrics,
@@ -527,8 +518,8 @@ impl Sbspace {
     /// Empties the page cache of everything the backend also holds, so
     /// the next reads hit the backend cold (benchmark hook — lets a
     /// cold-scan harness measure physical I/O without reopening the
-    /// space). Committed-dirty frames (no-force commits the checkpointer
-    /// has not reached) are written out first and then dropped; if that
+    /// space). Committed-dirty frames (commits the checkpointer has not
+    /// reached) are written out first and then dropped; if that
     /// write fails they stay cached for the checkpointer to retry. An
     /// open transaction's uncommitted frames stay: the pool holds their
     /// only copy.
@@ -892,10 +883,12 @@ impl SpaceInner {
             }
             .encode(),
         )?;
-        // A staged free-list image of a page handed out again is dead:
-        // writing it later would clobber the new owner's data.
+        // The free-list image of a page handed out again is dead,
+        // staged or installed: writing it later would clobber the new
+        // owner's data, or cost that owner a write to preserve it.
         for pid in &got {
             meta.staged.remove(pid);
+            self.pool.forget_committed(PageId(*pid));
         }
         meta.header = header;
         meta.header_dirty = true;
@@ -909,7 +902,7 @@ impl SpaceInner {
 
     /// Returns pages to the free list (system transaction). The
     /// free-list images are queued in the log and staged; the next
-    /// force makes them durable and lets them reach the backend.
+    /// force makes them durable and lets them into the pool.
     fn free_pages(&self, pages: &[u32]) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
@@ -975,11 +968,11 @@ impl SpaceInner {
         self.log.force(records)
     }
 
-    /// Writes every staged metadata image the log is durable past
-    /// through to the backend (WAL-before-data). Called after each
-    /// force; an image that fails to write stays staged and the next
-    /// drain retries it.
-    fn drain_meta(&self) -> Result<()> {
+    /// Installs every staged metadata image the log is durable past in
+    /// the pool as a committed-dirty frame (WAL-before-data: from there
+    /// eviction or a checkpoint may write it). Called after each force;
+    /// no backend I/O of its own.
+    fn drain_meta(&self) {
         let durable = self.log.durable_seq();
         let mut meta = self.meta.lock();
         let mut ready: Vec<u32> = meta
@@ -988,15 +981,13 @@ impl SpaceInner {
             .filter(|(_, (seq, _))| *seq <= durable)
             .map(|(&pid, _)| pid)
             .collect();
-        // Map order is arbitrary; a fixed write order keeps runs (and
-        // the crash sweep's cut points) reproducible.
+        // Map order is arbitrary; a fixed install order keeps eviction
+        // (and so the crash sweep's cut points) reproducible.
         ready.sort_unstable();
         for pid in ready {
-            let (_, image) = &meta.staged[&pid];
-            self.pool.write_through(PageId(pid), image)?;
-            meta.staged.remove(&pid);
+            let (_, image) = meta.staged.remove(&pid).expect("listed above");
+            self.pool.install_committed(PageId(pid), &image);
         }
-        Ok(())
     }
 
     fn run_callbacks(&self, txn: TxnId, end: TxnEnd) {
@@ -1102,28 +1093,19 @@ impl SpaceInner {
         // The commit record is durable — past the commit point. From
         // here every path must still publish, release locks, and fire
         // callbacks: a failure below is reported but cannot un-commit
-        // the transaction (the durable redo images repair the backend
-        // on the next recovery), and leaked locks would wedge every
-        // later transaction touching the same objects.
+        // the transaction, and leaked locks would wedge every later
+        // transaction touching the same objects.
         IoStats::bump(&self.stats.txn_commits);
-        // 2. The data pages. `group_commit` is no-force: the frames are
-        //    merely relabelled committed-dirty — the checkpointer (or
-        //    eviction pressure) writes them later, since the durable
-        //    redo images above repair any crash from here. Otherwise
-        //    the pages are forced immediately. Either way the metadata
-        //    images the force just covered may now reach the backend.
-        let flush_result = if read_only {
-            Ok(())
-        } else {
-            let drained = self.drain_meta();
-            let data = if self.group_commit {
-                self.pool.mark_committed(txn);
-                Ok(())
-            } else {
-                self.pool.flush_txn(txn, true)
-            };
-            drained.and(data)
-        };
+        // 2. The data pages are not written: the frames are relabelled
+        //    committed-dirty and the checkpointer (or eviction pressure)
+        //    writes them later — the durable redo images above repair
+        //    any crash from here. The metadata images the force just
+        //    covered join them in the pool. No backend I/O, nothing to
+        //    fail.
+        if !read_only {
+            self.pool.mark_committed(txn);
+            self.drain_meta();
+        }
         // 3. Publish the new page tables atomically (one map swap =
         //    one consistent cut for future snapshots) and queue the
         //    retired pages behind the epoch gate. Pages shared between
@@ -1184,7 +1166,7 @@ impl SpaceInner {
         // 4. Release locks and notify.
         self.lm.release_all(txn);
         self.run_callbacks(txn, TxnEnd::Commit);
-        flush_result.and(reclaim_result)
+        reclaim_result
     }
 
     pub(crate) fn abort_txn(&self, txn: TxnId) -> Result<()> {
@@ -1201,17 +1183,16 @@ impl SpaceInner {
         // 2./3. Compensate allocations (the pages go back to the free
         //    list) and record the abort so recovery does not
         //    re-compensate. Shadow paging allocates a fresh page for
-        //    every copy-on-write redirect, so this compensation does
-        //    real free-list I/O for any aborted writer — and it can
-        //    fail on a faulty backend. The locks are released either
-        //    way: a compensation failure leaks at most free pages
-        //    (repaired by the next recovery), while a leaked lock
-        //    wedges every later transaction on the same objects.
-        let compensated = (|| {
-            self.free_pages(&state.alloc_pages)?;
-            self.force(WalRecord::Abort { txn }.encode())?;
-            self.drain_meta()
-        })();
+        //    every copy-on-write redirect, so this compensation logs
+        //    real free-list images for any aborted writer — and it can
+        //    fail on a faulty log. The locks are released either way:
+        //    a compensation failure leaks at most free pages (repaired
+        //    by the next recovery), while a leaked lock wedges every
+        //    later transaction on the same objects.
+        let compensated = self
+            .free_pages(&state.alloc_pages)
+            .and_then(|()| self.force(WalRecord::Abort { txn }.encode()));
+        self.drain_meta();
         self.committing.lock().remove(&txn.0);
         // 4. Release locks and notify.
         self.lm.release_all(txn);
@@ -1252,7 +1233,7 @@ impl SpaceInner {
         // record below the mark was written by a flush that has
         // completed (flushes are serialised, and a later one created
         // the segment the mark names), so its image is drainable now.
-        self.drain_meta()?;
+        self.drain_meta();
         self.pool.flush_committed()?;
         self.pool.sync_backend()?;
         // From here to the end of the sweep: no snapshot drop or commit

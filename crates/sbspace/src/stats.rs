@@ -90,9 +90,6 @@ io_counters! {
     /// Times a shard overflowed its capacity because every frame was
     /// dirty or pinned (no-steal forbids eviction).
     dirty_overflows => "sbspace.dirty_overflows", "ovf";
-    /// WAL flush groups written by a log-writer leader (one per sync,
-    /// in both `group_commit` settings).
-    group_commits => "sbspace.group_commits", "gc";
     /// Zero-copy pinned page reads ([`crate::buffer::BufferPool::read_pinned`]).
     /// `logical_reads - pinned_reads` is the number of copying reads.
     pinned_reads => "sbspace.pinned_reads", "pin";
@@ -130,8 +127,7 @@ impl IoStats {
 }
 
 impl IoSnapshot {
-    /// Total durable sync calls (WAL plus data backend) — the metric the
-    /// group-commit benchmark compares.
+    /// Total durable sync calls (WAL plus data backend).
     pub fn total_syncs(&self) -> u64 {
         self.wal_syncs + self.data_syncs
     }
@@ -149,7 +145,6 @@ mod tests {
         IoStats::bump(&s.logical_reads);
         IoStats::bump(&s.physical_writes);
         IoStats::bump(&s.evictions);
-        IoStats::bump(&s.group_commits);
         IoStats::bump(&s.wal_syncs);
         IoStats::bump(&s.txn_commits);
         let after = s.snapshot();
@@ -158,7 +153,7 @@ mod tests {
         assert_eq!(d.physical_writes, 1);
         assert_eq!(d.logical_writes, 0);
         assert_eq!(d.evictions, 1);
-        assert_eq!(d.group_commits, 1);
+        assert_eq!(d.wal_syncs, 1);
         assert_eq!(d.total_syncs(), 1);
         assert_eq!(d.txn_commits, 1);
         assert_eq!(d.txn_aborts, 0);

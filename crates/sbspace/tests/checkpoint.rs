@@ -17,11 +17,10 @@ use std::time::Duration;
 
 const SEG_BYTES: usize = 8 * 1024;
 
-fn opts(group_commit: bool) -> SbspaceOptions {
+fn opts() -> SbspaceOptions {
     SbspaceOptions {
         pool_pages: 64,
         lock_timeout: Duration::from_millis(200),
-        group_commit,
         ..Default::default()
     }
 }
@@ -33,15 +32,8 @@ fn shared() -> (Arc<MemBackend>, Arc<MemWal>) {
     )
 }
 
-fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>, group_commit: bool) -> Sbspace {
-    Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts(group_commit)).expect("reopen")
-}
-
-/// Runs `body` with group commit off, then on.
-fn both_modes(body: impl Fn(bool)) {
-    for group_commit in [false, true] {
-        body(group_commit);
-    }
+fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>) -> Sbspace {
+    Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts()).expect("reopen")
 }
 
 /// One churn transaction: overwrite `pages` pages of `lo` with `fill`.
@@ -70,132 +62,121 @@ fn seed(sb: &Sbspace, pages: u32) -> grt_sbspace::LoId {
 
 #[test]
 fn churn_with_checkpoints_bounds_the_wal() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 4);
-        for round in 0..40u32 {
-            churn(&sb, lo, 4, (round % 251) as u8);
-            if round % 5 == 4 {
-                sb.checkpoint().unwrap();
-            }
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 4);
+    for round in 0..40u32 {
+        churn(&sb, lo, 4, (round % 251) as u8);
+        if round % 5 == 4 {
+            sb.checkpoint().unwrap();
         }
-        // Forty rounds of four page images each rolled the log dozens
-        // of times, but recycling kept the live tail to a handful of
-        // segments and a bounded byte count.
-        let segs = sb.wal_segment_count().unwrap();
-        assert!(
-            segs <= 8,
-            "live segments unbounded: {segs} (group_commit={gc})"
-        );
-        let live = sb.wal_live_bytes().unwrap();
-        assert!(
-            live <= (8 * SEG_BYTES) as u64,
-            "live bytes unbounded: {live} (group_commit={gc})"
-        );
-        let snap = sb.metrics().snapshot();
-        assert!(
-            snap.get("wal.segments_recycled") > 10,
-            "checkpoints recycled almost nothing (group_commit={gc})"
-        );
-        assert_eq!(snap.get("sbspace.checkpoints"), 8);
-        assert_eq!(snap.gauge("wal.live_bytes"), live);
+    }
+    // Forty rounds of four page images each rolled the log dozens
+    // of times, but recycling kept the live tail to a handful of
+    // segments and a bounded byte count.
+    let segs = sb.wal_segment_count().unwrap();
+    assert!(segs <= 8, "live segments unbounded: {segs}");
+    let live = sb.wal_live_bytes().unwrap();
+    assert!(
+        live <= (8 * SEG_BYTES) as u64,
+        "live bytes unbounded: {live}"
+    );
+    let snap = sb.metrics().snapshot();
+    assert!(
+        snap.get("wal.segments_recycled") > 10,
+        "checkpoints recycled almost nothing"
+    );
+    assert_eq!(snap.get("sbspace.checkpoints"), 8);
+    assert_eq!(snap.gauge("wal.live_bytes"), live);
 
-        // The bounded tail still recovers the last committed contents.
-        drop(sb);
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        let page = h.read_page(0).unwrap();
-        assert_eq!(page[0], 39, "group_commit={gc}");
-    });
+    // The bounded tail still recovers the last committed contents.
+    drop(sb);
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    let page = h.read_page(0).unwrap();
+    assert_eq!(page[0], 39);
 }
 
 #[test]
 fn active_transaction_anchors_the_low_water_mark() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 2);
-        let other = seed(&sb, 2);
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 2);
+    let other = seed(&sb, 2);
 
-        // `held` starts now: every segment from here on must survive
-        // until it finishes, no matter how much churn follows.
-        let held = sb.begin(IsolationLevel::ReadCommitted);
-        let mut hh = sb.open_lo(&held, lo, LockMode::Exclusive).unwrap();
-        hh.write_page(0, &[0xAA; PAGE_SIZE]).unwrap();
-        hh.close().unwrap();
+    // `held` starts now: every segment from here on must survive
+    // until it finishes, no matter how much churn follows.
+    let held = sb.begin(IsolationLevel::ReadCommitted);
+    let mut hh = sb.open_lo(&held, lo, LockMode::Exclusive).unwrap();
+    hh.write_page(0, &[0xAA; PAGE_SIZE]).unwrap();
+    hh.close().unwrap();
 
-        for round in 0..20u32 {
-            churn(&sb, other, 2, round as u8);
-        }
-        sb.checkpoint().unwrap();
-        let anchored = sb.wal_segment_count().unwrap();
-        assert!(
-            anchored > 1,
-            "churned segments should be pinned by the live txn (group_commit={gc})"
-        );
+    for round in 0..20u32 {
+        churn(&sb, other, 2, round as u8);
+    }
+    sb.checkpoint().unwrap();
+    let anchored = sb.wal_segment_count().unwrap();
+    assert!(
+        anchored > 1,
+        "churned segments should be pinned by the live txn"
+    );
 
-        held.commit().unwrap();
-        sb.checkpoint().unwrap();
-        let released = sb.wal_segment_count().unwrap();
-        assert!(
-            released < anchored,
-            "lwm did not advance after the anchor committed: \
-             {anchored} -> {released} (group_commit={gc})"
-        );
+    held.commit().unwrap();
+    sb.checkpoint().unwrap();
+    let released = sb.wal_segment_count().unwrap();
+    assert!(
+        released < anchored,
+        "lwm did not advance after the anchor committed: \
+         {anchored} -> {released}"
+    );
 
-        // The anchored transaction's write is durable across a crash.
-        drop(sb);
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 0xAA, "group_commit={gc}");
-    });
+    // The anchored transaction's write is durable across a crash.
+    drop(sb);
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 0xAA);
 }
 
 #[test]
 fn crash_right_after_checkpoint_recovers_identically() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 3);
-        churn(&sb, lo, 3, 0x11);
-        sb.checkpoint().unwrap();
-        // More work lands after the checkpoint; recovery must replay
-        // exactly this tail on top of the checkpointed pages.
-        churn(&sb, lo, 2, 0x22);
-        drop(sb); // crash
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 3);
+    churn(&sb, lo, 3, 0x11);
+    sb.checkpoint().unwrap();
+    // More work lands after the checkpoint; recovery must replay
+    // exactly this tail on top of the checkpointed pages.
+    churn(&sb, lo, 2, 0x22);
+    drop(sb); // crash
 
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 0x22, "group_commit={gc}");
-        assert_eq!(h.read_page(2).unwrap()[0], 0x11, "group_commit={gc}");
-    });
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 0x22);
+    assert_eq!(h.read_page(2).unwrap()[0], 0x11);
 }
 
 #[test]
 fn repeated_checkpoint_crash_cycles_are_idempotent() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let mut sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 2);
-        for round in 0..6u32 {
-            churn(&sb, lo, 2, round as u8);
-            sb.checkpoint().unwrap();
-            if round % 2 == 1 {
-                sb.checkpoint().unwrap(); // back-to-back checkpoints
-            }
-            drop(sb); // crash after every round
-            sb = reopen(&backend, &wal, gc);
+    let (backend, wal) = shared();
+    let mut sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 2);
+    for round in 0..6u32 {
+        churn(&sb, lo, 2, round as u8);
+        sb.checkpoint().unwrap();
+        if round % 2 == 1 {
+            sb.checkpoint().unwrap(); // back-to-back checkpoints
         }
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 5, "group_commit={gc}");
-        // Idempotent replay never corrupted the free list.
-        sb.space_info().unwrap();
-    });
+        drop(sb); // crash after every round
+        sb = reopen(&backend, &wal);
+    }
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 5);
+    // Idempotent replay never corrupted the free list.
+    sb.space_info().unwrap();
 }
 
 /// A WAL whose appends can be made to fail on demand — the "before the
@@ -243,173 +224,158 @@ impl WalStore for FlakyWal {
 
 #[test]
 fn failed_checkpoint_record_leaves_previous_checkpoint_authoritative() {
-    // Both modes write the record through the one log writer, so the
-    // failed append poisons the log either way: this space can log
-    // nothing more, and the only way on is a reopen.
-    for gc in [false, true] {
-        let backend = Arc::new(MemBackend::new());
-        let wal = Arc::new(FlakyWal {
-            inner: MemWal::with_segment_bytes(SEG_BYTES),
-            fail_appends: AtomicBool::new(false),
-        });
-        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
-        let lo = seed(&sb, 3);
-        for round in 0..10u32 {
-            churn(&sb, lo, 3, round as u8);
-        }
-        let segs_before = sb.wal_segment_count().unwrap();
-
-        wal.fail_appends.store(true, Ordering::SeqCst);
-        let err = sb.checkpoint();
-        assert!(matches!(err, Err(SbError::Io(_))), "got {err:?}");
-        let snap = sb.metrics().snapshot();
-        assert_eq!(snap.get("sbspace.checkpoint_failures"), 1);
-        assert_eq!(
-            snap.get("wal.segments_recycled"),
-            0,
-            "a failed checkpoint must never recycle"
-        );
-        assert_eq!(sb.wal_segment_count().unwrap(), segs_before);
-
-        // Crash with the failed checkpoint in place: the full log is
-        // still there, so recovery reproduces every committed write.
-        drop(sb);
-        wal.fail_appends.store(false, Ordering::SeqCst);
-        let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 9, "group_commit={gc}");
-        drop(h);
-        drop(t);
-
-        // Over the healed store the next checkpoint succeeds and
-        // recycling resumes.
-        sb2.checkpoint().unwrap();
-        assert!(sb2.wal_segment_count().unwrap() < segs_before);
+    // The record goes through the one log writer, so the failed append
+    // poisons the log: this space can log nothing more, and the only
+    // way on is a reopen.
+    let backend = Arc::new(MemBackend::new());
+    let wal = Arc::new(FlakyWal {
+        inner: MemWal::with_segment_bytes(SEG_BYTES),
+        fail_appends: AtomicBool::new(false),
+    });
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
+    let lo = seed(&sb, 3);
+    for round in 0..10u32 {
+        churn(&sb, lo, 3, round as u8);
     }
+    let segs_before = sb.wal_segment_count().unwrap();
+
+    wal.fail_appends.store(true, Ordering::SeqCst);
+    let err = sb.checkpoint();
+    assert!(matches!(err, Err(SbError::Io(_))), "got {err:?}");
+    let snap = sb.metrics().snapshot();
+    assert_eq!(snap.get("sbspace.checkpoint_failures"), 1);
+    assert_eq!(
+        snap.get("wal.segments_recycled"),
+        0,
+        "a failed checkpoint must never recycle"
+    );
+    assert_eq!(sb.wal_segment_count().unwrap(), segs_before);
+
+    // Crash with the failed checkpoint in place: the full log is
+    // still there, so recovery reproduces every committed write.
+    drop(sb);
+    wal.fail_appends.store(false, Ordering::SeqCst);
+    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 9);
+    drop(h);
+    drop(t);
+
+    // Over the healed store the next checkpoint succeeds and
+    // recycling resumes.
+    sb2.checkpoint().unwrap();
+    assert!(sb2.wal_segment_count().unwrap() < segs_before);
 }
 
 #[test]
 fn snapshot_stranded_retired_batches_recover_as_free_pages() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 4);
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 4);
 
-        // A snapshot pins the current epoch, then churn retires the
-        // object's pages out from under it.
-        let snap = sb.snapshot_for(&[lo]).unwrap();
-        churn(&sb, lo, 4, 0x33);
-        assert!(sb.retired_batches() > 0, "group_commit={gc}");
+    // A snapshot pins the current epoch, then churn retires the
+    // object's pages out from under it.
+    let snap = sb.snapshot_for(&[lo]).unwrap();
+    churn(&sb, lo, 4, 0x33);
+    assert!(sb.retired_batches() > 0);
 
-        // A checkpoint while the snapshot is open must keep the batch
-        // (the snapshot still reads those pages) but carries the claim
-        // into its record so recycling older segments loses nothing.
-        sb.checkpoint().unwrap();
-        assert!(sb.retired_batches() > 0, "group_commit={gc}");
-        let r = snap.reader(lo).unwrap();
-        assert_eq!(r.read_page(0).unwrap()[0], 0, "snapshot unperturbed");
+    // A checkpoint while the snapshot is open must keep the batch
+    // (the snapshot still reads those pages) but carries the claim
+    // into its record so recycling older segments loses nothing.
+    sb.checkpoint().unwrap();
+    assert!(sb.retired_batches() > 0);
+    let r = snap.reader(lo).unwrap();
+    assert_eq!(r.read_page(0).unwrap()[0], 0, "snapshot unperturbed");
 
-        // Crash with the snapshot still open: nobody ever reclaimed the
-        // batch in this lifetime, yet recovery frees the pages.
-        let info_before = sb.space_info().unwrap();
-        std::mem::forget(snap); // keep it "open" across the crash
-        drop(sb);
-        let sb2 = reopen(&backend, &wal, gc);
-        let info_after = sb2.space_info().unwrap();
-        assert!(
-            info_after.free_pages >= info_before.free_pages + 4,
-            "retired pages not freed by recovery: {info_before:?} -> {info_after:?} \
-             (group_commit={gc})"
-        );
-        // And the committed churn contents survived.
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(3).unwrap()[0], 0x33, "group_commit={gc}");
-    });
+    // Crash with the snapshot still open: nobody ever reclaimed the
+    // batch in this lifetime, yet recovery frees the pages.
+    let info_before = sb.space_info().unwrap();
+    std::mem::forget(snap); // keep it "open" across the crash
+    drop(sb);
+    let sb2 = reopen(&backend, &wal);
+    let info_after = sb2.space_info().unwrap();
+    assert!(
+        info_after.free_pages >= info_before.free_pages + 4,
+        "retired pages not freed by recovery: {info_before:?} -> {info_after:?} \
+        "
+    );
+    // And the committed churn contents survived.
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(3).unwrap()[0], 0x33);
 }
 
 #[test]
 fn checkpoint_sweeps_batches_once_snapshots_drain() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 4);
-        let snap = sb.snapshot_for(&[lo]).unwrap();
-        churn(&sb, lo, 4, 0x44);
-        assert!(sb.retired_batches() > 0, "group_commit={gc}");
-        // Dropping the snapshot normally reclaims inline; simulate the
-        // "drop-side free never ran" path by forgetting it and closing
-        // its registration through another snapshot of a later epoch.
-        drop(snap);
-        sb.checkpoint().unwrap();
-        assert_eq!(
-            sb.retired_batches(),
-            0,
-            "drained batch not swept (group_commit={gc})"
-        );
-    });
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 4);
+    let snap = sb.snapshot_for(&[lo]).unwrap();
+    churn(&sb, lo, 4, 0x44);
+    assert!(sb.retired_batches() > 0);
+    // Dropping the snapshot normally reclaims inline; simulate the
+    // "drop-side free never ran" path by forgetting it and closing
+    // its registration through another snapshot of a later epoch.
+    drop(snap);
+    sb.checkpoint().unwrap();
+    assert_eq!(sb.retired_batches(), 0, "drained batch not swept");
 }
 
 #[test]
 fn background_checkpointer_runs_and_shuts_down() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = Sbspace::open_with(
-            Arc::clone(&backend),
-            Arc::clone(&wal),
-            SbspaceOptions {
-                checkpoint_interval: Some(Duration::from_millis(10)),
-                ..opts(gc)
-            },
-        )
-        .unwrap();
-        let lo = seed(&sb, 3);
-        for round in 0..10u32 {
-            churn(&sb, lo, 3, round as u8);
-            std::thread::sleep(Duration::from_millis(5));
+    let (backend, wal) = shared();
+    let sb = Sbspace::open_with(
+        Arc::clone(&backend),
+        Arc::clone(&wal),
+        SbspaceOptions {
+            checkpoint_interval: Some(Duration::from_millis(10)),
+            ..opts()
+        },
+    )
+    .unwrap();
+    let lo = seed(&sb, 3);
+    for round in 0..10u32 {
+        churn(&sb, lo, 3, round as u8);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let snap = sb.metrics().snapshot();
+        if snap.get("sbspace.checkpoints") > 0 && snap.get("wal.segments_recycled") > 0 {
+            break;
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let snap = sb.metrics().snapshot();
-            if snap.get("sbspace.checkpoints") > 0 && snap.get("wal.segments_recycled") > 0 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "background checkpointer never ran (group_commit={gc})"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // Drop joins the checkpointer; recovery then sees a recycled log.
-        drop(sb);
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 9, "group_commit={gc}");
-    });
+        assert!(
+            std::time::Instant::now() < deadline,
+            "background checkpointer never ran"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Drop joins the checkpointer; recovery then sees a recycled log.
+    drop(sb);
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 9);
 }
 
 /// Found by the crash-point sweep (`prop_crash.rs`) on its first
-/// uncut run. An inode page is rewritten in place, so under no-force
-/// commits a writer can take over a frame holding committed bytes the
-/// backend has never seen. Aborting used to discard that frame — and
+/// uncut run. An inode page is rewritten in place, so a writer can take
+/// over a frame holding committed bytes the backend has never seen. Aborting used to discard that frame — and
 /// the committed inode with it.
 #[test]
 fn abort_after_in_place_inode_rewrite_keeps_the_committed_inode() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 1);
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.append_page(&[2u8; PAGE_SIZE]).unwrap();
-        h.close().unwrap(); // rewrites the inode page in the pool
-        t.abort().unwrap();
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.page_count(), 1, "group_commit={gc}");
-    });
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 1);
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.append_page(&[2u8; PAGE_SIZE]).unwrap();
+    h.close().unwrap(); // rewrites the inode page in the pool
+    t.abort().unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.page_count(), 1);
 }
 
 /// The same takeover, seen by a checkpoint: while the writer owns the
@@ -418,77 +384,73 @@ fn abort_after_in_place_inode_rewrite_keeps_the_committed_inode() {
 /// be on the backend by then, or a crash loses them.
 #[test]
 fn committed_inode_survives_a_checkpoint_taken_while_a_writer_owns_its_frame() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let lo = seed(&sb, 1);
-        wal.roll().unwrap(); // the writer begins in a later segment
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.append_page(&[2u8; PAGE_SIZE]).unwrap();
-        h.close().unwrap();
-        sb.checkpoint().unwrap();
-        assert!(
-            !wal.segments().unwrap().contains(&0),
-            "the seed's segment should have been recycled"
-        );
-        std::mem::forget(t); // crash mid-transaction
-        drop(sb);
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.page_count(), 1, "group_commit={gc}");
-    });
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let lo = seed(&sb, 1);
+    wal.roll().unwrap(); // the writer begins in a later segment
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.append_page(&[2u8; PAGE_SIZE]).unwrap();
+    h.close().unwrap();
+    sb.checkpoint().unwrap();
+    assert!(
+        !wal.segments().unwrap().contains(&0),
+        "the seed's segment should have been recycled"
+    );
+    std::mem::forget(t); // crash mid-transaction
+    drop(sb);
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.page_count(), 1);
 }
 
-/// After a failed flush the log tail is suspect in **both** modes: no
-/// later record may be written past it, forced or not. An allocation
+/// After a failed flush the log tail is suspect: no later record may be
+/// written past it, forced or not. An allocation
 /// therefore fails up front — before it can touch the allocator or
 /// page 0 — instead of stranding an `AllocNote` beyond a torn region.
 #[test]
 fn allocation_after_a_failed_flush_is_refused_and_writes_nothing() {
-    for gc in [false, true] {
-        let backend = Arc::new(grt_sbspace::FaultInjector::new(MemBackend::new()));
-        let wal = Arc::new(FlakyWal {
-            inner: MemWal::with_segment_bytes(SEG_BYTES),
-            fail_appends: AtomicBool::new(false),
-        });
-        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
-        let lo = seed(&sb, 2);
+    let backend = Arc::new(grt_sbspace::FaultInjector::new(MemBackend::new()));
+    let wal = Arc::new(FlakyWal {
+        inner: MemWal::with_segment_bytes(SEG_BYTES),
+        fail_appends: AtomicBool::new(false),
+    });
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
+    let lo = seed(&sb, 2);
 
-        wal.fail_appends.store(true, Ordering::SeqCst);
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.write_page(0, &[7u8; PAGE_SIZE]).unwrap();
-        h.close().unwrap();
-        assert!(matches!(t.commit(), Err(SbError::Io(_))), "gc={gc}");
-        wal.fail_appends.store(false, Ordering::SeqCst);
+    wal.fail_appends.store(true, Ordering::SeqCst);
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.write_page(0, &[7u8; PAGE_SIZE]).unwrap();
+    h.close().unwrap();
+    assert!(matches!(t.commit(), Err(SbError::Io(_))));
+    wal.fail_appends.store(false, Ordering::SeqCst);
 
-        // The store is healthy again, the log is not: from here every
-        // backend write would be a write the log cannot vouch for.
-        backend.fail_after(0);
-        let log_before = wal.read_all().unwrap();
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let err = sb.create_lo(&t).unwrap_err();
-        assert!(
-            matches!(&err, SbError::Io(m) if m.contains("wal unavailable")),
-            "gc={gc}: {err}"
-        );
-        drop(t);
-        assert_eq!(backend.injected(), 0, "gc={gc}: a page was written");
-        assert_eq!(wal.read_all().unwrap(), log_before, "gc={gc}");
-        assert!(sb.locks_quiescent(), "gc={gc}");
-        backend.heal();
+    // The store is healthy again, the log is not: from here every
+    // backend write would be a write the log cannot vouch for.
+    backend.fail_after(0);
+    let log_before = wal.read_all().unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let err = sb.create_lo(&t).unwrap_err();
+    assert!(
+        matches!(&err, SbError::Io(m) if m.contains("wal unavailable")),
+        "{err}"
+    );
+    drop(t);
+    assert_eq!(backend.injected(), 0, "a page was written");
+    assert_eq!(wal.read_all().unwrap(), log_before);
+    assert!(sb.locks_quiescent());
+    backend.heal();
 
-        // A reopen replays the sound prefix and resets the log.
-        drop(sb);
-        let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        assert_eq!(h.read_page(0).unwrap()[0], 0, "gc={gc}");
-        drop(h);
-        drop(t);
-        seed(&sb2, 1);
-        sb2.space_info().unwrap();
-    }
+    // A reopen replays the sound prefix and resets the log.
+    drop(sb);
+    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    assert_eq!(h.read_page(0).unwrap()[0], 0);
+    drop(h);
+    drop(t);
+    seed(&sb2, 1);
+    sb2.space_info().unwrap();
 }

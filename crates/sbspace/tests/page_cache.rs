@@ -5,13 +5,10 @@
 use grt_sbspace::{IsolationLevel, LockMode, Sbspace, SbspaceOptions, PAGE_SIZE};
 
 #[test]
-fn drop_page_cache_keeps_no_force_commits() {
-    // group_commit: a commit leaves its pages committed-dirty in the
-    // pool; until a checkpoint the backend has never seen them.
-    let sb = Sbspace::mem(SbspaceOptions {
-        group_commit: true,
-        ..Default::default()
-    });
+fn drop_page_cache_keeps_commits_the_backend_has_not_seen() {
+    // A commit leaves its pages committed-dirty in the pool; until a
+    // checkpoint the backend has never seen them.
+    let sb = Sbspace::mem(SbspaceOptions::default());
     let txn = sb.begin(IsolationLevel::ReadCommitted);
     let lo = sb.create_lo(&txn).unwrap();
     let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();

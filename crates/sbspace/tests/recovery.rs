@@ -1,9 +1,9 @@
 //! Crash-recovery tests: a "crash" abandons an `Sbspace` without
 //! committing and reopens a new one over the same backend and log.
 //!
-//! Every scenario runs twice — forcing data pages at commit and with
-//! `group_commit` (no-force data pages). The log is forced the same way
-//! in both; what differs is where the committed data is at the crash.
+//! A commit forces the log and writes no data page, so at every crash
+//! below the committed data is in the log and, at most, in part on the
+//! backend.
 
 use grt_sbspace::wal::{MemWal, WalStore};
 use grt_sbspace::{
@@ -13,11 +13,10 @@ use grt_sbspace::{
 use std::sync::Arc;
 use std::time::Duration;
 
-fn opts(group_commit: bool) -> SbspaceOptions {
+fn opts() -> SbspaceOptions {
     SbspaceOptions {
         pool_pages: 64,
         lock_timeout: Duration::from_millis(200),
-        group_commit,
         ..Default::default()
     }
 }
@@ -26,223 +25,199 @@ fn shared() -> (Arc<MemBackend>, Arc<MemWal>) {
     (Arc::new(MemBackend::new()), Arc::new(MemWal::new()))
 }
 
-fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>, group_commit: bool) -> Sbspace {
-    Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts(group_commit)).expect("reopen")
-}
-
-/// Runs `body` with group commit off, then on, each over a fresh
-/// backend and log: the two modes take different paths to the same
-/// durability contract.
-fn both_modes(body: impl Fn(bool)) {
-    for group_commit in [false, true] {
-        body(group_commit);
-    }
+fn reopen(backend: &Arc<MemBackend>, wal: &Arc<MemWal>) -> Sbspace {
+    Sbspace::open_with(Arc::clone(backend), Arc::clone(wal), opts()).expect("reopen")
 }
 
 #[test]
 fn committed_data_survives_crash() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let txn = sb.begin(IsolationLevel::ReadCommitted);
-        let lo = sb.create_lo(&txn).unwrap();
-        let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
-        h.write_at(0, b"durable bytes").unwrap();
-        h.close().unwrap();
-        txn.commit().unwrap();
-        drop(sb); // crash (no checkpoint)
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&txn).unwrap();
+    let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    h.write_at(0, b"durable bytes").unwrap();
+    h.close().unwrap();
+    txn.commit().unwrap();
+    drop(sb); // crash (no checkpoint)
 
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
-        let mut buf = [0u8; 13];
-        h.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"durable bytes", "group_commit={gc}");
-    });
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    let mut buf = [0u8; 13];
+    h.read_at(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"durable bytes");
 }
 
 #[test]
 fn uncommitted_data_vanishes_after_crash() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        // One committed object as a baseline.
-        let t0 = sb.begin(IsolationLevel::ReadCommitted);
-        let base = sb.create_lo(&t0).unwrap();
-        let mut h = sb.open_lo(&t0, base, LockMode::Exclusive).unwrap();
-        h.write_at(0, b"base").unwrap();
-        h.close().unwrap();
-        t0.commit().unwrap();
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    // One committed object as a baseline.
+    let t0 = sb.begin(IsolationLevel::ReadCommitted);
+    let base = sb.create_lo(&t0).unwrap();
+    let mut h = sb.open_lo(&t0, base, LockMode::Exclusive).unwrap();
+    h.write_at(0, b"base").unwrap();
+    h.close().unwrap();
+    t0.commit().unwrap();
 
-        // A transaction that crashes mid-flight.
-        let t1 = sb.begin(IsolationLevel::ReadCommitted);
-        let doomed = sb.create_lo(&t1).unwrap();
-        let mut h = sb.open_lo(&t1, doomed, LockMode::Exclusive).unwrap();
-        h.write_at(0, &vec![7u8; 5 * PAGE_SIZE]).unwrap();
-        h.close().unwrap();
-        std::mem::forget(t1); // crash without abort
-        drop(sb);
+    // A transaction that crashes mid-flight.
+    let t1 = sb.begin(IsolationLevel::ReadCommitted);
+    let doomed = sb.create_lo(&t1).unwrap();
+    let mut h = sb.open_lo(&t1, doomed, LockMode::Exclusive).unwrap();
+    h.write_at(0, &vec![7u8; 5 * PAGE_SIZE]).unwrap();
+    h.close().unwrap();
+    std::mem::forget(t1); // crash without abort
+    drop(sb);
 
-        let sb2 = reopen(&backend, &wal, gc);
-        let t = sb2.begin(IsolationLevel::ReadCommitted);
-        // The committed object is intact.
-        let hb = sb2.open_lo(&t, base, LockMode::Shared).unwrap();
-        let mut buf = [0u8; 4];
-        hb.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"base", "group_commit={gc}");
-        // The uncommitted object never came to exist.
-        assert!(sb2.open_lo(&t, doomed, LockMode::Shared).is_err());
-    });
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    // The committed object is intact.
+    let hb = sb2.open_lo(&t, base, LockMode::Shared).unwrap();
+    let mut buf = [0u8; 4];
+    hb.read_at(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"base");
+    // The uncommitted object never came to exist.
+    assert!(sb2.open_lo(&t, doomed, LockMode::Shared).is_err());
 }
 
 #[test]
 fn crashed_allocations_are_reclaimed() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let t1 = sb.begin(IsolationLevel::ReadCommitted);
-        let doomed = sb.create_lo(&t1).unwrap();
-        let mut h = sb.open_lo(&t1, doomed, LockMode::Exclusive).unwrap();
-        for _ in 0..10 {
-            h.append_page(&[1u8; PAGE_SIZE]).unwrap();
-        }
-        h.close().unwrap();
-        // Allocation notes are queued, not forced: without a later force
-        // they would die with the process and the watermark would simply
-        // fall back. A bystander's commit makes them — and a header that
-        // counts their pages — durable, so recovery has to compensate.
-        let t0 = sb.begin(IsolationLevel::ReadCommitted);
-        sb.create_lo(&t0).unwrap();
-        t0.commit().unwrap();
-        std::mem::forget(t1);
-        drop(sb);
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let t1 = sb.begin(IsolationLevel::ReadCommitted);
+    let doomed = sb.create_lo(&t1).unwrap();
+    let mut h = sb.open_lo(&t1, doomed, LockMode::Exclusive).unwrap();
+    for _ in 0..10 {
+        h.append_page(&[1u8; PAGE_SIZE]).unwrap();
+    }
+    h.close().unwrap();
+    // Allocation notes are queued, not forced: without a later force
+    // they would die with the process and the watermark would simply
+    // fall back. A bystander's commit makes them — and a header that
+    // counts their pages — durable, so recovery has to compensate.
+    let t0 = sb.begin(IsolationLevel::ReadCommitted);
+    sb.create_lo(&t0).unwrap();
+    t0.commit().unwrap();
+    std::mem::forget(t1);
+    drop(sb);
 
-        // Recovery frees the leaked pages; a new object reuses them
-        // instead of extending the space.
-        let sb2 = reopen(&backend, &wal, gc);
-        let recovered = sb2.space_info().unwrap();
-        assert!(
-            recovered.free_pages >= 11,
-            "leaked pages not back on the free list: {recovered:?} (group_commit={gc})"
-        );
-        let t2 = sb2.begin(IsolationLevel::ReadCommitted);
-        let lo = sb2.create_lo(&t2).unwrap();
-        let mut h = sb2.open_lo(&t2, lo, LockMode::Exclusive).unwrap();
-        for _ in 0..10 {
-            h.append_page(&[2u8; PAGE_SIZE]).unwrap();
-        }
-        h.close().unwrap();
-        t2.commit().unwrap();
-        let after = sb2.space_info().unwrap();
-        assert_eq!(
-            after.total_pages, recovered.total_pages,
-            "allocation watermark grew instead of reusing freed pages (group_commit={gc})"
-        );
-    });
+    // Recovery frees the leaked pages; a new object reuses them
+    // instead of extending the space.
+    let sb2 = reopen(&backend, &wal);
+    let recovered = sb2.space_info().unwrap();
+    assert!(
+        recovered.free_pages >= 11,
+        "leaked pages not back on the free list: {recovered:?}"
+    );
+    let t2 = sb2.begin(IsolationLevel::ReadCommitted);
+    let lo = sb2.create_lo(&t2).unwrap();
+    let mut h = sb2.open_lo(&t2, lo, LockMode::Exclusive).unwrap();
+    for _ in 0..10 {
+        h.append_page(&[2u8; PAGE_SIZE]).unwrap();
+    }
+    h.close().unwrap();
+    t2.commit().unwrap();
+    let after = sb2.space_info().unwrap();
+    assert_eq!(
+        after.total_pages, recovered.total_pages,
+        "allocation watermark grew instead of reusing freed pages"
+    );
 }
 
 #[test]
 fn repeated_crashes_are_idempotent() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        for round in 0..5 {
-            let sb = reopen(&backend, &wal, gc);
-            let t = sb.begin(IsolationLevel::ReadCommitted);
-            let lo = sb.create_lo(&t).unwrap();
-            let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-            h.write_at(0, format!("round {round}").as_bytes()).unwrap();
-            h.close().unwrap();
-            if round % 2 == 0 {
-                t.commit().unwrap();
-            } else {
-                std::mem::forget(t);
-            }
-            drop(sb); // crash every round
-        }
-        // The space still opens and works.
-        let sb = reopen(&backend, &wal, gc);
+    let (backend, wal) = shared();
+    for round in 0..5 {
+        let sb = reopen(&backend, &wal);
         let t = sb.begin(IsolationLevel::ReadCommitted);
         let lo = sb.create_lo(&t).unwrap();
-        sb.verify_lo(&t, lo).unwrap();
-        t.commit().unwrap();
-    });
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.write_at(0, format!("round {round}").as_bytes()).unwrap();
+        h.close().unwrap();
+        if round % 2 == 0 {
+            t.commit().unwrap();
+        } else {
+            std::mem::forget(t);
+        }
+        drop(sb); // crash every round
+    }
+    // The space still opens and works.
+    let sb = reopen(&backend, &wal);
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    sb.verify_lo(&t, lo).unwrap();
+    t.commit().unwrap();
 }
 
 #[test]
 fn torn_log_tail_is_survivable() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let lo = sb.create_lo(&t).unwrap();
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.write_at(0, b"ok").unwrap();
-        h.close().unwrap();
-        t.commit().unwrap();
-        drop(sb);
-        // Corrupt the log by appending garbage (a torn record).
-        wal.append(&[0xde, 0xad, 0xbe]).unwrap();
-        let sb2 = reopen(&backend, &wal, gc);
-        let t2 = sb2.begin(IsolationLevel::ReadCommitted);
-        let h2 = sb2.open_lo(&t2, lo, LockMode::Shared).unwrap();
-        let mut buf = [0u8; 2];
-        h2.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"ok", "group_commit={gc}");
-    });
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.write_at(0, b"ok").unwrap();
+    h.close().unwrap();
+    t.commit().unwrap();
+    drop(sb);
+    // Corrupt the log by appending garbage (a torn record).
+    wal.append(&[0xde, 0xad, 0xbe]).unwrap();
+    let sb2 = reopen(&backend, &wal);
+    let t2 = sb2.begin(IsolationLevel::ReadCommitted);
+    let h2 = sb2.open_lo(&t2, lo, LockMode::Shared).unwrap();
+    let mut buf = [0u8; 2];
+    h2.read_at(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"ok");
 }
 
 #[test]
 fn io_fault_surfaces_as_error_not_corruption() {
-    both_modes(|gc| {
-        let backend = Arc::new(FaultInjector::new(MemBackend::new()));
-        let wal = Arc::new(MemWal::new());
-        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc)).unwrap();
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let lo = sb.create_lo(&t).unwrap();
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.write_at(0, b"before fault").unwrap();
-        backend.fail_after(0);
-        // Reads now fail loudly...
-        let mut sink = [0u8; 4096 * 4];
-        let got: Result<usize> = h.read_at(1 << 20, &mut sink);
-        let _ = got; // reads within cache may still succeed; force a miss below
-        let err = sb.open_lo(&t, lo, LockMode::Exclusive).err();
-        backend.heal();
-        // ...and after healing everything still works.
-        let mut buf = [0u8; 12];
-        h.read_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"before fault", "group_commit={gc}");
-        drop(err);
-    });
+    let backend = Arc::new(FaultInjector::new(MemBackend::new()));
+    let wal = Arc::new(MemWal::new());
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    h.write_at(0, b"before fault").unwrap();
+    backend.fail_after(0);
+    // Reads now fail loudly...
+    let mut sink = [0u8; 4096 * 4];
+    let got: Result<usize> = h.read_at(1 << 20, &mut sink);
+    let _ = got; // reads within cache may still succeed; force a miss below
+    let err = sb.open_lo(&t, lo, LockMode::Exclusive).err();
+    backend.heal();
+    // ...and after healing everything still works.
+    let mut buf = [0u8; 12];
+    h.read_at(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"before fault");
+    drop(err);
 }
 
 #[test]
 fn file_backed_space_recovers_across_process_style_reopen() {
-    for gc in [false, true] {
-        let dir =
-            std::env::temp_dir().join(format!("sbspace-recovery-{}-gc{gc}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let lo;
-        {
-            let sb = Sbspace::file(&dir, opts(gc)).unwrap();
-            let t = sb.begin(IsolationLevel::ReadCommitted);
-            lo = sb.create_lo(&t).unwrap();
-            let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-            h.write_at(0, b"on disk").unwrap();
-            h.close().unwrap();
-            t.commit().unwrap();
-            // No checkpoint: the log still holds the images.
-        }
-        {
-            let sb = Sbspace::file(&dir, opts(gc)).unwrap();
-            let t = sb.begin(IsolationLevel::ReadCommitted);
-            let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
-            let mut buf = [0u8; 7];
-            h.read_at(0, &mut buf).unwrap();
-            assert_eq!(&buf, b"on disk", "group_commit={gc}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+    let dir = std::env::temp_dir().join(format!("sbspace-recovery-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let lo;
+    {
+        let sb = Sbspace::file(&dir, opts()).unwrap();
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        lo = sb.create_lo(&t).unwrap();
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.write_at(0, b"on disk").unwrap();
+        h.close().unwrap();
+        t.commit().unwrap();
+        // No checkpoint: the log still holds the images.
     }
+    {
+        let sb = Sbspace::file(&dir, opts()).unwrap();
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+        let mut buf = [0u8; 7];
+        h.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"on disk");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
@@ -294,13 +269,13 @@ impl WalStore for TearingWal {
     }
 }
 
-/// A burst of committed transactions under group commit fully replays
-/// after a crash: no-force means the data pages may never have reached
-/// the backend, so every byte must come back from the shared log.
+/// A burst of committed transactions sharing log forces fully replays
+/// after a crash: the data pages may never have reached the backend, so
+/// every byte must come back from the shared log.
 #[test]
-fn group_commit_burst_fully_replays_after_crash() {
+fn commit_burst_fully_replays_after_crash() {
     let (backend, wal) = shared();
-    let sb = reopen(&backend, &wal, true);
+    let sb = reopen(&backend, &wal);
     let setup = sb.begin(IsolationLevel::ReadCommitted);
     let los: Vec<_> = (0..8).map(|_| sb.create_lo(&setup).unwrap()).collect();
     for &lo in &los {
@@ -326,7 +301,7 @@ fn group_commit_burst_fully_replays_after_crash() {
     });
     drop(sb); // crash: no checkpoint, data pages possibly never synced
 
-    let sb2 = reopen(&backend, &wal, true);
+    let sb2 = reopen(&backend, &wal);
     let t = sb2.begin(IsolationLevel::ReadCommitted);
     for (i, &lo) in los.iter().enumerate() {
         let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
@@ -342,32 +317,26 @@ fn group_commit_burst_fully_replays_after_crash() {
 /// on-disk inode and then reads exactly the recovered bytes.
 #[test]
 fn snapshot_after_reopen_seeds_from_inode() {
-    both_modes(|gc| {
-        let (backend, wal) = shared();
-        let sb = reopen(&backend, &wal, gc);
-        let txn = sb.begin(IsolationLevel::ReadCommitted);
-        let lo = sb.create_lo(&txn).unwrap();
-        let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
-        h.write_at(0, b"seeded bytes").unwrap();
-        h.close().unwrap();
-        txn.commit().unwrap();
-        drop(sb); // crash (no checkpoint)
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&txn).unwrap();
+    let mut h = sb.open_lo(&txn, lo, LockMode::Exclusive).unwrap();
+    h.write_at(0, b"seeded bytes").unwrap();
+    h.close().unwrap();
+    txn.commit().unwrap();
+    drop(sb); // crash (no checkpoint)
 
-        let sb2 = reopen(&backend, &wal, gc);
-        let snap = sb2.snapshot_for(&[lo]).unwrap();
-        let reader = snap.reader(lo).unwrap();
-        assert_eq!(
-            &reader.read_page(0).unwrap()[..12],
-            b"seeded bytes",
-            "group_commit={gc}"
-        );
-        drop(reader);
-        drop(snap);
-        assert_eq!(sb2.snapshots_open(), 0);
-        // A snapshot over a missing object errors (the engine's cue to
-        // fall back to the locked path).
-        assert!(sb2.snapshot_for(&[grt_sbspace::LoId(9999)]).is_err());
-    });
+    let sb2 = reopen(&backend, &wal);
+    let snap = sb2.snapshot_for(&[lo]).unwrap();
+    let reader = snap.reader(lo).unwrap();
+    assert_eq!(&reader.read_page(0).unwrap()[..12], b"seeded bytes");
+    drop(reader);
+    drop(snap);
+    assert_eq!(sb2.snapshots_open(), 0);
+    // A snapshot over a missing object errors (the engine's cue to
+    // fall back to the locked path).
+    assert!(sb2.snapshot_for(&[grt_sbspace::LoId(9999)]).is_err());
 }
 
 /// If the group leader's log write tears mid-batch, every transaction
@@ -377,7 +346,7 @@ fn snapshot_after_reopen_seeds_from_inode() {
 fn torn_group_batch_is_fully_absent_after_crash() {
     let backend = Arc::new(MemBackend::new());
     let wal = Arc::new(TearingWal::new());
-    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(true)).expect("open");
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).expect("open");
 
     // A committed baseline object that must survive everything below.
     let t0 = sb.begin(IsolationLevel::ReadCommitted);
@@ -428,7 +397,7 @@ fn torn_group_batch_is_fully_absent_after_crash() {
 
     // Atomicity: a transaction's payload survives recovery if and only
     // if its commit reported success.
-    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(true)).unwrap();
+    let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
     let t = sb2.begin(IsolationLevel::ReadCommitted);
     let hb = sb2.open_lo(&t, base, LockMode::Shared).unwrap();
     let mut buf = [0u8; 4];

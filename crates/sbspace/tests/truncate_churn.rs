@@ -35,11 +35,10 @@ impl Rng {
 const LOS: usize = 4;
 const PAGES_PER_LO: u32 = 24;
 
-fn opts(group_commit: bool, pool_pages: usize) -> SbspaceOptions {
+fn opts(pool_pages: usize) -> SbspaceOptions {
     SbspaceOptions {
         pool_pages,
         lock_timeout: Duration::from_secs(10),
-        group_commit,
         wal_segment_bytes: 16 * 1024,
         ..Default::default()
     }
@@ -113,21 +112,18 @@ fn crash_and_verify(
 }
 
 #[test]
-fn truncate_churn_crash_recovers_in_both_modes() {
-    for gc in [false, true] {
-        for pool in [32usize, 256] {
-            let backend = Arc::new(MemBackend::new());
-            let wal = Arc::new(MemWal::with_segment_bytes(16 * 1024));
-            let sb =
-                Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(gc, pool)).unwrap();
-            let los = seed(&sb);
-            let mut rng = Rng(0xdead_beef);
-            for round in 0..64 {
-                churn_round(&sb, &los, &mut rng, round);
-            }
-            drop(sb);
-            crash_and_verify(backend, wal, opts(gc, pool), &los);
+fn truncate_churn_crash_recovers_with_and_without_pool_pressure() {
+    for pool in [32usize, 256] {
+        let backend = Arc::new(MemBackend::new());
+        let wal = Arc::new(MemWal::with_segment_bytes(16 * 1024));
+        let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(pool)).unwrap();
+        let los = seed(&sb);
+        let mut rng = Rng(0xdead_beef);
+        for round in 0..64 {
+            churn_round(&sb, &los, &mut rng, round);
         }
+        drop(sb);
+        crash_and_verify(backend, wal, opts(pool), &los);
     }
 }
 
@@ -135,7 +131,7 @@ fn truncate_churn_crash_recovers_in_both_modes() {
 fn truncate_churn_with_checkpoints_crash_recovers() {
     let backend = Arc::new(MemBackend::new());
     let wal = Arc::new(MemWal::with_segment_bytes(16 * 1024));
-    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(true, 32)).unwrap();
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(32)).unwrap();
     let los = seed(&sb);
     let mut rng = Rng(0xfeed_face);
     for round in 0..200 {
@@ -149,7 +145,7 @@ fn truncate_churn_with_checkpoints_crash_recovers() {
         "churn this size must have recycled segments"
     );
     drop(sb);
-    crash_and_verify(backend, wal, opts(true, 32), &los);
+    crash_and_verify(backend, wal, opts(32), &los);
 }
 
 /// Checkpoints racing snapshot drops racing truncate/regrow churn: the
@@ -161,7 +157,7 @@ fn truncate_churn_with_checkpoints_crash_recovers() {
 fn concurrent_checkpoints_snapshots_and_churn_then_crash() {
     let backend = Arc::new(MemBackend::new());
     let wal = Arc::new(MemWal::with_segment_bytes(16 * 1024));
-    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(true, 64)).unwrap();
+    let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts(64)).unwrap();
     let los = seed(&sb);
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -195,5 +191,5 @@ fn concurrent_checkpoints_snapshots_and_churn_then_crash() {
     ckpt.join().unwrap();
     snaps.join().unwrap();
     drop(sb);
-    crash_and_verify(backend, wal, opts(true, 64), &los);
+    crash_and_verify(backend, wal, opts(64), &los);
 }

@@ -210,9 +210,6 @@ fn rollback_does_not_double_count_writes() {
 #[test]
 fn checkpoint_flush_fault_keeps_previous_checkpoint_authoritative() {
     let (db, backend, clock) = faulty_db_opts(SbspaceOptions {
-        // No-force commits leave committed-dirty frames for the
-        // checkpoint flush to write — the path the fault targets.
-        group_commit: true,
         wal_segment_bytes: 8 * 1024,
         ..Default::default()
     });
@@ -266,32 +263,18 @@ fn checkpoint_flush_fault_keeps_previous_checkpoint_authoritative() {
     assert_eq!(conn.exec("SELECT id FROM t").unwrap().rows.len(), 40);
 }
 
-/// Allocator metadata reaches the backend only after the force that
-/// covers it, so under no-force commits the first backend write of a
-/// commit is that drain — past the commit point. A fault there must
-/// come back as an error, leave no lock behind and lose nothing: the
-/// image stays staged for the next drain, and the log can replay it.
+/// A commit is one log force and no backend I/O: with every backend
+/// call set to fail, a commit on a pool that fits still succeeds and the
+/// injector is never reached. The checkpoint is what writes the data
+/// file, so the same fault fails the checkpoint — and only that: no lock
+/// is left behind, the healed retry succeeds, and a reopen reads the
+/// last committed write.
 #[test]
-fn metadata_drain_fault_is_an_error_not_a_leaked_lock() {
+fn commit_never_touches_the_backend() {
     let backend = Arc::new(FaultInjector::new(MemBackend::new()));
     let wal = Arc::new(MemWal::new());
-    let opts = SbspaceOptions {
-        group_commit: true,
-        ..Default::default()
-    };
+    let opts = SbspaceOptions::default();
     let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts.clone()).unwrap();
-    let write = |sb: &Sbspace, lo, fill: u8, fail: bool| {
-        let t = sb.begin(IsolationLevel::ReadCommitted);
-        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-        h.write_page(0, &[fill; PAGE_SIZE]).unwrap();
-        h.close().unwrap();
-        if fail {
-            backend.fail_after(0);
-        }
-        let res = t.commit();
-        backend.heal();
-        res
-    };
     let t = sb.begin(IsolationLevel::ReadCommitted);
     let lo = sb.create_lo(&t).unwrap();
     let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
@@ -299,18 +282,31 @@ fn metadata_drain_fault_is_an_error_not_a_leaked_lock() {
     h.close().unwrap();
     t.commit().unwrap();
 
-    let injected = backend.injected();
-    let err = write(&sb, lo, 2, true);
+    for fill in [2u8, 3] {
+        let t = sb.begin(IsolationLevel::ReadCommitted);
+        let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.write_page(0, &[fill; PAGE_SIZE]).unwrap();
+        h.close().unwrap();
+        backend.fail_after(0);
+        t.commit().expect("a commit does no backend I/O to fail");
+        assert_eq!(backend.injected(), 0, "the commit reached the backend");
+        backend.heal();
+    }
+    let info = sb.space_info().unwrap();
+
+    let base = sb.metrics().snapshot();
+    backend.fail_after(0);
+    let err = sb.checkpoint();
     assert!(
         matches!(err, Err(grt_sbspace::SbError::Io(_))),
-        "the drain fault must surface: {err:?}"
+        "the flush fault must surface: {err:?}"
     );
-    assert_eq!(backend.injected(), injected + 1);
-    assert!(sb.locks_quiescent(), "a failed drain leaked a lock");
-
-    // Committed all the same, and the next commit drains what is owed.
-    write(&sb, lo, 3, false).unwrap();
-    let info = sb.space_info().unwrap();
+    assert!(backend.injected() > 0);
+    backend.heal();
+    let d = sb.metrics().snapshot().since(&base);
+    assert_eq!(d.get("sbspace.checkpoint_failures"), 1);
+    assert!(sb.locks_quiescent(), "a failed checkpoint leaked a lock");
+    sb.checkpoint().unwrap();
 
     drop(sb);
     let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts).unwrap();

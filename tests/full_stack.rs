@@ -283,70 +283,62 @@ fn load_command_imports_time_extents() {
 /// The durability contract's price, asserted: an auto-commit DML
 /// statement on a file-backed space forces the log exactly once — the
 /// allocator and free-list records it generates ride that force — and
-/// forces the data file at most once (never, with no-force commits).
-/// A read-only statement forces nothing.
+/// never syncs the data file. Over a checkpointed pool that fits the
+/// table it does not write the data file either; otherwise its only
+/// page writes are the heap's and the index's inode, rewritten in place
+/// over committed bytes the backend had not seen. A read-only statement
+/// costs nothing.
 #[test]
 fn auto_commit_dml_forces_the_log_exactly_once() {
-    for group_commit in [false, true] {
-        let dir = std::env::temp_dir().join(format!(
-            "grt-one-force-{}-{group_commit}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let space = Sbspace::file(
-            &dir,
-            SbspaceOptions {
-                group_commit,
-                ..Default::default()
-            },
-        )
+    let dir = std::env::temp_dir().join(format!("grt-one-force-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let space = Sbspace::file(&dir, SbspaceOptions::default()).unwrap();
+    let clock = MockClock::new(Day(10_000));
+    let db = Database::with_space(space.clone(), Arc::new(clock.clone()));
+    install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
+    let conn = db.connect();
+    conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
         .unwrap();
-        let clock = MockClock::new(Day(10_000));
-        let db = Database::with_space(space.clone(), Arc::new(clock.clone()));
-        install_grtree_blade(&db, GrTreeAmOptions::default()).unwrap();
-        let conn = db.connect();
-        conn.exec("CREATE TABLE t (id integer, Time_Extent GRT_TimeExtent_t)")
+    conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
+        .unwrap();
+    let row = |i: i32| {
+        format!(
+            "{}, UC, {}, NOW",
+            date(Day(10_000 + i)),
+            date(Day(10_000 + i))
+        )
+    };
+    // Enough rows that a statement touches heap, tree and inodes.
+    for i in 0..200 {
+        clock.set(Day(10_000 + i));
+        conn.exec(&format!("INSERT INTO t VALUES ({i}, '{}')", row(i)))
             .unwrap();
-        conn.exec("CREATE INDEX tix ON t(Time_Extent grt_opclass) USING grtree_am")
-            .unwrap();
-        let row = |i: i32| {
-            format!(
-                "{}, UC, {}, NOW",
-                date(Day(10_000 + i)),
-                date(Day(10_000 + i))
-            )
-        };
-        // Enough rows that a statement touches heap, tree and inodes.
-        for i in 0..200 {
-            clock.set(Day(10_000 + i));
-            conn.exec(&format!("INSERT INTO t VALUES ({i}, '{}')", row(i)))
-                .unwrap();
-        }
-        let stats = space.stats();
-        let cost = |sql: String| {
-            let before = stats.snapshot();
-            conn.exec(&sql).unwrap();
-            let d = stats.snapshot().since(&before);
-            (d.wal_syncs, d.data_syncs)
-        };
-        let dml = [
-            format!("INSERT INTO t VALUES (1000, '{}')", row(199)),
-            format!("UPDATE t SET Time_Extent = '{}' WHERE id = 1000", row(198)),
-            "DELETE FROM t WHERE id = 1000".to_string(),
-        ];
-        for sql in dml {
-            let (wal, data) = cost(sql.clone());
-            assert_eq!(wal, 1, "group_commit={group_commit}: {sql}");
-            assert!(
-                data <= u64::from(!group_commit),
-                "group_commit={group_commit}: {data} data syncs for {sql}"
-            );
-        }
-        let read = cost("SELECT id FROM t WHERE id = 5".to_string());
-        assert_eq!(read, (0, 0), "group_commit={group_commit}: read-only");
-        drop(conn);
-        drop(db);
-        drop(space);
-        std::fs::remove_dir_all(&dir).ok();
     }
+    let stats = space.stats();
+    let cost = |sql: String| {
+        let before = stats.snapshot();
+        conn.exec(&sql).unwrap();
+        let d = stats.snapshot().since(&before);
+        (d.wal_syncs, d.data_syncs, d.physical_writes)
+    };
+    let dml = [
+        format!("INSERT INTO t VALUES (1000, '{}')", row(199)),
+        format!("UPDATE t SET Time_Extent = '{}' WHERE id = 1000", row(198)),
+        "DELETE FROM t WHERE id = 1000".to_string(),
+    ];
+    for sql in &dml {
+        space.checkpoint().unwrap();
+        assert_eq!(cost(sql.clone()), (1, 0, 0), "{sql}");
+    }
+    for sql in &dml {
+        let (wal, data, writes) = cost(sql.clone());
+        assert_eq!((wal, data), (1, 0), "{sql}");
+        assert!(writes <= 2, "{writes} page writes for {sql}");
+    }
+    let read = cost("SELECT id FROM t WHERE id = 5".to_string());
+    assert_eq!(read, (0, 0, 0), "read-only");
+    drop(conn);
+    drop(db);
+    drop(space);
+    std::fs::remove_dir_all(&dir).ok();
 }
