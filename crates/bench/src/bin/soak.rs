@@ -150,6 +150,7 @@ fn recover_dir(dir: &str) {
     let sb = Sbspace::file(path, opts(false)).unwrap();
     let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
     let txn = sb.begin(IsolationLevel::ReadCommitted);
+    let mut live = 0;
     for &id in &los {
         let h = sb.open_lo(&txn, id, LockMode::Shared).unwrap();
         assert!(
@@ -159,9 +160,15 @@ fn recover_dir(dir: &str) {
         for p in 0..h.page_count().min(4) {
             h.read_page(p).unwrap();
         }
+        live += 1 + h.page_count(); // the inode and its direct pages
     }
     drop(txn);
-    sb.space_info().unwrap(); // free-list walk: structural integrity
+    let info = sb.space_info().unwrap();
+    assert_eq!(
+        info.total_pages,
+        1 + live + info.free_pages,
+        "a page is neither live nor free, or both: {info:?}"
+    );
     let live = sb.wal_live_bytes().unwrap();
     println!(
         "{{\"recover\": {{\"recovery_ms\": {recovery_ms:.2}, \"wal_live_bytes\": {live}, \

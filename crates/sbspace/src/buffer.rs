@@ -541,42 +541,14 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Declares page `pid`'s committed bytes dead (the page was freed,
-    /// or a free page is being handed out again): if its frame is
-    /// committed-dirty there is nothing left worth flushing, and the
-    /// next owner's [`BufferPool::write_txn`] need not preserve them.
+    /// Declares page `pid`'s committed bytes dead (the page was freed):
+    /// if its frame is committed-dirty there is nothing left worth
+    /// flushing, and the next owner's [`BufferPool::write_txn`] need not
+    /// preserve them.
     pub fn forget_committed(&self, pid: PageId) {
         let mut shard = self.shards[self.shard_idx(pid)].lock();
         if let Some(frame) = shard.frames.get_mut(&pid.0) {
             frame.committed_dirty = false;
-        }
-    }
-
-    /// Makes `data` the committed bytes of page `pid` without writing
-    /// them: the frame becomes committed-dirty, for the checkpoint or
-    /// eviction to write. WAL-before-data is the caller's to keep — the
-    /// page's redo image must already be **durable** in the log. Never
-    /// waits: a frame a flush is writing keeps its mark, and the flush
-    /// sees on landing that the bytes moved on.
-    pub fn install_committed(&self, pid: PageId, data: &[u8; PAGE_SIZE]) {
-        IoStats::bump(&self.stats.logical_writes);
-        let mut shard = self.shards[self.shard_idx(pid)].lock();
-        let inserted = !shard.frames.contains_key(&pid.0);
-        let frame = shard
-            .frames
-            .entry(pid.0)
-            .or_insert_with(|| Frame::clean(Arc::new([0u8; PAGE_SIZE])));
-        debug_assert!(
-            frame.dirty_owner.is_none(),
-            "metadata page {pid:?} is txn-dirty"
-        );
-        // Copy-on-write: pinned guards, and a flush in flight, keep theirs.
-        Arc::make_mut(&mut frame.data).copy_from_slice(data);
-        frame.committed_dirty = true;
-        frame.referenced = true;
-        if inserted {
-            shard.clock.push(pid.0);
-            self.evict_to_capacity(&mut shard);
         }
     }
 
@@ -747,6 +719,13 @@ mod tests {
         )
     }
 
+    /// Makes `data` the committed, not yet written bytes of page `pid`.
+    fn commit_page(p: &BufferPool, pid: u32, data: &[u8]) {
+        p.write_txn(TxnId(u64::MAX), PageId(pid), &page_from_slice(data))
+            .unwrap();
+        p.mark_committed(TxnId(u64::MAX));
+    }
+
     #[test]
     fn txn_writes_invisible_to_backend_until_flush() {
         let p = pool(8, 2);
@@ -775,6 +754,7 @@ mod tests {
         assert_eq!(stats.snapshot().physical_writes, 0, "commit wrote a page");
         assert_eq!(p.flush_committed().unwrap(), 1);
         assert_eq!(p.committed_dirty_count(), 0);
+        assert_eq!(stats.snapshot().physical_writes, 1);
         p.invalidate();
         let mut out = zeroed_page();
         p.read(PageId(3), &mut out).unwrap();
@@ -809,26 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn installed_image_is_served_at_once_and_written_by_the_flush() {
-        let stats = IoStats::new_shared();
-        let p = BufferPool::new(Box::new(MemBackend::new()), 8, 2, Arc::clone(&stats));
-        p.install_committed(PageId(9), &page_from_slice(b"meta"));
-        assert!(!p.any_dirty());
-        let mut out = zeroed_page();
-        p.read(PageId(9), &mut out).unwrap();
-        assert_eq!(&out[..4], b"meta");
-        assert_eq!(stats.snapshot().physical_writes, 0);
-        assert_eq!(p.flush_committed().unwrap(), 1);
-        p.invalidate();
-        p.read(PageId(9), &mut out).unwrap();
-        assert_eq!(&out[..4], b"meta");
-        assert_eq!(stats.snapshot().physical_writes, 1);
-    }
-
-    #[test]
     fn pinned_read_is_zero_copy_and_snapshot_isolated() {
         let p = pool(8, 2);
-        p.install_committed(PageId(4), &page_from_slice(b"before"));
+        commit_page(&p, 4, b"before");
         let g = p.read_pinned(PageId(4)).unwrap();
         assert_eq!(&g[..6], b"before");
         assert_eq!(p.outstanding_pins(), 1);
@@ -849,7 +812,7 @@ mod tests {
     fn pinned_pages_survive_eviction_pressure() {
         let stats = IoStats::new_shared();
         let p = BufferPool::new(Box::new(MemBackend::new()), 2, 1, Arc::clone(&stats));
-        p.install_committed(PageId(0), &page_from_slice(b"pinned"));
+        commit_page(&p, 0, b"pinned");
         let guard = p.read_pinned(PageId(0)).unwrap();
         let mut out = zeroed_page();
         for pid in 1..20 {
@@ -970,7 +933,7 @@ mod tests {
     fn failed_flush_keeps_frames_dirty_and_unmarked() {
         let inj = Arc::new(FaultInjector::new(MemBackend::new()));
         let p = BufferPool::new(Box::new(Arc::clone(&inj)), 8, 2, IoStats::new_shared());
-        p.install_committed(PageId(1), &page_from_slice(b"v1"));
+        commit_page(&p, 1, b"v1");
         inj.fail_after(0);
         assert!(p.flush_committed().is_err());
         inj.heal();
@@ -988,7 +951,7 @@ mod tests {
     #[test]
     fn guard_outliving_pool_trips_assertion() {
         let p = pool(4, 2);
-        p.install_committed(PageId(1), &page_from_slice(b"x"));
+        commit_page(&p, 1, b"x");
         let guard = p.read_pinned(PageId(1)).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(p)));
         assert!(
@@ -1002,7 +965,7 @@ mod tests {
     fn concurrent_readers_on_distinct_shards() {
         let p = Arc::new(pool(64, 8));
         for pid in 0..8 {
-            p.install_committed(PageId(pid), &page_from_slice(&[b'a' + pid as u8]));
+            commit_page(&p, pid, &[b'a' + pid as u8]);
         }
         let barrier = Arc::new(std::sync::Barrier::new(8));
         let handles: Vec<_> = (0..8u32)
@@ -1218,21 +1181,6 @@ mod tests {
         pool.flush_committed().unwrap();
         backend.read_page(PageId(0), &mut out).unwrap();
         assert_eq!(&out[..want.len()], want, "on the backend");
-    }
-
-    #[test]
-    fn flush_in_flight_cannot_bury_a_freed_pages_installed_image() {
-        // (a) The collected page is freed, its free-list image is
-        // installed, and the pool comes under pressure — all before the
-        // flusher's older bytes land.
-        let f = BlockedFlush::start();
-        f.pool.forget_committed(PageId(0));
-        f.pool
-            .install_committed(PageId(0), &page_from_slice(b"free"));
-        pressure(&f.pool);
-        let (pool, backend) = f.land();
-        pressure(&pool);
-        expect_page0(&pool, &backend, b"free");
     }
 
     #[test]

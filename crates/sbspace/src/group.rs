@@ -1,25 +1,25 @@
 //! The log writer: the one path by which bytes reach the WAL.
 //!
-//! Every record — commit batches, allocator and free-list metadata,
-//! `Abort`, `Checkpoint` — enters the log through this queue, in one of
-//! two ways:
+//! Every record — commit batches, the allocator's `AllocNote`s and
+//! `FreeNote`s, `Abort`, `Checkpoint`, the tail recovery writes —
+//! enters the log through this queue, in one of two ways:
 //!
 //! * [`LogWriter::append`] queues the bytes and returns at once. The
-//!   record has a place in the log order (its sequence number) but is
-//!   not durable: it is written and synced by the **next force that
-//!   follows it**. Metadata records take this path, so allocating or
-//!   freeing a page costs no log I/O of its own.
+//!   record has a place in the log order but is not durable: it is
+//!   written and synced by the **next force that follows it**. The
+//!   allocator's notes take this path, so allocating or freeing a page
+//!   costs no log I/O of its own; so does a `Checkpoint` record, which
+//!   must be queued under the allocator's lock and is forced outside it.
 //! * [`LogWriter::force`] queues the bytes and returns once they — and
-//!   therefore everything queued before them — are durable. Commit,
-//!   abort and checkpoint records take this path.
+//!   therefore everything queued before them — are durable. Commit and
+//!   abort records take this path; a force of no bytes is a barrier.
 //!
 //! The first forcer to find no leader becomes the leader: it takes the
 //! whole queue (at most one forced entry per session in a force),
-//! writes it with one `WalStore::append`, issues a single `sync`,
-//! advances `durable_seq`, and wakes the forcers whose entries rode
-//! along. Under a burst of `k` commits this collapses `k` WAL syncs
-//! into a handful, and an auto-commit statement with nobody to share
-//! with performs exactly one.
+//! writes it with one `WalStore::append`, issues a single `sync`, and
+//! wakes the forcers whose entries rode along. Under a burst of `k`
+//! commits this collapses `k` WAL syncs into a handful, and an
+//! auto-commit statement with nobody to share with performs exactly one.
 //!
 //! Ordering is sound without extra coordination because sbspace holds
 //! LO-level two-phase locks until after commit: two conflicting
@@ -34,7 +34,7 @@
 //! stranded beyond the torn region where recovery's stream decoder
 //! cannot reach them. Every entry not yet durable fails, and so does
 //! every later `append` and `force`, until the space is reopened
-//! (which replays and resets the log).
+//! (which replays the log and trims the torn tail).
 
 use crate::stats::IoStats;
 use crate::wal::WalStore;
@@ -106,11 +106,6 @@ impl LogWriter {
         self.wal.as_ref()
     }
 
-    /// The highest sequence number known durable.
-    pub fn durable_seq(&self) -> u64 {
-        self.state.lock().durable_seq
-    }
-
     fn unavailable(msg: &str) -> SbError {
         SbError::Io(format!("wal unavailable: {msg}"))
     }
@@ -126,11 +121,9 @@ impl LogWriter {
     }
 
     /// Gives `bytes` their place in the log without making them
-    /// durable; the next force that follows carries them. Returns the
-    /// entry's sequence number — compare with [`LogWriter::durable_seq`]
-    /// to learn when it has reached the disk.
-    pub fn append(&self, bytes: Vec<u8>) -> Result<u64> {
-        Self::enqueue(&mut self.state.lock(), bytes, false)
+    /// durable; the next force that follows carries them.
+    pub fn append(&self, bytes: Vec<u8>) -> Result<()> {
+        Self::enqueue(&mut self.state.lock(), bytes, false).map(drop)
     }
 
     /// Makes `bytes`, and everything queued before them, durable,
@@ -227,7 +220,7 @@ mod tests {
             h.join().unwrap();
         }
         // All 16 commit records are durable...
-        let records = WalRecord::decode_stream(&wal.read_all().unwrap());
+        let (records, _) = WalRecord::decode_segment(&wal.read_all().unwrap());
         assert_eq!(records.len(), 16);
         // ...in no more syncs than committers.
         let syncs = stats.snapshot().wal_syncs;
@@ -238,24 +231,27 @@ mod tests {
     fn appends_ride_the_next_force_in_order() {
         let wal = Arc::new(MemWal::new());
         let (w, stats) = writer(Arc::clone(&wal));
-        let a = w.append(commit(1)).unwrap();
-        let b = w.append(commit(2)).unwrap();
-        assert!(a < b);
+        w.append(commit(1)).unwrap();
+        w.append(commit(2)).unwrap();
         // Queued, not written: no I/O yet and nothing durable.
         assert!(wal.read_all().unwrap().is_empty());
-        assert_eq!(w.durable_seq(), 0);
         assert_eq!(stats.snapshot().wal_syncs, 0);
         w.force(commit(3)).unwrap();
-        let records = WalRecord::decode_stream(&wal.read_all().unwrap());
+        let (records, _) = WalRecord::decode_segment(&wal.read_all().unwrap());
         assert_eq!(
             records,
             (1..=3)
                 .map(|i| WalRecord::Commit { txn: TxnId(i) })
                 .collect::<Vec<_>>()
         );
-        assert!(w.durable_seq() > b);
         assert_eq!(stats.snapshot().wal_syncs, 1);
         assert_eq!(w.meta_deferred.get(), 2);
+        // A force of nothing is a barrier: one more sync, no record.
+        w.append(commit(4)).unwrap();
+        w.force(Vec::new()).unwrap();
+        let (records, _) = WalRecord::decode_segment(&wal.read_all().unwrap());
+        assert_eq!(records.len(), 4);
+        assert_eq!(stats.snapshot().wal_syncs, 2);
     }
 
     /// Fails appends while `broken` is set.
@@ -276,7 +272,7 @@ mod tests {
         fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
             self.inner.read_segment(seg)
         }
-        fn truncate(&self) -> Result<()> {
+        fn trim(&self, _len: u64) -> Result<()> {
             Ok(())
         }
     }
@@ -294,7 +290,7 @@ mod tests {
     fn failure_poisons_later_appends_and_forces() {
         let (wal, broken) = flaky();
         let (w, _) = writer(wal);
-        let queued = w.append(commit(0)).unwrap();
+        w.append(commit(0)).unwrap();
         let first = w.force(commit(1));
         assert!(matches!(first, Err(SbError::Io(_))));
         // The log tail is suspect: even over a healed store nothing may
@@ -304,9 +300,8 @@ mod tests {
         assert!(matches!(later, Err(SbError::Io(m)) if m.contains("wal unavailable")));
         let unforced = w.append(commit(3));
         assert!(matches!(unforced, Err(SbError::Io(m)) if m.contains("wal unavailable")));
-        assert!(w.store().read_segment(0).unwrap().is_empty());
         assert!(
-            w.durable_seq() < queued,
+            w.store().read_segment(0).unwrap().is_empty(),
             "a failed flush makes nothing durable"
         );
     }

@@ -16,12 +16,12 @@
 //!   crate's benchmarks make measurable;
 //! * crash safety via a **write-ahead log**: data-page writes are
 //!   buffered (no-steal) and forced at commit after their redo images
-//!   reach the log; space-allocation metadata is logged separately with
+//!   reach the log; the allocator's state lives in memory and in the
+//!   log only (notes of what was allocated and freed, and a copy of the
+//!   state in each checkpoint record — no page of the data file), with
 //!   per-transaction compensation so an abort or crash frees what an
-//!   unfinished transaction allocated. Metadata records are queued in
-//!   the log and made durable by the committing transaction's one
-//!   force, and metadata pages follow the log to the backend, never
-//!   lead it.
+//!   unfinished transaction allocated. The notes are queued in the log
+//!   and made durable by the committing transaction's one force.
 //!
 //! The store runs over an in-memory backend (for tests and benchmarks)
 //! or a file backend (for recovery tests), with optional fault

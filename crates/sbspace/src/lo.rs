@@ -1,11 +1,13 @@
-//! On-disk layout of smart large objects: header, inode, indirect, and
-//! free pages.
+//! On-disk layout of smart large objects: header, inode and indirect
+//! pages.
 //!
 //! A large object is identified by the page number of its *inode* page
 //! ([`LoId`]). The inode records the byte size and the page table of the
 //! object: up to [`DIRECT_CAP`] direct entries inline, then a chain of
-//! indirect pages. The space header (page 0) holds the free-page list
-//! head and allocation watermark.
+//! indirect pages. The space header (page 0) only says what the file
+//! is: which pages are free and how far the file extends is the
+//! allocator's state, which lives in the log (`wal.rs`), not here. A
+//! free page has no format — its bytes are whatever its last owner left.
 
 use crate::page::{get_u32, get_u64, put_u32, put_u64, zeroed_page, PageBuf, NO_PAGE, PAGE_SIZE};
 use crate::{Result, SbError};
@@ -23,62 +25,41 @@ impl std::fmt::Display for LoId {
 const MAGIC_HEADER: &[u8; 4] = b"SBSP";
 const MAGIC_INODE: &[u8; 4] = b"INOD";
 const MAGIC_INDIRECT: &[u8; 4] = b"INDR";
-const MAGIC_FREE: &[u8; 4] = b"FREE";
 
 /// Direct page-table entries held in the inode page itself.
 pub const DIRECT_CAP: usize = (PAGE_SIZE - 20) / 4;
 /// Page-table entries per indirect page.
 pub const INDIRECT_CAP: usize = (PAGE_SIZE - 8) / 4;
 
-/// Decoded space header (page 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Header {
-    /// Head of the free-page chain, or `NO_PAGE`.
-    pub free_head: u32,
-    /// Allocation watermark: pages `1..total_pages` have been handed out
-    /// at some point.
-    pub total_pages: u32,
-    /// Number of live large objects.
-    pub lo_count: u32,
+/// Format version: 2 since the allocator left the data file (version
+/// 1 kept a free-list head, a watermark and free-page chains in it).
+const VERSION: u32 = 2;
+
+/// The space header (page 0) of a new space: a magic and a format
+/// version. Written once, when the space is created, and never again.
+pub fn header_page() -> PageBuf {
+    let mut p = zeroed_page();
+    p[0..4].copy_from_slice(MAGIC_HEADER);
+    put_u32(&mut p[..], 4, VERSION);
+    p
 }
 
-impl Header {
-    /// A fresh header for an empty space.
-    pub fn fresh() -> Header {
-        Header {
-            free_head: NO_PAGE,
-            total_pages: 1, // page 0 is the header itself
-            lo_count: 0,
-        }
+/// Verifies a header page's magic and version.
+pub fn check_header(p: &[u8; PAGE_SIZE]) -> Result<()> {
+    if &p[0..4] != MAGIC_HEADER {
+        return Err(SbError::Corrupt("bad sbspace header magic".into()));
     }
+    match get_u32(&p[..], 4) {
+        VERSION => Ok(()),
+        v => Err(SbError::Corrupt(format!(
+            "sbspace format version {v}, this build reads {VERSION}"
+        ))),
+    }
+}
 
-    /// Encodes into a page image.
-    pub fn encode(&self) -> PageBuf {
-        let mut p = zeroed_page();
-        p[0..4].copy_from_slice(MAGIC_HEADER);
-        put_u32(&mut p[..], 4, 1); // version
-        put_u32(&mut p[..], 8, self.free_head);
-        put_u32(&mut p[..], 12, self.total_pages);
-        put_u32(&mut p[..], 16, self.lo_count);
-        p
-    }
-
-    /// Decodes a header page, verifying the magic.
-    pub fn decode(p: &[u8; PAGE_SIZE]) -> Result<Header> {
-        if &p[0..4] != MAGIC_HEADER {
-            return Err(SbError::Corrupt("bad sbspace header magic".into()));
-        }
-        Ok(Header {
-            free_head: get_u32(&p[..], 8),
-            total_pages: get_u32(&p[..], 12),
-            lo_count: get_u32(&p[..], 16),
-        })
-    }
-
-    /// True when the page is all zeroes (an uninitialised space).
-    pub fn is_blank(p: &[u8; PAGE_SIZE]) -> bool {
-        p.iter().all(|&b| b == 0)
-    }
+/// True when the page is all zeroes (page 0 of an uninitialised space).
+pub fn is_blank(p: &[u8; PAGE_SIZE]) -> bool {
+    p.iter().all(|&b| b == 0)
 }
 
 /// Decoded in-memory form of a large object's metadata.
@@ -203,22 +184,6 @@ impl Inode {
     }
 }
 
-/// Encodes a free-list page pointing at `next`.
-pub fn encode_free_page(next: u32) -> PageBuf {
-    let mut p = zeroed_page();
-    p[0..4].copy_from_slice(MAGIC_FREE);
-    put_u32(&mut p[..], 4, next);
-    p
-}
-
-/// Decodes the `next` pointer of a free-list page.
-pub fn decode_free_next(p: &[u8; PAGE_SIZE]) -> Result<u32> {
-    if &p[0..4] != MAGIC_FREE {
-        return Err(SbError::Corrupt("bad free-page magic".into()));
-    }
-    Ok(get_u32(&p[..], 4))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,23 +235,15 @@ mod tests {
     }
 
     #[test]
-    fn header_roundtrip() {
-        let h = Header {
-            free_head: 42,
-            total_pages: 99,
-            lo_count: 3,
-        };
-        assert_eq!(Header::decode(&h.encode()).unwrap(), h);
+    fn header_is_checked_by_magic_and_version() {
+        let mut p = header_page();
+        check_header(&p).unwrap();
+        assert!(!is_blank(&p));
+        put_u32(&mut p[..], 4, 1);
+        assert!(matches!(check_header(&p), Err(SbError::Corrupt(m)) if m.contains("version 1")));
         let blank = zeroed_page();
-        assert!(Header::is_blank(&blank));
-        assert!(Header::decode(&blank).is_err());
-    }
-
-    #[test]
-    fn free_page_roundtrip() {
-        let p = encode_free_page(17);
-        assert_eq!(decode_free_next(&p).unwrap(), 17);
-        assert!(decode_free_next(&zeroed_page()).is_err());
+        assert!(is_blank(&blank));
+        assert!(check_header(&blank).is_err());
     }
 
     #[test]

@@ -5,24 +5,30 @@
 //! (the paper's `Create()`, `Drop()`, `Open()`, `Close()`, `Read()`,
 //! `Write()` functions): create/open/drop large objects under automatic
 //! LO-level two-phase locking, read/write them by page or by byte
-//! range, and commit or abort atomically. Opening a space replays the
-//! write-ahead log: metadata images unconditionally, data images of
-//! committed transactions, and compensation (freeing) of pages
-//! allocated by transactions that never finished.
+//! range, and commit or abort atomically.
+//!
+//! The allocator — which pages are free, how far the file extends —
+//! is `MetaState`: it lives in memory and in the log (`AllocNote`,
+//! `FreeNote`, and the state a `Checkpoint` record carries), never in a
+//! page of the data file. Opening a space replays the write-ahead log:
+//! data images of committed transactions, the allocator's notes behind
+//! the last checkpoint record, and compensation (freeing) of pages
+//! allocated by transactions that never finished — and ends, as a
+//! checkpoint does, by logging the state it arrived at.
 
 use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::buffer::{BufferPool, PageGuard};
 use crate::group::LogWriter;
-use crate::lo::{decode_free_next, encode_free_page, Header, Inode, LoId};
+use crate::lo::{self, Inode, LoId};
 use crate::lock::{IsolationLevel, LockManager, LockMode};
-use crate::page::{PageBuf, PageId, NO_PAGE, PAGE_SIZE};
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::IoStats;
 use crate::txn::{TxnEnd, TxnId, TxnState};
 use crate::wal::{FileWal, MemWal, WalRecord, WalStore};
 use crate::{Result, SbError};
 use grt_metrics::{Counter, Gauge, Metrics};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,10 +93,8 @@ impl Default for SbspaceOptions {
 pub struct SpaceInfo {
     /// Allocation watermark (pages ever handed out, header included).
     pub total_pages: u32,
-    /// Pages currently on the free list.
+    /// Pages currently free.
     pub free_pages: u32,
-    /// Live large objects (advisory).
-    pub lo_count: u32,
 }
 
 type EndCallback = Box<dyn Fn(TxnId, TxnEnd) + Send + Sync>;
@@ -119,22 +123,77 @@ struct PublishedState {
     retired: VecDeque<(u64, Vec<u32>)>,
 }
 
-/// The allocator's state, guarded by [`SpaceInner::meta`].
+/// The allocator's state, guarded by [`SpaceInner::meta`]: the only
+/// copy while the space is open. The log holds its history
+/// (`AllocNote`, `FreeNote`) and, in each `Checkpoint` record, a copy as
+/// of that record's place in the log; the data file holds none of it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct MetaState {
-    /// The decoded header (page 0). Authoritative while the space is
-    /// open: the backend copy trails it by design.
-    header: Header,
-    /// `header` has changed since its image was last logged.
-    header_dirty: bool,
-    /// Metadata page images that are in the log but not yet on the
-    /// backend, keyed by page, each tagged with its log sequence
-    /// number. WAL-before-data: an image may enter the pool, whose
-    /// frames eviction or a checkpoint may write at any time, only once
-    /// the log is durable past its record
-    /// ([`SpaceInner::drain_meta`]). Until then — and for a free page
-    /// that is reallocated first, for good — this map is the only
-    /// current copy, so free-list reads consult it before the pool.
-    staged: HashMap<u32, (u64, PageBuf)>,
+    /// Allocation watermark: pages `1..total_pages` have been handed
+    /// out at some point (page 0 is the header).
+    total_pages: u32,
+    /// Free pages, last freed on top: allocation pops, so a page just
+    /// freed is the next one reused.
+    free: Vec<u32>,
+    /// Membership in `free`.
+    is_free: HashSet<u32>,
+}
+
+impl MetaState {
+    /// The allocator of a space with nothing in it.
+    fn fresh() -> MetaState {
+        MetaState::restore(1, Vec::new())
+    }
+
+    /// The allocator a `Checkpoint` record describes.
+    fn restore(total_pages: u32, free: Vec<u32>) -> MetaState {
+        MetaState {
+            total_pages,
+            is_free: free.iter().copied().collect(),
+            free,
+        }
+    }
+
+    /// The pages the next [`MetaState::take`] of `n` will hand out, top
+    /// of the free stack first, then fresh ones past the watermark.
+    fn peek(&self, n: usize) -> Vec<u32> {
+        let reused = self.free.iter().rev().take(n).copied();
+        reused.chain(self.total_pages..).take(n).collect()
+    }
+
+    /// Hands out `n` pages: exactly those [`MetaState::peek`] named.
+    fn take(&mut self, n: usize) -> Vec<u32> {
+        let got = self.peek(n);
+        let reused = n.min(self.free.len());
+        self.free.truncate(self.free.len() - reused);
+        for pid in &got[..reused] {
+            self.is_free.remove(pid);
+        }
+        self.total_pages += (n - reused) as u32;
+        got
+    }
+
+    /// Puts `pid` on top of the free stack. Idempotent, and refuses the
+    /// header page and anything past the watermark: recovery gives back
+    /// every page some record says is owed, whether or not an earlier
+    /// record already did. Returns whether the page was pushed.
+    fn give(&mut self, pid: u32) -> bool {
+        let ok = pid != 0 && pid < self.total_pages && self.is_free.insert(pid);
+        if ok {
+            self.free.push(pid);
+        }
+        ok
+    }
+
+    /// Replays an `AllocNote` for `pid`: off the free stack, wherever
+    /// in it the page sits, or past the watermark, which moves.
+    fn claim(&mut self, pid: u32) {
+        if self.is_free.remove(&pid) {
+            let at = self.free.iter().rposition(|&p| p == pid);
+            self.free.remove(at.expect("member of the free set"));
+        }
+        self.total_pages = self.total_pages.max(pid.saturating_add(1));
+    }
 }
 
 pub(crate) struct SpaceInner {
@@ -148,8 +207,9 @@ pub(crate) struct SpaceInner {
     /// `sbspace.*` names and is shared upward so higher layers (ids,
     /// the tree access methods) register their counters alongside.
     metrics: Arc<Metrics>,
-    /// Serialises header/free-list operations. Lock order: `meta`
-    /// before the log writer's queue.
+    /// The allocator. A record that changes it, or copies it, is
+    /// appended to the log under this lock, so log order is allocation
+    /// order. Lock order: `meta` before the log writer's queue.
     meta: Mutex<MetaState>,
     txns: Mutex<HashMap<u64, TxnState>>,
     next_txn: AtomicU64,
@@ -223,8 +283,8 @@ pub struct LoHandle {
 }
 
 impl Sbspace {
-    /// Opens a space over arbitrary backend and log, running recovery
-    /// and initialising a fresh header when the store is blank.
+    /// Opens a space over arbitrary backend and log: writes the header
+    /// page when the store is blank, then runs recovery.
     pub fn open_with(
         backend: impl Backend + 'static,
         wal: impl WalStore + 'static,
@@ -239,18 +299,16 @@ impl Sbspace {
             opts.pool_shards,
             Arc::clone(&stats),
         );
-        Self::recover(&pool, &wal)?;
-        // Initialise the header if the space is brand new.
+        // Page 0 is written here, when the space is created, and by
+        // nothing else.
         let mut page0 = crate::page::zeroed_page();
         pool.recovery_read(PageId(0), &mut page0)?;
-        let header = if Header::is_blank(&page0) {
-            pool.recovery_write(PageId(0), &Header::fresh().encode())?;
+        if lo::is_blank(&page0) {
+            pool.recovery_write(PageId(0), &lo::header_page())?;
             pool.sync_backend()?;
-            Header::fresh()
         } else {
-            Header::decode(&page0)?
-        };
-        pool.invalidate();
+            lo::check_header(&page0)?;
+        }
         let snapshot_reads = metrics.counter("sbspace.snapshot_reads");
         let snapshots_open = metrics.gauge("sbspace.snapshots_open");
         let page_tables_retired = metrics.counter("sbspace.page_tables_retired");
@@ -265,11 +323,7 @@ impl Sbspace {
                 lm: LockManager::new(opts.lock_timeout, Arc::clone(&stats)),
                 stats,
                 metrics,
-                meta: Mutex::new(MetaState {
-                    header,
-                    header_dirty: false,
-                    staged: HashMap::new(),
-                }),
+                meta: Mutex::new(MetaState::fresh()),
                 txns: Mutex::new(HashMap::new()),
                 next_txn: AtomicU64::new(1),
                 callbacks: Mutex::new(Vec::new()),
@@ -292,6 +346,7 @@ impl Sbspace {
                 ckpt_thread: Mutex::new(None),
             }),
         };
+        space.inner.recover()?;
         if let Some(interval) = opts.checkpoint_interval {
             space.spawn_checkpointer(interval);
         }
@@ -348,126 +403,6 @@ impl Sbspace {
             })
             .expect("spawn checkpointer");
         *self.inner.ckpt_thread.lock() = Some(handle);
-    }
-
-    /// Log replay, streamed one segment at a time so recovery memory is
-    /// O(segment), not O(log): metadata images always, data images of
-    /// committed transactions, checkpoint retire carry-overs, then
-    /// compensation for unfinished allocations.
-    ///
-    /// A torn tail — an undecodable suffix — is a legal crash artefact
-    /// only in the youngest segment; older segments were sealed by a
-    /// roll and must decode cleanly, so an unclean tail there is real
-    /// corruption and recovery refuses to guess past it.
-    fn recover(pool: &BufferPool, wal: &dyn WalStore) -> Result<()> {
-        let segs = wal.segments()?;
-        // Pass 1: transaction statuses (and the sealed-segment
-        // cleanliness check). Only ids are retained — page images are
-        // decoded again in pass 2 and dropped segment by segment.
-        let mut finished: HashSet<TxnId> = HashSet::new();
-        let mut committed: HashSet<TxnId> = HashSet::new();
-        let mut any = false;
-        for (i, &seg) in segs.iter().enumerate() {
-            let bytes = wal.read_segment(seg)?;
-            let (records, clean) = WalRecord::decode_segment(&bytes);
-            if !clean && i + 1 != segs.len() {
-                return Err(SbError::Corrupt(format!(
-                    "wal segment {seg} is sealed but does not decode cleanly"
-                )));
-            }
-            any |= !records.is_empty();
-            for r in &records {
-                match r {
-                    WalRecord::Commit { txn } => {
-                        committed.insert(*txn);
-                        finished.insert(*txn);
-                    }
-                    WalRecord::Abort { txn } => {
-                        finished.insert(*txn);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if !any {
-            return Ok(());
-        }
-        let mut leaked: Vec<u32> = Vec::new();
-        // Pages retired by committed transactions whose deferred
-        // reclamation may not have reached the free list (a snapshot
-        // held them at the crash), plus retire claims a checkpoint
-        // record carried forward from recycled segments. A later
-        // AllocNote for the same page proves its reclamation DID
-        // complete — the page was handed out again — so the retire
-        // claim is cancelled in log order.
-        let mut retired: HashSet<u32> = HashSet::new();
-        for &seg in &segs {
-            let bytes = wal.read_segment(seg)?;
-            let (records, _) = WalRecord::decode_segment(&bytes);
-            for r in &records {
-                match r {
-                    WalRecord::MetaImage { pid, data } => {
-                        pool.recovery_write(PageId(*pid), data)?;
-                    }
-                    WalRecord::PageImage { txn, pid, data } if committed.contains(txn) => {
-                        pool.recovery_write(PageId(*pid), data)?;
-                    }
-                    WalRecord::AllocNote { txn, pages } => {
-                        for p in pages {
-                            retired.remove(p);
-                        }
-                        if !finished.contains(txn) {
-                            leaked.extend_from_slice(pages);
-                        }
-                    }
-                    WalRecord::RetireNote { txn, pages } if committed.contains(txn) => {
-                        retired.extend(pages.iter().copied());
-                    }
-                    WalRecord::Checkpoint { pending_retire } => {
-                        // Retired pages still pinned by snapshots when
-                        // the checkpoint ran: a crash ended those
-                        // snapshots, so they free exactly like committed
-                        // retire notes (idempotently — the free-list
-                        // scan below skips pages already freed).
-                        retired.extend(pending_retire.iter().copied());
-                    }
-                    _ => {}
-                }
-            }
-        }
-        leaked.extend(retired);
-        if !leaked.is_empty() {
-            // Free leaked pages, skipping any already on the free list
-            // (a crash mid-abort may have freed a prefix).
-            let mut page0 = crate::page::zeroed_page();
-            pool.recovery_read(PageId(0), &mut page0)?;
-            if !Header::is_blank(&page0) {
-                let mut header = Header::decode(&page0)?;
-                let mut free: HashSet<u32> = HashSet::new();
-                let mut cursor = header.free_head;
-                while cursor != NO_PAGE {
-                    if !free.insert(cursor) {
-                        return Err(SbError::Corrupt("free-list cycle".into()));
-                    }
-                    let mut p = crate::page::zeroed_page();
-                    pool.recovery_read(PageId(cursor), &mut p)?;
-                    cursor = decode_free_next(&p)?;
-                }
-                for pid in leaked {
-                    if pid == 0 || pid >= header.total_pages || free.contains(&pid) {
-                        continue;
-                    }
-                    pool.recovery_write(PageId(pid), &encode_free_page(header.free_head))?;
-                    header.free_head = pid;
-                    free.insert(pid);
-                }
-                pool.recovery_write(PageId(0), &header.encode())?;
-            }
-        }
-        pool.sync_backend()?;
-        wal.truncate()?;
-        pool.invalidate();
-        Ok(())
     }
 
     /// Starts a transaction.
@@ -599,10 +534,10 @@ impl Sbspace {
         txn.check_live()?;
         self.inner.lock_for(txn.id, lo, LockMode::Shared)?;
         let inode = self.inner.load_inode(lo)?;
-        let header = self.inner.meta.lock().header;
+        let total_pages = self.inner.meta.lock().total_pages;
         let mut seen = HashSet::new();
         for pid in inode.all_pages(lo) {
-            if pid >= header.total_pages {
+            if pid >= total_pages {
                 return Err(SbError::Corrupt(format!("{lo}: page {pid} out of range")));
             }
             if !seen.insert(pid) {
@@ -612,32 +547,21 @@ impl Sbspace {
         Ok(())
     }
 
-    /// Space occupancy: allocation watermark, free pages, live objects.
+    /// Space occupancy: allocation watermark and free pages.
     pub fn space_info(&self) -> Result<SpaceInfo> {
         let meta = self.inner.meta.lock();
-        let header = meta.header;
-        let mut free = 0u32;
-        let mut cursor = header.free_head;
-        let mut seen = HashSet::new();
-        while cursor != NO_PAGE {
-            if !seen.insert(cursor) {
-                return Err(SbError::Corrupt("free-list cycle".into()));
-            }
-            free += 1;
-            cursor = self.inner.free_next(&meta, cursor)?;
-        }
         Ok(SpaceInfo {
-            total_pages: header.total_pages,
-            free_pages: free,
-            lo_count: header.lo_count,
+            total_pages: meta.total_pages,
+            free_pages: meta.free.len() as u32,
         })
     }
 
     /// Runs one fuzzy checkpoint now (the same routine the background
     /// thread runs): flushes committed-dirty frames shard by shard —
     /// writers proceed meanwhile — syncs the backend, writes a
-    /// checkpoint record carrying the snapshot-pinned retire backlog,
-    /// recycles every WAL segment wholly below the active-transaction
+    /// checkpoint record carrying the allocator's state and the
+    /// snapshot-pinned retire backlog, recycles every WAL segment wholly
+    /// below the active-transaction
     /// low-water mark, and sweeps retired page batches whose snapshots
     /// have drained. Active transactions are fine: their segments are
     /// simply kept.
@@ -769,8 +693,8 @@ impl Drop for SpaceSnapshot {
         };
         self.inner.snapshots_open.dec();
         // Reclamation failure in a destructor is unreportable; on a
-        // store whose metadata writes fail the pages stay unreachable
-        // until the next recovery replays their retire notes.
+        // store whose log has failed the pages stay unreachable until
+        // the next recovery replays their retire notes.
         let _ = self.inner.free_pages(&to_reclaim);
         drop(retire);
     }
@@ -786,10 +710,10 @@ impl SpaceInner {
     }
 
     fn load_inode(&self, lo: LoId) -> Result<Inode> {
-        // A dropped object's inode page is a free page, but while its
-        // free-list image is only staged the pool still shows the old
-        // inode. Answer as the drained image would.
-        if self.meta.lock().staged.contains_key(&lo.0) {
+        // A dropped object's inode page is a free page, and a free page
+        // keeps its last owner's bytes: the pool may still show the old
+        // inode. The allocator knows better.
+        if self.meta.lock().is_free.contains(&lo.0) {
             return Err(SbError::Corrupt(format!("{lo}: bad inode magic")));
         }
         // Pinned reads: the inode and indirect pages are decoded in
@@ -845,53 +769,18 @@ impl SpaceInner {
         out
     }
 
-    /// The `next` pointer of free-list page `pid`: from its staged image
-    /// when the backend does not have it yet, else through the pool.
-    fn free_next(&self, meta: &MetaState, pid: u32) -> Result<u32> {
-        if let Some((_, image)) = meta.staged.get(&pid) {
-            return decode_free_next(image);
-        }
-        let mut buf = crate::page::zeroed_page();
-        self.pool.read(PageId(pid), &mut buf)?;
-        decode_free_next(&buf)
-    }
-
     /// Allocates `n` pages for `txn`, noting them for crash/abort
     /// compensation. The note is queued, not forced: the pages hold
     /// nothing durable until `txn` commits, and that commit's force
-    /// carries the note (and the header image) ahead of its own
-    /// records.
+    /// carries the note ahead of its own records. The pages are taken
+    /// only once the note has its place in the log, so a failed log
+    /// allocates nothing.
     pub(crate) fn alloc_pages(&self, txn: TxnId, n: usize) -> Result<Vec<u32>> {
         let mut meta = self.meta.lock();
-        let mut header = meta.header;
-        let mut got = Vec::with_capacity(n);
-        for _ in 0..n {
-            if header.free_head != NO_PAGE {
-                let pid = header.free_head;
-                header.free_head = self.free_next(&meta, pid)?;
-                got.push(pid);
-            } else {
-                let pid = header.total_pages;
-                header.total_pages += 1;
-                got.push(pid);
-            }
-        }
-        self.log.append(
-            WalRecord::AllocNote {
-                txn,
-                pages: got.clone(),
-            }
-            .encode(),
-        )?;
-        // The free-list image of a page handed out again is dead,
-        // staged or installed: writing it later would clobber the new
-        // owner's data, or cost that owner a write to preserve it.
-        for pid in &got {
-            meta.staged.remove(pid);
-            self.pool.forget_committed(PageId(*pid));
-        }
-        meta.header = header;
-        meta.header_dirty = true;
+        let pages = meta.peek(n);
+        self.log
+            .append(WalRecord::AllocNote { txn, pages }.encode())?;
+        let got = meta.take(n);
         drop(meta);
         if let Some(st) = self.txns.lock().get_mut(&txn.0) {
             st.alloc_pages.extend_from_slice(&got);
@@ -900,94 +789,193 @@ impl SpaceInner {
         Ok(got)
     }
 
-    /// Returns pages to the free list (system transaction). The
-    /// free-list images are queued in the log and staged; the next
-    /// force makes them durable and lets them into the pool.
+    /// Returns pages to the allocator (system transaction). The note is
+    /// queued, not forced: until it is durable a crash finds the pages
+    /// owed by whatever made them free-able — an unfinished
+    /// transaction's `AllocNote`, a committed `RetireNote`, a checkpoint
+    /// record's retire backlog — and frees them again.
     fn free_pages(&self, pages: &[u32]) -> Result<()> {
         if pages.is_empty() {
             return Ok(());
         }
         let mut meta = self.meta.lock();
-        let mut header = meta.header;
-        let mut records = Vec::new();
-        let mut images: Vec<(u32, PageBuf)> = Vec::with_capacity(pages.len());
-        for &pid in pages {
-            debug_assert!(pid != 0, "cannot free the header page");
-            self.pool.forget_committed(PageId(pid));
-            let data = encode_free_page(header.free_head);
-            header.free_head = pid;
-            records.extend_from_slice(
-                &WalRecord::MetaImage {
-                    pid,
-                    data: data.clone(),
-                }
-                .encode(),
-            );
-            images.push((pid, data));
-        }
-        let seq = self.log.append(records)?;
-        meta.staged
-            .extend(images.into_iter().map(|(pid, data)| (pid, (seq, data))));
-        meta.header = header;
-        meta.header_dirty = true;
-        Ok(())
-    }
-
-    fn adjust_lo_count(&self, delta: i64) {
-        let mut meta = self.meta.lock();
-        meta.header.lo_count = (meta.header.lo_count as i64 + delta).max(0) as u32;
-        meta.header_dirty = true;
-    }
-
-    /// Queues one image of the header if it changed since the last one.
-    /// Every force calls this first, so a durable commit, abort or
-    /// checkpoint record is always preceded in the log by a header that
-    /// reflects every allocation and free queued before it — and the
-    /// header costs one image per force, not one per allocation.
-    fn log_header(&self) -> Result<()> {
-        let mut meta = self.meta.lock();
-        if !meta.header_dirty {
-            return Ok(());
-        }
-        let data = meta.header.encode();
-        let seq = self.log.append(
-            WalRecord::MetaImage {
-                pid: 0,
-                data: data.clone(),
+        self.log.append(
+            WalRecord::FreeNote {
+                pages: pages.to_vec(),
             }
             .encode(),
         )?;
-        meta.staged.insert(0, (seq, data));
-        meta.header_dirty = false;
+        for &pid in pages {
+            // A freed page's bytes are dead: nothing left to flush.
+            self.pool.forget_committed(PageId(pid));
+            let pushed = meta.give(pid);
+            debug_assert!(pushed, "page {pid} freed twice, or never allocated");
+        }
         Ok(())
     }
 
-    /// Queues the header image, then forces `records`.
-    fn force(&self, records: Vec<u8>) -> Result<()> {
-        self.log_header()?;
-        self.log.force(records)
+    /// Appends `records` and then a checkpoint record to the log, and
+    /// forces them. The record is appended under the allocator's lock,
+    /// so its place in the log is exactly the state it carries: every
+    /// note before it is in that state, every note behind it is not.
+    fn log_checkpoint(&self, mut records: Vec<u8>, pending_retire: Vec<u32>) -> Result<()> {
+        {
+            let meta = self.meta.lock();
+            records.extend_from_slice(
+                &WalRecord::Checkpoint {
+                    pending_retire,
+                    total_pages: meta.total_pages,
+                    next_txn: self.next_txn.load(Ordering::SeqCst),
+                    free: meta.free.clone(),
+                }
+                .encode(),
+            );
+            self.log.append(records)?;
+        }
+        self.log.force(Vec::new())
     }
 
-    /// Installs every staged metadata image the log is durable past in
-    /// the pool as a committed-dirty frame (WAL-before-data: from there
-    /// eviction or a checkpoint may write it). Called after each force;
-    /// no backend I/O of its own.
-    fn drain_meta(&self) {
-        let durable = self.log.durable_seq();
-        let mut meta = self.meta.lock();
-        let mut ready: Vec<u32> = meta
-            .staged
-            .iter()
-            .filter(|(_, (seq, _))| *seq <= durable)
-            .map(|(&pid, _)| pid)
-            .collect();
-        // Map order is arbitrary; a fixed install order keeps eviction
-        // (and so the crash sweep's cut points) reproducible.
-        ready.sort_unstable();
-        for pid in ready {
-            let (_, image) = meta.staged.remove(&pid).expect("listed above");
-            self.pool.install_committed(PageId(pid), &image);
+    /// Log replay, streamed one segment at a time so recovery memory is
+    /// O(segment), not O(log). Data images of committed transactions go
+    /// to the backend. The allocator starts from the state the *last*
+    /// checkpoint record carries (a fresh one when the log is complete
+    /// from creation) and takes the `AllocNote`s and `FreeNote`s behind
+    /// that record; then it is given every page still owed, from
+    /// anywhere in the log: allocations of transactions that never
+    /// finished, retire notes of committed ones, retire backlogs of
+    /// checkpoint records. A later `AllocNote` for an owed page proves
+    /// the page was freed and handed out again — the debt was paid —
+    /// and cancels it, in log order.
+    ///
+    /// Recovery then ends the way a checkpoint does: with the backend
+    /// synced, it logs what the online abort path would have — a
+    /// `FreeNote` of the pages it gave back, an `Abort` per loser — and
+    /// a checkpoint record, so a tail of this append torn anywhere
+    /// replays to the same state. The log is never emptied: there is no
+    /// instant at which the allocator's state is on neither disk. For
+    /// the same reason transaction ids continue across restarts.
+    ///
+    /// A torn tail — an undecodable suffix — is a legal crash artefact
+    /// only in the youngest segment; older segments were sealed by a
+    /// roll and must decode cleanly, so an unclean tail there is real
+    /// corruption and recovery refuses to guess past it.
+    fn recover(&self) -> Result<()> {
+        let wal = self.log.store();
+        let segs = wal.segments()?;
+        // Pass 1: transaction statuses, the last checkpoint record, the
+        // largest transaction id, and the sealed-segment cleanliness
+        // check. Page images are decoded again in pass 2 and dropped
+        // segment by segment.
+        let mut finished: HashSet<TxnId> = HashSet::new();
+        let mut committed: HashSet<TxnId> = HashSet::new();
+        let mut last_checkpoint = None;
+        let mut next_txn = 1u64;
+        let mut torn_at = None;
+        let mut blank = true;
+        for (i, &seg) in segs.iter().enumerate() {
+            let bytes = wal.read_segment(seg)?;
+            blank &= bytes.is_empty();
+            let (records, clean) = WalRecord::decode_segment(&bytes);
+            if clean < bytes.len() {
+                if i + 1 != segs.len() {
+                    return Err(SbError::Corrupt(format!(
+                        "wal segment {seg} is sealed but does not decode cleanly"
+                    )));
+                }
+                torn_at = Some(clean as u64);
+            }
+            for (j, r) in records.iter().enumerate() {
+                match r {
+                    WalRecord::Commit { txn } => {
+                        committed.insert(*txn);
+                        finished.insert(*txn);
+                    }
+                    WalRecord::Abort { txn } => {
+                        finished.insert(*txn);
+                    }
+                    WalRecord::Checkpoint { .. } => last_checkpoint = Some((i, j)),
+                    _ => {}
+                }
+                if let Some(txn) = r.txn() {
+                    next_txn = next_txn.max(txn.0 + 1);
+                }
+            }
         }
+        if blank {
+            return Ok(()); // a new space: nothing logged yet
+        }
+        // Pass 2.
+        let mut state = MetaState::fresh();
+        let mut behind = last_checkpoint.is_none();
+        let mut owed: BTreeSet<u32> = BTreeSet::new();
+        let mut losers: BTreeSet<TxnId> = BTreeSet::new();
+        for (i, &seg) in segs.iter().enumerate() {
+            let bytes = wal.read_segment(seg)?;
+            let (records, _) = WalRecord::decode_segment(&bytes);
+            for (j, r) in records.into_iter().enumerate() {
+                match r {
+                    WalRecord::PageImage { txn, pid, data } if committed.contains(&txn) => {
+                        self.pool.recovery_write(PageId(pid), &data)?;
+                    }
+                    WalRecord::AllocNote { txn, pages } => {
+                        for p in &pages {
+                            owed.remove(p);
+                            if behind {
+                                state.claim(*p);
+                            }
+                        }
+                        if !finished.contains(&txn) {
+                            owed.extend(pages);
+                            losers.insert(txn);
+                        }
+                    }
+                    WalRecord::FreeNote { pages } if behind => {
+                        for p in pages {
+                            state.give(p);
+                        }
+                    }
+                    WalRecord::RetireNote { txn, pages } if committed.contains(&txn) => {
+                        owed.extend(pages);
+                    }
+                    WalRecord::Checkpoint {
+                        pending_retire,
+                        total_pages,
+                        next_txn: next,
+                        free,
+                    } => {
+                        // Retired pages still pinned by snapshots when
+                        // the checkpoint ran: a crash ended those
+                        // snapshots.
+                        owed.extend(pending_retire);
+                        if last_checkpoint == Some((i, j)) {
+                            state = MetaState::restore(total_pages, free);
+                            next_txn = next_txn.max(next);
+                            behind = true;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let given: Vec<u32> = owed.into_iter().filter(|&p| state.give(p)).collect();
+        self.pool.sync_backend()?;
+        if let Some(len) = torn_at {
+            wal.trim(len)?;
+        }
+        let mut tail = Vec::new();
+        if !given.is_empty() {
+            tail.extend_from_slice(&WalRecord::FreeNote { pages: given }.encode());
+        }
+        for txn in losers {
+            tail.extend_from_slice(&WalRecord::Abort { txn }.encode());
+        }
+        *self.meta.lock() = state;
+        self.next_txn.store(next_txn, Ordering::SeqCst);
+        self.log_checkpoint(tail, Vec::new())?;
+        // Everything older is in the backend or in that record.
+        wal.recycle_below(wal.active_segment())?;
+        self.pool.invalidate();
+        Ok(())
     }
 
     fn run_callbacks(&self, txn: TxnId, end: TxnEnd) {
@@ -1042,8 +1030,8 @@ impl SpaceInner {
         }
         // 1. Log redo images of every page this transaction dirtied,
         //    a retire note for the pages it superseded, then the commit
-        //    record, as one batch behind the header image, and force the
-        //    log — the only force of the transaction: its allocation
+        //    record, as one batch, and force the log — the only force
+        //    of the transaction: its allocation
         //    notes were queued as they happened and ride this one. A
         //    read-only transaction (no dirty pages, no logged
         //    allocations, nothing retired) has nothing to redo or
@@ -1076,7 +1064,7 @@ impl SpaceInner {
                 );
             }
             batch.extend_from_slice(&WalRecord::Commit { txn }.encode());
-            self.force(batch)
+            self.log.force(batch)
         };
         if let Err(e) = logged {
             // The commit record never became durable, so this is an
@@ -1099,12 +1087,9 @@ impl SpaceInner {
         // 2. The data pages are not written: the frames are relabelled
         //    committed-dirty and the checkpointer (or eviction pressure)
         //    writes them later — the durable redo images above repair
-        //    any crash from here. The metadata images the force just
-        //    covered join them in the pool. No backend I/O, nothing to
-        //    fail.
+        //    any crash from here. No backend I/O, nothing to fail.
         if !read_only {
             self.pool.mark_committed(txn);
-            self.drain_meta();
         }
         // 3. Publish the new page tables atomically (one map swap =
         //    one consistent cut for future snapshots) and queue the
@@ -1160,9 +1145,6 @@ impl SpaceInner {
         // Released before callbacks run: a callback may drop a snapshot,
         // whose destructor takes the guard itself.
         drop(_retire);
-        if !state.pending_drops.is_empty() {
-            self.adjust_lo_count(-(state.pending_drops.len() as i64));
-        }
         // 4. Release locks and notify.
         self.lm.release_all(txn);
         self.run_callbacks(txn, TxnEnd::Commit);
@@ -1171,7 +1153,7 @@ impl SpaceInner {
 
     pub(crate) fn abort_txn(&self, txn: TxnId) -> Result<()> {
         // Anchored like a commit: until the abort record (or at least
-        // the free-list compensation) is logged, recycling the segment
+        // the compensating free note) is logged, recycling the segment
         // holding this transaction's allocation notes would leak its
         // pages if we then crash.
         let state = self.take_txn_anchored(txn)?;
@@ -1180,19 +1162,18 @@ impl SpaceInner {
         IoStats::bump(&self.stats.txn_aborts);
         // 1. Drop uncommitted frames (no-steal: the backend is clean).
         self.pool.discard_txn(txn);
-        // 2./3. Compensate allocations (the pages go back to the free
-        //    list) and record the abort so recovery does not
+        // 2./3. Compensate allocations (the pages go back to the
+        //    allocator) and record the abort so recovery does not
         //    re-compensate. Shadow paging allocates a fresh page for
-        //    every copy-on-write redirect, so this compensation logs
-        //    real free-list images for any aborted writer — and it can
-        //    fail on a faulty log. The locks are released either way:
+        //    every copy-on-write redirect, so any aborted writer has
+        //    pages to give back — and logging that can fail on a
+        //    faulty log. The locks are released either way:
         //    a compensation failure leaks at most free pages (repaired
         //    by the next recovery), while a leaked lock wedges every
         //    later transaction on the same objects.
         let compensated = self
             .free_pages(&state.alloc_pages)
-            .and_then(|()| self.force(WalRecord::Abort { txn }.encode()));
-        self.drain_meta();
+            .and_then(|()| self.log.force(WalRecord::Abort { txn }.encode()));
         self.committing.lock().remove(&txn.0);
         // 4. Release locks and notify.
         self.lm.release_all(txn);
@@ -1209,9 +1190,9 @@ impl SpaceInner {
     /// 2. flush committed-dirty frames shard by shard (writers on other
     ///    shards proceed — the fuzzy part) and sync the backend. Every
     ///    redo image below the mark is now redundant;
-    /// 3. append a checkpoint record carrying the retire backlog still
-    ///    pinned by open snapshots, and make it durable. Only *after*
-    ///    that record is on disk
+    /// 3. append a checkpoint record carrying the allocator's state and
+    ///    the retire backlog still pinned by open snapshots, and make it
+    ///    durable. Only *after* that record is on disk
     /// 4. recycle the segments below the mark, then sweep retired
     ///    batches whose snapshots have drained.
     ///
@@ -1229,11 +1210,6 @@ impl SpaceInner {
                 .min()
                 .unwrap_or_else(|| self.log.store().active_segment())
         };
-        // Staged metadata images count as committed-dirty state: every
-        // record below the mark was written by a flush that has
-        // completed (flushes are serialised, and a later one created
-        // the segment the mark names), so its image is drainable now.
-        self.drain_meta();
         self.pool.flush_committed()?;
         self.pool.sync_backend()?;
         // From here to the end of the sweep: no snapshot drop or commit
@@ -1253,7 +1229,7 @@ impl SpaceInner {
                 .flat_map(|(_, pages)| pages.iter().copied())
                 .collect()
         };
-        self.force(WalRecord::Checkpoint { pending_retire }.encode())?;
+        self.log_checkpoint(Vec::new(), pending_retire)?;
         let recycled = self.log.store().recycle_below(lwm)?;
         self.segments_recycled.add(recycled as u64);
         // Sweep drained retire batches online — previously they were
@@ -1724,6 +1700,37 @@ mod tests {
             lock_timeout: Duration::from_millis(200),
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn allocator_hands_out_the_last_freed_page_first() {
+        let mut m = MetaState::fresh();
+        assert_eq!(m.take(3), vec![1, 2, 3], "fresh pages past the watermark");
+        assert!(m.give(1) && m.give(3));
+        assert_eq!(m.peek(3), vec![3, 1, 4], "stack top first, then fresh");
+        assert_eq!(m.take(3), vec![3, 1, 4]);
+        assert_eq!(m, MetaState::restore(5, vec![]));
+    }
+
+    #[test]
+    fn give_is_idempotent_and_stays_inside_the_watermark() {
+        let mut m = MetaState::restore(4, vec![2]);
+        assert!(!m.give(2), "already free");
+        assert!(!m.give(0), "the header page");
+        assert!(!m.give(4), "past the watermark");
+        assert!(m.give(3));
+        assert_eq!(m, MetaState::restore(4, vec![2, 3]));
+    }
+
+    #[test]
+    fn replayed_alloc_note_takes_a_page_from_anywhere() {
+        let mut m = MetaState::restore(6, vec![5, 2, 4]);
+        m.claim(2); // the middle of the stack
+        assert_eq!(m, MetaState::restore(6, vec![5, 4]));
+        m.claim(6); // the watermark
+        m.claim(3); // neither free nor new: nothing to do
+        assert_eq!(m, MetaState::restore(7, vec![5, 4]));
+        assert_eq!(m.take(3), vec![4, 5, 7]);
     }
 
     #[test]

@@ -1,41 +1,52 @@
-//! Write-ahead log: redo images plus allocation notes for compensation,
-//! stored as a sequence of fixed-size segments.
+//! Write-ahead log: redo images of data pages plus what the allocator
+//! did, stored as a sequence of fixed-size segments.
 //!
-//! The log carries five kinds of information:
+//! The log carries these kinds of record:
 //!
-//! * `MetaImage` — a full after-image of a *space metadata* page (the
-//!   header, free-list pages). Meta operations are system transactions:
-//!   their images are replayed unconditionally, in log order.
 //! * `PageImage` — a full after-image of a *data* page written by a user
-//!   transaction. Replayed only if that transaction committed (no-steal
-//!   buffering means uncommitted data images never reach the log in the
-//!   first place, but the rule is enforced anyway).
-//! * `AllocNote` — pages a transaction allocated. If the transaction
-//!   neither commits nor aborts (a crash), recovery frees these pages,
-//!   mirroring the online abort path's compensation.
+//!   transaction, less its zero tail (over half of the image bytes on a
+//!   DML stream: headers, inodes, part-filled nodes). Replayed only if
+//!   that transaction committed (no-steal buffering means uncommitted
+//!   data images never reach the log in the first place, but the rule
+//!   is enforced anyway).
+//! * `AllocNote` — pages a transaction took from the allocator. If the
+//!   transaction neither commits nor aborts (a crash), recovery frees
+//!   these pages, mirroring the online abort path's compensation.
+//! * `FreeNote` — pages given back to the allocator (an abort's
+//!   compensation, retired pages whose snapshots drained). Together
+//!   with `AllocNote` this is the whole of the allocator's history: the
+//!   free set and the watermark live in memory and in these records,
+//!   not in any page of the data file.
 //! * `RetireNote` — pages a transaction superseded by shadow-paging
 //!   copy-out (or dropped LOs). Online they are freed only after the
 //!   commit point, once no snapshot can reference them; recovery frees
 //!   them for transactions that **did** commit, since a crash ends
 //!   every snapshot.
 //! * `Checkpoint` — written by the fuzzy checkpointer after it has
-//!   flushed every committed-dirty frame and synced the backend. It
-//!   carries the retired pages still pinned by open snapshots at that
-//!   moment, so a crash after older `RetireNote`s are recycled still
-//!   frees them (they replay exactly like committed retire notes).
-//! * `Begin` / `Commit` / `Abort` — transaction status.
+//!   flushed every committed-dirty frame and synced the backend, and by
+//!   recovery when it is done. It carries the allocator's state as of
+//!   its own place in the log (watermark, free pages, next transaction
+//!   id), so replay starts from the last one and older notes may be
+//!   recycled; and the retired pages still pinned by open snapshots at
+//!   that moment, so a crash after older `RetireNote`s are recycled
+//!   still frees them (they replay exactly like committed retire notes).
+//! * `Commit` / `Abort` — transaction status.
 //!
-//! Records are length-prefixed with a simple checksum; a torn tail is
-//! truncated at the first bad record, as a real log would. With
+//! Records are length-prefixed with a simple checksum; a torn tail ends
+//! the stream at the first bad record, as in a real log. With
 //! segmentation a torn tail is legal **only in the youngest segment** —
 //! older segments were sealed by a roll, so an undecodable byte there
-//! is real corruption, not a crash artefact.
+//! is real corruption, not a crash artefact. Recovery cuts the torn
+//! tail off ([`WalStore::trim`]) before it appends anything: records
+//! written behind garbage would be unreachable.
 //!
 //! A [`WalStore`] appends to its *active* segment and rolls to a fresh
 //! one when the active segment is full; one append never spans two
 //! segments, so each segment is independently stream-decodable. The
 //! checkpointer recycles every segment wholly below the active-
-//! transaction low-water mark, which is what bounds the log.
+//! transaction low-water mark, which is what bounds the log. The log is
+//! never emptied: its last `Checkpoint` record is the only durable copy
+//! of the allocator's state.
 
 use crate::page::{PageBuf, PAGE_SIZE};
 use crate::txn::TxnId;
@@ -50,14 +61,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A single log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A user transaction started.
-    Begin { txn: TxnId },
     /// Redo image of a data page, owned by `txn`.
     PageImage { txn: TxnId, pid: u32, data: PageBuf },
-    /// Redo image of a metadata page (always replayed).
-    MetaImage { pid: u32, data: PageBuf },
     /// Pages allocated by `txn`, to be freed if it never finishes.
     AllocNote { txn: TxnId, pages: Vec<u32> },
+    /// Pages returned to the allocator, in the order they were pushed
+    /// onto its free stack.
+    FreeNote { pages: Vec<u32> },
     /// Pages `txn` retired (shadow-paging copy-out, truncation, LO
     /// drop), to be freed if it committed but crashed before its
     /// deferred reclamation reached the free list.
@@ -66,23 +76,31 @@ pub enum WalRecord {
     Commit { txn: TxnId },
     /// The transaction aborted and its compensation has been applied.
     Abort { txn: TxnId },
-    /// A fuzzy checkpoint completed: all committed frames were flushed
-    /// and the backend synced. `pending_retire` lists retired pages
-    /// still held by open snapshots — recovery frees them like
-    /// committed retire notes (a crash ends every snapshot), so
-    /// recycling the segments that held the original notes loses
-    /// nothing.
-    Checkpoint { pending_retire: Vec<u32> },
+    /// A fuzzy checkpoint (or a recovery) completed: all committed
+    /// frames were flushed and the backend synced. `pending_retire`
+    /// lists retired pages still held by open snapshots — recovery
+    /// frees them like committed retire notes (a crash ends every
+    /// snapshot), so recycling the segments that held the original
+    /// notes loses nothing. `total_pages` and `free` (bottom of the
+    /// stack first) are the allocator's state as of this record's place
+    /// in the log, and `next_txn` a transaction id no earlier record
+    /// uses: replay starts here.
+    Checkpoint {
+        pending_retire: Vec<u32>,
+        total_pages: u32,
+        next_txn: u64,
+        free: Vec<u32>,
+    },
 }
 
-const K_BEGIN: u8 = 1;
+// 1 and 3 belonged to format version 1 and are not reused.
 const K_PAGE: u8 = 2;
-const K_META: u8 = 3;
 const K_ALLOC: u8 = 4;
 const K_COMMIT: u8 = 5;
 const K_ABORT: u8 = 6;
 const K_RETIRE: u8 = 7;
 const K_CKPT: u8 = 8;
+const K_FREE: u8 = 9;
 
 fn checksum(bytes: &[u8]) -> u32 {
     // FNV-1a, cheap and adequate for torn-write detection.
@@ -94,40 +112,90 @@ fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
+fn put_pages(out: &mut Vec<u8>, pages: &[u32]) {
+    out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+    for p in pages {
+        out.extend_from_slice(&p.to_le_bytes());
+    }
+}
+
+/// Reads fields off the front of a record body.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8]> {
+        if self.0.len() < n {
+            return Err(SbError::Corrupt("truncated wal record body".into()));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    }
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    fn txn(&mut self) -> Result<TxnId> {
+        self.u64().map(TxnId)
+    }
+    /// The rest of the body as a page image, its zero tail restored.
+    fn page(&mut self) -> Result<PageBuf> {
+        if self.0.len() > PAGE_SIZE {
+            return Err(SbError::Corrupt("oversized wal page image".into()));
+        }
+        Ok(crate::page::page_from_slice(self.take(self.0.len())?))
+    }
+    /// A counted page list; the count is checked against the bytes
+    /// present before anything is allocated for it.
+    fn pages(&mut self) -> Result<Vec<u32>> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(n.saturating_mul(4))?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect())
+    }
+}
+
 impl WalRecord {
+    /// The transaction the record belongs to, if it names one.
+    pub fn txn(&self) -> Option<TxnId> {
+        match self {
+            WalRecord::PageImage { txn, .. }
+            | WalRecord::AllocNote { txn, .. }
+            | WalRecord::RetireNote { txn, .. }
+            | WalRecord::Commit { txn }
+            | WalRecord::Abort { txn } => Some(*txn),
+            WalRecord::FreeNote { .. } | WalRecord::Checkpoint { .. } => None,
+        }
+    }
+
     fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            WalRecord::Begin { txn } => {
-                out.push(K_BEGIN);
-                out.extend_from_slice(&txn.0.to_le_bytes());
-            }
             WalRecord::PageImage { txn, pid, data } => {
                 out.push(K_PAGE);
                 out.extend_from_slice(&txn.0.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&data[..]);
-            }
-            WalRecord::MetaImage { pid, data } => {
-                out.push(K_META);
-                out.extend_from_slice(&pid.to_le_bytes());
-                out.extend_from_slice(&data[..]);
+                // The zero tail is not logged: decoding pads it back.
+                let used = PAGE_SIZE - data.iter().rev().take_while(|&&b| b == 0).count();
+                out.extend_from_slice(&data[..used]);
             }
             WalRecord::AllocNote { txn, pages } => {
                 out.push(K_ALLOC);
                 out.extend_from_slice(&txn.0.to_le_bytes());
-                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-                for p in pages {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
+                put_pages(&mut out, pages);
+            }
+            WalRecord::FreeNote { pages } => {
+                out.push(K_FREE);
+                put_pages(&mut out, pages);
             }
             WalRecord::RetireNote { txn, pages } => {
                 out.push(K_RETIRE);
                 out.extend_from_slice(&txn.0.to_le_bytes());
-                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-                for p in pages {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
+                put_pages(&mut out, pages);
             }
             WalRecord::Commit { txn } => {
                 out.push(K_COMMIT);
@@ -137,12 +205,17 @@ impl WalRecord {
                 out.push(K_ABORT);
                 out.extend_from_slice(&txn.0.to_le_bytes());
             }
-            WalRecord::Checkpoint { pending_retire } => {
+            WalRecord::Checkpoint {
+                pending_retire,
+                total_pages,
+                next_txn,
+                free,
+            } => {
                 out.push(K_CKPT);
-                out.extend_from_slice(&(pending_retire.len() as u32).to_le_bytes());
-                for p in pending_retire {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
+                put_pages(&mut out, pending_retire);
+                out.extend_from_slice(&total_pages.to_le_bytes());
+                out.extend_from_slice(&next_txn.to_le_bytes());
+                put_pages(&mut out, free);
             }
         }
         out
@@ -159,105 +232,59 @@ impl WalRecord {
     }
 
     fn decode_body(body: &[u8]) -> Result<WalRecord> {
-        let bad = || SbError::Corrupt("truncated wal record body".into());
-        let kind = *body.first().ok_or_else(bad)?;
-        let rest = &body[1..];
-        let u64_at = |off: usize| -> Result<u64> {
-            rest.get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(bad)
-        };
-        let u32_at = |off: usize| -> Result<u32> {
-            rest.get(off..off + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(bad)
-        };
-        let page_at = |off: usize| -> Result<PageBuf> {
-            let slice = rest.get(off..off + PAGE_SIZE).ok_or_else(bad)?;
-            Ok(crate::page::page_from_slice(slice))
-        };
+        let mut f = Fields(body);
+        let kind = f.take(1)?[0];
         match kind {
-            K_BEGIN => Ok(WalRecord::Begin {
-                txn: TxnId(u64_at(0)?),
-            }),
             K_PAGE => Ok(WalRecord::PageImage {
-                txn: TxnId(u64_at(0)?),
-                pid: u32_at(8)?,
-                data: page_at(12)?,
+                txn: f.txn()?,
+                pid: f.u32()?,
+                data: f.page()?,
             }),
-            K_META => Ok(WalRecord::MetaImage {
-                pid: u32_at(0)?,
-                data: page_at(4)?,
+            K_ALLOC => Ok(WalRecord::AllocNote {
+                txn: f.txn()?,
+                pages: f.pages()?,
             }),
-            K_ALLOC => {
-                let txn = TxnId(u64_at(0)?);
-                let n = u32_at(8)? as usize;
-                let mut pages = Vec::with_capacity(n);
-                for i in 0..n {
-                    pages.push(u32_at(12 + 4 * i)?);
-                }
-                Ok(WalRecord::AllocNote { txn, pages })
-            }
-            K_RETIRE => {
-                let txn = TxnId(u64_at(0)?);
-                let n = u32_at(8)? as usize;
-                let mut pages = Vec::with_capacity(n);
-                for i in 0..n {
-                    pages.push(u32_at(12 + 4 * i)?);
-                }
-                Ok(WalRecord::RetireNote { txn, pages })
-            }
-            K_COMMIT => Ok(WalRecord::Commit {
-                txn: TxnId(u64_at(0)?),
+            K_FREE => Ok(WalRecord::FreeNote { pages: f.pages()? }),
+            K_RETIRE => Ok(WalRecord::RetireNote {
+                txn: f.txn()?,
+                pages: f.pages()?,
             }),
-            K_ABORT => Ok(WalRecord::Abort {
-                txn: TxnId(u64_at(0)?),
+            K_COMMIT => Ok(WalRecord::Commit { txn: f.txn()? }),
+            K_ABORT => Ok(WalRecord::Abort { txn: f.txn()? }),
+            K_CKPT => Ok(WalRecord::Checkpoint {
+                pending_retire: f.pages()?,
+                total_pages: f.u32()?,
+                next_txn: f.u64()?,
+                free: f.pages()?,
             }),
-            K_CKPT => {
-                let n = u32_at(0)? as usize;
-                let mut pending_retire = Vec::with_capacity(n);
-                for i in 0..n {
-                    pending_retire.push(u32_at(4 + 4 * i)?);
-                }
-                Ok(WalRecord::Checkpoint { pending_retire })
-            }
             other => Err(SbError::Corrupt(format!("unknown wal record kind {other}"))),
         }
     }
 
-    /// Decodes the record stream, stopping cleanly at a torn tail.
-    pub fn decode_stream(bytes: &[u8]) -> Vec<WalRecord> {
-        Self::decode_segment(bytes).0
-    }
-
-    /// Decodes one segment's record stream, reporting whether every
-    /// byte decoded (`true`) or the stream ended in a torn/corrupt
-    /// tail (`false`). A sealed (non-youngest) segment must decode
-    /// cleanly — an unclean tail there is corruption, not a crash.
-    pub fn decode_segment(mut bytes: &[u8]) -> (Vec<WalRecord>, bool) {
+    /// Decodes one segment's record stream: the records, and the length
+    /// of the prefix they occupy. A prefix shorter than `bytes` means
+    /// the stream ends in a torn or corrupt tail — legal only in the
+    /// youngest segment, where it is what [`WalStore::trim`] cuts off;
+    /// a sealed segment must decode to its last byte.
+    pub fn decode_segment(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
         let mut out = Vec::new();
-        loop {
-            if bytes.is_empty() {
-                return (out, true);
-            }
-            if bytes.len() < 8 {
-                return (out, false);
-            }
-            let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-            let sum = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-            if bytes.len() < 8 + len {
-                return (out, false); // torn tail
-            }
-            let body = &bytes[8..8 + len];
+        let mut at = 0;
+        while let Some(head) = bytes.get(at..at + 8) {
+            let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
+            let sum = u32::from_le_bytes(head[4..8].try_into().unwrap());
+            let Some(body) = bytes[at + 8..].get(..len) else {
+                break; // torn tail
+            };
             if checksum(body) != sum {
-                return (out, false); // torn or corrupt tail
+                break; // torn or corrupt tail
             }
             match WalRecord::decode_body(body) {
                 Ok(r) => out.push(r),
-                Err(_) => return (out, false),
+                Err(_) => break,
             }
-            bytes = &bytes[8 + len..];
+            at += 8 + len;
         }
+        (out, at)
     }
 }
 
@@ -278,8 +305,10 @@ pub trait WalStore: Send + Sync {
     /// Durably flushes appended bytes (the active segment; sealed
     /// segments were synced when they were rolled away from).
     fn sync(&self) -> Result<()>;
-    /// Empties the log entirely (end of recovery).
-    fn truncate(&self) -> Result<()>;
+    /// Cuts the active segment down to its first `len` bytes (recovery,
+    /// before it appends: a torn tail left in place would hide every
+    /// later record from the stream decoder).
+    fn trim(&self, len: u64) -> Result<()>;
     /// Reads one segment's bytes.
     fn read_segment(&self, seg: u64) -> Result<Vec<u8>>;
     /// Segment ids in append order, the active segment last.
@@ -313,7 +342,7 @@ pub trait WalStore: Send + Sync {
         Ok(total)
     }
     /// Monotonic count of bytes ever appended (not reduced by recycle
-    /// or truncate). The background checkpointer uses it to skip ticks
+    /// or trim). The background checkpointer uses it to skip ticks
     /// where nothing was logged. Stores that do not track it return 0,
     /// which reads as "never any new work".
     fn appended_total(&self) -> u64 {
@@ -337,8 +366,8 @@ impl<W: WalStore> WalStore for std::sync::Arc<W> {
     fn sync(&self) -> Result<()> {
         (**self).sync()
     }
-    fn truncate(&self) -> Result<()> {
-        (**self).truncate()
+    fn trim(&self, len: u64) -> Result<()> {
+        (**self).trim(len)
     }
     fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
         (**self).read_segment(seg)
@@ -430,10 +459,13 @@ impl WalStore for MemWal {
     fn sync(&self) -> Result<()> {
         Ok(())
     }
-    fn truncate(&self) -> Result<()> {
+    fn trim(&self, len: u64) -> Result<()> {
         let mut st = self.state.lock();
         let active = st.active;
-        st.segments = BTreeMap::from([(active, Vec::new())]);
+        st.segments
+            .get_mut(&active)
+            .expect("active segment exists")
+            .truncate(len as usize);
         Ok(())
     }
     fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
@@ -602,22 +634,13 @@ impl WalStore for FileWal {
             .sync_data()
             .map_err(|e| SbError::Io(e.to_string()))
     }
-    fn truncate(&self) -> Result<()> {
+    fn trim(&self, len: u64) -> Result<()> {
         let mut st = self.state.lock();
-        let active_id = *st.ids.last().expect("nonempty");
-        for &id in st.ids.iter().filter(|&&id| id != active_id) {
-            let path = Self::seg_path(&self.dir, id);
-            std::fs::remove_file(&path)
-                .map_err(|e| SbError::Io(format!("remove wal {}: {e}", path.display())))?;
-        }
-        st.ids = vec![active_id];
         st.active
-            .set_len(0)
+            .set_len(len)
             .map_err(|e| SbError::Io(e.to_string()))?;
-        st.active_len = 0;
-        st.active
-            .sync_data()
-            .map_err(|e| SbError::Io(e.to_string()))
+        st.active_len = len;
+        Ok(())
     }
     fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
         let st = self.state.lock();
@@ -687,15 +710,12 @@ mod tests {
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
-            WalRecord::Begin { txn: TxnId(7) },
             WalRecord::AllocNote {
                 txn: TxnId(7),
                 pages: vec![3, 4, 9],
             },
-            WalRecord::MetaImage {
-                pid: 0,
-                data: page_from_slice(b"header"),
-            },
+            WalRecord::FreeNote { pages: vec![9, 4] },
+            WalRecord::FreeNote { pages: vec![] },
             WalRecord::PageImage {
                 txn: TxnId(7),
                 pid: 3,
@@ -709,6 +729,15 @@ mod tests {
             WalRecord::Abort { txn: TxnId(8) },
             WalRecord::Checkpoint {
                 pending_retire: vec![11, 12],
+                total_pages: 40,
+                next_txn: u64::from(u32::MAX) + 9,
+                free: vec![5, 31, 6],
+            },
+            WalRecord::Checkpoint {
+                pending_retire: vec![],
+                total_pages: 1,
+                next_txn: 1,
+                free: vec![],
             },
         ]
     }
@@ -721,8 +750,44 @@ mod tests {
             bytes.extend_from_slice(&r.encode());
         }
         let (got, clean) = WalRecord::decode_segment(&bytes);
-        assert!(clean);
+        assert_eq!(clean, bytes.len());
         assert_eq!(got, recs);
+    }
+
+    #[test]
+    fn page_image_is_logged_without_its_zero_tail() {
+        let image = |bytes: &[u8]| WalRecord::PageImage {
+            txn: TxnId(1),
+            pid: 2,
+            data: page_from_slice(bytes),
+        };
+        // frame (8) + kind, txn, pid (13) + the bytes up to the last
+        // non-zero one; interior zeros stay.
+        let full = [0xAB; PAGE_SIZE];
+        for (bytes, logged) in [
+            (&b""[..], 21),
+            (&b"ab\0\0c\0"[..], 26),
+            (&full[..], 21 + PAGE_SIZE),
+        ] {
+            let enc = image(bytes).encode();
+            assert_eq!(enc.len(), logged);
+            assert_eq!(
+                WalRecord::decode_segment(&enc),
+                (vec![image(bytes)], logged)
+            );
+        }
+        // An image longer than a page is corruption, not a panic.
+        let body = vec![K_PAGE; 13 + PAGE_SIZE + 1];
+        assert!(WalRecord::decode_body(&body).is_err());
+    }
+
+    #[test]
+    fn page_list_longer_than_its_record_is_refused() {
+        // A count the body cannot hold: refused before any allocation.
+        let mut body = vec![K_FREE];
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        body.extend_from_slice(&7u32.to_le_bytes());
+        assert!(WalRecord::decode_body(&body).is_err());
     }
 
     #[test]
@@ -735,7 +800,7 @@ mod tests {
         // Chop mid-record: only complete records survive, unclean.
         let cut = bytes.len() - 5;
         let (got, clean) = WalRecord::decode_segment(&bytes[..cut]);
-        assert!(!clean);
+        assert_eq!(clean, bytes.len() - recs.last().unwrap().encode().len());
         assert_eq!(got.len(), recs.len() - 1);
         assert_eq!(got[..], recs[..recs.len() - 1]);
     }
@@ -751,14 +816,14 @@ mod tests {
         let first_len = recs[0].encode().len();
         bytes[first_len + 10] ^= 0xff;
         let (got, clean) = WalRecord::decode_segment(&bytes);
-        assert!(!clean);
+        assert_eq!(clean, first_len);
         assert_eq!(got.len(), 1);
     }
 
     #[test]
     fn empty_segment_is_clean() {
         let (got, clean) = WalRecord::decode_segment(&[]);
-        assert!(clean);
+        assert_eq!(clean, 0);
         assert!(got.is_empty());
     }
 
@@ -771,9 +836,21 @@ mod tests {
         assert_eq!(w.read_all().unwrap(), b"abcdef");
         assert_eq!(w.live_bytes().unwrap(), 6);
         assert_eq!(w.appended_total(), 6);
-        w.truncate().unwrap();
-        assert!(w.read_all().unwrap().is_empty());
-        assert_eq!(w.appended_total(), 6, "truncate keeps the monotonic total");
+        // Trim cuts the tail; the next append lands right behind the cut.
+        w.trim(4).unwrap();
+        w.append(b"XY").unwrap();
+        assert_eq!(w.read_all().unwrap(), b"abcdXY");
+        assert_eq!(w.appended_total(), 8, "trim keeps the monotonic total");
+    }
+
+    #[test]
+    fn mem_wal_trim_cuts_only_the_active_segment() {
+        let w = MemWal::with_segment_bytes(4);
+        w.append(b"aaaa").unwrap();
+        w.append(b"bbbb").unwrap(); // rolls to seg 1
+        w.trim(1).unwrap();
+        assert_eq!(w.read_segment(0).unwrap(), b"aaaa");
+        assert_eq!(w.read_segment(1).unwrap(), b"b");
     }
 
     #[test]
@@ -822,8 +899,15 @@ mod tests {
         w.append(b"!").unwrap();
         assert_eq!(w.read_all().unwrap(), b"hello wal!");
         assert_eq!(w.live_bytes().unwrap(), 10);
-        w.truncate().unwrap();
-        assert!(w.read_all().unwrap().is_empty());
+        // Trim, append, and read back — across a reopen too.
+        w.trim(5).unwrap();
+        assert_eq!(w.live_bytes().unwrap(), 5);
+        w.append(b"-log").unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.read_all().unwrap(), b"hello-log");
+        drop(w);
+        let w = FileWal::open(&dir).unwrap();
+        assert_eq!(w.read_all().unwrap(), b"hello-log");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -175,8 +175,10 @@ fn repeated_checkpoint_crash_cycles_are_idempotent() {
     let t = sb.begin(IsolationLevel::ReadCommitted);
     let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
     assert_eq!(h.read_page(0).unwrap()[0], 5);
-    // Idempotent replay never corrupted the free list.
-    sb.space_info().unwrap();
+    // Idempotent replay neither leaked a page nor freed a live one:
+    // the inode, two live data pages, and everything else free.
+    let info = sb.space_info().unwrap();
+    assert_eq!(info.total_pages, 1 + 3 + info.free_pages, "{info:?}");
 }
 
 /// A WAL whose appends can be made to fail on demand — the "before the
@@ -196,8 +198,8 @@ impl WalStore for FlakyWal {
     fn sync(&self) -> Result<()> {
         self.inner.sync()
     }
-    fn truncate(&self) -> Result<()> {
-        self.inner.truncate()
+    fn trim(&self, len: u64) -> Result<()> {
+        self.inner.trim(len)
     }
     fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
         self.inner.read_segment(seg)
@@ -407,8 +409,8 @@ fn committed_inode_survives_a_checkpoint_taken_while_a_writer_owns_its_frame() {
 
 /// After a failed flush the log tail is suspect: no later record may be
 /// written past it, forced or not. An allocation
-/// therefore fails up front — before it can touch the allocator or
-/// page 0 — instead of stranding an `AllocNote` beyond a torn region.
+/// therefore fails up front — before it takes a page from the
+/// allocator — instead of stranding an `AllocNote` beyond a torn region.
 #[test]
 fn allocation_after_a_failed_flush_is_refused_and_writes_nothing() {
     let backend = Arc::new(grt_sbspace::FaultInjector::new(MemBackend::new()));
@@ -443,7 +445,7 @@ fn allocation_after_a_failed_flush_is_refused_and_writes_nothing() {
     assert!(sb.locks_quiescent());
     backend.heal();
 
-    // A reopen replays the sound prefix and resets the log.
+    // A reopen replays the sound prefix and trims the rest.
     drop(sb);
     let sb2 = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
     let t = sb2.begin(IsolationLevel::ReadCommitted);

@@ -156,21 +156,33 @@ proptest! {
 // the unsynced backend writes lost or kept.
 //
 // A commit or abort is two of those events (one append, one sync) and
-// no page write, so the cuts that bracket a metadata image — a header
-// or free-list page — are: after the append that carries its record
-// (lost / torn: the image and the commit it rode with are both gone;
-// kept: both replay); after the sync (the image is durable in the log
-// and installed in the pool, on the backend not at all); after the
-// write-on-evict or checkpoint write that finally lands it (lost or
-// kept with the other unsynced backend writes — the log still holds
-// it); and after the checkpoint's backend sync, record and recycle
-// (the backend copy is then the only one).
+// no page write. The allocator's state is not in any page: it is in
+// the log, as `AllocNote`s, `FreeNote`s and the copy a `Checkpoint`
+// record carries, so the cuts that bracket a free are: after the
+// append that carries its `FreeNote` (lost / torn: the note is gone,
+// with any `Abort` behind it — what made the pages free-able, a
+// loser's `AllocNote`, a committed `RetireNote` or a checkpoint's
+// retire backlog, still owes them, and recovery gives them back; kept: the note replays behind the last checkpoint record and
+// the second give does nothing); after the sync (the note is durable,
+// whether or not the `Abort` behind it is); and after a checkpoint's
+// record and recycle (the note is gone and the record's copy of the
+// free stack is the only one).
+//
+// Recovery writes too — committed page images, a backend sync, a trim
+// of the torn tail, and one append and sync of its own tail (`FreeNote`
+// of what it gave back, an `Abort` per loser, a `Checkpoint` record) —
+// so the sweep has a second level: for each cut, one of the six reboots
+// (seeded) is run again with the power cut after a seeded one of its
+// recovery's own events, and what that leaves is rebooted six ways and
+// held to the same checks. That tail lost, torn (the `FreeNote` and
+// some `Abort`s kept, the record not) or kept must all replay to the
+// same allocator.
 // ---------------------------------------------------------------------
 
 mod sweep {
-    use grt_sbspace::lo::{decode_free_next, Header, Inode};
-    use grt_sbspace::page::{page_from_slice, zeroed_page, NO_PAGE};
-    use grt_sbspace::wal::WalStore;
+    use grt_sbspace::lo::Inode;
+    use grt_sbspace::page::{page_from_slice, zeroed_page};
+    use grt_sbspace::wal::{WalRecord, WalStore};
     use grt_sbspace::{
         Backend, IsolationLevel, LoId, LockMode, PageBuf, PageId, Result, SbError, Sbspace,
         SbspaceOptions, SpaceSnapshot, PAGE_SIZE,
@@ -251,8 +263,8 @@ mod sweep {
             }
         }
 
-        /// The log as a reboot would find it.
-        fn after_cut(&self, tail: Tail) -> SimWal {
+        /// The log as a reboot would find it, its I/O counted on `clock`.
+        fn after_cut(&self, tail: Tail, clock: Arc<Clock>) -> SimWal {
             let st = self.st.lock().unwrap();
             let mut out = WalState {
                 active: st.active,
@@ -271,7 +283,7 @@ mod sweep {
             SimWal {
                 st: Mutex::new(out),
                 segment_bytes: self.segment_bytes,
-                clock: Clock::disarmed(),
+                clock,
             }
         }
     }
@@ -300,11 +312,15 @@ mod sweep {
             st.synced.insert(active, len);
             Ok(())
         }
-        fn truncate(&self) -> Result<()> {
+        /// Durable at once: a cut that undid it would only bring back
+        /// the garbage recovery is about to overwrite.
+        fn trim(&self, len: u64) -> Result<()> {
+            self.clock.tick()?;
             let mut st = self.st.lock().unwrap();
             let active = st.active;
-            st.segs = BTreeMap::from([(active, Vec::new())]);
-            st.synced.clear();
+            st.segs.get_mut(&active).unwrap().truncate(len as usize);
+            let synced = st.synced.entry(active).or_insert(0);
+            *synced = (*synced).min(len as usize);
             Ok(())
         }
         fn read_segment(&self, seg: u64) -> Result<Vec<u8>> {
@@ -344,8 +360,8 @@ mod sweep {
                 clock,
             }
         }
-        /// The store as a reboot would find it.
-        fn after_cut(&self, keep_unsynced: bool) -> SimBackend {
+        /// The store as a reboot would find it, its I/O counted on `clock`.
+        fn after_cut(&self, keep_unsynced: bool, clock: Arc<Clock>) -> SimBackend {
             let pages = if keep_unsynced {
                 self.cur.lock().unwrap().clone()
             } else {
@@ -354,7 +370,7 @@ mod sweep {
             SimBackend {
                 cur: Mutex::new(pages.clone()),
                 durable: Mutex::new(pages),
-                clock: Clock::disarmed(),
+                clock,
             }
         }
         fn page(&self, pid: u32) -> PageBuf {
@@ -522,22 +538,44 @@ mod sweep {
         }
     }
 
+    /// The allocator's state as recovery left it on disk: the last
+    /// checkpoint record of the log, which recovery ends by writing —
+    /// unless nothing was ever logged, and the space is as created.
+    fn logged_allocator(wal: &SimWal) -> std::result::Result<(u32, Vec<u32>), String> {
+        let bytes = wal.read_all().unwrap();
+        let (records, clean) = WalRecord::decode_segment(&bytes);
+        if clean != bytes.len() {
+            return Err("recovery left a log that does not decode to its end".into());
+        }
+        match records.last() {
+            Some(WalRecord::Checkpoint {
+                total_pages, free, ..
+            }) => Ok((*total_pages, free.clone())),
+            None => Ok((1, Vec::new())),
+            other => Err(format!(
+                "recovery's log ends in {other:?}, not a checkpoint"
+            )),
+        }
+    }
+
     /// Checks one rebooted store against one candidate model, from the
-    /// raw pages recovery left behind and then through the API.
+    /// raw log and pages recovery left behind (`allocator` is
+    /// [`logged_allocator`] of its log) and then through the API.
     fn check(
         backend: &Arc<SimBackend>,
+        allocator: &(u32, Vec<u32>),
         sb: &Sbspace,
         model: &Model,
     ) -> std::result::Result<(), String> {
-        let header = Header::decode(&backend.page(0)).map_err(|e| e.to_string())?;
+        let (total_pages, free_stack) = allocator;
         let mut free: HashSet<u32> = HashSet::new();
-        let mut cursor = header.free_head;
-        while cursor != NO_PAGE {
-            if !free.insert(cursor) {
-                return Err(format!("free list cycles at page {cursor}"));
+        for &pid in free_stack {
+            if !free.insert(pid) {
+                return Err(format!("page {pid} is free twice"));
             }
-            cursor = decode_free_next(&backend.page(cursor))
-                .map_err(|e| format!("free page {cursor}: {e}"))?;
+            if pid == 0 || pid >= *total_pages {
+                return Err(format!("free page {pid} is outside 1..{total_pages}"));
+            }
         }
         let mut live: HashSet<u32> = HashSet::new();
         for (&lo, stamps) in model {
@@ -563,24 +601,23 @@ mod sweep {
                 if free.contains(&pid) {
                     return Err(format!("page {pid} of lo{lo} is on the free list"));
                 }
-                if pid >= header.total_pages {
+                if pid >= *total_pages {
                     return Err(format!("page {pid} of lo{lo} is past the watermark"));
                 }
             }
         }
         let accounted = 1 + live.len() + free.len();
-        if accounted != header.total_pages as usize {
+        if accounted != *total_pages as usize {
             return Err(format!(
-                "pages leaked or double-counted: watermark {}, header + {} live + {} free",
-                header.total_pages,
+                "pages leaked or double-counted: watermark {total_pages}, header + {} live + {} free",
                 live.len(),
                 free.len()
             ));
         }
         // The same through the front door.
         let info = sb.space_info().map_err(|e| e.to_string())?;
-        if info.free_pages as usize != free.len() {
-            return Err(format!("space_info counts {} free pages", info.free_pages));
+        if (info.total_pages, info.free_pages as usize) != (*total_pages, free.len()) {
+            return Err(format!("space_info disagrees with the log: {info:?}"));
         }
         let t = sb.begin(IsolationLevel::ReadCommitted);
         for (&lo, stamps) in model {
@@ -595,6 +632,63 @@ mod sweep {
         Ok(())
     }
 
+    /// The six ways a cut store comes back: the unsynced log tail lost,
+    /// torn or kept, times the unsynced backend writes lost or kept.
+    const REBOOTS: [(Tail, bool); 6] = [
+        (Tail::Lost, false),
+        (Tail::Lost, true),
+        (Tail::Torn, false),
+        (Tail::Torn, true),
+        (Tail::Kept, false),
+        (Tail::Kept, true),
+    ];
+
+    /// The states a cut store may legitimately come back in.
+    struct Expect {
+        /// Every step the caller saw succeed.
+        model: Model,
+        /// The same plus the step the cut interrupted, which can have
+        /// reached its commit point without the caller ever hearing of it.
+        maybe: Option<Model>,
+    }
+
+    /// Reboots what a cut left of `backend` and `wal` one of the six
+    /// ways, on a clock that only counts; holds the survivor to `expect`
+    /// and makes it work. Returns the I/O events its recovery took.
+    fn reboot(
+        what: &str,
+        backend: &SimBackend,
+        wal: &SimWal,
+        (tail, keep_unsynced): (Tail, bool),
+        expect: &Expect,
+    ) -> u64 {
+        let what = format!("{what} tail {tail:?} keep_unsynced {keep_unsynced}");
+        let clock = Clock::disarmed();
+        let backend2 = Arc::new(backend.after_cut(keep_unsynced, Arc::clone(&clock)));
+        let wal2 = Arc::new(wal.after_cut(tail, Arc::clone(&clock)));
+        let sb2 = Sbspace::open_with(Arc::clone(&backend2), Arc::clone(&wal2), opts())
+            .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
+        let events = clock.events();
+        let allocator = logged_allocator(&wal2).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let acked = check(&backend2, &allocator, &sb2, &expect.model);
+        let verdict = match (&acked, &expect.maybe) {
+            (Err(_), Some(m)) => check(&backend2, &allocator, &sb2, m),
+            _ => acked.clone(),
+        };
+        if let Err(e) = verdict {
+            panic!("{what}: {e} (acknowledged state: {acked:?})");
+        }
+        // And the survivor still works.
+        let t = sb2.begin(IsolationLevel::ReadCommitted);
+        let lo = sb2.create_lo(&t).unwrap();
+        let mut h = sb2.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+        h.append_page(&stamp_page(0)).unwrap();
+        h.close().unwrap();
+        t.commit().unwrap();
+        sb2.checkpoint().unwrap();
+        events
+    }
+
     /// Runs the script for `seed`, cutting after `cut` events (`None`:
     /// never). Returns the events the armed part of the run consumed.
     fn run(seed: u64, cut: Option<u64>) -> u64 {
@@ -603,23 +697,22 @@ mod sweep {
         let wal = Arc::new(SimWal::new(opts().wal_segment_bytes, Arc::clone(&clock)));
         let sb = Sbspace::open_with(Arc::clone(&backend), Arc::clone(&wal), opts()).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut model = Model::new();
+        let mut expect = Expect {
+            model: Model::new(),
+            maybe: None,
+        };
         let mut held = None;
-        // The model the store may also legitimately hold: the step the
-        // cut interrupted can have reached its commit point without the
-        // caller ever hearing of it.
-        let mut maybe: Option<Model> = None;
         clock.arm(cut.unwrap_or(u64::MAX));
         for stamp in 1..=STEPS {
-            let (next, res) = step(&sb, &mut rng, &model, &mut held, stamp);
+            let (next, res) = step(&sb, &mut rng, &expect.model, &mut held, stamp);
             match res {
-                Ok(()) => model = next.unwrap_or(model),
+                Ok(()) => expect.model = next.unwrap_or(expect.model),
                 Err(e) => {
                     assert!(
                         clock.is_cut(),
                         "seed {seed}: step {stamp} failed uncut: {e}"
                     );
-                    maybe = next;
+                    expect.maybe = next;
                     break;
                 }
             }
@@ -627,34 +720,35 @@ mod sweep {
         let events = clock.events();
         drop(held);
         drop(sb);
-        if cut.is_none() {
+        let Some(cut) = cut else {
             return events;
+        };
+        // First level: the script's cut, rebooted six ways.
+        let what = format!("seed {seed} cut {cut}");
+        let recoveries = REBOOTS.map(|way| reboot(&what, &backend, &wal, way, &expect));
+        // Second level: recovery itself writes pages, syncs, trims and
+        // appends to the log, and the power can go there too. One of the
+        // six reboots, seeded, is run again with the clock armed at one
+        // of its recovery's own events; what that leaves is rebooted six
+        // ways and held to the same expectations.
+        let mut rng = StdRng::seed_from_u64(seed << 32 | cut);
+        let pick = below(&mut rng, REBOOTS.len());
+        let (tail, keep_unsynced) = REBOOTS[pick];
+        if recoveries[pick] == 0 {
+            return events; // nothing was logged yet: recovery did no I/O
         }
-        for tail in [Tail::Lost, Tail::Torn, Tail::Kept] {
-            for keep_unsynced in [false, true] {
-                let backend2 = Arc::new(backend.after_cut(keep_unsynced));
-                let wal2 = Arc::new(wal.after_cut(tail));
-                let what =
-                    format!("seed {seed} cut {cut:?} tail {tail:?} keep_unsynced {keep_unsynced}");
-                let sb2 = Sbspace::open_with(Arc::clone(&backend2), Arc::clone(&wal2), opts())
-                    .unwrap_or_else(|e| panic!("{what}: recovery failed: {e}"));
-                let acked = check(&backend2, &sb2, &model);
-                let verdict = match (&acked, &maybe) {
-                    (Err(_), Some(m)) => check(&backend2, &sb2, m),
-                    _ => acked.clone(),
-                };
-                if let Err(e) = verdict {
-                    panic!("{what}: {e} (acknowledged state: {acked:?})");
-                }
-                // And the survivor still works.
-                let t = sb2.begin(IsolationLevel::ReadCommitted);
-                let lo = sb2.create_lo(&t).unwrap();
-                let mut h = sb2.open_lo(&t, lo, LockMode::Exclusive).unwrap();
-                h.append_page(&stamp_page(0)).unwrap();
-                h.close().unwrap();
-                t.commit().unwrap();
-                sb2.checkpoint().unwrap();
-            }
+        let cut2 = below(&mut rng, recoveries[pick] as usize) as u64;
+        let what =
+            format!("{what} tail {tail:?} keep_unsynced {keep_unsynced}, recovery cut {cut2}");
+        let clock = Clock::disarmed();
+        clock.arm(cut2);
+        let backend2 = Arc::new(backend.after_cut(keep_unsynced, Arc::clone(&clock)));
+        let wal2 = Arc::new(wal.after_cut(tail, Arc::clone(&clock)));
+        let cut_short = Sbspace::open_with(Arc::clone(&backend2), Arc::clone(&wal2), opts());
+        assert!(cut_short.is_err(), "{what}: recovery outran its cut");
+        drop(cut_short);
+        for way in REBOOTS {
+            reboot(&what, &backend2, &wal2, way, &expect);
         }
         events
     }

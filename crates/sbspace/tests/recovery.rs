@@ -221,6 +221,167 @@ fn file_backed_space_recovers_across_process_style_reopen() {
 }
 
 // ---------------------------------------------------------------------
+// Recovery keeps the log: a second crash replays both epochs
+// ---------------------------------------------------------------------
+
+/// Commits an object of `pages` data pages; returns its id.
+fn commit_object(sb: &Sbspace, pages: usize, fill: u8) -> grt_sbspace::LoId {
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    for _ in 0..pages {
+        h.append_page(&[fill; PAGE_SIZE]).unwrap();
+    }
+    h.close().unwrap();
+    t.commit().unwrap();
+    lo
+}
+
+/// Leaves a transaction that allocated `1 + pages` pages unfinished,
+/// its `AllocNote`s made durable by a neighbour's commit (which itself
+/// keeps one page).
+fn leave_a_loser(sb: &Sbspace, pages: usize) {
+    let loser = sb.begin(IsolationLevel::ReadCommitted);
+    let doomed = sb.create_lo(&loser).unwrap();
+    let mut h = sb.open_lo(&loser, doomed, LockMode::Exclusive).unwrap();
+    for _ in 0..pages {
+        h.append_page(&[0xdd; PAGE_SIZE]).unwrap();
+    }
+    h.close().unwrap();
+    commit_object(sb, 0, 0);
+    std::mem::forget(loser);
+}
+
+/// Recovery no longer empties the log, so a second recovery reads the
+/// first epoch's records beside the second's. It must tell them apart:
+/// the first epoch's loser was compensated once (recovery logged its
+/// `Abort`) and its pages were reused since; the second epoch's loser
+/// is compensated now. With transaction ids restarting at 1 after a
+/// reopen, the second loser takes the id of the first — an aborted
+/// transaction, as far as the log can tell — and its pages leak.
+#[test]
+fn second_crash_replays_both_epochs_apart() {
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    let first = commit_object(&sb, 3, 0x11);
+    leave_a_loser(&sb, 2);
+    drop(sb); // crash
+
+    let sb = reopen(&backend, &wal);
+    let recovered = sb.space_info().unwrap();
+    assert_eq!(recovered.free_pages, 3, "the first loser's pages are free");
+    // The same pages, reused by a transaction that commits.
+    let second = commit_object(&sb, 2, 0x22);
+    assert_eq!(
+        sb.space_info().unwrap(),
+        grt_sbspace::SpaceInfo {
+            free_pages: 0,
+            ..recovered
+        }
+    );
+    leave_a_loser(&sb, 1);
+    drop(sb); // crash
+
+    let sb = reopen(&backend, &wal);
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let mut live = 2; // the two neighbours' inodes
+    for (lo, pages, fill) in [(first, 3, 0x11), (second, 2, 0x22)] {
+        sb.verify_lo(&t, lo).unwrap();
+        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.page_count(), pages);
+        for p in 0..pages {
+            assert_eq!(h.read_page(p).unwrap()[0], fill, "{lo} page {p}");
+        }
+        live += 1 + pages;
+    }
+    let info = sb.space_info().unwrap();
+    assert_eq!(info.free_pages, 2, "the second loser's pages are free");
+    assert_eq!(
+        info.total_pages,
+        1 + live + info.free_pages,
+        "a page is neither live nor free: {info:?}"
+    );
+}
+
+/// An abort gives its pages back before its `Abort` record is forced,
+/// and in between another transaction can take one and commit. A crash
+/// there leaves a loser one of whose pages has a new, live owner — the
+/// later `AllocNote` is the proof that the compensation already
+/// happened, and recovery must not free the page a second time.
+#[test]
+fn loser_whose_page_was_reused_is_not_compensated_again() {
+    use grt_sbspace::lo::Inode;
+    use grt_sbspace::wal::WalRecord;
+    use grt_sbspace::{LoId, TxnId};
+    let (backend, wal) = shared();
+    drop(reopen(&backend, &wal)); // a created, empty space
+    let (loser, owner) = (TxnId(1), TxnId(2));
+    let (pid, inode) = Inode::empty().encode(LoId(1)).remove(0);
+    let log = [
+        WalRecord::AllocNote {
+            txn: loser,
+            pages: vec![1],
+        },
+        WalRecord::FreeNote { pages: vec![1] },
+        WalRecord::AllocNote {
+            txn: owner,
+            pages: vec![1],
+        },
+        WalRecord::PageImage {
+            txn: owner,
+            pid,
+            data: inode,
+        },
+        WalRecord::Commit { txn: owner },
+    ];
+    for r in &log {
+        wal.append(&r.encode()).unwrap();
+    }
+
+    let sb = reopen(&backend, &wal);
+    let info = sb.space_info().unwrap();
+    assert_eq!((info.total_pages, info.free_pages), (2, 0), "{info:?}");
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    assert!(t.id() > owner, "transaction ids continue past the log's");
+    sb.open_lo(&t, LoId(1), LockMode::Shared).unwrap();
+}
+
+/// A torn tail is cut off before recovery appends its own records:
+/// left in place, the garbage would hide them — and every commit of the
+/// next epoch — from the next recovery.
+#[test]
+fn commits_after_a_torn_tail_survive_the_next_crash() {
+    use std::io::Write;
+    let dir = std::env::temp_dir().join(format!("sbspace-torn-tail-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let first = commit_object(&Sbspace::file(&dir, opts()).unwrap(), 1, 0x11);
+    // Tear the tail of the youngest segment.
+    let youngest = std::fs::read_dir(dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .max()
+        .unwrap();
+    let mut seg = std::fs::OpenOptions::new()
+        .append(true)
+        .open(youngest)
+        .unwrap();
+    seg.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x00]).unwrap();
+    drop(seg);
+
+    let second = commit_object(&Sbspace::file(&dir, opts()).unwrap(), 1, 0x22);
+    // Crash again: the second epoch's commit is only in the log.
+    let sb = Sbspace::file(&dir, opts()).unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    for (lo, fill) in [(first, 0x11), (second, 0x22)] {
+        let h = sb.open_lo(&t, lo, LockMode::Shared).unwrap();
+        assert_eq!(h.read_page(0).unwrap()[0], fill, "{lo}");
+    }
+    drop(t);
+    drop(sb);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
 // Group-commit crash safety
 // ---------------------------------------------------------------------
 
@@ -264,8 +425,8 @@ impl WalStore for TearingWal {
     fn active_segment(&self) -> u64 {
         self.inner.active_segment()
     }
-    fn truncate(&self) -> Result<()> {
-        self.inner.truncate()
+    fn trim(&self, len: u64) -> Result<()> {
+        self.inner.trim(len)
     }
 }
 
@@ -419,4 +580,51 @@ fn torn_group_batch_is_fully_absent_after_crash() {
         }
     }
     assert!(failures > 0, "the torn append failed no transaction");
+}
+
+/// A page image is logged up to its last non-zero byte. Replay must
+/// still write the whole page: the data file may hold a previous
+/// owner's bytes where the image's zero tail belongs.
+#[test]
+fn replay_restores_the_zero_tail_a_page_image_left_out() {
+    let (backend, wal) = shared();
+    let sb = reopen(&backend, &wal);
+    // Eight pages of 0xff reach the data file, then go back to the
+    // allocator: the next object is built on top of them.
+    let old = commit_object(&sb, 8, 0xff);
+    sb.checkpoint().unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    sb.drop_lo(&t, old).unwrap();
+    t.commit().unwrap();
+
+    let mut page = [0u8; PAGE_SIZE];
+    page[..3].copy_from_slice(b"abc");
+    let before = wal.live_bytes().unwrap();
+    let t = sb.begin(IsolationLevel::ReadCommitted);
+    let lo = sb.create_lo(&t).unwrap();
+    let mut h = sb.open_lo(&t, lo, LockMode::Exclusive).unwrap();
+    for _ in 0..4 {
+        h.append_page(&page).unwrap();
+    }
+    h.close().unwrap();
+    t.commit().unwrap();
+    let logged = wal.live_bytes().unwrap() - before;
+    assert!(
+        logged < PAGE_SIZE as u64,
+        "four part-filled pages and an inode cost the log {logged} bytes"
+    );
+    drop(sb); // crash: the four pages are in the log only
+
+    let sb2 = reopen(&backend, &wal);
+    let t = sb2.begin(IsolationLevel::ReadCommitted);
+    let h = sb2.open_lo(&t, lo, LockMode::Shared).unwrap();
+    for i in 0..4 {
+        let got = h.read_page(i).unwrap();
+        let stale = got.iter().filter(|&&b| b == 0xff).count();
+        assert!(
+            got[..] == page[..],
+            "page {i}: {stale} bytes of its last owner"
+        );
+    }
+    sb2.verify_lo(&t, lo).unwrap();
 }

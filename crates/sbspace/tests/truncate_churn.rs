@@ -85,7 +85,8 @@ fn churn_round(sb: &Sbspace, los: &[LoId], rng: &mut Rng, round: u64) {
 }
 
 /// Crash (drop without shutdown) and verify every object recovered
-/// whole: full page table, readable pages, intact free list.
+/// whole: full page table, readable pages, and every page of the space
+/// either live or free.
 fn crash_and_verify(
     backend: Arc<MemBackend>,
     wal: Arc<MemWal>,
@@ -105,10 +106,11 @@ fn crash_and_verify(
         h.read_page(PAGES_PER_LO - 1).unwrap();
     }
     drop(txn);
-    // Free-list walk: a double free (e.g. a stale checkpoint claim
-    // replayed over a reallocated page) shows up as a corrupt chain or
-    // a clobbered live page above.
-    sb.space_info().unwrap();
+    // A stale checkpoint claim replayed over a reallocated page makes
+    // that page free *and* live; a lost compensation makes one neither.
+    let info = sb.space_info().unwrap();
+    let live = LOS as u32 * (1 + PAGES_PER_LO);
+    assert_eq!(info.total_pages, 1 + live + info.free_pages, "{info:?}");
 }
 
 #[test]

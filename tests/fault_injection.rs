@@ -155,7 +155,7 @@ fn metrics_reconcile_across_aborted_transactions() {
 }
 
 /// A rolled-back write is counted once. An abort does pay a fixed
-/// compensation cost (freed pages go back to the free list), but it
+/// compensation cost (freed pages go back to the allocator), but it
 /// must be exactly that: identical aborted transactions yield identical
 /// counter deltas, and a commit costs the same whether or not aborts
 /// ran in between — nothing leaks or double-counts across rollback.

@@ -282,7 +282,7 @@ fn load_command_imports_time_extents() {
 
 /// The durability contract's price, asserted: an auto-commit DML
 /// statement on a file-backed space forces the log exactly once — the
-/// allocator and free-list records it generates ride that force — and
+/// allocation and free notes it generates ride that force — and
 /// never syncs the data file. Over a checkpointed pool that fits the
 /// table it does not write the data file either; otherwise its only
 /// page writes are the heap's and the index's inode, rewritten in place

@@ -95,8 +95,8 @@ fn sysmetrics_reports_live_counters_from_every_layer() {
     assert!(m["sbspace.logical_writes"] > 0);
     assert!(m["sbspace.txn_commits"] > 180);
     // The log writer: one sync per force, sized and timed, with the
-    // percentiles next to the count; every allocation note and
-    // free-list image rode some commit's force instead of its own.
+    // percentiles next to the count; every allocation note and free
+    // note rode some commit's force instead of its own.
     assert!(m["wal.sync_ns.count"] > 180);
     assert_eq!(m["wal.sync_ns.count"], m["sbspace.wal_syncs"]);
     assert_eq!(m["wal.force_bytes.count"], m["wal.sync_ns.count"]);
