@@ -29,8 +29,6 @@ pub struct GrFixture {
     pub space: Sbspace,
     /// The tree.
     pub tree: GrTree,
-    /// Total logical reads spent building it.
-    pub build_reads: u64,
     /// Total logical writes spent building it.
     pub build_writes: u64,
 }
@@ -45,8 +43,6 @@ pub struct RStarFixture {
     pub strategy: NowStrategy,
     /// Final extents by rowid (the refinement "base table").
     pub extents: HashMap<u64, TimeExtent>,
-    /// Total logical reads spent building (including refreshes).
-    pub build_reads: u64,
     /// Total logical writes spent building (including refreshes).
     pub build_writes: u64,
     /// Entries reinserted by Horizon refreshes.
@@ -129,7 +125,6 @@ pub fn apply_history_gr_opts(h: &History, pool_pages: usize, opts: GrTreeOptions
     GrFixture {
         space: sb,
         tree,
-        build_reads: delta.logical_reads,
         build_writes: delta.logical_writes,
     }
 }
@@ -209,7 +204,6 @@ pub fn apply_history_rstar(
         tree,
         strategy,
         extents,
-        build_reads: delta.logical_reads,
         build_writes: delta.logical_writes,
         refreshed_entries: refreshed,
     }

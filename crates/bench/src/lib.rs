@@ -1,5 +1,5 @@
-//! Shared harness for the benchmark suite and the table/figure
-//! reproduction binary.
+//! Shared fixtures and table rendering for `repro`, the binary that
+//! regenerates the paper's exhibits.
 
 pub mod fixtures;
 pub mod report;
