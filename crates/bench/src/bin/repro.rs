@@ -971,6 +971,7 @@ fn abl_dispatch() {
         "rows out",
         "ids.udr_calls",
         "udr calls / table row",
+        "ids.udr_resolutions",
         "grtree.nodes_visited",
         "am.am_getnext_batch",
     ]);
@@ -986,6 +987,7 @@ fn abl_dispatch() {
             ids.len().to_string(),
             d.get("ids.udr_calls").to_string(),
             format!("{:.2}", d.get("ids.udr_calls") as f64 / f64::from(rows)),
+            d.get("ids.udr_resolutions").to_string(),
             d.get("grtree.nodes_visited").to_string(),
             d.get("am.am_getnext_batch").to_string(),
         ]);
@@ -1000,7 +1002,7 @@ fn abl_dispatch() {
     println!(
         "The sequential scan evaluates Overlaps once per row through the UDR\n\
          registry: each call looks up the session's memo of routine resolutions\n\
-         (the registry itself is searched once per session and keeps no count),\n\
+         (ids.udr_resolutions counts the registry searches the memo missed),\n\
          coerces its arguments and calls through a boxed function. The index\n\
          evaluates the same predicate inside the tree as a statically dispatched\n\
          key method, and only on the entries of the nodes it visits — the\n\

@@ -2,8 +2,8 @@
 //!
 //! Connects to a running `grt-server`, exercises the full client
 //! lifecycle — DDL, PREPARE/EXECUTE with bound values, multi-batch
-//! fetch, eight concurrent connections, `SHOW METRICS` — and
-//! disconnects cleanly. Exits 0 with a summary line on success,
+//! fetch, eight concurrent connections, result text, `SHOW METRICS` —
+//! and disconnects cleanly. Exits 0 with a summary line on success,
 //! nonzero with the failure on stderr otherwise.
 
 use grt_client::{ClientError, Driver, RemoteDriver};
@@ -11,6 +11,8 @@ use grt_ids::Value;
 
 const CONCURRENCY: usize = 8;
 const ROWS_PER_WORKER: usize = 32;
+/// The extent every row holds, in the blade's text form.
+const EXTENT: &str = "05/18/1997, UC, 05/18/1997, NOW";
 
 fn main() {
     let addr = std::env::args()
@@ -40,13 +42,7 @@ fn run(addr: &str) -> Result<(), ClientError> {
                     driver.prepare("ins", "INSERT INTO smoke VALUES (?, ?)")?;
                     for i in 0..ROWS_PER_WORKER {
                         let id = (w * ROWS_PER_WORKER + i) as i64;
-                        driver.execute(
-                            "ins",
-                            &[
-                                Value::Int(id),
-                                Value::Text("05/18/1997, UC, 05/18/1997, NOW".into()),
-                            ],
-                        )?;
+                        driver.execute("ins", &[Value::Int(id), Value::Text(EXTENT.into())])?;
                     }
                     let got = driver.exec(&format!(
                         "SELECT id FROM smoke WHERE id >= {} AND id < {}",
@@ -87,7 +83,33 @@ fn run(addr: &str) -> Result<(), ClientError> {
         )));
     }
 
-    // Phase 4: SHOW METRICS over the wire — the counters that prove
+    // Phase 4: result text. The server ships the opaque column's text
+    // (only its output function can make it) and the client renders
+    // the integers itself; both must read as the engine would print them.
+    let text = admin.exec("SELECT id, Time_Extent FROM smoke")?;
+    if text.rendered.len() != expect {
+        return Err(ClientError::Protocol(format!(
+            "{} text rows for {expect} rows",
+            text.rendered.len()
+        )));
+    }
+    for (row, cells) in text.rows.iter().zip(&text.rendered) {
+        let id = match row.first() {
+            Some(Value::Int(id)) => id.to_string(),
+            other => {
+                return Err(ClientError::Protocol(format!(
+                    "id cell {other:?} is not an integer"
+                )))
+            }
+        };
+        if cells[..] != [id.as_str(), EXTENT] {
+            return Err(ClientError::Protocol(format!(
+                "row {id} reads {cells:?} as text, expected [{id:?}, {EXTENT:?}]"
+            )));
+        }
+    }
+
+    // Phase 5: SHOW METRICS over the wire — the counters that prove
     // the server actually ran sessions and statements for us.
     let metrics = admin.metrics()?;
     let get = |key: &str| {

@@ -10,6 +10,13 @@
 //! ([`Value::encode`] / [`Value::decode`]), so anything a `SELECT`
 //! can return survives the wire unchanged.
 //!
+//! Each value crosses once. A result's text form travels only when the
+//! client cannot rebuild it from the values: when an output column is
+//! an opaque type, whose text only the type's output function (which
+//! lives in the server) can make. Otherwise a [`Batch`] carries no text
+//! and the client renders each value's `Display`, the same function the
+//! server uses for every non-opaque cell.
+//!
 //! The message set is deliberately small (the Section 6 surface a
 //! DataBlade client actually needs): handshake, ad-hoc query,
 //! prepare / execute / deallocate, batched row fetch, a
@@ -20,7 +27,8 @@ use std::io::{self, Read, Write};
 
 /// Protocol version sent in the handshake; the server refuses
 /// mismatches so framing bugs surface as a clean error, not garbage.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Version 2: a [`Batch`] carries no text rows or one per value row.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard ceiling on a frame payload (16 MiB). A declared length beyond
 /// it is rejected *before* any payload is read, so a malicious or
@@ -200,12 +208,15 @@ pub enum Request {
     Goodbye,
 }
 
-/// One batch of result rows (raw values plus their rendered text).
+/// One batch of result rows: raw values, plus their rendered text when
+/// the client could not rebuild it (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Batch {
     /// Raw result rows.
     pub rows: Vec<Vec<Value>>,
-    /// The same rows rendered through the type support functions.
+    /// Empty, or the same rows rendered through the type support
+    /// functions: one text row per value row, cell for cell. The
+    /// decoder refuses any other shape.
     pub rendered: Vec<Vec<String>>,
     /// True when the cursor is exhausted (and closed server-side).
     pub done: bool,
@@ -377,9 +388,15 @@ fn get_batch(d: &mut Dec) -> Result<Batch, String> {
         rows.push(row);
     }
     let nrend = d.u32()? as usize;
+    if nrend != 0 && nrend != nrows {
+        return Err(format!("{nrend} text rows for {nrows} value rows"));
+    }
     let mut rendered = Vec::with_capacity(nrend.min(4096));
-    for _ in 0..nrend {
+    for values in rows.iter().take(nrend) {
         let ncols = d.u32()? as usize;
+        if ncols != values.len() {
+            return Err(format!("{ncols} text cells for {} values", values.len()));
+        }
         let mut row = Vec::with_capacity(ncols.min(256));
         for _ in 0..ncols {
             row.push(d.str()?);
@@ -874,6 +891,89 @@ mod tests {
         let mut trailing = Request::Metrics.encode();
         trailing.push(0);
         assert!(Request::decode(&trailing).is_err());
+        // A batch's text is absent or one row per value row, cell for
+        // cell: any other shape is refused.
+        let rows = vec![vec![V::Int(1)], vec![V::Int(2)]];
+        let text = |rendered: Vec<Vec<String>>| {
+            Response::Rows(Batch {
+                rows: rows.clone(),
+                rendered,
+                done: true,
+            })
+            .encode()
+        };
+        for rendered in [
+            vec![vec!["1".to_string()]],
+            vec![vec!["1".into()], vec!["2".into()], vec!["3".into()]],
+            vec![vec!["1".into()], vec!["2".into(), "x".into()]],
+        ] {
+            let bad = text(rendered.clone());
+            assert!(Response::decode(&bad).is_err(), "{rendered:?}");
+        }
+        for rendered in [vec![], vec![vec!["1".into()], vec!["2".into()]]] {
+            assert!(Response::decode(&text(rendered)).is_ok());
+        }
+    }
+
+    /// The bytes of a result of `n` one-integer rows, cut the way the
+    /// server and the remote driver cut it (a 256-row head, then
+    /// 1 024-row fetches), counting every response frame and fetch
+    /// request with its length prefix.
+    fn result_bytes(n: i64, text: bool) -> usize {
+        let (head_rows, fetch_rows) = (256, 1024);
+        let batch = |ids: std::ops::Range<i64>| Batch {
+            rows: ids.clone().map(|id| vec![V::Int(id)]).collect(),
+            rendered: if text {
+                ids.map(|id| vec![id.to_string()]).collect()
+            } else {
+                Vec::new()
+            },
+            done: false,
+        };
+        let frame = |payload: Vec<u8>| 4 + payload.len();
+        let mut head = batch(0..n.min(head_rows));
+        head.done = n <= head_rows;
+        let mut bytes = frame(
+            Response::ResultHead {
+                columns: vec!["id".into()],
+                message: String::new(),
+                cursor: u64::from(!head.done),
+                total_rows: n as u64,
+                batch: head,
+            }
+            .encode(),
+        );
+        let mut sent = n.min(head_rows);
+        while sent < n {
+            let fetch = Request::Fetch {
+                cursor: 1,
+                max_rows: fetch_rows as u32,
+            };
+            let mut more = batch(sent..n.min(sent + fetch_rows));
+            sent += more.rows.len() as i64;
+            more.done = sent == n;
+            bytes += frame(fetch.encode()) + frame(Response::Rows(more).encode());
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_result_ships_each_value_once() {
+        // 4 550 rows is what one `SELECT id` window of the warm-scan
+        // workload returns. A row is its cell count and one encoded
+        // integer (4 + 9 bytes); the rest is per-frame headers.
+        for n in [0, 1, 256, 257, 4_550] {
+            let bytes = result_bytes(n, false);
+            assert!(
+                bytes <= 13 * n as usize + 256,
+                "{n} rows take {bytes} bytes"
+            );
+        }
+        // A batch that carries text (a result with an opaque column)
+        // pays a cell count, a length and the digits: at least 9 bytes
+        // more a row.
+        let (with, without) = (result_bytes(4_550, true), result_bytes(4_550, false));
+        assert!(with - without >= 9 * 4_550, "{with} vs {without} bytes");
     }
 
     #[test]

@@ -128,25 +128,16 @@ impl RemoteDriver {
             } => {
                 let mut out = QueryResult {
                     columns,
-                    rows: batch.rows,
-                    rendered: batch.rendered,
                     message,
+                    ..Default::default()
                 };
-                let mut done = batch.done;
+                let mut done = append(&mut out, batch);
                 while !done {
                     match self.round_trip(&Request::Fetch {
                         cursor,
                         max_rows: FETCH_ROWS,
                     })? {
-                        Response::Rows(Batch {
-                            rows,
-                            rendered,
-                            done: d,
-                        }) => {
-                            out.rows.extend(rows);
-                            out.rendered.extend(rendered);
-                            done = d;
-                        }
+                        Response::Rows(batch) => done = append(&mut out, batch),
                         Response::Err { code, message } => return Err(wire_error(code, &message)),
                         other => return Err(unexpected(other)),
                     }
@@ -202,6 +193,27 @@ impl Driver for RemoteDriver {
             other => Err(unexpected(other)),
         }
     }
+}
+
+/// Appends a batch to `out` and says whether it was the last. A batch
+/// without text is rendered here, each cell through its value's
+/// `Display`: the server sends text only for results it alone can
+/// render (an opaque column), and renders every other cell with that
+/// same function, so `rendered` reads as it does on the embedded path.
+fn append(out: &mut QueryResult, batch: Batch) -> bool {
+    let Batch {
+        rows,
+        rendered,
+        done,
+    } = batch;
+    if rendered.is_empty() {
+        let text = |row: &Vec<Value>| row.iter().map(Value::to_string).collect();
+        out.rendered.extend(rows.iter().map(text));
+    } else {
+        out.rendered.extend(rendered);
+    }
+    out.rows.extend(rows);
+    done
 }
 
 /// Maps a wire error onto the client error surface: engine codes

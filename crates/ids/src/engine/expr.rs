@@ -3,7 +3,7 @@
 //! session's memo of routine resolutions. Everything here takes the
 //! statement's [`AmContext`] by reference; nothing here plans or scans.
 
-use super::Connection;
+use super::{Connection, Text};
 use crate::catalog::TableMeta;
 use crate::opaque::OpaqueType;
 use crate::sql::{Expr, Lit};
@@ -120,6 +120,7 @@ impl Connection {
                 }
             }
         }
+        self.db.inner.counters.udr_resolutions.inc();
         let types: Vec<Option<DataType>> = args.iter().map(|v| v.data_type()).collect();
         let routine = {
             let udrs = self.db.inner.udrs.lock();
@@ -221,8 +222,14 @@ impl Connection {
     /// `types[i]` is the declared type of output column `i` (a column
     /// past `types` has none): each opaque column's text-output function
     /// is looked up here, once for the statement, and every cell of the
-    /// column goes through it.
-    pub(super) fn render_rows(&self, types: &[&DataType], rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    /// column goes through it. Under [`Text::Opaque`] a result with no
+    /// such column renders nothing.
+    pub(super) fn render_rows(
+        &self,
+        types: &[&DataType],
+        rows: &[Vec<Value>],
+        text: Text,
+    ) -> Vec<Vec<String>> {
         let outputs: Vec<Option<OpaqueType>> = {
             let opaques = self.db.inner.opaques.lock();
             let output_of = |ty: &&DataType| match ty {
@@ -231,6 +238,9 @@ impl Connection {
             };
             types.iter().map(output_of).collect()
         };
+        if text == Text::Opaque && outputs.iter().all(Option::is_none) {
+            return Vec::new();
+        }
         let cell = |(i, v): (usize, &Value)| {
             // A NULL in an opaque column has no bytes to hand the
             // output function.

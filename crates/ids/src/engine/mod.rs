@@ -103,6 +103,9 @@ struct EngineCounters {
     plans_index: Counter,
     plans_seq: Counter,
     udr_calls: Counter,
+    /// Routine resolutions that missed the session memo and searched
+    /// the registry (`ids.udr_resolutions`).
+    udr_resolutions: Counter,
     /// Base rows fetched for index scans, and the distinct heap pages
     /// pinned to fetch them (`scan.heap_rows` / `scan.heap_pages`,
     /// bumped once per statement).
@@ -149,6 +152,7 @@ impl EngineCounters {
             plans_index: metrics.counter("ids.plans_index"),
             plans_seq: metrics.counter("ids.plans_seq"),
             udr_calls: metrics.counter("ids.udr_calls"),
+            udr_resolutions: metrics.counter("ids.udr_resolutions"),
             heap_rows: metrics.counter("scan.heap_rows"),
             heap_pages: metrics.counter("scan.heap_pages"),
             prepared_opened: metrics.counter("ids.prepared_opened"),
@@ -277,12 +281,25 @@ impl Stmt<'_> {
     }
 }
 
+/// Which of a SELECT's cells the engine renders into
+/// [`QueryResult::rendered`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Text {
+    /// Every cell: what an embedded caller gets.
+    All,
+    /// Every cell when an output column is an opaque type (whose text
+    /// only its output function can make), none otherwise: the server's
+    /// mode. Any other cell's text is its value's `Display`, which the
+    /// client applies itself.
+    Opaque,
+}
+
 /// What one call of [`Connection::execute_with_retry`] runs.
 enum Work<'a> {
-    /// INSERT / SELECT / DELETE / UPDATE: the compiled statement and
-    /// its bound form (the compiled statement itself when it has no
-    /// parameters).
-    Dml(&'a CompiledStatement, &'a Statement),
+    /// INSERT / SELECT / DELETE / UPDATE: the compiled statement, its
+    /// bound form (the compiled statement itself when it has no
+    /// parameters) and the text a SELECT renders.
+    Dml(&'a CompiledStatement, &'a Statement, Text),
     /// Everything else: transaction control, SET, PREPARE, DDL.
     Other(&'a Statement),
     /// DML that did not resolve. The error is raised from inside the

@@ -10,9 +10,14 @@
 //! reads, a decoded column nobody asked for or a projected clone each
 //! show up here as a whole number of allocations a row — at the commit
 //! before this test the count was 9.06.
+//!
+//! The server's entry (`exec_served`) renders no text for a result
+//! without an opaque column — the client rebuilds it from the values —
+//! so the same scan served costs the output row alone: 1.05 a row,
+//! against 3.05 through the embedded entry, which renders every row.
 
 use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
-use grtree_datablade::ids::{Connection, Database, DatabaseOptions};
+use grtree_datablade::ids::{Connection, Database, DatabaseOptions, QueryResult};
 use grtree_datablade::temporal::{Day, MockClock};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -51,8 +56,13 @@ static ALLOCATOR: Counting = Counting;
 /// Rows returned by `sql` and the allocations this thread made running
 /// it (the statement runs on the calling thread end to end).
 fn counted(conn: &Connection, sql: &str) -> (usize, u64) {
+    counted_by(|| conn.exec(sql))
+}
+
+/// [`counted`] through any statement entry.
+fn counted_by(run: impl FnOnce() -> grtree_datablade::ids::Result<QueryResult>) -> (usize, u64) {
     COUNT.with(|c| c.set(Some(0)));
-    let result = conn.exec(sql);
+    let result = run();
     let allocations = COUNT.with(|c| c.take()).expect("counting was on");
     (result.unwrap().rows.len(), allocations)
 }
@@ -122,6 +132,16 @@ fn an_indexed_select_allocates_for_what_it_returns() {
         counted(&conn, &scan),
         (rows, allocations),
         "the count repeats"
+    );
+
+    // The server's entry: values only, no text.
+    let (served_rows, served) = counted_by(|| conn.exec_served(&scan));
+    assert_eq!(served_rows, rows);
+    let served_per_row = served as f64 / rows as f64;
+    println!("served scan: {served} allocations for {rows} rows = {served_per_row:.2} a row");
+    assert!(
+        served_per_row <= 1.5,
+        "{served_per_row:.2} allocations a row served"
     );
 
     let (rows, allocations) = counted(&conn, &probe);

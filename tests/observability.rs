@@ -82,6 +82,14 @@ fn sysmetrics_reports_live_counters_from_every_layer() {
     assert!(m["ids.statements"] > 180);
     assert!(m["am.am_insert"] >= 180, "per-purpose UDR counters missing");
     assert!(m["ids.udr_calls"] > 0, "strategy functions went uncounted");
+    // The session memo resolves each routine once; only the misses
+    // search the registry.
+    assert!(
+        (1..=m["ids.udr_calls"]).contains(&m["ids.udr_resolutions"]),
+        "routine resolutions: {} for {} calls",
+        m["ids.udr_resolutions"],
+        m["ids.udr_calls"]
+    );
     assert!(
         m["ids.plans_index"] + m["ids.plans_seq"] >= 1,
         "planner decisions counted"

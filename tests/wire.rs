@@ -15,6 +15,7 @@ use grtree_datablade::client::proto::{
 use grtree_datablade::client::{ClientError, Driver, EmbeddedDriver, RemoteDriver};
 use grtree_datablade::ids::{Database, DatabaseOptions, Value};
 use grtree_datablade::server::{Server, ServerHandle, ServerOptions};
+use grtree_datablade::temporal::Day;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -70,6 +71,36 @@ fn script(driver: &dyn Driver) -> Vec<Vec<Value>> {
     rows
 }
 
+/// A table of every non-opaque cell kind, NULL and non-ASCII text
+/// included, loaded through a prepared INSERT.
+fn plain_types(driver: &dyn Driver) {
+    driver
+        .exec("CREATE TABLE v (id integer, d date, b boolean, t text)")
+        .unwrap();
+    driver
+        .prepare("vins", "INSERT INTO v VALUES (?, ?, ?, ?)")
+        .unwrap();
+    let rows = [
+        [
+            Value::Int(1),
+            Value::Date(Day(10_000)),
+            Value::Bool(true),
+            Value::Text("Bliujūtė".into()),
+        ],
+        [
+            Value::Int(-2),
+            Value::Null,
+            Value::Bool(false),
+            Value::Text("日本語 ✓".into()),
+        ],
+        [Value::Null, Value::Date(Day(-3)), Value::Null, Value::Null],
+    ];
+    for row in &rows {
+        driver.execute("vins", row).unwrap();
+    }
+    driver.deallocate("vins").unwrap();
+}
+
 #[test]
 fn remote_driver_matches_embedded_driver() {
     let (_db, mut server) = boot(ServerOptions::default());
@@ -81,6 +112,28 @@ fn remote_driver_matches_embedded_driver() {
     let embedded_rows = script(&embedded);
 
     assert_eq!(remote_rows, embedded_rows);
+
+    // Whole results, text included, are the same on both paths: the
+    // server ships text only for the opaque column, and the client
+    // renders the rest from the values exactly as the engine would.
+    plain_types(&remote);
+    plain_types(&embedded);
+    for sql in [
+        "SELECT id FROM s",
+        "SELECT * FROM s",
+        "SELECT Time_Extent, id FROM s WHERE id < 3",
+        "SELECT * FROM v",
+        "SELECT t, b FROM v WHERE id = 1",
+        "SELECT * FROM systables",
+        "SELECT index_name, access_method FROM sysindices",
+    ] {
+        let (r, e) = (remote.exec(sql).unwrap(), embedded.exec(sql).unwrap());
+        assert_eq!(r.columns, e.columns, "{sql}");
+        assert_eq!(r.rows, e.rows, "{sql}");
+        assert_eq!(r.rendered, e.rendered, "{sql}");
+        assert_eq!(r.rendered.len(), r.rows.len(), "{sql}");
+        assert!(!r.rows.is_empty(), "{sql}");
+    }
 
     // Engine errors keep their exact shape across the wire.
     let e = remote.exec("SELECT id FROM nope").unwrap_err();
@@ -113,6 +166,47 @@ fn results_stream_through_cursors() {
     let out = driver.exec("SELECT id FROM c").unwrap();
     assert_eq!(out.rows.len(), 25);
     assert_eq!(out.rendered.len(), 25);
+    driver.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn opaque_text_streams_through_cursors() {
+    // The same 7-row head, with an opaque column: the server renders
+    // its text and every fetch carries the text of its own rows.
+    let (db, mut server) = boot(ServerOptions {
+        fetch_rows: 7,
+        ..Default::default()
+    });
+    let driver = RemoteDriver::connect(addr(&server)).unwrap();
+    driver
+        .exec("CREATE TABLE c (id integer, Time_Extent GRT_TimeExtent_t)")
+        .unwrap();
+    for id in 0..25i64 {
+        driver
+            .exec(&format!("INSERT INTO c VALUES ({id}, '{EXTENT}')"))
+            .unwrap();
+    }
+    let sql = "SELECT id, Time_Extent FROM c";
+    let out = driver.exec(sql).unwrap();
+    assert_eq!(out.rows.len(), 25);
+    assert_eq!(out.rendered, db.connect().exec(sql).unwrap().rendered);
+    for (id, text) in out.rendered.iter().enumerate() {
+        assert_eq!(text, &[id.to_string(), EXTENT.to_string()]);
+    }
+    // On the wire itself, text rides only with the opaque column.
+    let mut s = raw_handshake(&addr(&server));
+    for (sql, text) in [("SELECT id FROM c", false), (sql, true)] {
+        write_frame(&mut s, &Request::Query { sql: sql.into() }.encode()).unwrap();
+        match Response::decode(&read_frame(&mut s).unwrap()).unwrap() {
+            Response::ResultHead { batch, .. } => {
+                assert_eq!(batch.rows.len(), 7, "{sql}");
+                assert_eq!(batch.rendered.len(), if text { 7 } else { 0 }, "{sql}");
+            }
+            other => panic!("expected a result head, got {other:?}"),
+        }
+    }
+    drop(s);
     driver.goodbye().unwrap();
     server.shutdown();
 }
@@ -358,6 +452,7 @@ fn metrics_ride_the_wire() {
     let wire = driver.metrics().unwrap();
     let get = |k: &str| wire.iter().find(|(n, _)| n == k).map(|&(_, v)| v);
     assert!(get("ids.statements").unwrap_or(0) >= 2);
+    assert!(get("ids.udr_resolutions").is_some());
     // The wire view is the same flattening the embedded driver uses.
     let local = grtree_datablade::client::flatten_metrics(&db);
     let names: std::collections::BTreeSet<_> = wire.iter().map(|(n, _)| n.clone()).collect();
