@@ -980,7 +980,7 @@ fn abl_dispatch() {
         let r = conn.exec(query).unwrap();
         let d = db.metrics_snapshot().since(&before);
         assert_eq!(d.get(plan), 1, "{name} must plan as {plan}");
-        let mut ids: Vec<String> = r.rendered.into_iter().map(|row| row[0].clone()).collect();
+        let mut ids: Vec<String> = r.text().iter().map(|row| row[0].clone()).collect();
         ids.sort();
         t.push(&[
             name.to_string(),

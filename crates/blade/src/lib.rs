@@ -39,7 +39,7 @@
 //! let r = conn
 //!     .exec("SELECT Name FROM e WHERE Overlaps(Time_Extent, '3/97, UC, 3/97, NOW')")
 //!     .unwrap();
-//! assert_eq!(r.rendered[0][0], "Ada");
+//! assert_eq!(r.text()[0][0], "Ada");
 //! ```
 
 pub mod curtime;

@@ -89,7 +89,7 @@ fn empdep_relation_matches_table_1() {
         .unwrap();
     assert_eq!(r.rows.len(), 6, "six tuples as in Table 1");
     let mut rendered: Vec<(String, String)> = r
-        .rendered
+        .text()
         .iter()
         .map(|row| (row[0].clone(), row[1].clone()))
         .collect();
@@ -141,7 +141,7 @@ fn index_answers_match_sequential_scan_over_time() {
     let all = conn
         .exec("SELECT Name, Department, Time_Extent FROM Employees")
         .unwrap();
-    for row in &all.rendered {
+    for row in all.text().iter() {
         conn.exec(&format!(
             "INSERT INTO Plain VALUES ('{}', '{}', '{}')",
             row[0], row[1], row[2]
@@ -168,8 +168,8 @@ fn index_answers_match_sequential_scan_over_time() {
             let plain = conn
                 .exec(&format!("SELECT Name FROM Plain WHERE {q}"))
                 .unwrap();
-            let mut a: Vec<String> = indexed.rendered.iter().map(|r| r[0].clone()).collect();
-            let mut b: Vec<String> = plain.rendered.iter().map(|r| r[0].clone()).collect();
+            let mut a: Vec<String> = indexed.text().iter().map(|r| r[0].clone()).collect();
+            let mut b: Vec<String> = plain.text().iter().map(|r| r[0].clone()).collect();
             a.sort();
             b.sort();
             assert_eq!(a, b, "{q} at {when:?}");
@@ -574,7 +574,8 @@ fn support_functions_are_usable_from_sql() {
              WHERE grt_intersection(Time_Extent, '5/97, UC, 5/97, NOW') > 0",
         )
         .unwrap();
-    let names: Vec<&str> = r.rendered.iter().map(|row| row[0].as_str()).collect();
+    let text = r.text();
+    let names: Vec<&str> = text.iter().map(|row| row[0].as_str()).collect();
     assert!(names.contains(&"Jane"), "{names:?}");
     // A non-strategy call cannot use the index: trace shows no getnext.
     db.trace().on("AM", 1);

@@ -84,16 +84,18 @@ fn run(addr: &str) -> Result<(), ClientError> {
     }
 
     // Phase 4: result text. The server ships the opaque column's text
-    // (only its output function can make it) and the client renders
-    // the integers itself; both must read as the engine would print them.
-    let text = admin.exec("SELECT id, Time_Extent FROM smoke")?;
-    if text.rendered.len() != expect {
+    // (only its output function can make it; without it a cell reads
+    // `<GRT_TimeExtent_t:N bytes>`) and the integers render from their
+    // values; both must read as the engine would print them.
+    let result = admin.exec("SELECT id, Time_Extent FROM smoke")?;
+    let text = result.text();
+    if text.len() != expect {
         return Err(ClientError::Protocol(format!(
             "{} text rows for {expect} rows",
-            text.rendered.len()
+            text.len()
         )));
     }
-    for (row, cells) in text.rows.iter().zip(&text.rendered) {
+    for (row, cells) in result.rows.iter().zip(text.iter()) {
         let id = match row.first() {
             Some(Value::Int(id)) => id.to_string(),
             other => {

@@ -13,9 +13,11 @@
 //! Each value crosses once. A result's text form travels only when the
 //! client cannot rebuild it from the values: when an output column is
 //! an opaque type, whose text only the type's output function (which
-//! lives in the server) can make. Otherwise a [`Batch`] carries no text
-//! and the client renders each value's `Display`, the same function the
-//! server uses for every non-opaque cell.
+//! lives in the server) can make. Otherwise a [`Batch`] carries no text,
+//! and nor does the [`grt_ids::QueryResult`] the client assembles: its
+//! [`text`](grt_ids::QueryResult::text) renders each value's `Display`
+//! for a caller who prints it, the same function the server uses for
+//! every non-opaque cell.
 //!
 //! The message set is deliberately small (the Section 6 surface a
 //! DataBlade client actually needs): handshake, ad-hoc query,
@@ -675,11 +677,17 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one frame (length prefix + payload) and flushes.
+/// Writes one frame (length prefix + payload) and flushes. Prefix and
+/// payload are joined first and leave in one `write`: written apart, a
+/// payload larger than a `BufWriter`'s buffer would follow its prefix
+/// in a second system call, and a `TCP_NODELAY` socket would send the
+/// 4 bytes as a segment of their own.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -974,6 +982,33 @@ mod tests {
         // more a row.
         let (with, without) = (result_bytes(4_550, true), result_bytes(4_550, false));
         assert!(with - without >= 9 * 4_550, "{with} vs {without} bytes");
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        /// A writer that keeps each `write` call's bytes.
+        #[derive(Default)]
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // About what a 1 024-row `SELECT id` batch weighs: more than a
+        // default `BufWriter` holds.
+        let payload: Vec<u8> = (0..13_000u32).map(|i| i as u8).collect();
+        let mut want = 13_000u32.to_le_bytes().to_vec();
+        want.extend_from_slice(&payload);
+        let mut direct = Calls::default();
+        write_frame(&mut direct, &payload).unwrap();
+        assert_eq!(direct.0, [want.clone()]);
+        let mut buffered = io::BufWriter::new(Calls::default());
+        write_frame(&mut buffered, &payload).unwrap();
+        assert_eq!(buffered.get_ref().0, [want]);
     }
 
     #[test]

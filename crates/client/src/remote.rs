@@ -195,25 +195,14 @@ impl Driver for RemoteDriver {
     }
 }
 
-/// Appends a batch to `out` and says whether it was the last. A batch
-/// without text is rendered here, each cell through its value's
-/// `Display`: the server sends text only for results it alone can
-/// render (an opaque column), and renders every other cell with that
-/// same function, so `rendered` reads as it does on the embedded path.
+/// Appends a batch to `out` and says whether it was the last. Text
+/// rides only with a result the server alone can render (an opaque
+/// column), so `rendered` reads as it does on the embedded path, and
+/// [`QueryResult::text`] renders the rest for whoever prints it.
 fn append(out: &mut QueryResult, batch: Batch) -> bool {
-    let Batch {
-        rows,
-        rendered,
-        done,
-    } = batch;
-    if rendered.is_empty() {
-        let text = |row: &Vec<Value>| row.iter().map(Value::to_string).collect();
-        out.rendered.extend(rows.iter().map(text));
-    } else {
-        out.rendered.extend(rendered);
-    }
-    out.rows.extend(rows);
-    done
+    out.rows.extend(batch.rows);
+    out.rendered.extend(batch.rendered);
+    batch.done
 }
 
 /// Maps a wire error onto the client error surface: engine codes

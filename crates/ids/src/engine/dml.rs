@@ -3,7 +3,7 @@
 //! the statement's [`TableBinding`] and its one [`Stmt`] context.
 
 use super::resolve::{IndexBinding, TableBinding};
-use super::{msg, Connection, QueryResult, Stmt, Text, Work};
+use super::{msg, Connection, QueryResult, Stmt, Work};
 use crate::catalog::TableMeta;
 use crate::heap;
 use crate::planner::Plan;
@@ -21,18 +21,18 @@ impl Connection {
         // snapshot read path for the rest of its life: its own writes
         // must be visible, which only the locked path guarantees.
         if let Some(reads) = &mut st.explicit {
-            reads.wrote |= !matches!(work, Work::Dml(_, Statement::Select { .. }, _));
+            reads.wrote |= !matches!(work, Work::Dml(_, Statement::Select { .. }));
         }
         match *work {
             Work::Failed(e) => Err(e.clone()),
             Work::Other(stmt) => self.run_ddl(st, stmt),
-            Work::Dml(compiled, stmt, text) => match stmt {
+            Work::Dml(compiled, stmt) => match stmt {
                 Statement::Insert { table, values } => self.insert(st, compiled, table, values),
                 Statement::Select {
                     table,
                     where_clause,
                     ..
-                } => self.select(st, compiled, table, where_clause.as_ref(), text),
+                } => self.select(st, compiled, table, where_clause.as_ref()),
                 Statement::Delete {
                     table,
                     where_clause,
@@ -366,7 +366,6 @@ impl Connection {
         compiled: &CompiledStatement,
         table: &str,
         where_clause: Option<&Expr>,
-        text: Text,
     ) -> Result<QueryResult> {
         let projection = compiled
             .projection
@@ -374,10 +373,11 @@ impl Connection {
             .expect("resolve projects every SELECT");
         let mut rows = Vec::new();
         let rendered = if compiled.heap.is_none() {
-            // A system catalog, queryable like a table (projection only).
+            // A system catalog, queryable like a table (projection only);
+            // it has no opaque column, so no text only the server can make.
             let (_, all) = self.db.catalog_dump(table)?;
             rows.extend(all.iter().map(|row| projection.apply(row)));
-            self.render_rows(&[], &rows, text)
+            Vec::new()
         } else {
             let binding = &self.bound(compiled, table)?;
             let table = &binding.table.name;
@@ -403,7 +403,7 @@ impl Connection {
                 .iter()
                 .map(|&i| &columns[i].1)
                 .collect();
-            self.render_rows(&types, &rows, text)
+            self.render_rows(&types, &rows)
         };
         Ok(QueryResult {
             columns: projection.headers.clone(),

@@ -4,7 +4,7 @@
 //! [`CompiledStatement`] with its arguments bound, inside the [`Stmt`]
 //! that [`Connection::with_txn`] makes for the attempt.
 
-use super::{msg, Connection, Database, OpenTxn, QueryResult, Stmt, Text, Work};
+use super::{msg, Connection, Database, OpenTxn, QueryResult, Stmt, Work};
 use crate::prepare::{self, CompiledStatement};
 use crate::session::{MemDuration, Session};
 use crate::sql::{self, Expr, Statement};
@@ -37,19 +37,6 @@ impl Connection {
     /// re-resolves) while preserved `PerTransaction` memory carries over
     /// the victim abort.
     pub fn exec(&self, sql_text: &str) -> Result<QueryResult> {
-        self.exec_as(sql_text, Text::All)
-    }
-
-    /// [`Connection::exec`] as a server runs it: the result's
-    /// `rendered` table is empty unless an output column is an opaque
-    /// type, whose text only its output function can make. Every other
-    /// cell's text is its value's `Display`, which the client applies
-    /// itself, so the server neither renders nor ships it.
-    pub fn exec_served(&self, sql_text: &str) -> Result<QueryResult> {
-        self.exec_as(sql_text, Text::Opaque)
-    }
-
-    fn exec_as(&self, sql_text: &str, text: Text) -> Result<QueryResult> {
         // The EXECUTE hot path: the named statement was compiled at
         // PREPARE, so the transparent-cache normalization below would
         // only re-lex text whose compiled form we already hold. Parse
@@ -59,13 +46,13 @@ impl Connection {
             && head[..7].eq_ignore_ascii_case(b"EXECUTE")
             && head[7].is_ascii_whitespace()
         {
-            return self.dispatch(sql::parse(sql_text)?, text);
+            return self.dispatch(sql::parse(sql_text)?);
         }
         // Phase 1+2 (parse, verify/resolve) are served from the
         // transparent plan cache when the normalized statement text has
         // been seen before; a cache hit never parses at all.
         let Some(normalized) = sql::normalize_dml(sql_text)? else {
-            return self.dispatch(sql::parse(sql_text)?, text);
+            return self.dispatch(sql::parse(sql_text)?);
         };
         let args: Vec<Value> = normalized.args.iter().map(Self::literal_value).collect();
         let cache = &self.db.inner.plan_cache;
@@ -83,14 +70,14 @@ impl Connection {
                 }
             }
         };
-        self.run_compiled(&compiled, &args, text)
+        self.run_compiled(&compiled, &args)
     }
 
     /// Executes a semicolon-separated script, returning the last result.
     pub fn exec_script(&self, script: &str) -> Result<QueryResult> {
         let mut last = QueryResult::default();
         for stmt in sql::parse_script(script)? {
-            last = self.dispatch(stmt, Text::All)?;
+            last = self.dispatch(stmt)?;
         }
         Ok(last)
     }
@@ -113,16 +100,6 @@ impl Connection {
     /// bind-time arity and type checks apply: a bad binding never
     /// starts a transaction.
     pub fn execute_values(&self, name: &str, args: &[Value]) -> Result<QueryResult> {
-        self.execute_values_as(name, args, Text::All)
-    }
-
-    /// [`Connection::execute_values`] as a server runs it, rendering
-    /// only what [`Connection::exec_served`] renders.
-    pub fn execute_values_served(&self, name: &str, args: &[Value]) -> Result<QueryResult> {
-        self.execute_values_as(name, args, Text::Opaque)
-    }
-
-    fn execute_values_as(&self, name: &str, args: &[Value], text: Text) -> Result<QueryResult> {
         let compiled = self
             .prepared
             .lock()
@@ -145,7 +122,7 @@ impl Connection {
                 None => v.clone(),
             });
         }
-        self.run_compiled(&compiled, &bound, text)
+        self.run_compiled(&compiled, &bound)
     }
 
     /// Drops the prepared statement `name` — the programmatic form of
@@ -193,11 +170,11 @@ impl Connection {
     /// Routes a statement that came with no compiled form (script,
     /// non-DML, or text with explicit `?`): `EXECUTE` runs its prepared
     /// statement, DML is compiled here, uncached, and joins the one path.
-    fn dispatch(&self, stmt: Statement, text: Text) -> Result<QueryResult> {
+    fn dispatch(&self, stmt: Statement) -> Result<QueryResult> {
         match stmt {
-            Statement::Execute { name, using } => self.execute_prepared(&name, &using, text),
+            Statement::Execute { name, using } => self.execute_prepared(&name, &using),
             dml if dml.is_dml() => match self.resolve(dml, None) {
-                Ok(compiled) => self.run_compiled(&compiled, &[], text),
+                Ok(compiled) => self.run_compiled(&compiled, &[]),
                 Err(e) => self.execute_with_retry(Work::Failed(&e)),
             },
             other => self.execute_with_retry(Work::Other(&other)),
@@ -207,12 +184,7 @@ impl Connection {
     /// Phase 3 — bind: substitutes `args` into the compiled statement
     /// (the one deep copy of the statement an execution makes; none
     /// when there is nothing to substitute) and runs it.
-    fn run_compiled(
-        &self,
-        compiled: &CompiledStatement,
-        args: &[Value],
-        text: Text,
-    ) -> Result<QueryResult> {
+    fn run_compiled(&self, compiled: &CompiledStatement, args: &[Value]) -> Result<QueryResult> {
         let bound;
         let stmt = if args.is_empty() {
             &compiled.stmt
@@ -221,7 +193,7 @@ impl Connection {
             &bound
         };
         self.execute_with_retry(if stmt.is_dml() {
-            Work::Dml(compiled, stmt, text)
+            Work::Dml(compiled, stmt)
         } else {
             Work::Other(stmt)
         })
@@ -230,7 +202,7 @@ impl Connection {
     /// `EXECUTE name [USING v1, …]`: bind-time checks (the statement
     /// never starts executing on an arity or type error), then the
     /// normal execution path with the compiled handle attached.
-    fn execute_prepared(&self, name: &str, using: &[Expr], text: Text) -> Result<QueryResult> {
+    fn execute_prepared(&self, name: &str, using: &[Expr]) -> Result<QueryResult> {
         let mut args = Vec::with_capacity(using.len());
         for expr in using {
             let Expr::Literal(lit) = expr else {
@@ -240,7 +212,7 @@ impl Connection {
             };
             args.push(Self::literal_value(lit));
         }
-        self.execute_values_as(name, &args, text)
+        self.execute_values(name, &args)
     }
 
     /// True for errors produced by a transaction aborted as a

@@ -3,7 +3,7 @@
 //! session's memo of routine resolutions. Everything here takes the
 //! statement's [`AmContext`] by reference; nothing here plans or scans.
 
-use super::{Connection, Text};
+use super::Connection;
 use crate::catalog::TableMeta;
 use crate::opaque::OpaqueType;
 use crate::sql::{Expr, Lit};
@@ -218,18 +218,16 @@ impl Connection {
         }
     }
 
-    /// Renders result rows through the type support functions.
-    /// `types[i]` is the declared type of output column `i` (a column
-    /// past `types` has none): each opaque column's text-output function
-    /// is looked up here, once for the statement, and every cell of the
-    /// column goes through it. Under [`Text::Opaque`] a result with no
-    /// such column renders nothing.
-    pub(super) fn render_rows(
-        &self,
-        types: &[&DataType],
-        rows: &[Vec<Value>],
-        text: Text,
-    ) -> Vec<Vec<String>> {
+    /// The text of result rows that only the type support functions
+    /// can make: [`QueryResult::rendered`](super::QueryResult::rendered).
+    /// `types[i]` is the declared type of output column `i`: each opaque
+    /// column's text-output function is looked up here, once for the
+    /// statement, and every cell of the column goes through it. A result
+    /// with no such column renders nothing;
+    /// [`QueryResult::text`](super::QueryResult::text) makes its text
+    /// when someone asks for it, with the same `Display` the other cells
+    /// of a rendered result get here.
+    pub(super) fn render_rows(&self, types: &[&DataType], rows: &[Vec<Value>]) -> Vec<Vec<String>> {
         let outputs: Vec<Option<OpaqueType>> = {
             let opaques = self.db.inner.opaques.lock();
             let output_of = |ty: &&DataType| match ty {
@@ -238,7 +236,7 @@ impl Connection {
             };
             types.iter().map(output_of).collect()
         };
-        if text == Text::Opaque && outputs.iter().all(Option::is_none) {
+        if outputs.iter().all(Option::is_none) {
             return Vec::new();
         }
         let cell = |(i, v): (usize, &Value)| {

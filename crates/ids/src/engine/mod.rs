@@ -29,6 +29,7 @@ use grt_metrics::{Counter, Histogram, Metrics, MetricsSnapshot};
 use grt_sbspace::{IsolationLevel, Sbspace, SbspaceOptions, SpaceSnapshot, Txn};
 use grt_temporal::{Clock, MockClock};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -281,25 +282,12 @@ impl Stmt<'_> {
     }
 }
 
-/// Which of a SELECT's cells the engine renders into
-/// [`QueryResult::rendered`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Text {
-    /// Every cell: what an embedded caller gets.
-    All,
-    /// Every cell when an output column is an opaque type (whose text
-    /// only its output function can make), none otherwise: the server's
-    /// mode. Any other cell's text is its value's `Display`, which the
-    /// client applies itself.
-    Opaque,
-}
-
 /// What one call of [`Connection::execute_with_retry`] runs.
 enum Work<'a> {
-    /// INSERT / SELECT / DELETE / UPDATE: the compiled statement, its
-    /// bound form (the compiled statement itself when it has no
-    /// parameters) and the text a SELECT renders.
-    Dml(&'a CompiledStatement, &'a Statement, Text),
+    /// INSERT / SELECT / DELETE / UPDATE: the compiled statement and
+    /// its bound form (the compiled statement itself when it has no
+    /// parameters).
+    Dml(&'a CompiledStatement, &'a Statement),
     /// Everything else: transaction control, SET, PREPARE, DDL.
     Other(&'a Statement),
     /// DML that did not resolve. The error is raised from inside the
@@ -321,7 +309,10 @@ pub struct QueryResult {
     pub columns: Vec<String>,
     /// Raw result rows (SELECT only).
     pub rows: Vec<Vec<Value>>,
-    /// Rows rendered through the type support functions.
+    /// The text only the server's type support functions can make:
+    /// every row rendered when an output column is an opaque type (each
+    /// of its cells through the type's text-output function), empty
+    /// otherwise. Read a result's text through [`QueryResult::text`].
     pub rendered: Vec<Vec<String>>,
     /// Status message for non-queries.
     pub message: String,
@@ -573,15 +564,29 @@ impl Database {
 }
 
 impl QueryResult {
+    /// The rows as text: [`QueryResult::rendered`] when the server made
+    /// it, else each cell through its value's `Display` — the function
+    /// that renders every non-opaque cell of a rendered result too.
+    pub fn text(&self) -> Cow<'_, [Vec<String>]> {
+        if !self.rendered.is_empty() {
+            return Cow::Borrowed(&self.rendered);
+        }
+        let row = |row: &Vec<Value>| row.iter().map(Value::to_string).collect();
+        Cow::Owned(self.rows.iter().map(row).collect())
+    }
+
     /// Formats a SELECT result as an aligned text table.
     pub fn to_table(&self) -> String {
         if self.columns.is_empty() {
             return self.message.clone();
         }
-        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
-        for row in &self.rendered {
+        let text = self.text();
+        // Widths in chars, the unit `format!` pads in.
+        let width = |s: &String| s.chars().count();
+        let mut widths: Vec<usize> = self.columns.iter().map(width).collect();
+        for row in text.iter() {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
         let line = |cells: &[String]| -> String {
@@ -593,7 +598,86 @@ impl QueryResult {
             padded.join(" | ") + "\n"
         };
         let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        let body: String = self.rendered.iter().map(|row| line(row)).collect();
+        let body: String = text.iter().map(|row| line(row)).collect();
         line(&self.columns) + &rule.join("-+-") + "\n" + &body
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grt_temporal::Day;
+
+    /// `v (id, d, b, t, p)`, `p` of an opaque type whose output function
+    /// writes `(a; b)` — text no `Display` of the value could make.
+    fn result_of(sql: &str) -> QueryResult {
+        let db = Database::new(DatabaseOptions::default());
+        db.install_opaque_type(OpaqueType::new(
+            "pair",
+            Arc::new(|text: &str| {
+                let (a, b) = text.split_once(',').expect("a,b");
+                Ok([a, b]
+                    .iter()
+                    .map(|n| n.trim().parse::<u8>().unwrap())
+                    .collect())
+            }),
+            Arc::new(|bytes: &[u8]| Ok(format!("({}; {})", bytes[0], bytes[1]))),
+        ));
+        let conn = db.connect();
+        conn.exec("CREATE TABLE v (id integer, d date, b boolean, t text, p pair)")
+            .unwrap();
+        conn.prepare("ins", "INSERT INTO v VALUES (?, ?, ?, ?, ?)")
+            .unwrap();
+        for row in [
+            [
+                Value::Int(-7),
+                Value::Date(Day(10_000)),
+                Value::Bool(true),
+                Value::Text("Bliujūtė".into()),
+                Value::Text("3,4".into()),
+            ],
+            [
+                Value::Null,
+                Value::Null,
+                Value::Bool(false),
+                Value::Text("日本語 ✓".into()),
+                Value::Null,
+            ],
+        ] {
+            conn.execute_values("ins", &row).unwrap();
+        }
+        conn.exec(sql).unwrap()
+    }
+
+    #[test]
+    fn text_is_the_servers_or_each_values_display() {
+        // An opaque column: the output function's text, made at execution.
+        let r = result_of("SELECT * FROM v");
+        assert_eq!(r.rendered.len(), 2);
+        let want = [
+            ["-7", "05/19/1997", "t", "Bliujūtė", "(3; 4)"],
+            ["NULL", "NULL", "f", "日本語 ✓", "NULL"],
+        ];
+        assert!(matches!(r.text(), Cow::Borrowed(_)));
+        assert_eq!(r.text()[..], want);
+        assert_eq!(
+            r.to_table(),
+            "id   | d          | b | t        | p     \n\
+             -----+------------+---+----------+-------\n\
+             -7   | 05/19/1997 | t | Bliujūtė | (3; 4)\n\
+             NULL | NULL       | f | 日本語 ✓    | NULL  \n"
+        );
+        // No opaque column: nothing is rendered until someone asks, and
+        // then each value's `Display`.
+        let r = result_of("SELECT t, id, b, d FROM v");
+        assert!(r.rendered.is_empty());
+        assert!(matches!(r.text(), Cow::Owned(_)));
+        assert_eq!(
+            r.text()[..],
+            [
+                ["Bliujūtė", "-7", "t", "05/19/1997"],
+                ["日本語 ✓", "NULL", "f", "NULL"],
+            ]
+        );
     }
 }

@@ -60,7 +60,7 @@ fn load_goes_through_the_import_function() {
     let rows = conn.exec("SELECT label, p, n FROM points").unwrap();
     assert_eq!(rows.rows.len(), 3);
     // The rendered opaque value uses the text-output form.
-    assert_eq!(rows.rendered[1][1], "3,4");
+    assert_eq!(rows.text()[1][1], "3,4");
     assert_eq!(rows.rows[2][2], Value::Int(30));
     std::fs::remove_file(&path).ok();
 }

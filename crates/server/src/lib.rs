@@ -258,7 +258,7 @@ impl Drop for ServerHandle {
 
 /// A server-side result cursor: rows already produced by the engine,
 /// parked until the client fetches them. `rendered` is empty unless the
-/// result has an opaque column (see [`Connection::exec_served`]).
+/// result has an opaque column (see [`QueryResult::rendered`]).
 struct Cursor {
     rows: std::vec::IntoIter<Vec<Value>>,
     rendered: std::vec::IntoIter<Vec<String>>,
@@ -423,7 +423,7 @@ impl Session<'_> {
         }
         Ok(Some(match req {
             Request::Hello { .. } => unreachable!("handled above"),
-            Request::Query { sql } => match self.connection().exec_served(&sql) {
+            Request::Query { sql } => match self.connection().exec(&sql) {
                 Ok(result) => self.result_response(result),
                 Err(e) => err_response(&e),
             },
@@ -434,7 +434,7 @@ impl Session<'_> {
                 Err(e) => err_response(&e),
             },
             Request::Execute { name, args } => {
-                match self.connection().execute_values_served(&name, &args) {
+                match self.connection().execute_values(&name, &args) {
                     Ok(result) => self.result_response(result),
                     Err(e) => err_response(&e),
                 }

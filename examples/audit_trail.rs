@@ -67,7 +67,7 @@ fn main() {
                  WHERE Overlaps(Time_Extent, '{tt}, {tt}, {vt}, {vt}')"
             ))
             .unwrap();
-        r.rendered
+        r.text()
             .iter()
             .map(|row| format!("{} = {}", row[0], row[1]))
             .collect::<Vec<_>>()

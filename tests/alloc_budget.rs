@@ -1,23 +1,28 @@
-//! Heap allocations per returned row of an embedded indexed `SELECT`,
-//! counted exactly. A test binary of its own: the counting allocator is
-//! this process's global allocator.
+//! Heap allocations per returned row of an indexed `SELECT`, counted
+//! exactly, embedded and over the wire. A test binary of its own: the
+//! counting allocator is this process's global allocator, and it counts
+//! only the thread under test.
 //!
-//! The budget is what is left once per-scan work is done per scan: a
-//! returned row of `SELECT id` is one `Vec<Value>` (decoded straight
-//! into the output row), one `Vec<String>` and one `String` (the
-//! rendered copy `QueryResult` carries), plus the amortised growth of
-//! the result vectors. A hash-set insert per hit, a key value nobody
-//! reads, a decoded column nobody asked for or a projected clone each
-//! show up here as a whole number of allocations a row — at the commit
-//! before this test the count was 9.06.
+//! The budget is what is left once per-scan work is done per scan and
+//! text is made only by whoever prints it: a returned row of `SELECT id`
+//! is one `Vec<Value>` (decoded straight into the output row) plus the
+//! amortised growth of the result vectors — 1.05 a row. `rendered` holds
+//! only text the server alone can make (an opaque column's), so this
+//! result carries none; a `Vec<String>` and a `String` a row for a copy
+//! nobody reads was 3.05. A hash-set insert per hit, a key value nobody
+//! reads, a decoded column nobody asked for, a projected clone or a text
+//! copy each show up here as a whole number of allocations a row — at
+//! the commit before this test the count was 9.06.
 //!
-//! The server's entry (`exec_served`) renders no text for a result
-//! without an opaque column — the client rebuilds it from the values —
-//! so the same scan served costs the output row alone: 1.05 a row,
-//! against 3.05 through the embedded entry, which renders every row.
+//! The wire client (`RemoteDriver` against an in-process `Server`,
+//! counted on the client thread alone) pays the same: one `Vec<Value>`
+//! a row decoded off the frame, 1.01 a row; rendering each cell as it
+//! arrived was 3.01.
 
 use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
-use grtree_datablade::ids::{Connection, Database, DatabaseOptions, QueryResult};
+use grtree_datablade::client::{Driver, RemoteDriver};
+use grtree_datablade::ids::{Connection, Database, DatabaseOptions};
+use grtree_datablade::server::{Server, ServerOptions};
 use grtree_datablade::temporal::{Day, MockClock};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -56,15 +61,15 @@ static ALLOCATOR: Counting = Counting;
 /// Rows returned by `sql` and the allocations this thread made running
 /// it (the statement runs on the calling thread end to end).
 fn counted(conn: &Connection, sql: &str) -> (usize, u64) {
-    counted_by(|| conn.exec(sql))
+    counted_by(|| conn.exec(sql).unwrap().rows.len())
 }
 
-/// [`counted`] through any statement entry.
-fn counted_by(run: impl FnOnce() -> grtree_datablade::ids::Result<QueryResult>) -> (usize, u64) {
+/// Rows `run` returns and the allocations this thread made for them.
+fn counted_by(run: impl FnOnce() -> usize) -> (usize, u64) {
     COUNT.with(|c| c.set(Some(0)));
-    let result = run();
+    let rows = run();
     let allocations = COUNT.with(|c| c.take()).expect("counting was on");
-    (result.unwrap().rows.len(), allocations)
+    (rows, allocations)
 }
 
 const ROWS: usize = 20_000;
@@ -127,22 +132,29 @@ fn an_indexed_select_allocates_for_what_it_returns() {
     assert!((4_900..=5_100).contains(&rows), "{rows} rows");
     let per_row = allocations as f64 / rows as f64;
     println!("scan: {allocations} allocations for {rows} rows = {per_row:.2} a row");
-    assert!(per_row <= 3.5, "{per_row:.2} allocations a returned row");
+    assert!(per_row <= 1.5, "{per_row:.2} allocations a returned row");
     assert_eq!(
         counted(&conn, &scan),
         (rows, allocations),
         "the count repeats"
     );
 
-    // The server's entry: values only, no text.
-    let (served_rows, served) = counted_by(|| conn.exec_served(&scan));
-    assert_eq!(served_rows, rows);
-    let served_per_row = served as f64 / rows as f64;
-    println!("served scan: {served} allocations for {rows} rows = {served_per_row:.2} a row");
+    // The same scan over the wire, counted on the client's thread: the
+    // server's threads run the statement uncounted.
+    let mut server = Server::new(db.clone(), ServerOptions::default())
+        .start()
+        .unwrap();
+    let remote = RemoteDriver::connect(server.local_addr()).unwrap();
+    let (wire_rows, wire) = counted_by(|| remote.exec(&scan).unwrap().rows.len());
+    assert_eq!(wire_rows, rows);
+    let wire_per_row = wire as f64 / rows as f64;
+    println!("wire scan: {wire} allocations for {rows} rows = {wire_per_row:.2} a row");
     assert!(
-        served_per_row <= 1.5,
-        "{served_per_row:.2} allocations a row served"
+        wire_per_row <= 1.5,
+        "{wire_per_row:.2} allocations a row on the wire client"
     );
+    remote.goodbye().unwrap();
+    server.shutdown();
 
     let (rows, allocations) = counted(&conn, &probe);
     println!("probe: {allocations} allocations for {rows} row");

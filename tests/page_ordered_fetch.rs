@@ -193,7 +193,7 @@ fn assert_indexed_equals_sequential(db: &Database, conn: &Connection, am: &str, 
             let d = db.metrics_snapshot().since(&before);
             assert_eq!(d.get("ids.plans_index"), 1, "must use the index: {what}");
             assert_eq!(got.rows, want.rows, "row for row, in order: {what}");
-            assert_eq!(got.rendered, want.rendered, "as text: {what}");
+            assert_eq!(got.text(), want.text(), "as text: {what}");
             assert_eq!(got.columns, want.columns, "{what}");
 
             let (plan, heap_fetch) = explain_of(db);

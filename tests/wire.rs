@@ -113,25 +113,29 @@ fn remote_driver_matches_embedded_driver() {
 
     assert_eq!(remote_rows, embedded_rows);
 
-    // Whole results, text included, are the same on both paths: the
-    // server ships text only for the opaque column, and the client
-    // renders the rest from the values exactly as the engine would.
+    // Whole results, text included, are the same on both paths: both
+    // carry text only for a result with an opaque column, which only
+    // the server's output function can render, and `text()` renders
+    // the rest from the values on either side.
     plain_types(&remote);
     plain_types(&embedded);
-    for sql in [
-        "SELECT id FROM s",
-        "SELECT * FROM s",
-        "SELECT Time_Extent, id FROM s WHERE id < 3",
-        "SELECT * FROM v",
-        "SELECT t, b FROM v WHERE id = 1",
-        "SELECT * FROM systables",
-        "SELECT index_name, access_method FROM sysindices",
+    for (sql, opaque) in [
+        ("SELECT id FROM s", false),
+        ("SELECT * FROM s", true),
+        ("SELECT Time_Extent, id FROM s WHERE id < 3", true),
+        ("SELECT * FROM v", false),
+        ("SELECT t, b FROM v WHERE id = 1", false),
+        ("SELECT * FROM systables", false),
+        ("SELECT index_name, access_method FROM sysindices", false),
     ] {
         let (r, e) = (remote.exec(sql).unwrap(), embedded.exec(sql).unwrap());
         assert_eq!(r.columns, e.columns, "{sql}");
         assert_eq!(r.rows, e.rows, "{sql}");
         assert_eq!(r.rendered, e.rendered, "{sql}");
-        assert_eq!(r.rendered.len(), r.rows.len(), "{sql}");
+        let rendered = if opaque { r.rows.len() } else { 0 };
+        assert_eq!(r.rendered.len(), rendered, "{sql}");
+        assert_eq!(r.text(), e.text(), "{sql}");
+        assert_eq!(r.text().len(), r.rows.len(), "{sql}");
         assert!(!r.rows.is_empty(), "{sql}");
     }
 
@@ -165,7 +169,8 @@ fn results_stream_through_cursors() {
     }
     let out = driver.exec("SELECT id FROM c").unwrap();
     assert_eq!(out.rows.len(), 25);
-    assert_eq!(out.rendered.len(), 25);
+    assert!(out.rendered.is_empty());
+    assert_eq!(out.text().len(), 25);
     driver.goodbye().unwrap();
     server.shutdown();
 }
