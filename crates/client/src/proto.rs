@@ -24,8 +24,10 @@
 //! prepare / execute / deallocate, batched row fetch, a
 //! `SHOW METRICS`-style observability pair, and a clean goodbye.
 
-use grt_ids::Value;
+use grt_ids::sink::encode_text_image;
+use grt_ids::{EncodedRows, Value};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Protocol version sent in the handshake; the server refuses
 /// mismatches so framing bugs surface as a clean error, not garbage.
@@ -363,18 +365,77 @@ fn put_batch(out: &mut Vec<u8>, b: &Batch) {
     out.push(b.done as u8);
     out.extend_from_slice(&(b.rows.len() as u32).to_le_bytes());
     for row in &b.rows {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for v in row {
-            v.encode(out);
-        }
+        Value::encode_row_image(row, out);
     }
     out.extend_from_slice(&(b.rendered.len() as u32).to_le_bytes());
     for row in &b.rendered {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for cell in row {
-            put_str(out, cell);
-        }
+        encode_text_image(row, out);
     }
+}
+
+/// [`put_batch`] of rows `range` of a result parked as images: the
+/// same bytes, copied rather than encoded. The batch is the last when
+/// it reaches the result's end.
+fn put_encoded_batch(out: &mut Vec<u8>, rows: &EncodedRows, range: Range<usize>) {
+    let count = (range.len() as u32).to_le_bytes();
+    out.push((range.end == rows.len()) as u8);
+    out.extend_from_slice(&count);
+    out.extend_from_slice(rows.row_images(range.clone()));
+    match rows.text_images(range) {
+        Some(text) => {
+            out.extend_from_slice(&count);
+            out.extend_from_slice(text);
+        }
+        None => out.extend_from_slice(&0u32.to_le_bytes()),
+    }
+}
+
+/// Bytes a batch of rows `range` of `rows` takes, give or take its
+/// fixed header.
+fn encoded_len(rows: &EncodedRows, range: Range<usize>) -> usize {
+    let text = rows.text_images(range.clone()).map_or(0, <[u8]>::len);
+    rows.row_images(range).len() + text
+}
+
+/// Appends to `out` the payload of a [`Response::ResultHead`] for a
+/// result parked as images ([`EncodedRows`], the server's cursor) whose
+/// first batch is rows `0..head`: byte for byte what
+/// [`Response::encode`] makes of the same head with the rows decoded
+/// into a [`Batch`], built by copying the images. `total_rows` is every
+/// row `rows` holds.
+pub fn encode_result_head(
+    out: &mut Vec<u8>,
+    columns: &[String],
+    message: &str,
+    cursor: u64,
+    rows: &EncodedRows,
+    head: usize,
+) {
+    let names: usize = columns.iter().map(|c| 4 + c.len()).sum();
+    out.reserve(40 + names + message.len() + encoded_len(rows, 0..head));
+    put_head(out, columns, message, cursor, rows.len() as u64);
+    put_encoded_batch(out, rows, 0..head);
+}
+
+/// Appends to `out` the payload of a [`Response::Rows`] carrying rows
+/// `range` of a result parked as images, as [`encode_result_head`]
+/// builds a head.
+pub fn encode_rows(out: &mut Vec<u8>, rows: &EncodedRows, range: Range<usize>) {
+    out.reserve(16 + encoded_len(rows, range.clone()));
+    out.push(RESP_ROWS);
+    put_encoded_batch(out, rows, range);
+}
+
+/// A [`Response::ResultHead`] up to its batch.
+fn put_head(out: &mut Vec<u8>, columns: &[String], message: &str, cursor: u64, total_rows: u64) {
+    out.push(RESP_RESULT_HEAD);
+    out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+    for c in columns {
+        put_str(out, c);
+    }
+    put_str(out, message);
+    out.extend_from_slice(&cursor.to_le_bytes());
+    out.extend_from_slice(&total_rows.to_le_bytes());
 }
 
 fn get_batch(d: &mut Dec) -> Result<Batch, String> {
@@ -538,14 +599,7 @@ impl Response {
                 total_rows,
                 batch,
             } => {
-                out.push(RESP_RESULT_HEAD);
-                out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
-                for c in columns {
-                    put_str(&mut out, c);
-                }
-                put_str(&mut out, message);
-                out.extend_from_slice(&cursor.to_le_bytes());
-                out.extend_from_slice(&total_rows.to_le_bytes());
+                put_head(&mut out, columns, message, *cursor, *total_rows);
                 put_batch(&mut out, batch);
             }
             Response::Rows(batch) => {
@@ -683,11 +737,28 @@ impl std::error::Error for FrameError {}
 /// in a second system call, and a `TCP_NODELAY` socket would send the
 /// 4 bytes as a segment of their own.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME);
     let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    start_frame(&mut frame);
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    send_frame(w, &mut frame)
+}
+
+/// Starts a frame in `frame`, emptied first: room for the length
+/// prefix, after which the caller appends the payload. A writer that
+/// keeps one such buffer builds every frame in place and sends it with
+/// [`send_frame`], joining nothing.
+pub fn start_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.extend_from_slice(&[0; 4]);
+}
+
+/// Sends a frame begun with [`start_frame`]: fills in its length
+/// prefix, writes it in one `write` (see [`write_frame`]) and flushes.
+pub fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let payload = frame.len() - 4;
+    debug_assert!(payload > 0 && payload <= MAX_FRAME);
+    frame[..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -726,10 +797,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
 /// An incremental frame parser that survives partial reads: bytes
 /// accumulate across [`FrameReader::poll`] calls, so a frame split
 /// over many TCP segments (or interleaved with read timeouts used to
-/// poll a shutdown flag) is reassembled rather than misparsed.
+/// poll a shutdown flag) is reassembled rather than misparsed. A frame
+/// is handed out in place, as a slice of the reader's buffer; the bytes
+/// go when the next read needs the room.
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already handed out as frames.
+    taken: usize,
 }
 
 impl FrameReader {
@@ -738,12 +813,14 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    /// Returns a complete buffered frame if one is available.
-    fn pop(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < 4 {
+    /// Where the payload of the next complete buffered frame lies in
+    /// `buf`, if one is there.
+    fn next(&self) -> Result<Option<Range<usize>>, FrameError> {
+        let pending = &self.buf[self.taken..];
+        let Some(prefix) = pending.get(..4) else {
             return Ok(None);
-        }
-        let n = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
+        };
+        let n = u32::from_le_bytes(prefix.try_into().unwrap()) as usize;
         // Validate the declared length as soon as it is visible, long
         // before the payload arrives.
         if n == 0 {
@@ -752,12 +829,8 @@ impl FrameReader {
         if n > MAX_FRAME {
             return Err(FrameError::Oversized(n));
         }
-        if self.buf.len() < 4 + n {
-            return Ok(None);
-        }
-        let frame = self.buf[4..4 + n].to_vec();
-        self.buf.drain(..4 + n);
-        Ok(Some(frame))
+        let start = self.taken + 4;
+        Ok((pending.len() >= 4 + n).then_some(start..start + n))
     }
 
     /// Feeds from `r` once and returns a complete frame when
@@ -765,33 +838,37 @@ impl FrameReader {
     /// read timed out (the server's shutdown-poll tick) or only part
     /// of a frame has arrived. `Err(Eof)` is a clean close between
     /// frames; a close mid-frame reports as an I/O error.
-    pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-        if let Some(frame) = self.pop()? {
-            return Ok(Some(frame));
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        match r.read(&mut chunk) {
-            Ok(0) if self.buf.is_empty() => Err(FrameError::Eof),
-            Ok(0) => Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            ))),
-            Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
-                self.pop()
+    pub fn poll(&mut self, r: &mut impl Read) -> Result<Option<&[u8]>, FrameError> {
+        if self.next()?.is_none() {
+            self.buf.drain(..self.taken);
+            self.taken = 0;
+            let mut chunk = [0u8; 64 * 1024];
+            match r.read(&mut chunk) {
+                Ok(0) if self.buf.is_empty() => return Err(FrameError::Eof),
+                Ok(0) => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    )))
+                }
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(FrameError::Io(e)),
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(FrameError::Io(e)),
         }
+        Ok(self.next()?.map(|payload| {
+            self.taken = payload.end;
+            &self.buf[payload]
+        }))
     }
 }
 
@@ -984,6 +1061,94 @@ mod tests {
         assert!(with - without >= 9 * 4_550, "{with} vs {without} bytes");
     }
 
+    /// A result of `n` rows with a cell of every kind, as the server
+    /// parks it (half the rows handed over as values, half copied off a
+    /// stored row, as the two plan shapes do) and as a client decodes
+    /// it: values, and the text of its opaque column when `text`.
+    fn parked(n: i64, text: bool) -> (EncodedRows, Vec<Vec<V>>, Vec<Vec<String>>) {
+        use grt_ids::RowSink;
+        let (mut parked, mut rows, mut rendered) = (EncodedRows::default(), vec![], vec![]);
+        for i in 0..n {
+            let row = vec![
+                V::Int(i - 3),
+                V::Text(format!("Bliujūtė {i} ✓")),
+                V::Null,
+                V::Date(grt_temporal::Day(9_000 + i as i32)),
+                V::Bool(i % 2 == 0),
+                V::Opaque {
+                    type_name: "GRT_TimeExtent_t".into(),
+                    bytes: vec![i as u8; 16],
+                },
+            ];
+            if i % 2 == 0 {
+                parked.values(row.clone()).unwrap();
+            } else {
+                // Stored with a column the output does not name.
+                let mut stored = vec![V::Text("unread".into())];
+                stored.extend(row.iter().cloned());
+                let stored = V::encode_row(&stored);
+                parked.stored(&stored, &[1, 2, 3, 4, 5, 6]).unwrap();
+            }
+            if text {
+                let mut cells: Vec<String> = row[..5].iter().map(V::to_string).collect();
+                cells.push(format!("({i}; {i})"));
+                parked.text(cells.clone());
+                rendered.push(cells);
+            }
+            rows.push(row);
+        }
+        (parked, rows, rendered)
+    }
+
+    #[test]
+    fn frames_cut_from_row_images_equal_the_encoded_responses() {
+        let columns: Vec<String> = ["i", "t", "n", "d", "b", "x"].map(String::from).into();
+        // Cut as the server cuts: a `fetch_rows` 7 head, then fetches.
+        let head_rows = 7;
+        for (n, text) in [
+            (0, false),
+            (0, true),
+            (7, true),
+            (8, false),
+            (25, true),
+            (2_100, false),
+        ] {
+            let (parked, rows, rendered) = parked(n, text);
+            let batch = |range: Range<usize>| Batch {
+                rows: rows[range.clone()].to_vec(),
+                rendered: if text {
+                    rendered[range.clone()].to_vec()
+                } else {
+                    vec![]
+                },
+                done: range.end == rows.len(),
+            };
+            let head = head_rows.min(rows.len());
+            let cursor = u64::from(head < rows.len());
+            let mut frame = Vec::new();
+            encode_result_head(&mut frame, &columns, "", cursor, &parked, head);
+            let want = Response::ResultHead {
+                columns: columns.clone(),
+                message: String::new(),
+                cursor,
+                total_rows: n as u64,
+                batch: batch(0..head),
+            };
+            assert_eq!(frame, want.encode(), "head of {n} rows");
+            for max_rows in [3, 1_024] {
+                let mut sent = head;
+                while sent < rows.len() {
+                    let end = rows.len().min(sent + max_rows);
+                    let mut frame = Vec::new();
+                    encode_rows(&mut frame, &parked, sent..end);
+                    let want = Response::Rows(batch(sent..end)).encode();
+                    assert_eq!(frame, want, "rows {sent}..{end} of {n}");
+                    sent = end;
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_frame_leaves_in_one_write() {
         /// A writer that keeps each `write` call's bytes.
@@ -1025,10 +1190,20 @@ mod tests {
         for b in &wire {
             let mut one = &[*b][..];
             if let Some(frame) = fr.poll(&mut one).unwrap() {
-                out = Some(frame);
+                out = Some(frame.to_vec());
             }
         }
         assert_eq!(out.as_deref(), Some(&payload[..]));
+        // Three frames in one read come out one a poll, and the next
+        // read, cut mid-frame, starts after them.
+        let three = wire.repeat(3);
+        let mut reads = [&three[..], &wire[..5], &wire[5..]];
+        let mut next = |i: usize| fr.poll(&mut reads[i]).unwrap().map(<[u8]>::to_vec);
+        for _ in 0..3 {
+            assert_eq!(next(0).as_deref(), Some(&payload[..]));
+        }
+        assert_eq!(next(1), None);
+        assert_eq!(next(2).as_deref(), Some(&payload[..]));
     }
 
     #[test]

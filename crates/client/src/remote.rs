@@ -15,6 +15,11 @@ use std::time::Duration;
 /// Rows requested per [`Request::Fetch`] round trip.
 const FETCH_ROWS: u32 = 1024;
 
+/// The most rows a result head's `total_rows` reserves room for up
+/// front; a result beyond it grows as its batches arrive, so a head
+/// that lies cannot make the client reserve memory it never fills.
+const RESERVE_ROWS: usize = 1 << 16;
+
 struct Wire {
     stream: TcpStream,
     writer: BufWriter<TcpStream>,
@@ -129,10 +134,20 @@ impl RemoteDriver {
                 let mut out = QueryResult {
                     columns,
                     message,
+                    rows: Vec::with_capacity(total_rows.min(RESERVE_ROWS as u64) as usize),
                     ..Default::default()
                 };
                 let mut done = append(&mut out, batch);
-                while !done {
+                loop {
+                    let got = out.rows.len() as u64;
+                    if got > total_rows || (done && got < total_rows) {
+                        return Err(ClientError::Protocol(format!(
+                            "result head announced {total_rows} rows, {got} arrived"
+                        )));
+                    }
+                    if done {
+                        return Ok(out);
+                    }
                     match self.round_trip(&Request::Fetch {
                         cursor,
                         max_rows: FETCH_ROWS,
@@ -142,8 +157,6 @@ impl RemoteDriver {
                         other => return Err(unexpected(other)),
                     }
                 }
-                debug_assert_eq!(out.rows.len() as u64, total_rows);
-                Ok(out)
             }
             Response::Err { code, message } => Err(wire_error(code, &message)),
             other => Err(unexpected(other)),

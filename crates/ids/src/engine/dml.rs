@@ -8,6 +8,7 @@ use crate::catalog::TableMeta;
 use crate::heap;
 use crate::planner::Plan;
 use crate::prepare::{CompiledStatement, Projection};
+use crate::sink::RowSink;
 use crate::sql::{Expr, Statement};
 use crate::value::{DataType, Value};
 use crate::vii::{AccessMethod, AmContext, IndexDescriptor, QualDescriptor, RowId, ScanDescriptor};
@@ -15,8 +16,14 @@ use crate::{IdsError, Result};
 use grt_sbspace::{LoHandle, LockMode, PageSource};
 
 impl Connection {
-    /// Runs one attempt's work inside its transaction.
-    pub(super) fn run(&self, st: &mut Stmt, work: &Work) -> Result<QueryResult> {
+    /// Runs one attempt's work inside its transaction; a SELECT's rows
+    /// go to `out`.
+    pub(super) fn run(
+        &self,
+        st: &mut Stmt,
+        work: &Work,
+        out: &mut dyn RowSink,
+    ) -> Result<QueryResult> {
         // Any non-SELECT inside an explicit transaction takes it off the
         // snapshot read path for the rest of its life: its own writes
         // must be visible, which only the locked path guarantees.
@@ -32,7 +39,7 @@ impl Connection {
                     table,
                     where_clause,
                     ..
-                } => self.select(st, compiled, table, where_clause.as_ref()),
+                } => self.select(st, compiled, table, where_clause.as_ref(), out),
                 Statement::Delete {
                     table,
                     where_clause,
@@ -235,17 +242,18 @@ impl Connection {
         })
     }
 
-    /// Runs a scan, invoking `sink` for each qualifying `(rowid, row)`;
-    /// `sink` returns whether to go on. With a `projection` the rows
-    /// are the SELECT's output rows; without one they are whole table
-    /// rows (UPDATE and DELETE write back and re-index what they read).
+    /// Runs a scan, invoking `sink` for each qualifying row and its
+    /// rowid; `sink` returns whether to go on. With a `projection` the
+    /// rows are the SELECT's output rows; without one they are whole
+    /// table rows (UPDATE and DELETE write back and re-index what they
+    /// read).
     fn scan(
         &self,
         st: &Stmt,
         binding: &TableBinding,
         plan: &Plan,
         projection: Option<&Projection>,
-        mut sink: impl FnMut(RowId, Vec<Value>) -> Result<bool>,
+        mut sink: impl FnMut(RowId, Met) -> Result<bool>,
     ) -> Result<()> {
         let table = &binding.table;
         // `row` is a row of `shape`: the table, or the columns of it an
@@ -280,7 +288,7 @@ impl Connection {
                         Some(p) => p.apply(&row),
                         None => row,
                     };
-                    if !sink(rid, row)? {
+                    if !sink(rid, Met::Row(row))? {
                         break;
                     }
                 }
@@ -292,18 +300,22 @@ impl Connection {
             } => {
                 let ix = binding.index(index).expect("the plan names a bound index");
                 // The index is drained first, for rowids alone.
-                let mut rids: Vec<RowId> = Vec::new();
+                let mut rids = std::mem::take(&mut *self.rids.lock());
+                rids.clear();
                 self.index_scan(st, ix, qual, |hits| {
                     rids.extend(hits.into_iter().map(|(rid, _)| rid));
                     Ok(())
                 })?;
-                // What the heap pass builds of each row it meets: the
-                // whole row, or — for a SELECT — the projected columns in
-                // output order, so the decoded row *is* the output row,
-                // followed by any column only the residual reads (cut
-                // off again once the residual has been evaluated). A
-                // column the statement never names is stepped over on
-                // the page and never becomes a value.
+                // What the heap pass builds of each row it meets. A
+                // SELECT with no residual builds nothing: the stored row
+                // goes to `sink` as it lies on the page, with the output
+                // columns' positions. With a residual it decodes the
+                // projected columns in output order, so the decoded row
+                // *is* the output row, followed by any column only the
+                // residual reads (cut off again once the residual has
+                // been evaluated); UPDATE and DELETE decode the whole
+                // row. A column the statement never names is stepped
+                // over on the page and never becomes a value.
                 let widened = projection
                     .zip(residual.as_ref())
                     .map(|(p, f)| p.widened_for(f, table))
@@ -312,24 +324,26 @@ impl Connection {
                     Some((columns, shape)) => (Some(&columns[..]), shape),
                     None => (projection.map(|p| &p.positions[..]), table),
                 };
-                let read = |stored: &[u8]| match columns {
-                    Some(columns) => Value::decode_columns(stored, columns),
-                    None => Value::decode_row(stored),
-                };
                 // Then one ordered pass over the heap: each page that
                 // holds a hit is pinned once, so the base-row fetches
                 // cost at most one sequential pass whatever order the
                 // index returned them in. A row may be gone under weaker
                 // isolation; the pass skips it.
-                let fetched = heap::fetch_ordered(&h, &mut rids, read, |rid, mut row| {
+                let fetched = heap::fetch_ordered(&h, &mut rids, |rid, stored| {
+                    let mut row = match (columns, residual) {
+                        (Some(columns), None) => return sink(rid, Met::Stored(stored, columns)),
+                        (Some(columns), Some(_)) => Value::decode_columns(stored, columns)?,
+                        (None, _) => Value::decode_row(stored)?,
+                    };
                     if !keep(residual, &row, shape)? {
                         return Ok(true);
                     }
                     if let Some(p) = projection {
                         row.truncate(p.positions.len());
                     }
-                    sink(rid, row)
+                    sink(rid, Met::Row(row))
                 })?;
+                *self.rids.lock() = rids;
                 let counters = &self.db.inner.counters;
                 counters.heap_rows.add(fetched.rows);
                 counters.heap_pages.add(fetched.pages);
@@ -354,30 +368,33 @@ impl Connection {
     ) -> Result<Vec<(RowId, Vec<Value>)>> {
         let mut rows = Vec::new();
         self.scan(st, binding, plan, None, |rid, row| {
-            rows.push((rid, row));
+            rows.push((rid, row.into_row()?));
             Ok(true)
         })?;
         Ok(rows)
     }
 
+    /// Hands every output row to `out`; the result returned carries
+    /// the headers.
     fn select(
         &self,
         st: &mut Stmt,
         compiled: &CompiledStatement,
         table: &str,
         where_clause: Option<&Expr>,
+        out: &mut dyn RowSink,
     ) -> Result<QueryResult> {
         let projection = compiled
             .projection
             .as_ref()
             .expect("resolve projects every SELECT");
-        let mut rows = Vec::new();
-        let rendered = if compiled.heap.is_none() {
+        if compiled.heap.is_none() {
             // A system catalog, queryable like a table (projection only);
             // it has no opaque column, so no text only the server can make.
             let (_, all) = self.db.catalog_dump(table)?;
-            rows.extend(all.iter().map(|row| projection.apply(row)));
-            Vec::new()
+            for row in &all {
+                out.values(projection.apply(row))?;
+            }
         } else {
             let binding = &self.bound(compiled, table)?;
             let table = &binding.table.name;
@@ -393,23 +410,31 @@ impl Connection {
                 None => format!("{table}: plan: locked"),
             });
             let plan = self.plan(st, compiled, binding, where_clause)?;
-            self.scan(st, binding, &plan, Some(projection), |_rid, row| {
-                rows.push(row);
-                Ok(true)
-            })?;
             let columns = &binding.table.columns;
             let types: Vec<&DataType> = projection
                 .positions
                 .iter()
                 .map(|&i| &columns[i].1)
                 .collect();
-            self.render_rows(&types, &rows)
-        };
+            let renderer = self.renderer(&types);
+            self.scan(st, binding, &plan, Some(projection), |_rid, row| {
+                match (row, &renderer) {
+                    (Met::Stored(stored, positions), None) => out.stored(stored, positions)?,
+                    (row, renderer) => {
+                        let row = row.into_row()?;
+                        let text = renderer.as_ref().map(|r| r.row(&row));
+                        out.values(row)?;
+                        if let Some(text) = text {
+                            out.text(text);
+                        }
+                    }
+                }
+                Ok(true)
+            })?;
+        }
         Ok(QueryResult {
             columns: projection.headers.clone(),
-            rows,
-            rendered,
-            message: String::new(),
+            ..QueryResult::default()
         })
     }
 
@@ -525,5 +550,25 @@ impl Connection {
             })?;
         }
         Ok(msg(&format!("{count} rows updated")))
+    }
+}
+
+/// One row a scan meets, as its sink receives it.
+enum Met<'a> {
+    /// A row built as values.
+    Row(Vec<Value>),
+    /// A stored row as it lies on the heap page, of which the output row
+    /// is the columns at these positions (an index scan for a SELECT
+    /// with no residual).
+    Stored(&'a [u8], &'a [usize]),
+}
+
+impl Met<'_> {
+    /// The row as values.
+    fn into_row(self) -> Result<Vec<Value>> {
+        match self {
+            Met::Row(row) => Ok(row),
+            Met::Stored(stored, positions) => Value::decode_columns(stored, positions),
+        }
     }
 }

@@ -7,6 +7,7 @@
 use super::{msg, Connection, Database, OpenTxn, QueryResult, Stmt, Work};
 use crate::prepare::{self, CompiledStatement};
 use crate::session::{MemDuration, Session};
+use crate::sink::RowSink;
 use crate::sql::{self, Expr, Statement};
 use crate::value::Value;
 use crate::vii::AmContext;
@@ -37,6 +38,15 @@ impl Connection {
     /// re-resolves) while preserved `PerTransaction` memory carries over
     /// the victim abort.
     pub fn exec(&self, sql_text: &str) -> Result<QueryResult> {
+        collected(|rows| self.exec_to(sql_text, rows))
+    }
+
+    /// [`Connection::exec`] with the rows of a SELECT handed to `out`
+    /// as the executor meets them (see [`crate::sink`]); the result
+    /// returned carries the headers and the message, and no rows. Every
+    /// attempt starts by clearing `out`, so a retried statement delivers
+    /// its rows once.
+    pub fn exec_to(&self, sql_text: &str, out: &mut dyn RowSink) -> Result<QueryResult> {
         // The EXECUTE hot path: the named statement was compiled at
         // PREPARE, so the transparent-cache normalization below would
         // only re-lex text whose compiled form we already hold. Parse
@@ -46,13 +56,13 @@ impl Connection {
             && head[..7].eq_ignore_ascii_case(b"EXECUTE")
             && head[7].is_ascii_whitespace()
         {
-            return self.dispatch(sql::parse(sql_text)?);
+            return self.dispatch(sql::parse(sql_text)?, out);
         }
         // Phase 1+2 (parse, verify/resolve) are served from the
         // transparent plan cache when the normalized statement text has
         // been seen before; a cache hit never parses at all.
         let Some(normalized) = sql::normalize_dml(sql_text)? else {
-            return self.dispatch(sql::parse(sql_text)?);
+            return self.dispatch(sql::parse(sql_text)?, out);
         };
         let args: Vec<Value> = normalized.args.iter().map(Self::literal_value).collect();
         let cache = &self.db.inner.plan_cache;
@@ -66,18 +76,18 @@ impl Connection {
                         cache.insert(Arc::clone(&compiled));
                         compiled
                     }
-                    Err(e) => return self.execute_with_retry(Work::Failed(&e)),
+                    Err(e) => return self.execute_with_retry(Work::Failed(&e), out),
                 }
             }
         };
-        self.run_compiled(&compiled, &args)
+        self.run_compiled(&compiled, &args, out)
     }
 
     /// Executes a semicolon-separated script, returning the last result.
     pub fn exec_script(&self, script: &str) -> Result<QueryResult> {
         let mut last = QueryResult::default();
         for stmt in sql::parse_script(script)? {
-            last = self.dispatch(stmt)?;
+            last = collected(|rows| self.dispatch(stmt, rows))?;
         }
         Ok(last)
     }
@@ -87,10 +97,11 @@ impl Connection {
     /// that carry the statement text out of band and must not worry
     /// about re-quoting it into SQL.
     pub fn prepare(&self, name: &str, sql_text: &str) -> Result<QueryResult> {
-        self.execute_with_retry(Work::Other(&Statement::Prepare {
+        let stmt = Statement::Prepare {
             name: name.to_string(),
             sql: sql_text.to_string(),
-        }))
+        };
+        self.execute_with_retry(Work::Other(&stmt), &mut QueryResult::default())
     }
 
     /// Runs the prepared statement `name` with already-materialized
@@ -100,6 +111,17 @@ impl Connection {
     /// bind-time arity and type checks apply: a bad binding never
     /// starts a transaction.
     pub fn execute_values(&self, name: &str, args: &[Value]) -> Result<QueryResult> {
+        collected(|rows| self.execute_values_to(name, args, rows))
+    }
+
+    /// [`Connection::execute_values`] with the rows handed to `out`, as
+    /// [`Connection::exec_to`] hands them.
+    pub fn execute_values_to(
+        &self,
+        name: &str,
+        args: &[Value],
+        out: &mut dyn RowSink,
+    ) -> Result<QueryResult> {
         let compiled = self
             .prepared
             .lock()
@@ -122,15 +144,16 @@ impl Connection {
                 None => v.clone(),
             });
         }
-        self.run_compiled(&compiled, &bound)
+        self.run_compiled(&compiled, &bound, out)
     }
 
     /// Drops the prepared statement `name` — the programmatic form of
     /// `DEALLOCATE PREPARE name`.
     pub fn deallocate(&self, name: &str) -> Result<QueryResult> {
-        self.execute_with_retry(Work::Other(&Statement::Deallocate {
+        let stmt = Statement::Deallocate {
             name: name.to_string(),
-        }))
+        };
+        self.execute_with_retry(Work::Other(&stmt), &mut QueryResult::default())
     }
 
     /// Disconnects the session: any open explicit transaction is
@@ -170,21 +193,26 @@ impl Connection {
     /// Routes a statement that came with no compiled form (script,
     /// non-DML, or text with explicit `?`): `EXECUTE` runs its prepared
     /// statement, DML is compiled here, uncached, and joins the one path.
-    fn dispatch(&self, stmt: Statement) -> Result<QueryResult> {
+    fn dispatch(&self, stmt: Statement, out: &mut dyn RowSink) -> Result<QueryResult> {
         match stmt {
-            Statement::Execute { name, using } => self.execute_prepared(&name, &using),
+            Statement::Execute { name, using } => self.execute_prepared(&name, &using, out),
             dml if dml.is_dml() => match self.resolve(dml, None) {
-                Ok(compiled) => self.run_compiled(&compiled, &[]),
-                Err(e) => self.execute_with_retry(Work::Failed(&e)),
+                Ok(compiled) => self.run_compiled(&compiled, &[], out),
+                Err(e) => self.execute_with_retry(Work::Failed(&e), out),
             },
-            other => self.execute_with_retry(Work::Other(&other)),
+            other => self.execute_with_retry(Work::Other(&other), out),
         }
     }
 
     /// Phase 3 — bind: substitutes `args` into the compiled statement
     /// (the one deep copy of the statement an execution makes; none
     /// when there is nothing to substitute) and runs it.
-    fn run_compiled(&self, compiled: &CompiledStatement, args: &[Value]) -> Result<QueryResult> {
+    fn run_compiled(
+        &self,
+        compiled: &CompiledStatement,
+        args: &[Value],
+        out: &mut dyn RowSink,
+    ) -> Result<QueryResult> {
         let bound;
         let stmt = if args.is_empty() {
             &compiled.stmt
@@ -192,17 +220,23 @@ impl Connection {
             bound = prepare::bind(&compiled.stmt, args)?;
             &bound
         };
-        self.execute_with_retry(if stmt.is_dml() {
+        let work = if stmt.is_dml() {
             Work::Dml(compiled, stmt)
         } else {
             Work::Other(stmt)
-        })
+        };
+        self.execute_with_retry(work, out)
     }
 
     /// `EXECUTE name [USING v1, …]`: bind-time checks (the statement
     /// never starts executing on an arity or type error), then the
     /// normal execution path with the compiled handle attached.
-    fn execute_prepared(&self, name: &str, using: &[Expr]) -> Result<QueryResult> {
+    fn execute_prepared(
+        &self,
+        name: &str,
+        using: &[Expr],
+        out: &mut dyn RowSink,
+    ) -> Result<QueryResult> {
         let mut args = Vec::with_capacity(using.len());
         for expr in using {
             let Expr::Literal(lit) = expr else {
@@ -212,7 +246,7 @@ impl Connection {
             };
             args.push(Self::literal_value(lit));
         }
-        self.execute_values(name, &args)
+        self.execute_values_to(name, &args, out)
     }
 
     /// True for errors produced by a transaction aborted as a
@@ -224,7 +258,11 @@ impl Connection {
         )
     }
 
-    pub(super) fn execute_with_retry(&self, work: Work) -> Result<QueryResult> {
+    pub(super) fn execute_with_retry(
+        &self,
+        work: Work,
+        out: &mut dyn RowSink,
+    ) -> Result<QueryResult> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(IdsError::Semantic("connection is closed".into()));
         }
@@ -238,13 +276,14 @@ impl Connection {
             let auto_commit = !self.aborted.load(Ordering::SeqCst) && self.txn.lock().is_none();
             inner.counters.statements.inc();
             let started = std::time::Instant::now();
-            let out = self.execute_stmt(&work);
+            out.clear();
+            let result = self.execute_stmt(&work, out);
             inner.exec_ns.observe(started.elapsed());
-            if out.is_err() {
+            if result.is_err() {
                 inner.counters.statement_errors.inc();
             }
             self.session.clear_duration(MemDuration::PerStatement);
-            match out {
+            match result {
                 Err(ref e)
                     if auto_commit && Self::is_retryable(e) && attempt < opts.deadlock_retries =>
                 {
@@ -255,20 +294,20 @@ impl Connection {
                         std::thread::sleep(backoff);
                     }
                 }
-                out => {
-                    if out.is_err() && auto_commit {
+                result => {
+                    if result.is_err() && auto_commit {
                         // Retries exhausted (or the error was never
                         // retryable): drop any per-transaction memory
                         // preserved for a retry that will not happen.
                         self.session.clear_duration(MemDuration::PerTransaction);
                     }
-                    return out;
+                    return result;
                 }
             }
         }
     }
 
-    fn execute_stmt(&self, work: &Work) -> Result<QueryResult> {
+    fn execute_stmt(&self, work: &Work, out: &mut dyn RowSink) -> Result<QueryResult> {
         // A failed statement aborted the explicit transaction; refuse
         // everything except the closing COMMIT/ROLLBACK so the client
         // cannot mistake later statements for part of the transaction.
@@ -280,7 +319,7 @@ impl Connection {
             ));
         }
         let Work::Other(stmt) = work else {
-            return self.with_txn(|st| self.run(st, work));
+            return self.with_txn(|st| self.run(st, work, out));
         };
         match stmt {
             Statement::Begin => {
@@ -375,7 +414,7 @@ impl Connection {
             Statement::Execute { .. } => Err(IdsError::Semantic(
                 "EXECUTE must be a top-level statement".into(),
             )),
-            _ => self.with_txn(|st| self.run(st, work)),
+            _ => self.with_txn(|st| self.run(st, work, out)),
         }
     }
 
@@ -487,4 +526,16 @@ impl Connection {
             }
         }
     }
+}
+
+/// Runs a door's sink-taking form with a [`QueryResult`] as the sink:
+/// that result, with the headers and message the statement reported.
+fn collected(run: impl FnOnce(&mut QueryResult) -> Result<QueryResult>) -> Result<QueryResult> {
+    let mut rows = QueryResult::default();
+    let head = run(&mut rows)?;
+    Ok(QueryResult {
+        columns: head.columns,
+        message: head.message,
+        ..rows
+    })
 }

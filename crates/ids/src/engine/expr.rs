@@ -218,41 +218,45 @@ impl Connection {
         }
     }
 
-    /// The text of result rows that only the type support functions
-    /// can make: [`QueryResult::rendered`](super::QueryResult::rendered).
-    /// `types[i]` is the declared type of output column `i`: each opaque
-    /// column's text-output function is looked up here, once for the
-    /// statement, and every cell of the column goes through it. A result
-    /// with no such column renders nothing;
-    /// [`QueryResult::text`](super::QueryResult::text) makes its text
-    /// when someone asks for it, with the same `Display` the other cells
-    /// of a rendered result get here.
-    pub(super) fn render_rows(&self, types: &[&DataType], rows: &[Vec<Value>]) -> Vec<Vec<String>> {
-        let outputs: Vec<Option<OpaqueType>> = {
-            let opaques = self.db.inner.opaques.lock();
-            let output_of = |ty: &&DataType| match ty {
-                DataType::Opaque(t) => opaques.get(&t.to_ascii_lowercase()).cloned(),
-                _ => None,
-            };
-            types.iter().map(output_of).collect()
+    /// The renderer of result rows whose text only the type support
+    /// functions can make ([`QueryResult::rendered`](super::QueryResult::rendered)),
+    /// or `None` for a result with no such column: its text is made by
+    /// [`QueryResult::text`](super::QueryResult::text) when someone asks
+    /// for it. `types[i]` is the declared type of output column `i`; each
+    /// opaque column's text-output function is looked up here, once for
+    /// the statement.
+    pub(super) fn renderer(&self, types: &[&DataType]) -> Option<Renderer> {
+        let opaques = self.db.inner.opaques.lock();
+        let output_of = |ty: &&DataType| match ty {
+            DataType::Opaque(t) => opaques.get(&t.to_ascii_lowercase()).cloned(),
+            _ => None,
         };
-        if outputs.iter().all(Option::is_none) {
-            return Vec::new();
-        }
-        let cell = |(i, v): (usize, &Value)| {
-            // A NULL in an opaque column has no bytes to hand the
-            // output function.
-            let output = match v {
-                Value::Opaque { .. } => outputs.get(i).and_then(Option::as_ref),
-                _ => None,
-            };
-            output
-                .and_then(|ot| ot.value_to_text(v).ok())
-                .unwrap_or_else(|| v.to_string())
+        let outputs: Vec<Option<OpaqueType>> = types.iter().map(output_of).collect();
+        outputs
+            .iter()
+            .any(Option::is_some)
+            .then_some(Renderer(outputs))
+    }
+}
+
+/// The text-output function of each output column of a result, `None`
+/// for a column that is not of an opaque type (see
+/// [`Connection::renderer`]).
+pub(super) struct Renderer(Vec<Option<OpaqueType>>);
+
+impl Renderer {
+    /// One row's text: every cell of an opaque column through the
+    /// column's output function, every other cell — NULL included, which
+    /// has no bytes to hand an output function — through the same
+    /// `Display` that [`QueryResult::text`](super::QueryResult::text) uses.
+    pub(super) fn row(&self, row: &[Value]) -> Vec<String> {
+        let cell = |(v, output): (&Value, &Option<OpaqueType>)| match (v, output) {
+            (Value::Opaque { .. }, Some(ot)) => {
+                ot.value_to_text(v).unwrap_or_else(|_| v.to_string())
+            }
+            _ => v.to_string(),
         };
-        rows.iter()
-            .map(|row| row.iter().enumerate().map(cell).collect())
-            .collect()
+        row.iter().zip(&self.0).map(cell).collect()
     }
 }
 

@@ -23,7 +23,7 @@ use crate::sql::Statement;
 use crate::trace::TraceSink;
 use crate::udr::{RoutineFn, UdrRegistry};
 use crate::value::{DataType, Value};
-use crate::vii::{AccessMethod, AmContext};
+use crate::vii::{AccessMethod, AmContext, RowId};
 use crate::{IdsError, Result};
 use grt_metrics::{Counter, Histogram, Metrics, MetricsSnapshot};
 use grt_sbspace::{IsolationLevel, Sbspace, SbspaceOptions, SpaceSnapshot, Txn};
@@ -236,6 +236,9 @@ pub struct Connection {
     prepared: Mutex<HashMap<String, Arc<CompiledStatement>>>,
     /// Memoized routine resolutions (see [`Connection::resolve_udr`]).
     udr_cache: Mutex<expr::UdrCache>,
+    /// The rowids an index scan drains before its heap pass, kept for
+    /// the next statement's scan so that it allocates none.
+    rids: Mutex<Vec<RowId>>,
     /// Set once by [`Connection::close`] so an explicit close followed
     /// by the drop does not double-count the session teardown.
     closed: AtomicBool,
@@ -407,6 +410,7 @@ impl Database {
             aborted: AtomicBool::new(false),
             prepared: Mutex::default(),
             udr_cache: Mutex::default(),
+            rids: Mutex::default(),
             closed: AtomicBool::new(false),
         }
     }
@@ -647,6 +651,26 @@ mod tests {
             conn.execute_values("ins", &row).unwrap();
         }
         conn.exec(sql).unwrap()
+    }
+
+    #[test]
+    fn every_attempt_starts_from_an_empty_sink() {
+        // What a sink holds is not part of the next statement's result:
+        // a retried attempt delivers its rows once.
+        let db = Database::new(DatabaseOptions::default());
+        let conn = db.connect();
+        conn.exec("CREATE TABLE n (id integer)").unwrap();
+        conn.exec("INSERT INTO n VALUES (-7)").unwrap();
+        let mut out = QueryResult {
+            rows: vec![vec![Value::Int(99)]],
+            rendered: vec![vec!["99".into()]],
+            ..Default::default()
+        };
+        let head = conn.exec_to("SELECT id FROM n", &mut out).unwrap();
+        assert_eq!(head.columns, ["id"]);
+        assert!(head.rows.is_empty());
+        assert_eq!(out.rows, [[Value::Int(-7)]]);
+        assert!(out.rendered.is_empty());
     }
 
     #[test]

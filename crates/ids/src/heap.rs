@@ -228,7 +228,7 @@ pub fn fetch_with<P: PageSource, T>(
 /// How much heap a [`fetch_ordered`] pass touched.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchStats {
-    /// Live rows decoded and handed to the visitor.
+    /// Live rows handed to the visitor.
     pub rows: u64,
     /// Distinct heap pages pinned.
     pub pages: u64,
@@ -236,17 +236,16 @@ pub struct FetchStats {
 
 /// Fetches the rows named by `ids` in heap order — the order a
 /// [`HeapScan`] returns them — pinning each distinct page once and
-/// reading every wanted slot from that one pin through `read` (as
-/// [`fetch_with`] does: the caller says what of a row it wants built).
-/// `ids` is sorted in place; ids that name no live row (tombstoned, past
-/// the slot directory, page 0 or past the end) are skipped, exactly as
-/// [`fetch`] answers `None` for them. `visit` returns `false` to stop
-/// early.
-pub fn fetch_ordered<P: PageSource, T>(
+/// handing every wanted slot's stored bytes to `visit` in place on that
+/// one pin (as [`fetch_with`] does: the caller says what of a row it
+/// wants built, or copies its bytes and builds nothing). `ids` is sorted
+/// in place; ids that name no live row (tombstoned, past the slot
+/// directory, page 0 or past the end) are skipped, exactly as [`fetch`]
+/// answers `None` for them. `visit` returns `false` to stop early.
+pub fn fetch_ordered<P: PageSource>(
     lo: &P,
     ids: &mut [RowId],
-    read: impl Fn(&[u8]) -> Result<T>,
-    mut visit: impl FnMut(RowId, T) -> Result<bool>,
+    mut visit: impl FnMut(RowId, &[u8]) -> Result<bool>,
 ) -> Result<FetchStats> {
     ids.sort_unstable();
     let npages = lo.page_count();
@@ -265,7 +264,7 @@ pub fn fetch_ordered<P: PageSource, T>(
         for &id in on_page {
             if let Some(bytes) = page.get(unrid(id).1) {
                 stats.rows += 1;
-                if !visit(id, read(bytes)?)? {
+                if !visit(id, bytes)? {
                     return Ok(stats);
                 }
             }
@@ -454,8 +453,8 @@ mod tests {
 
     fn collect_ordered(lo: &LoHandle, ids: &mut [RowId]) -> (Vec<(RowId, Vec<Value>)>, FetchStats) {
         let mut got = Vec::new();
-        let stats = fetch_ordered(lo, ids, Value::decode_row, |id, row| {
-            got.push((id, row));
+        let stats = fetch_ordered(lo, ids, |id, stored| {
+            got.push((id, Value::decode_row(stored)?));
             Ok(true)
         })
         .unwrap();
@@ -563,7 +562,7 @@ mod tests {
         let (lo, _, rids) = loaded();
         let mut ids = rids.clone();
         let mut seen = 0;
-        let stats = fetch_ordered(&lo, &mut ids, Value::decode_row, |_, _| {
+        let stats = fetch_ordered(&lo, &mut ids, |_, _| {
             seen += 1;
             Ok(seen < 5)
         })

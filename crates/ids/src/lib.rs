@@ -47,6 +47,7 @@ pub mod opclass;
 pub mod planner;
 pub(crate) mod prepare;
 pub mod session;
+pub mod sink;
 pub mod sql;
 pub mod trace;
 pub mod udr;
@@ -55,6 +56,7 @@ pub mod vii;
 
 pub use engine::{Connection, Database, DatabaseOptions, QueryResult};
 pub use session::{MemDuration, Session};
+pub use sink::{EncodedRows, RowSink};
 pub use trace::{TraceEvent, TraceSink};
 pub use value::{DataType, Value, ValueRef};
 pub use vii::{

@@ -172,26 +172,68 @@ impl Value {
     /// (`SELECT id, id`, `SELECT Time_Extent, id`) starts over from the
     /// row's first column. A position past the stored row is an error.
     pub fn decode_columns(buf: &[u8], positions: &[usize]) -> Result<Vec<Value>> {
-        let n = row_len(buf)?;
         let mut out = Vec::with_capacity(positions.len());
-        // The walk stands before column `col`, at byte `pos`.
-        let (mut col, mut pos) = (0, 2);
-        for &want in positions {
-            if want >= n {
-                return Err(IdsError::Type(format!("column {want} of a {n}-column row")));
-            }
-            if want < col {
-                (col, pos) = (0, 2);
-            }
-            while col < want {
-                ValueRef::decode(buf, &mut pos)?;
-                col += 1;
-            }
-            out.push(Value::decode(buf, &mut pos)?);
-            col += 1;
-        }
+        walk_columns(buf, positions, |_, v| out.push(v.to_value()))?;
         Ok(out)
     }
+
+    /// Appends the image of one result row to `out`: a `u32` column
+    /// count, then each value in the codec above. This is a row as a
+    /// result carries it — in the server's parked result and in every
+    /// batch on the wire (DESIGN.md §11) — and this function and
+    /// [`Value::copy_row_image`] are the only writers of it.
+    pub fn encode_row_image(row: &[Value], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for v in row {
+            v.encode(out);
+        }
+    }
+
+    /// Appends the image [`Value::encode_row_image`] makes of the
+    /// columns at `positions` of an encoded row (what
+    /// [`Value::decode_columns`] decodes), copied off `buf` without
+    /// building a value: each column is read with [`ValueRef::decode`],
+    /// so a row `decode_columns` refuses is refused here too, and `out`
+    /// is left as it was.
+    pub fn copy_row_image(buf: &[u8], positions: &[usize], out: &mut Vec<u8>) -> Result<()> {
+        let start = out.len();
+        out.extend_from_slice(&(positions.len() as u32).to_le_bytes());
+        let copied = walk_columns(buf, positions, |bytes, _| out.extend_from_slice(bytes));
+        if copied.is_err() {
+            out.truncate(start);
+        }
+        copied
+    }
+}
+
+/// Reads the columns at `positions` of an encoded row, in that order,
+/// handing each to `each` with the bytes it occupies — the walk
+/// [`Value::decode_columns`] describes.
+fn walk_columns<'a>(
+    buf: &'a [u8],
+    positions: &[usize],
+    mut each: impl FnMut(&'a [u8], ValueRef<'a>),
+) -> Result<()> {
+    let n = row_len(buf)?;
+    // The walk stands before column `col`, at byte `pos`.
+    let (mut col, mut pos) = (0, 2);
+    for &want in positions {
+        if want >= n {
+            return Err(IdsError::Type(format!("column {want} of a {n}-column row")));
+        }
+        if want < col {
+            (col, pos) = (0, 2);
+        }
+        while col < want {
+            ValueRef::decode(buf, &mut pos)?;
+            col += 1;
+        }
+        let start = pos;
+        let v = ValueRef::decode(buf, &mut pos)?;
+        each(&buf[start..pos], v);
+        col += 1;
+    }
+    Ok(())
 }
 
 /// The column count an encoded row leads with.

@@ -28,10 +28,10 @@
 //!   lifetime.
 
 use grt_client::proto::{
-    encode_error, write_frame, Batch, ErrorCode, FrameError, FrameReader, Request, Response,
+    self, encode_error, write_frame, ErrorCode, FrameError, FrameReader, Request, Response,
     PROTOCOL_VERSION,
 };
-use grt_ids::{Connection, Database, QueryResult, Value};
+use grt_ids::{Connection, Database, EncodedRows, QueryResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, BufWriter};
@@ -256,12 +256,14 @@ impl Drop for ServerHandle {
     }
 }
 
-/// A server-side result cursor: rows already produced by the engine,
-/// parked until the client fetches them. `rendered` is empty unless the
-/// result has an opaque column (see [`QueryResult::rendered`]).
+/// A server-side result cursor: the rest of a result the engine wrote
+/// as row images (and text images, when an output column is opaque —
+/// see [`QueryResult::rendered`]), parked until the client fetches it.
+/// Every batch is a slice of `rows` cut at row boundaries.
 struct Cursor {
-    rows: std::vec::IntoIter<Vec<Value>>,
-    rendered: std::vec::IntoIter<Vec<String>>,
+    rows: EncodedRows,
+    /// Rows already shipped.
+    sent: usize,
 }
 
 /// Per-connection state machine.
@@ -282,6 +284,8 @@ enum Close {
     /// Server is shutting down; tell the peer if a request is
     /// mid-flight, then close.
     ShuttingDown,
+    /// Client said goodbye; acknowledge, then close.
+    Goodbye,
 }
 
 impl Worker {
@@ -298,11 +302,16 @@ impl Worker {
             _permit: None,
             cursors: HashMap::new(),
             next_cursor: 1,
+            rows: EncodedRows::default(),
+            frame: Vec::new(),
             writer,
         };
         let close = sess.run(stream);
         match close {
             Close::Clean | Close::Io => {}
+            Close::Goodbye => {
+                let _ = sess.send(&Response::Bye);
+            }
             Close::Protocol(msg) => {
                 let _ = sess.send(&Response::Err {
                     code: ErrorCode::Protocol,
@@ -331,17 +340,24 @@ struct Session<'a> {
     _permit: Option<Permit>,
     cursors: HashMap<u64, Cursor>,
     next_cursor: u64,
+    /// Where the engine writes the rows of the statement in flight;
+    /// cleared and refilled statement after statement, handed to a
+    /// cursor when the result outgrows its head, and taken back when
+    /// that cursor is drained.
+    rows: EncodedRows,
+    /// The response frame in the making (see [`proto::start_frame`]),
+    /// reused request after request.
+    frame: Vec<u8>,
     writer: BufWriter<TcpStream>,
 }
 
-impl Session<'_> {
-    /// The engine connection; only called after the handshake check.
-    /// The shared borrow ends with the statement, so the result
-    /// plumbing (cursors) can borrow the session mutably afterwards.
-    fn connection(&self) -> &Connection {
-        self.conn.as_ref().expect("handshake checked")
-    }
+/// The most a session keeps allocated between requests for its row and
+/// frame buffers, each: a larger one goes back to the allocator once
+/// used, so one huge result does not stay resident for the session's
+/// life.
+const KEEP_BYTES: usize = 1 << 20;
 
+impl Session<'_> {
     fn send(&mut self, resp: &Response) -> io::Result<()> {
         write_frame(&mut self.writer, &resp.encode())
     }
@@ -361,28 +377,27 @@ impl Session<'_> {
                     return Close::Protocol(e.to_string())
                 }
             };
-            let req = match Request::decode(&frame) {
+            let req = match Request::decode(frame) {
                 Ok(req) => req,
                 Err(msg) => return Close::Protocol(msg),
             };
-            match self.handle(req) {
-                Ok(Some(resp)) => {
-                    if self.send(&resp).is_err() {
-                        return Close::Io;
-                    }
-                    if matches!(resp, Response::Bye) {
-                        return Close::Clean;
-                    }
-                }
-                Ok(None) => {} // response already sent
-                Err(close) => return close,
+            proto::start_frame(&mut self.frame);
+            if let Err(close) = self.handle(req) {
+                return close;
+            }
+            if proto::send_frame(&mut self.writer, &mut self.frame).is_err() {
+                return Close::Io;
+            }
+            if self.frame.capacity() > KEEP_BYTES {
+                self.frame = Vec::new();
             }
         }
     }
 
-    /// Handles one request. `Err` closes the connection; engine
+    /// Handles one request, appending the response's payload to the
+    /// frame begun in `self.frame`. `Err` closes the connection; engine
     /// errors are ordinary responses and keep it open.
-    fn handle(&mut self, req: Request) -> Result<Option<Response>, Close> {
+    fn handle(&mut self, req: Request) -> Result<(), Close> {
         // The handshake must come first, and only once.
         if let Request::Hello { version } = req {
             if self.conn.is_some() {
@@ -411,64 +426,47 @@ impl Session<'_> {
             let session = conn.session().id();
             self.conn = Some(conn);
             self._permit = Some(permit);
-            return Ok(Some(Response::Welcome {
+            self.put(&Response::Welcome {
                 version: PROTOCOL_VERSION,
                 session,
-            }));
+            });
+            return Ok(());
         }
-        if self.conn.is_none() {
+        let Some(conn) = self.conn.as_ref() else {
             return Err(Close::Protocol(
                 "first request must be the handshake".to_string(),
             ));
-        }
-        Ok(Some(match req {
+        };
+        let response = match req {
             Request::Hello { .. } => unreachable!("handled above"),
-            Request::Query { sql } => match self.connection().exec(&sql) {
-                Ok(result) => self.result_response(result),
-                Err(e) => err_response(&e),
-            },
-            Request::Prepare { name, sql } => match self.connection().prepare(&name, &sql) {
-                Ok(result) => Response::Ok {
-                    message: result.message,
-                },
-                Err(e) => err_response(&e),
-            },
+            Request::Query { sql } => {
+                let head = conn.exec_to(&sql, &mut self.rows);
+                self.put_result(head);
+                return Ok(());
+            }
             Request::Execute { name, args } => {
-                match self.connection().execute_values(&name, &args) {
-                    Ok(result) => self.result_response(result),
-                    Err(e) => err_response(&e),
-                }
+                let head = conn.execute_values_to(&name, &args, &mut self.rows);
+                self.put_result(head);
+                return Ok(());
             }
-            Request::Deallocate { name } => match self.connection().deallocate(&name) {
+            Request::Fetch { cursor, max_rows } => return self.fetch(cursor, max_rows),
+            Request::Prepare { name, sql } => match conn.prepare(&name, &sql) {
                 Ok(result) => Response::Ok {
                     message: result.message,
                 },
                 Err(e) => err_response(&e),
             },
-            Request::Fetch { cursor, max_rows } => {
-                let Some(cur) = self.cursors.get_mut(&cursor) else {
-                    return Err(Close::Protocol(format!("unknown cursor {cursor}")));
-                };
-                // A zero budget still makes progress — fetch must
-                // terminate even against a careless client.
-                let take = (max_rows as usize).max(1);
-                let rows: Vec<_> = cur.rows.by_ref().take(take).collect();
-                let rendered: Vec<_> = cur.rendered.by_ref().take(take).collect();
-                let done = cur.rows.len() == 0;
-                if done {
-                    self.cursors.remove(&cursor);
-                }
-                Response::Rows(Batch {
-                    rows,
-                    rendered,
-                    done,
-                })
-            }
+            Request::Deallocate { name } => match conn.deallocate(&name) {
+                Ok(result) => Response::Ok {
+                    message: result.message,
+                },
+                Err(e) => err_response(&e),
+            },
             Request::Metrics => Response::Metrics {
                 entries: grt_client::flatten_metrics(&self.worker.engine.db),
             },
             Request::Trace { max } => {
-                let session = self.connection().session().id();
+                let session = conn.session().id();
                 let mut events: Vec<_> = self
                     .worker
                     .engine
@@ -489,47 +487,74 @@ impl Session<'_> {
                 }
                 Response::Trace { events }
             }
-            Request::Goodbye => Response::Bye,
-        }))
+            Request::Goodbye => return Err(Close::Goodbye),
+        };
+        self.put(&response);
+        Ok(())
     }
 
-    /// Turns an engine result into its wire shape, parking overflow
-    /// rows in a cursor for follow-up fetches.
-    fn result_response(&mut self, result: QueryResult) -> Response {
-        let QueryResult {
-            columns,
-            rows,
-            rendered,
-            message,
-        } = result;
-        if columns.is_empty() {
-            return Response::Ok { message };
+    /// Appends `response`'s payload to the frame.
+    fn put(&mut self, response: &Response) {
+        self.frame.extend_from_slice(&response.encode());
+    }
+
+    /// The next batch of an open cursor: up to `max_rows` rows sliced
+    /// off its images.
+    fn fetch(&mut self, cursor: u64, max_rows: u32) -> Result<(), Close> {
+        let Some(cur) = self.cursors.get_mut(&cursor) else {
+            return Err(Close::Protocol(format!("unknown cursor {cursor}")));
+        };
+        // A zero budget still makes progress — fetch must terminate
+        // even against a careless client.
+        let take = (max_rows as usize).max(1);
+        let end = cur.rows.len().min(cur.sent.saturating_add(take));
+        proto::encode_rows(&mut self.frame, &cur.rows, cur.sent..end);
+        cur.sent = end;
+        if end == cur.rows.len() {
+            // Drained: its buffer serves the next statement.
+            let rows = self.cursors.remove(&cursor).expect("found above").rows;
+            if rows.capacity() <= KEEP_BYTES {
+                self.rows = rows;
+            }
         }
-        let total_rows = rows.len() as u64;
-        let first = self.worker.opts.fetch_rows;
-        let mut rows = rows.into_iter();
-        let mut rendered = rendered.into_iter();
-        let head_rows: Vec<_> = rows.by_ref().take(first).collect();
-        let head_rendered: Vec<_> = rendered.by_ref().take(first).collect();
-        let done = rows.len() == 0;
-        let cursor = if done {
+        Ok(())
+    }
+
+    /// The response to a statement whose rows the engine wrote into
+    /// `self.rows`: its first `fetch_rows` rows ride the result head;
+    /// the rest are parked, as they are, in a cursor for follow-up
+    /// fetches.
+    fn put_result(&mut self, head: grt_ids::Result<QueryResult>) {
+        let QueryResult {
+            columns, message, ..
+        } = match head {
+            Ok(head) => head,
+            Err(e) => return self.put(&err_response(&e)),
+        };
+        if columns.is_empty() {
+            return self.put(&Response::Ok { message });
+        }
+        let first = self.worker.opts.fetch_rows.min(self.rows.len());
+        let cursor = if first == self.rows.len() {
             0
         } else {
             let id = self.next_cursor;
             self.next_cursor += 1;
-            self.cursors.insert(id, Cursor { rows, rendered });
             id
         };
-        Response::ResultHead {
-            columns,
-            message,
+        proto::encode_result_head(
+            &mut self.frame,
+            &columns,
+            &message,
             cursor,
-            total_rows,
-            batch: Batch {
-                rows: head_rows,
-                rendered: head_rendered,
-                done,
-            },
+            &self.rows,
+            first,
+        );
+        if cursor != 0 {
+            let rows = std::mem::take(&mut self.rows);
+            self.cursors.insert(cursor, Cursor { rows, sent: first });
+        } else if self.rows.capacity() > KEEP_BYTES {
+            self.rows = EncodedRows::default();
         }
     }
 }

@@ -10,14 +10,14 @@
 
 use grtree_datablade::blade::{install_grtree_blade, GrTreeAmOptions};
 use grtree_datablade::client::proto::{
-    read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+    read_frame, write_frame, Batch, ErrorCode, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
 };
 use grtree_datablade::client::{ClientError, Driver, EmbeddedDriver, RemoteDriver};
 use grtree_datablade::ids::{Database, DatabaseOptions, Value};
 use grtree_datablade::server::{Server, ServerHandle, ServerOptions};
 use grtree_datablade::temporal::Day;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 const EXTENT: &str = "05/18/1997, UC, 05/18/1997, NOW";
@@ -117,17 +117,33 @@ fn remote_driver_matches_embedded_driver() {
     // carry text only for a result with an opaque column, which only
     // the server's output function can render, and `text()` renders
     // the rest from the values on either side.
+    // The indexed shapes: the server copies a row off the heap page
+    // unless a residual or an opaque output column has it decode.
     plain_types(&remote);
     plain_types(&embedded);
+    let overlaps = format!("Overlaps(Time_Extent, '{OVERLAP}')");
     for (sql, opaque) in [
-        ("SELECT id FROM s", false),
-        ("SELECT * FROM s", true),
-        ("SELECT Time_Extent, id FROM s WHERE id < 3", true),
-        ("SELECT * FROM v", false),
-        ("SELECT t, b FROM v WHERE id = 1", false),
-        ("SELECT * FROM systables", false),
-        ("SELECT index_name, access_method FROM sysindices", false),
+        ("SELECT id FROM s".into(), false),
+        ("SELECT * FROM s".into(), true),
+        ("SELECT Time_Extent, id FROM s WHERE id < 3".into(), true),
+        (format!("SELECT id, id FROM s WHERE {overlaps}"), false),
+        (
+            format!("SELECT id, Time_Extent FROM s WHERE {overlaps}"),
+            true,
+        ),
+        (
+            format!("SELECT id FROM s WHERE {overlaps} AND id > 4"),
+            false,
+        ),
+        ("SELECT * FROM v".into(), false),
+        ("SELECT t, b FROM v WHERE id = 1".into(), false),
+        ("SELECT * FROM systables".into(), false),
+        (
+            "SELECT index_name, access_method FROM sysindices".into(),
+            false,
+        ),
     ] {
+        let sql: &str = &sql;
         let (r, e) = (remote.exec(sql).unwrap(), embedded.exec(sql).unwrap());
         assert_eq!(r.columns, e.columns, "{sql}");
         assert_eq!(r.rows, e.rows, "{sql}");
@@ -214,6 +230,110 @@ fn opaque_text_streams_through_cursors() {
     drop(s);
     driver.goodbye().unwrap();
     server.shutdown();
+}
+
+/// The `SET EXPLAIN` line a session's last indexed SELECT left about
+/// its heap pass.
+fn heap_fetch_line<'a>(messages: impl DoubleEndedIterator<Item = &'a String>) -> String {
+    messages
+        .rev()
+        .find(|m| m.contains("heap fetch:"))
+        .expect("an indexed SELECT under SET EXPLAIN ON reports its heap pass")
+        .clone()
+}
+
+#[test]
+fn the_served_path_reports_what_the_embedded_one_does() {
+    let (db, mut server) = boot(ServerOptions::default());
+    let conn = db.connect();
+    conn.exec("CREATE TABLE h (id integer, pad text, Time_Extent GRT_TimeExtent_t)")
+        .unwrap();
+    for id in 0..300 {
+        let pad = "x".repeat(40);
+        conn.exec(&format!("INSERT INTO h VALUES ({id}, '{pad}', '{EXTENT}')"))
+            .unwrap();
+    }
+    conn.exec("CREATE INDEX hix ON h(Time_Extent grt_opclass) USING grtree_am")
+        .unwrap();
+    let sql = format!("SELECT id FROM h WHERE Overlaps(Time_Extent, '{OVERLAP}')");
+    let heap = |run: &dyn Fn() -> Vec<Vec<Value>>| {
+        let before = db.metrics_snapshot();
+        let rows = run();
+        let d = db.metrics_snapshot().since(&before);
+        assert_eq!(d.get("ids.plans_index"), 1, "not an index scan");
+        (rows, d.get("scan.heap_rows"), d.get("scan.heap_pages"))
+    };
+
+    conn.exec("SET EXPLAIN ON").unwrap();
+    let embedded = heap(&|| conn.exec(&sql).unwrap().rows);
+    let events = db.trace().events_for(conn.session().id());
+    let embedded_line = heap_fetch_line(events.iter().map(|e| &e.message));
+
+    let remote = RemoteDriver::connect(addr(&server)).unwrap();
+    remote.exec("SET EXPLAIN ON").unwrap();
+    let served = heap(&|| remote.exec(&sql).unwrap().rows);
+    let events = remote.trace(64).unwrap();
+    let served_line = heap_fetch_line(events.iter().map(|e| &e.message));
+
+    assert_eq!(served, embedded);
+    assert_eq!(embedded.0.len(), 300);
+    assert!(embedded.2 > 1, "{} heap pages", embedded.2);
+    assert_eq!(
+        embedded_line,
+        format!(
+            "h: heap fetch: {} rows from {} pages",
+            embedded.1, embedded.2
+        )
+    );
+    assert_eq!(served_line, embedded_line);
+    remote.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_result_head_that_miscounts_its_rows_is_a_protocol_error() {
+    // A fake server that announces 5 rows and sends 2, then announces
+    // `u64::MAX` and sends none.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let request = |s: &mut TcpStream| Request::decode(&read_frame(s).unwrap());
+        assert!(matches!(request(&mut s), Ok(Request::Hello { .. })));
+        let welcome = Response::Welcome {
+            version: PROTOCOL_VERSION,
+            session: 1,
+        };
+        write_frame(&mut s, &welcome.encode()).unwrap();
+        for (total_rows, sent) in [(5, 2), (u64::MAX, 0)] {
+            assert!(matches!(request(&mut s), Ok(Request::Query { .. })));
+            let head = Response::ResultHead {
+                columns: vec!["id".into()],
+                message: String::new(),
+                cursor: 0,
+                total_rows,
+                batch: Batch {
+                    rows: (0..sent).map(|id| vec![Value::Int(id)]).collect(),
+                    rendered: Vec::new(),
+                    done: true,
+                },
+            };
+            write_frame(&mut s, &head.encode()).unwrap();
+        }
+    });
+    let driver = RemoteDriver::connect(addr).unwrap();
+    for (total, got) in [("5", 2), ("18446744073709551615", 0)] {
+        match driver.exec("SELECT id FROM t") {
+            Err(ClientError::Protocol(m)) => {
+                assert_eq!(
+                    m,
+                    format!("result head announced {total} rows, {got} arrived")
+                )
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+    fake.join().unwrap();
 }
 
 #[test]
